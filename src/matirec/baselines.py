@@ -46,15 +46,6 @@ class UserPoiMatrix:
         return [p for p in self.all_pois if p not in seen]
 
 
-def cosine_users(matrix: UserPoiMatrix, u: str, v: str) -> float:
-    """Cosine similarity of two users' binary visit vectors."""
-    pu = matrix.pois_of.get(u, frozenset())
-    pv = matrix.pois_of.get(v, frozenset())
-    if not pu or not pv:
-        return 0.0
-    return len(pu & pv) / math.sqrt(len(pu) * len(pv))
-
-
 def top_neighbors(matrix: UserPoiMatrix, user: str, k: int,
                   exclude_poi: str | None = None) -> list[tuple[str, float]]:
     """Top-k cosine neighbors of ``user`` that share at least one POI.

@@ -130,11 +130,12 @@ def cmd_recommend(cfg: RunConfig, args) -> int:
         raise ConfigError("--n must be >= 1")
     log = _load_log(cfg)
     index = SlabIndex.from_json(Path(args.slabs).read_text(encoding="utf-8"))
+    params = None
     if args.params:
-        params_from_json(Path(args.params).read_text(encoding="utf-8"),
-                         expected_checksum=index.checksum)
+        params = params_from_json(Path(args.params).read_text(encoding="utf-8"),
+                                  expected_checksum=index.checksum)
     from .pipeline import SlabArtifacts
-    models = train_models(log, cfg, SlabArtifacts(index, {}, []))
+    models = train_models(log, cfg, SlabArtifacts(index, {}, []), params)
     model = models.get(args.model)
     lines = ["user_id,rank,poi_id,score,path"]
     for user in args.user:
@@ -145,9 +146,7 @@ def cmd_recommend(cfg: RunConfig, args) -> int:
         if items and hasattr(model, "score"):
             pool = models.components.candidates_for(user)
             scores = model.score(user, pool)
-        path = args.model
-        if args.model == "hybrid" and models.recommenders["hybrid"].decisions:
-            path = models.recommenders["hybrid"].decisions[-1].path
+        path = model.routes[user].path if args.model == "hybrid" and items else args.model
         for rank, poi in enumerate(items, start=1):
             rendered = repr(scores[poi]) if poi in scores else ""
             lines.append(f"{user},{rank},{poi},{rendered},{path}")
@@ -257,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out")
     p = sub.add_parser("recommend")
     p.add_argument("--slabs", required=True)
-    p.add_argument("--params", default="", help="trained mati_params.json (checksum-checked)")
+    p.add_argument("--params", default="",
+                   help="trained mati_params.json to serve instead of retraining EM")
     p.add_argument("--user", action="append", required=True)
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--model", default="hybrid")

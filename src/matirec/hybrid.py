@@ -1,8 +1,8 @@
 """Per-user routing between the temporal model and the non-temporal scorer.
 
 A query user is temporally sensitive when the mean shared-activity overlap
-between them and their non-temporal top-N candidates falls inside a tuned
-closed interval; only then does the temporal score rank the final list.
+between them and their non-temporal top-``PROBE_N`` candidates falls inside a
+tuned closed interval; only then does the temporal score rank the final list.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ from .mati import psi_shared_activity
 from .slabs import SlabProfile
 
 Path = Literal["temporal", "non_temporal"]
+
+# Size of the non-temporal list a user's route is decided on.
+PROBE_N = 5
 
 PSI_RANGE_PRESETS: dict[str, tuple[float, float]] = {
     "brightkite": (0.4, 0.9),

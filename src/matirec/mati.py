@@ -14,17 +14,22 @@ The joint visit probability is Pr(u) * Pr_nu(l|u) * chain, with Pr(u) = 1
 probability arithmetic runs in log space with an explicit -inf sentinel for
 zero factors, never a silent underflow.
 
-Evidence coupling: the estimation equations alone leave the per-pair tables
-at a fixed point, so each M step blends the posterior responsibilities with
-the pair's empirical slab histogram,
+EM: the E step's responsibilities for a pair are its own current joint J,
+renormalized, and the M step blends them with the pair's empirical slab
+histogram H over its n check-ins,
 
-    resp'(z) = (n(u,l,z) + gamma * resp(z)) / (n(u,l) + gamma),
+    J' = (H + gamma * J) / (n + gamma).
 
-which reduces to the empirical frequencies for well-observed pairs and to
-pure posterior smoothing for pairs without timestamped support.  The
-reported log-likelihood is the per-event data log-likelihood under the
-current tables (plus the fixed Pr_nu terms); it is non-decreasing across
-iterations.
+The fixed point is the empirical histogram H/n, and EM reaches it smoothed
+toward the global popularity joint J_0 it starts from: after k iterations
+
+    J_k = H/n + (gamma / (n + gamma))^k * (J_0 - H/n).
+
+``run_em`` computes iteration k directly for all pairs at once; ``e_step``,
+``m_step`` and ``joint_prob`` are the per-pair reference it is tested
+against.  The reported log-likelihood is the per-event data log-likelihood
+under the current tables (plus the fixed Pr_nu terms); it is non-decreasing
+across iterations.
 """
 
 from __future__ import annotations
@@ -94,18 +99,23 @@ def layout_for(index: SlabIndex) -> ChainLayout:
 
 
 def chain_from_joint(joint: np.ndarray) -> list[np.ndarray]:
-    """Factor a joint slab table into the conditional chain.
+    """Factor a joint slab table into the conditional chain."""
+    return [table[0] for table in _stacked_chains(joint[None])]
+
+
+def _stacked_chains(joints: np.ndarray) -> list[np.ndarray]:
+    """Conditional chains of a stack of joint tables (stack axis first).
 
     Level k's table is the joint marginalized over all finer axes and
     normalized along axis k given the coarser axes; conditioning tuples with
     zero mass fall back to a uniform row (their reconstructed joint mass
     stays zero).
     """
-    t = joint.ndim
+    t = joints.ndim - 1
     tables = []
     fallbacks = 0
-    for k in range(t):
-        marg = joint.sum(axis=tuple(range(k + 1, t))) if k + 1 < t else joint
+    for k in range(1, t + 1):
+        marg = joints.sum(axis=tuple(range(k + 1, t + 1)))
         denom = marg.sum(axis=k, keepdims=True)
         size = marg.shape[k]
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -256,87 +266,64 @@ def m_step(responsibilities: Mapping[tuple[str, str], np.ndarray],
     return tables
 
 
-def slab_evidence(log: CheckInLog, index: SlabIndex,
-                  pairs: Sequence[tuple[str, str]] | None = None) -> dict[tuple[str, str], np.ndarray]:
-    """Per-pair histogram of training check-ins over the slab grid."""
-    shape = index.grid_shape()
-    wanted = set(pairs) if pairs is not None else None
-    out: dict[tuple[str, str], np.ndarray] = {}
-    for c in log.checkins:
-        pair = (c.user_id, c.poi_id)
-        if wanted is not None and pair not in wanted:
-            continue
-        hist = out.get(pair)
-        if hist is None:
-            hist = out[pair] = np.zeros(shape)
-        hist[index.grid_index_of(c.timestamp)] += 1
-    return out
-
-
-def global_popularity_table(log: CheckInLog, index: SlabIndex) -> list[np.ndarray]:
-    """Chain built from the corpus-wide slab popularity (deterministic init)."""
-    shape = index.grid_shape()
-    counts = np.zeros(shape)
-    for c in log.checkins:
-        counts[index.grid_index_of(c.timestamp)] += 1
-    total = counts.sum()
-    if total == 0:
-        raise DataError("cannot initialize slab tables from an empty log")
-    return chain_from_joint(counts / total)
-
-
-def _data_log_likelihood(params: MatiParams, pairs: Sequence[tuple[str, str]],
-                         evidence: Mapping[tuple[str, str], np.ndarray]) -> float:
-    """Per-event log-likelihood: sum over check-ins of log Pr_nu + log Pr(z|u,l)."""
-    total = 0.0
-    for pair in pairs:
-        hist = evidence.get(pair)
-        if hist is None:
-            continue
-        n = float(hist.sum())
-        total += n * math.log(params.pr_nu[pair])
-        log_joint = log_joint_from_chain(params.pair_tables[pair])
-        mask = hist > 0
-        if np.isneginf(log_joint[mask]).any():
-            return -math.inf
-        total += float((hist[mask] * log_joint[mask]).sum())
-    return total
-
-
 def run_em(log: CheckInLog, index: SlabIndex, pr_nu: Mapping[tuple[str, str], float],
            init: Mapping[tuple[str, str], list[np.ndarray]] | None = None,
            max_iter: int = 200, tol: float = 1e-6,
            gamma: float = 1.0) -> tuple[MatiParams, EmReport]:
-    """Alternate expectation and maximization until the likelihood stalls.
+    """Run EM on every observed pair's slab tables, in closed form.
 
     Observed pairs are every (user, poi) with at least one training
-    check-in, processed in sorted order for deterministic reduction.  The
-    run stops when the relative log-likelihood change drops below ``tol``
-    or after ``max_iter`` iterations; a decrease beyond the slack is an
-    invariant breach.
+    check-in, in sorted order.  EM starts from the global popularity joint,
+    or from ``init`` when given, and iteration k is evaluated directly (see
+    the module docstring).  The run stops when the relative log-likelihood
+    change drops below ``tol`` or after ``max_iter`` iterations; a decrease
+    beyond the slack is an invariant breach.
     """
     pairs = sorted({(c.user_id, c.poi_id) for c in log.checkins})
     if not pairs:
         raise DataError("no observed pairs to train on")
-    for pair in pairs:
-        if pr_nu.get(pair, 0.0) <= 0:
-            raise DataError(f"observed pair {pair} needs a positive non-temporal score")
-    layout = layout_for(index)
-    evidence = slab_evidence(log, index)
-    base = global_popularity_table(log, index)
-    tables = ({pair: [t.copy() for t in init[pair]] for pair in pairs} if init is not None
-              else {pair: [t.copy() for t in base] for pair in pairs})
-    params = MatiParams(layout=layout, pr_nu={p: float(pr_nu[p]) for p in pairs},
-                        pair_tables=tables, global_table=base,
-                        slab_checksum=index.checksum)
+    weights = np.array([pr_nu.get(pair, 0.0) for pair in pairs], dtype=float)
+    bad = np.flatnonzero(weights <= 0)
+    if bad.size:
+        raise DataError(f"observed pair {pairs[bad[0]]} needs a positive non-temporal score")
 
-    trace = [_data_log_likelihood(params, pairs, evidence)]
+    # Slab histogram H, one row per pair over the flattened grid.
+    shape = index.grid_shape()
+    row = {pair: i for i, pair in enumerate(pairs)}
+    pair_of = np.fromiter((row[(c.user_id, c.poi_id)] for c in log.checkins), dtype=np.intp,
+                          count=len(log.checkins))
+    stamps, stamp_of = np.unique(np.fromiter((c.timestamp for c in log.checkins), dtype=np.int64,
+                                             count=len(log.checkins)), return_inverse=True)
+    cell_of_stamp = np.array([np.ravel_multi_index(index.grid_index_of(int(ts)), shape)
+                              for ts in stamps], dtype=np.intp)
+    hist = np.zeros((len(pairs), math.prod(shape)))
+    np.add.at(hist, (pair_of, cell_of_stamp[stamp_of]), 1.0)
+
+    n = hist.sum(axis=1, keepdims=True)
+    empirical = hist / n
+    popularity = hist.sum(axis=0) / len(log.checkins)
+    if init is None:
+        start = np.broadcast_to(popularity, hist.shape)
+    else:
+        levels = [np.stack([init[pair][k] for pair in pairs]) for k in range(len(shape))]
+        start = joint_from_chain(levels).reshape(hist.shape)
+    rate = gamma / (n + gamma)
+
+    # J_k on the cells that carry evidence is all the likelihood needs.
+    rows, cells = np.nonzero(hist)
+    counts, target = hist[rows, cells], empirical[rows, cells]
+    gap, cell_rate = start[rows, cells] - target, rate[rows, 0]
+    base = float(n[:, 0] @ np.log(weights))
+
+    def log_likelihood(k: int) -> float:
+        with np.errstate(divide="ignore"):
+            return base + float(counts @ np.log(target + cell_rate ** k * gap))
+
+    trace = [log_likelihood(0)]
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        resp = e_step(params, pairs)
-        params.pair_tables = m_step(resp, evidence, gamma=gamma)
-        ll = _data_log_likelihood(params, pairs, evidence)
+        ll = log_likelihood(iterations)
         prev = trace[-1]
         slack = MONOTONE_SLACK * max(1.0, abs(prev))
         if prev != -math.inf and ll < prev - slack:
@@ -347,24 +334,25 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: Mapping[tuple[str, str], fl
             converged = True
             break
 
-    params.poi_tables = _poi_marginal_tables(params, pairs)
-    params.validate()
+    joints = (empirical + rate ** iterations * (start - empirical)).reshape(len(pairs), *shape)
+    pair_chains = _stacked_chains(joints)
+    # POI backoff chain: mean of the POI's observed pair joints.
+    pois, poi_of = np.unique([poi for _, poi in pairs], return_inverse=True)
+    poi_sums = np.zeros((len(pois), *shape))
+    np.add.at(poi_sums, poi_of, joints)
+    poi_chains = _stacked_chains(poi_sums / np.bincount(poi_of).reshape(-1, *[1] * len(shape)))
+    global_chain = chain_from_joint(popularity.reshape(shape))
+    for chain in (pair_chains, poi_chains, global_chain):
+        validate_chain(chain)
+
+    params = MatiParams(
+        layout=layout_for(index),
+        pr_nu={pair: float(w) for pair, w in zip(pairs, weights)},
+        pair_tables={pair: [t[i] for t in pair_chains] for i, pair in enumerate(pairs)},
+        poi_tables={poi: [t[i] for t in poi_chains] for i, poi in enumerate(pois.tolist())},
+        global_table=global_chain,
+        slab_checksum=index.checksum)
     return params, EmReport(trace, iterations, converged)
-
-
-def _poi_marginal_tables(params: MatiParams,
-                         pairs: Sequence[tuple[str, str]]) -> dict[str, list[np.ndarray]]:
-    """Backoff chain per POI: mean of the POI's observed pair joints."""
-    sums: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
-    for user, poi in pairs:
-        joint = joint_from_chain(params.pair_tables[(user, poi)])
-        if poi in sums:
-            sums[poi] += joint
-        else:
-            sums[poi] = joint.copy()
-        counts[poi] = counts.get(poi, 0) + 1
-    return {poi: chain_from_joint(sums[poi] / counts[poi]) for poi in sums}
 
 
 def mati_score_components(user: str, poi: str, params: MatiParams,

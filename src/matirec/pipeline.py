@@ -17,12 +17,12 @@ from . import baselines as bl
 from . import univariate as uv
 from .config import RunConfig, SEED_MF, SEED_SAMPLING
 from .errors import ConfigError, DataError
-from .hybrid import Decision, HybridConfig, avg_shared_activity, decide
+from .hybrid import PROBE_N, Decision, HybridConfig, avg_shared_activity, decide
 from .ingest import CheckInLog
 from .mati import MatiParams, EmReport, mati_scores, run_em
 from .sampling import CoverageRow, collect_until
-from .slabs import (SlabIndex, SlotSimilarityMatrix, aggregate_similarity, all_slab_profiles,
-                    build_factor, complete_matrix, hac_complete_linkage)
+from .slabs import (SlabIndex, SlotSimilarityMatrix, UniAspectSlab, aggregate_similarity,
+                    all_slab_profiles, build_factor, complete_matrix, hac_complete_linkage)
 
 logger = logging.getLogger(__name__)
 
@@ -37,7 +37,11 @@ class SlabArtifacts:
 
 
 def build_slab_index(log: CheckInLog, cfg: RunConfig) -> SlabArtifacts:
-    """Sampling -> similarity aggregation -> completion -> clustering -> cross product."""
+    """Sampling -> similarity aggregation -> completion -> clustering -> cross product.
+
+    A factor with no observed slot pair has nothing to complete or merge, so
+    it keeps one slab per slot.
+    """
     offset = cfg.utc_offset_seconds()
     factors = [build_factor(name, offset) for name in cfg.factors.factor_names()]
     samples, coverage, _ = collect_until(
@@ -50,8 +54,15 @@ def build_slab_index(log: CheckInLog, cfg: RunConfig) -> SlabArtifacts:
     for f in factors:
         matrix = aggregate_similarity(samples[f.name], m_min=cfg.sampling.m_min)
         if not matrix.observed.all():
-            # Degrade the rank to what the observed cells can support.
             observed_cells = int(np.triu(matrix.observed).sum())
+            if observed_cells == f.slot_count:  # only the diagonal
+                logger.warning("factor %s: no slot pair reached %d samples; keeping one "
+                               "slab per slot", f.name, cfg.sampling.m_min)
+                matrices[f.name] = matrix
+                slab_sets[f.name] = tuple(UniAspectSlab(f.name, s, frozenset({s}))
+                                          for s in range(f.slot_count))
+                continue
+            # Degrade the rank to what the observed cells can support.
             rank = max(1, min(cfg.mf.rank, f.slot_count - 1, observed_cells // f.slot_count))
             if rank < cfg.mf.rank:
                 logger.warning("factor %s: degrading completion rank %d -> %d "
@@ -263,32 +274,40 @@ class MatiRecommender:
 
 
 class HybridRecommender:
-    """Route each user to the temporal or non-temporal path by mean overlap."""
+    """Route each user to the temporal or non-temporal path by mean overlap.
+
+    A user is routed once, on their top-``PROBE_N`` USG list, so the route and
+    the nesting of their top-N lists do not depend on the requested size.
+    """
 
     name = "hybrid"
 
-    def __init__(self, usg: UsgRecommender, mati: MatiRecommender, cfg: HybridConfig,
-                 psi_candidates: int | None = None):
+    def __init__(self, usg: UsgRecommender, mati: MatiRecommender, cfg: HybridConfig):
         self.usg = usg
         self.mati = mati
         self.cfg = cfg
-        self.psi_candidates = psi_candidates
-        self.decisions: list[Decision] = []
+        self.routes: dict[str, Decision | None] = {}
 
-    def _route(self, user_id: str, n: int) -> Decision | None:
-        probe = self.usg.recommend(user_id, self.psi_candidates or n)
-        if not probe:
-            return None
-        mean_psi = avg_shared_activity(self.mati.user_profiles.get(user_id), probe,
-                                       self.mati.poi_profiles)
-        decision = Decision(user_id, mean_psi, decide(mean_psi, self.cfg))
-        self.decisions.append(decision)
-        return decision
+    @property
+    def decisions(self) -> list[Decision]:
+        """One decision per routed user, in routing order."""
+        return [d for d in self.routes.values() if d is not None]
+
+    def _route(self, user_id: str) -> Decision | None:
+        if user_id not in self.routes:
+            probe = self.usg.recommend(user_id, PROBE_N)
+            decision = None
+            if probe:
+                mean_psi = avg_shared_activity(self.mati.user_profiles.get(user_id), probe,
+                                               self.mati.poi_profiles)
+                decision = Decision(user_id, mean_psi, decide(mean_psi, self.cfg))
+            self.routes[user_id] = decision
+        return self.routes[user_id]
 
     def recommend(self, user_id: str, n: int) -> list[str]:
         if n < 1:
             raise ConfigError(f"list size must be >= 1, got {n}")
-        decision = self._route(user_id, n)
+        decision = self._route(user_id)
         if decision is None:
             return []
         if decision.path == "temporal":
@@ -296,11 +315,8 @@ class HybridRecommender:
         return self.usg.recommend(user_id, n)
 
     def score(self, user_id: str, candidates: list[str]) -> dict[str, float]:
-        """Scores from whichever path the user's latest decision routed to."""
-        if self.decisions and self.decisions[-1].user_id == user_id:
-            decision = self.decisions[-1]
-        else:
-            decision = self._route(user_id, self.psi_candidates or 5)
+        """Scores from whichever path the user is routed to."""
+        decision = self._route(user_id)
         if decision is not None and decision.path == "temporal":
             return self.mati.score(user_id, candidates)
         return self.usg.score(user_id, candidates)
@@ -311,7 +327,7 @@ class TrainedModels:
     components: UsgComponents
     slab_artifacts: SlabArtifacts
     params: MatiParams
-    em_report: EmReport
+    em_report: EmReport | None
     user_profiles: dict
     poi_profiles: dict
     recommenders: dict[str, object] = field(default_factory=dict)
@@ -337,14 +353,27 @@ def training_pr_nu(components: UsgComponents) -> dict[tuple[str, str], float]:
 
 
 def train_models(log: CheckInLog, cfg: RunConfig,
-                 slab_artifacts: SlabArtifacts | None = None) -> TrainedModels:
-    """Train every recommender family on the given (training-view) log."""
+                 slab_artifacts: SlabArtifacts | None = None,
+                 params: MatiParams | None = None) -> TrainedModels:
+    """Train every recommender family on the given (training-view) log.
+
+    Given ``params`` trained on this log, EM is skipped and ``em_report`` is
+    None.
+    """
     components = UsgComponents(log, cfg)
     artifacts = slab_artifacts or build_slab_index(log, cfg)
     user_profiles, poi_profiles = all_slab_profiles(log, artifacts.index)
-    pr_nu = training_pr_nu(components)
-    params, report = run_em(log, artifacts.index, pr_nu, max_iter=cfg.mati.em_max_iter,
-                            tol=cfg.mati.em_tol, gamma=cfg.mati.gamma)
+    if params is None:
+        params, report = run_em(log, artifacts.index, training_pr_nu(components),
+                                max_iter=cfg.mati.em_max_iter, tol=cfg.mati.em_tol,
+                                gamma=cfg.mati.gamma)
+    else:
+        observed = {(c.user_id, c.poi_id) for c in log.checkins}
+        if set(params.pair_tables) != observed:
+            raise DataError(f"model parameters were trained on a different check-in log "
+                            f"({len(observed ^ set(params.pair_tables))} (user, poi) pairs "
+                            f"differ)")
+        report = None
     usg = UsgRecommender(components)
     mati = MatiRecommender(components, params, user_profiles, poi_profiles, cfg.mati.phi_t)
     recommenders = {

@@ -2,6 +2,8 @@
 
 Everything here is written with explicit loops and plain float arithmetic,
 independent of the log-space / vectorized implementations under test.
+``reference_em`` iterates the library's per-pair EM steps, which the other
+oracles check, to stand in for the closed-form ``run_em``.
 """
 
 from __future__ import annotations
@@ -9,6 +11,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from matirec.mati import (MatiParams, chain_from_joint, e_step, joint_from_chain, joint_prob,
+                          layout_for, m_step)
 
 
 def oracle_joint(pr_nu: float, tables: list[np.ndarray], z: tuple[int, int]) -> float:
@@ -50,6 +55,43 @@ def oracle_m_step(resp: np.ndarray, hist: np.ndarray | None,
         for hi in range(sh):
             hour[di, hi] = blended[di, hi] / denom if denom > 0 else 1.0 / sh
     return [day, hour]
+
+
+def reference_em(log, index, pr_nu, max_iter: int = 200, tol: float = 1e-6,
+                 gamma: float = 1.0):
+    """``m_step(e_step(...))`` iterated per pair from the global popularity chain.
+
+    Uses ``run_em``'s stop rule and its per-event log-likelihood, summed from
+    ``joint_prob`` over every check-in.  Returns (pair joints, trace).
+    """
+    shape = index.grid_shape()
+    pairs = sorted({(c.user_id, c.poi_id) for c in log.checkins})
+    evidence = {pair: np.zeros(shape) for pair in pairs}
+    popularity = np.zeros(shape)
+    for c in log.checkins:
+        cell = index.grid_index_of(c.timestamp)
+        evidence[(c.user_id, c.poi_id)][cell] += 1
+        popularity[cell] += 1
+    start = chain_from_joint(popularity / popularity.sum())
+    params = MatiParams(layout=layout_for(index), pr_nu={p: pr_nu[p] for p in pairs},
+                        pair_tables={p: start for p in pairs})
+
+    def log_likelihood() -> float:
+        total = 0.0
+        for pair in pairs:
+            hist = evidence[pair]
+            for cell in zip(*np.nonzero(hist)):
+                total += hist[cell] * joint_prob(*pair, cell, params)
+        return total
+
+    trace = [log_likelihood()]
+    for _ in range(max_iter):
+        params.pair_tables = m_step(e_step(params, pairs), evidence, gamma=gamma)
+        trace.append(log_likelihood())
+        prev = trace[-2]
+        if prev != -math.inf and abs(trace[-1] - prev) / max(abs(prev), 1e-12) < tol:
+            break
+    return {p: joint_from_chain(params.pair_tables[p]) for p in pairs}, trace
 
 
 def oracle_metrics(recommended: list[str], excluded: set[str], n: int):

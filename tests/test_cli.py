@@ -174,6 +174,51 @@ def test_cli_stale_params_checksum_exits_3(workspace, tmp_path):
     assert code == 3
 
 
+@pytest.fixture(scope="module")
+def trained_dir(workspace, tmp_path_factory):
+    """slab_index.json and mati_params.json trained on the workspace log."""
+    _, config = workspace
+    out = tmp_path_factory.mktemp("trained")
+    assert main(["--config", str(config), "slabs", "--out", str(out)]) == 0
+    assert main(["--config", str(config), "train",
+                 "--slabs", str(out / "slab_index.json"), "--out", str(out)]) == 0
+    return out
+
+
+def test_cli_recommend_with_params_skips_em(workspace, trained_dir, tmp_path, monkeypatch):
+    _, config = workspace
+
+    def no_em(*_args, **_kwargs):
+        raise AssertionError("recommend --params must not run EM")
+
+    monkeypatch.setattr("matirec.pipeline.run_em", no_em)
+    code = main(["--config", str(config), "recommend",
+                 "--slabs", str(trained_dir / "slab_index.json"),
+                 "--params", str(trained_dir / "mati_params.json"),
+                 "--user", "a0_0", "--user", "b0_0", "--n", "5", "--out", str(tmp_path)])
+    assert code == 0
+    rows = (tmp_path / "recommendations.csv").read_text().splitlines()[2:]
+    assert len(rows) == 10
+    assert all(row.split(",")[4] in ("temporal", "non_temporal") for row in rows)
+
+
+def test_cli_recommend_params_from_other_log_exits_3(workspace, trained_dir, tmp_path, capsys):
+    root, config = workspace
+    lines = (root / "checkins.tsv").read_text().splitlines(keepends=True)
+    other = tmp_path / "checkins.tsv"
+    other.write_text("".join(line for line in lines if not line.startswith("a0_1\t")),
+                     encoding="utf-8")
+    other_config = tmp_path / "run.cfg"
+    other_config.write_text(config.read_text().replace(str(root / "checkins.tsv"), str(other)),
+                            encoding="utf-8")
+    code = main(["--config", str(other_config), "recommend",
+                 "--slabs", str(trained_dir / "slab_index.json"),
+                 "--params", str(trained_dir / "mati_params.json"),
+                 "--user", "a0_0", "--n", "5"])
+    assert code == 3
+    assert "different check-in log" in capsys.readouterr().err
+
+
 def test_cli_recommend_unknown_user_exits_3(workspace, tmp_path):
     _, config = workspace
     slab_dir = tmp_path / "slabs"

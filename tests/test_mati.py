@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from corpus import GRID_TIMES, recovery_instance, stamp, three_by_three_index, total_variation
-from oracles import oracle_joint, oracle_m_step, oracle_responsibilities
+from oracles import oracle_joint, oracle_m_step, oracle_responsibilities, reference_em
 
 from matirec.errors import ConfigError, DataError
 from matirec.mati import (ChainLayout, MatiParams, chain_factorization, chain_from_joint, e_step,
@@ -241,6 +241,19 @@ def test_run_em_requires_positive_pr_nu():
     bad[pairs[0]] = 0.0
     with pytest.raises(DataError, match="positive"):
         run_em(log, index, bad)
+
+
+def test_run_em_closed_form_matches_reference():
+    log, index, _, pairs = recovery_instance(n_users=20, n_pois=40, pois_per_user=3,
+                                             visits_per_pair=5, seed=77)
+    rng = np.random.default_rng(3)
+    pr_nu = {p: float(rng.uniform(0.1, 1.0)) for p in pairs}
+    joints, trace = reference_em(log, index, pr_nu)
+    params, report = run_em(log, index, pr_nu)
+    assert report.iterations == len(trace) - 1
+    assert np.allclose(report.log_likelihood, trace, rtol=1e-12, atol=0)
+    for pair, want in joints.items():
+        assert np.abs(joint_from_chain(params.pair_tables[pair]) - want).max() <= 1e-12
 
 
 def test_run_em_unseen_pair_backoff():

@@ -4,8 +4,9 @@ from corpus import planted_corpus
 
 from matirec.config import load_config
 from matirec.errors import ConfigError
+from matirec.evaluation import split_exclude
 from matirec.hybrid import HybridConfig
-from matirec.pipeline import PR_NU_FLOOR, train_models, training_pr_nu
+from matirec.pipeline import PR_NU_FLOOR, build_slab_index, train_models, training_pr_nu
 from matirec.univariate import act_observations
 
 
@@ -116,7 +117,6 @@ def test_per_factor_hac_threshold_override():
 
 
 def test_binary_vector_toggle_builds():
-    from matirec.pipeline import build_slab_index
     log = planted_corpus(n_users=40, seed=9)
     cfg = load_config()
     cfg.sampling.m_min = 5
@@ -125,3 +125,50 @@ def test_binary_vector_toggle_builds():
                                     binary_vectors=True)
     artifacts = build_slab_index(log, cfg)
     assert artifacts.index.multi_slabs
+
+
+def test_no_observed_slot_pair_keeps_one_slab_per_slot(tiny_log, caplog):
+    """No slot pair reaches m_min, so nothing can be completed or merged."""
+    artifacts = build_slab_index(tiny_log, load_config())
+    assert artifacts.index.slab_counts() == {"hour": 24, "day": 7}
+    assert "one slab per slot" in caplog.text
+
+
+@pytest.fixture(scope="module")
+def planted_split():
+    """Planted-300 evaluation split, trained with the default hybrid range."""
+    log = planted_corpus(n_users=300, seed=2024)
+    cfg = load_config()
+    cfg.sampling.m_min = 20
+    cfg.sampling.n_percent = 10
+    cfg.usg.alpha, cfg.usg.beta = 0.2, 0.3
+    split = split_exclude(log, 0.3, seed=11, test_fraction=0.2)
+    return split, train_models(split.train_log, cfg)
+
+
+def test_hybrid_route_independent_of_list_size(planted_split):
+    split, models = planted_split
+    hybrid = models.get("hybrid")
+    assert hybrid.recommend("a14_7", 5) == hybrid.recommend("a14_7", 20)[:5]
+    for u in split.test_users:
+        hybrid.recommend(u, 20)
+        hybrid.score(u, models.components.candidates_for(u))
+    routed = [d.user_id for d in hybrid.decisions]
+    assert sorted(routed) == split.test_users
+
+
+NON_NESTED = pytest.mark.xfail(
+    strict=True, reason="re-thresholds a k*n USG pool, so top-n need not prefix top-20")
+
+
+@pytest.mark.parametrize("name", ["ubcf", "usg", "mati", "hybrid",
+                                  pytest.param("usgt", marks=NON_NESTED),
+                                  pytest.param("ubcft", marks=NON_NESTED)])
+def test_top_n_lists_are_nested(planted_split, name):
+    split, models = planted_split
+    model = models.get(name)
+    broken = []
+    for u in split.test_users:
+        full = model.recommend(u, 20)
+        broken += [(u, n) for n in (1, 5, 10) if model.recommend(u, n) != full[:n]]
+    assert not broken

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from corpus import stamp
+from oracles import reference_em
 
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.localtime import SECONDS_PER_HOUR
-from matirec.mati import layout_for, mati_scores, run_em, validate_chain
+from matirec.mati import joint_from_chain, layout_for, mati_scores, run_em, validate_chain
 from matirec.slabs import (SlabIndex, TemporalFactorSpec, UniAspectSlab, all_slab_profiles,
                            day_factor, hour_factor)
 
@@ -49,7 +50,8 @@ def test_slab_of_three_factors(three_factor_index):
     assert three_factor_index.grid_index_of(ts) == (1, 1, 1)
 
 
-def test_em_three_factor_chain_shapes(three_factor_index):
+@pytest.fixture(scope="module")
+def three_factor_log():
     rng = np.random.default_rng(17)
     checkins = []
     for ui in range(8):
@@ -60,7 +62,11 @@ def test_em_three_factor_chain_shapes(three_factor_index):
                 ts = stamp(int(rng.integers(0, 4)), int(rng.integers(0, 7)),
                            int(rng.integers(0, 24)), int(rng.integers(0, 60)))
                 checkins.append(CheckIn(u, p, ts, 0.0, 0.0))
-    log = CheckInLog(checkins)
+    return CheckInLog(checkins)
+
+
+def test_em_three_factor_chain_shapes(three_factor_index, three_factor_log):
+    log = three_factor_log
     pairs = sorted({(c.user_id, c.poi_id) for c in log.checkins})
     params, report = run_em(log, three_factor_index, {p: 1.0 for p in pairs})
     assert report.converged
@@ -74,3 +80,15 @@ def test_em_three_factor_chain_shapes(three_factor_index):
     scores = mati_scores(user, candidates, params, users.get(user), pois,
                          {l: 0.5 for l in candidates}, phi_t=0.6)
     assert scores and all(0.0 <= v <= 1.0 for v in scores.values())
+
+
+def test_em_three_factor_closed_form_matches_reference(three_factor_index, three_factor_log):
+    log = three_factor_log
+    pairs = sorted({(c.user_id, c.poi_id) for c in log.checkins})
+    pr_nu = {p: 0.2 + 0.1 * (i % 7) for i, p in enumerate(pairs)}
+    joints, trace = reference_em(log, three_factor_index, pr_nu)
+    params, report = run_em(log, three_factor_index, pr_nu)
+    assert report.iterations == len(trace) - 1
+    assert np.allclose(report.log_likelihood, trace, rtol=1e-12, atol=0)
+    for pair, want in joints.items():
+        assert np.abs(joint_from_chain(params.pair_tables[pair]) - want).max() <= 1e-12
