@@ -6,13 +6,19 @@ per-POI influence weights of the univariate model.  The social weighting is
 a documented reconstruction (the original formulation is external to this
 project): friends are weighted by the Jaccard overlap of their combined
 friend-and-POI sets.
+
+Everything here works on the integer index of ``UserPoiMatrix``: a user's
+component scores are numpy vectors over POI ints, built by adding whole CSR
+rows (CF, social) or history-by-target distance rows (geo), never one
+candidate at a time.  Accumulations run in a fixed order (neighbors by
+``(-sim, id)``, friends and history POIs by id) so the sums are reproducible
+to the last bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -21,129 +27,162 @@ from .ingest import CheckInLog
 
 EARTH_RADIUS_KM = 6371.0088
 
+_NO_INTS = np.zeros(0, dtype=np.intp)
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) of the distinct (row, col) pairs, columns ascending."""
+    n_cols = int(cols.max()) + 1 if cols.size else 1
+    keys = np.unique(rows.astype(np.int64) * n_cols + cols)
+    rows, cols = np.divmod(keys, n_cols)
+    indptr = np.zeros(n_rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return indptr, cols.astype(np.intp)
+
+
+def _gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated CSR rows in the given order, plus each entry's position in ``rows``."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    segment = np.repeat(np.arange(len(rows)), lengths)
+    offsets = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return indices[starts[segment] + offsets], segment
+
 
 class UserPoiMatrix:
-    """Sparse user-by-POI visit counts with a binary view and inverted index."""
+    """Integer-indexed binary visits, social graph and POI coordinates of a log.
+
+    Users (check-in and social-only) and POIs are interned to dense ints in
+    sorted-id order, so int order is id order.  Visits are held as CSR rows
+    (``indptr``/``indices``, POI ints ascending) and transposed as each POI's
+    visitors (``visitor_indptr``/``visitor_indices``); friendships likewise
+    (``friend_indptr``/``friend_indices``).  ``lat``/``lon`` hold each POI's
+    first observed coordinate.  Methods taking a user int accept ``None`` for
+    a user absent from the log, who has no history and no friends.
+    """
 
     def __init__(self, log: CheckInLog):
-        counts: dict[str, dict[str, int]] = {}
-        visitors: dict[str, set[str]] = {}
-        for c in log.checkins:
-            row = counts.setdefault(c.user_id, {})
-            row[c.poi_id] = row.get(c.poi_id, 0) + 1
-            visitors.setdefault(c.poi_id, set()).add(c.user_id)
-        self.counts = counts
-        self.pois_of: dict[str, frozenset[str]] = {u: frozenset(row) for u, row in counts.items()}
-        self.visitors: dict[str, frozenset[str]] = {p: frozenset(v) for p, v in visitors.items()}
-        self.all_pois: tuple[str, ...] = tuple(sorted(visitors))
+        self.users: tuple[str, ...] = tuple(sorted(log.users()))
+        self.pois: tuple[str, ...] = tuple(sorted(log.pois()))
+        self.user_index = {u: i for i, u in enumerate(self.users)}
+        self.poi_index = {p: i for i, p in enumerate(self.pois)}
+        self._poi_ids = np.array(self.pois, dtype=object)
+        n = len(log.checkins)
+        users = np.fromiter((self.user_index[c.user_id] for c in log.checkins), np.intp, n)
+        pois = np.fromiter((self.poi_index[c.poi_id] for c in log.checkins), np.intp, n)
+        self.indptr, self.indices = _csr(users, pois, len(self.users))
+        self.visitor_indptr, self.visitor_indices = _csr(pois, users, len(self.pois))
+        self.degree = np.diff(self.indptr)
+        _, first = np.unique(pois, return_index=True)
+        self.lat = np.fromiter((log.checkins[i].lat for i in first), float, len(first))
+        self.lon = np.fromiter((log.checkins[i].lon for i in first), float, len(first))
+        ends = np.array([(self.user_index[a], self.user_index[b])
+                         for a, b in log.social_edges], dtype=np.intp).reshape(-1, 2)
+        self.friend_indptr, self.friend_indices = _csr(
+            np.concatenate([ends[:, 0], ends[:, 1]]), np.concatenate([ends[:, 1], ends[:, 0]]),
+            len(self.users))
 
-    def visited(self, user: str, poi: str) -> bool:
-        return poi in self.counts.get(user, ())
+    @property
+    def n_pois(self) -> int:
+        return len(self.pois)
 
-    def candidates_for(self, user: str) -> list[str]:
-        """All POIs the user has not visited, in id order."""
-        seen = self.pois_of.get(user, frozenset())
-        return [p for p in self.all_pois if p not in seen]
+    def history(self, u: int | None) -> np.ndarray:
+        """The user's visited POI ints, ascending."""
+        return _NO_INTS if u is None else self.indices[self.indptr[u]:self.indptr[u + 1]]
+
+    def friends(self, u: int | None) -> np.ndarray:
+        return (_NO_INTS if u is None
+                else self.friend_indices[self.friend_indptr[u]:self.friend_indptr[u + 1]])
+
+    def visitors(self, p: int) -> np.ndarray:
+        return self.visitor_indices[self.visitor_indptr[p]:self.visitor_indptr[p + 1]]
+
+    def unvisited(self, u: int | None) -> np.ndarray:
+        """All POI ints the user has not visited, ascending."""
+        mask = np.ones(self.n_pois, dtype=bool)
+        mask[self.history(u)] = False
+        return np.flatnonzero(mask)
+
+    def ids(self, pois: np.ndarray) -> list[str]:
+        return self._poi_ids[pois].tolist()
+
+    def visit_rate(self, users: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Per POI: the weight share of ``users`` who visited it.
+
+        Rows are added in the given user order, so each POI's weight sum is
+        the left-to-right sum over its visitors among ``users``; the total is
+        summed left to right too (numpy's ``sum`` is pairwise and rounds
+        differently).
+        """
+        total = float(np.add.accumulate(weights)[-1]) if len(weights) else 0.0
+        if total == 0:
+            return np.zeros(self.n_pois)
+        cols, segment = _gather(self.indptr, self.indices, users)
+        return np.bincount(cols, weights=weights[segment], minlength=self.n_pois) / total
 
 
-def top_neighbors(matrix: UserPoiMatrix, user: str, k: int,
-                  exclude_poi: str | None = None) -> list[tuple[str, float]]:
-    """Top-k cosine neighbors of ``user`` that share at least one POI.
+def overlap_counts(matrix: UserPoiMatrix, u: int | None) -> np.ndarray:
+    """Number of POIs every user shares with ``u`` (zero for ``u`` itself)."""
+    visitors, _ = _gather(matrix.visitor_indptr, matrix.visitor_indices, matrix.history(u))
+    overlap = np.bincount(visitors, minlength=len(matrix.users))
+    if u is not None:
+        overlap[u] = 0
+    return overlap
 
-    ``exclude_poi`` drops one POI from the user's profile first (leave-one-out
-    scoring for the univariate influence weights).  Ties break on user id.
+
+def top_neighbors(matrix: UserPoiMatrix, overlap: np.ndarray, size: int,
+                  k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k cosine neighbors (user ints, similarities) that share a POI.
+
+    ``overlap`` holds shared-POI counts against a profile of ``size`` POIs
+    (``overlap_counts``, less a held-out POI's visitors for leave-one-out
+    scoring).  Ties break on user id.
     """
-    profile = set(matrix.pois_of.get(user, frozenset()))
-    if exclude_poi is not None:
-        profile.discard(exclude_poi)
-    if not profile:
-        return []
-    overlap: dict[str, int] = {}
-    for poi in profile:
-        for v in matrix.visitors.get(poi, ()):
-            if v != user:
-                overlap[v] = overlap.get(v, 0) + 1
-    scored = []
-    for v, shared in overlap.items():
-        sim = shared / math.sqrt(len(profile) * len(matrix.pois_of[v]))
-        scored.append((v, sim))
-    scored.sort(key=lambda t: (-t[1], t[0]))
-    return scored[:k]
+    if size == 0:
+        return _NO_INTS, np.zeros(0)
+    ids = np.flatnonzero(overlap)
+    sims = overlap[ids] / np.sqrt(size * matrix.degree[ids])
+    order = np.argsort(-sims, kind="stable")[:k]
+    return ids[order], sims[order]
 
 
-def ubcf_score(user: str, poi: str, matrix: UserPoiMatrix, k_neighbors: int = 50) -> float:
-    """Weighted-neighbor visit rate over the top-k cosine-similar users."""
-    neighbors = top_neighbors(matrix, user, k_neighbors)
-    return ubcf_from_neighbors(neighbors, poi, matrix)
+def friend_weights(matrix: UserPoiMatrix, u: int | None,
+                   drop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Friends (ascending) and the Jaccard weight of each against the user.
 
-
-def ubcf_from_neighbors(neighbors: Sequence[tuple[str, float]], poi: str,
-                        matrix: UserPoiMatrix) -> float:
-    total = sum(sim for _, sim in neighbors)
-    if total == 0:
-        return 0.0
-    hit = sum(sim for v, sim in neighbors if matrix.visited(v, poi))
-    return hit / total
-
-
-def social_tokens(matrix: UserPoiMatrix, friends: Mapping[str, frozenset[str]],
-                  user: str, exclude_poi: str | None = None) -> frozenset[tuple[str, str]]:
-    """Combined friend + POI token set used for the social Jaccard weight.
-
-    The user themself is included on the friend side so that a mutual
-    friendship contributes overlap even without common neighbors.
+    Both sides are token sets of the owner's friend circle (the owner
+    included, so a mutual friendship overlaps even without common friends)
+    and visited POIs; ``drop`` removes one POI from the user's side
+    (leave-one-out scoring).
     """
-    pois = set(matrix.pois_of.get(user, frozenset()))
-    if exclude_poi is not None:
-        pois.discard(exclude_poi)
-    circle = set(friends.get(user, frozenset())) | {user}
-    return frozenset({("f", f) for f in circle} | {("p", p) for p in pois})
+    friends = matrix.friends(u)
+    if not len(friends):
+        return friends, np.zeros(0)
+    circle = np.zeros(len(matrix.users), dtype=bool)
+    circle[friends] = True
+    circle[u] = True
+    mine = np.zeros(matrix.n_pois, dtype=bool)
+    mine[matrix.history(u)] = True
+    if drop is not None:
+        mine[drop] = False
+    # f's own token is in the user's circle (the 1); the user's token is
+    # among f's friends, so the first bincount counts it.
+    their_friends, seg_f = _gather(matrix.friend_indptr, matrix.friend_indices, friends)
+    their_pois, seg_p = _gather(matrix.indptr, matrix.indices, friends)
+    inter = (1 + np.bincount(seg_f[circle[their_friends]], minlength=len(friends))
+             + np.bincount(seg_p[mine[their_pois]], minlength=len(friends)))
+    theirs = np.diff(matrix.friend_indptr)[friends] + 1 + matrix.degree[friends]
+    union = len(friends) + 1 + int(np.count_nonzero(mine)) + theirs - inter
+    return friends, inter / union
 
 
-def friend_weights(matrix: UserPoiMatrix, friends: Mapping[str, frozenset[str]],
-                   user: str, exclude_poi: str | None = None) -> list[tuple[str, float]]:
-    """Jaccard weight of each friend against the user's combined token set."""
-    mine = social_tokens(matrix, friends, user, exclude_poi)
-    out = []
-    for f in sorted(friends.get(user, frozenset())):
-        theirs = social_tokens(matrix, friends, f)
-        union = len(mine | theirs)
-        weight = len(mine & theirs) / union if union else 0.0
-        out.append((f, weight))
-    return out
-
-
-def social_score(user: str, poi: str, matrix: UserPoiMatrix,
-                 friends: Mapping[str, frozenset[str]]) -> float:
-    """Like UBCF but restricted to friends, weighted by the Jaccard overlap."""
-    weights = friend_weights(matrix, friends, user)
-    return social_from_weights(weights, poi, matrix)
-
-
-def social_from_weights(weights: Sequence[tuple[str, float]], poi: str,
-                        matrix: UserPoiMatrix) -> float:
-    total = sum(w for _, w in weights)
-    if total == 0:
-        return 0.0
-    hit = sum(w for f, w in weights if matrix.visited(f, poi))
-    return hit / total
-
-
-def friend_map(log: CheckInLog) -> dict[str, frozenset[str]]:
-    adj: dict[str, set[str]] = {}
-    for a, b in log.social_edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    return {u: frozenset(v) for u, v in adj.items()}
-
-
-def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance in km on the WGS-84 mean sphere."""
-    p1, p2 = math.radians(lat1), math.radians(lat2)
+def haversine_km(lat1, lon1, lat2, lon2):
+    """Great-circle distance in km on the WGS-84 mean sphere (scalars or arrays)."""
+    p1, p2 = np.radians(lat1), np.radians(lat2)
     dp = p2 - p1
-    dl = math.radians(lon2 - lon1)
-    a = math.sin(dp / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2
-    return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
+    dl = np.radians(lon2 - lon1)
+    a = np.sin(dp / 2) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dl / 2) ** 2
+    return 2 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
 
 
 @dataclass(frozen=True)
@@ -154,34 +193,42 @@ class GeoModel:
     b: float
     d_min_km: float = 0.1
 
-    def log_prob(self, distance_km: float) -> float:
-        return self.log_a + self.b * math.log(max(distance_km, self.d_min_km))
+    def log_prob(self, distance_km):
+        return self.log_a + self.b * np.log(np.maximum(distance_km, self.d_min_km))
 
 
-def poi_coordinates(log: CheckInLog) -> dict[str, tuple[float, float]]:
-    """First observed coordinate per POI (coordinates are assumed fixed)."""
-    coords: dict[str, tuple[float, float]] = {}
-    for c in log.checkins:
-        coords.setdefault(c.poi_id, (c.lat, c.lon))
-    return coords
+def distance_bins(matrix: UserPoiMatrix, bin_km: float = 0.5,
+                  d_min_km: float = 0.1) -> dict[int, int]:
+    """Count of same-user distinct-POI pairs per ``bin_km`` distance bin.
+
+    Distances are floored at ``d_min_km``; bin k holds [k, k+1) * bin_km.
+    """
+    counts = np.zeros(0, dtype=np.int64)
+    for u in range(len(matrix.users)):
+        pois = matrix.history(u)
+        first, second = np.triu_indices(len(pois), 1)
+        if not len(first):
+            continue
+        a, b = pois[first], pois[second]
+        d = np.maximum(haversine_km(matrix.lat[a], matrix.lon[a], matrix.lat[b], matrix.lon[b]),
+                       d_min_km)
+        user_counts = np.bincount((d // bin_km).astype(np.int64))
+        if len(user_counts) > len(counts):
+            counts = np.pad(counts, (0, len(user_counts) - len(counts)))
+        counts[:len(user_counts)] += user_counts
+    return {int(k): int(counts[k]) for k in np.flatnonzero(counts)}
 
 
-def fit_geo_model(log: CheckInLog, bin_km: float = 0.5, d_min_km: float = 0.1) -> GeoModel:
+def fit_geo_model(log: CheckInLog | UserPoiMatrix, bin_km: float = 0.5,
+                  d_min_km: float = 0.1) -> GeoModel:
     """Fit the distance power law by the closed-form normal equation.
 
     Pairwise haversine distances over every same-user distinct-POI pair are
     binned at ``bin_km`` resolution (floored at ``d_min_km``), converted to a
     probability mass per bin, and log Pr is regressed on log bin-center.
     """
-    coords = poi_coordinates(log)
-    bins: dict[int, int] = {}
-    for user in sorted(log.by_user):
-        pois = sorted(log.distinct_pois(user))
-        for i, p in enumerate(pois):
-            for q in pois[i + 1:]:
-                d = max(haversine_km(*coords[p], *coords[q]), d_min_km)
-                k = int(d // bin_km)
-                bins[k] = bins.get(k, 0) + 1
+    matrix = log if isinstance(log, UserPoiMatrix) else UserPoiMatrix(log)
+    bins = distance_bins(matrix, bin_km, d_min_km)
     if len(bins) < 2:
         raise DataError("geo fit needs at least 2 distinct distance bins with positive frequency")
     total = sum(bins.values())
@@ -192,26 +239,21 @@ def fit_geo_model(log: CheckInLog, bin_km: float = 0.5, d_min_km: float = 0.1) -
     return GeoModel(log_a=float(coef[0]), b=float(coef[1]), d_min_km=d_min_km)
 
 
-def geo_log_score(history_coords: Sequence[tuple[float, float]],
-                  target: tuple[float, float], model: GeoModel) -> float:
-    """Log of the product of power-law probabilities from each visited POI.
+def geo_log_scores(matrix: UserPoiMatrix, history: np.ndarray, targets: np.ndarray,
+                   model: GeoModel) -> np.ndarray:
+    """Per target POI: log of the product of power-law probabilities from each
+    history POI, summed in history order.
 
     An empty history is neutral (log 1 = 0); per-user max-normalization over
     the candidate set happens at ranking time.
     """
-    return sum(model.log_prob(haversine_km(lat, lon, target[0], target[1]))
-               for lat, lon in history_coords)
-
-
-def geo_scores(user_history_coords: Sequence[tuple[float, float]],
-               candidates: Sequence[str], coords: Mapping[str, tuple[float, float]],
-               model: GeoModel) -> dict[str, float]:
-    """Per-user max-normalized geographic scores in [0, 1] for all candidates."""
-    logs = {l: geo_log_score(user_history_coords, coords[l], model) for l in candidates}
-    if not logs:
-        return {}
-    top = max(logs.values())
-    return {l: math.exp(v - top) for l, v in logs.items()}
+    acc = np.zeros(len(targets))
+    if len(history):
+        d = haversine_km(matrix.lat[history, None], matrix.lon[history, None],
+                         matrix.lat[targets], matrix.lon[targets])
+        for row in model.log_prob(d):
+            acc += row
+    return acc
 
 
 @dataclass(frozen=True)
@@ -227,24 +269,30 @@ class UsgWeights:
                               f"got alpha={self.alpha} beta={self.beta}")
 
 
-def max_normalize(scores: Mapping[str, float]) -> dict[str, float]:
-    """Divide by the per-user maximum; an all-zero map stays zero."""
-    if not scores:
-        return {}
-    top = max(scores.values())
-    if top <= 0:
-        return dict(scores)
-    return {k: v / top for k, v in scores.items()}
+def max_normalize(scores: np.ndarray) -> np.ndarray:
+    """Divide by the per-user maximum; an all-zero (or non-positive) vector is unchanged."""
+    if not len(scores):
+        return scores
+    top = scores.max()
+    return scores / top if top > 0 else scores
 
 
-def usg_score(cf: float, social: float, geo: float, weights: UsgWeights) -> float:
+def usg_score(cf, social, geo, weights: UsgWeights):
     """Convex mix of the three (already max-normalized) component scores."""
     return (1 - weights.alpha - weights.beta) * cf + weights.alpha * social + weights.beta * geo
 
 
-def rank_top_n(scores: Mapping[str, float], n: int) -> tuple[list[str], bool]:
-    """Top-n POIs by score descending, ties by ascending id; flags short lists."""
+def rank_top_n(scores: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
+    """Positions of the top-n scores, descending, ties by ascending position.
+
+    Positions index the caller's target array, which is in POI-id order, so
+    ties break on POI id -- also at the cut: every score tied with the n-th
+    is sorted before the list is cut.  Also flags short lists.
+    """
     if n < 1:
         raise ConfigError(f"top-n size must be >= 1, got {n}")
-    ordered = sorted(scores, key=lambda p: (-scores[p], p))
-    return ordered[:n], len(ordered) < n
+    neg = -scores
+    pool = np.arange(len(neg))
+    if n < len(neg):
+        pool = np.flatnonzero(neg <= np.partition(neg, n - 1)[n - 1])
+    return pool[np.argsort(neg[pool], kind="stable")][:n], len(neg) < n

@@ -42,6 +42,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .baselines import max_normalize
 from .errors import ConfigError, DataError, InvariantError
 from .ingest import CheckInLog
 from .slabs import SlabIndex, SlabProfile, TemporalFactorSpec
@@ -355,31 +356,62 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: Mapping[tuple[str, str], fl
     return params, EmReport(trace, iterations, converged)
 
 
-def mati_score_components(user: str, poi: str, params: MatiParams,
-                          user_profile: SlabProfile | None,
-                          poi_profile: SlabProfile | None,
-                          pr_nu: float) -> tuple[float, float]:
-    """Raw (shared-activity, depth) pair for one candidate.
+class SlabIncidence:
+    """Which multi-aspect slabs each owner (a POI, say) was active in.
 
-    Depth is the average joint probability over all slab assignments; a
-    missing profile contributes zero shared activity.
+    A boolean owner-by-slab matrix over the slabs of the given profiles; an
+    owner without a profile has an empty row.
     """
-    if user_profile is None or poi_profile is None:
-        psi = 0.0
-    else:
-        try:
-            psi = psi_shared_activity(user_profile, poi_profile)
-        except DataError:
-            psi = 0.0
-    joint = joint_from_chain(params.tables_for(user, poi))
-    depth = pr_nu * float(joint.mean())
-    return psi, depth
+
+    def __init__(self, profiles: Mapping[str, SlabProfile], owners: Sequence[str]):
+        slabs = sorted({s for profile in profiles.values() for s in profile.slab_set})
+        self.column = {s: j for j, s in enumerate(slabs)}
+        cells = [(i, self.column[s]) for i, owner in enumerate(owners)
+                 if owner in profiles for s in profiles[owner].slab_set]
+        self.matrix = np.zeros((len(owners), len(slabs)), dtype=bool)
+        if cells:
+            self.matrix[tuple(np.array(cells).T)] = True
+        self.sizes = np.count_nonzero(self.matrix, axis=1)
+
+    def shared_activity(self, profile: SlabProfile | None) -> np.ndarray:
+        """Per owner: Jaccard overlap of its slab set with ``profile``'s
+        (``psi_shared_activity``); zero where either side is missing or both
+        are empty."""
+        if profile is None:
+            return np.zeros(len(self.sizes))
+        mine = profile.slab_set
+        inter = np.count_nonzero(
+            self.matrix[:, [self.column[s] for s in mine if s in self.column]], axis=1)
+        union = len(mine) + self.sizes - inter
+        psi = np.zeros(len(self.sizes))
+        np.divide(inter, union, out=psi, where=union > 0)
+        return psi
 
 
-def mati_scores(user: str, candidates: Sequence[str], params: MatiParams,
-                user_profile: SlabProfile | None,
-                poi_profiles: Mapping[str, SlabProfile],
-                pr_nu_map: Mapping[str, float], phi_t: float) -> dict[str, float]:
+def poi_depth_means(params: MatiParams, pois: Sequence[str]) -> np.ndarray:
+    """Per POI: the mean joint probability of its backoff chain over the slab
+    grid (the global chain for a POI without one).
+
+    Candidates are POIs the user has not visited, so their depth is
+    ``pr_nu * mean`` of exactly these chains.  Every valid chain's joint sums
+    to 1, so the mean is 1 / n_cells and the trained tables never change a
+    ranking (the open depth fix in ROADMAP.md).  The fixed depth,
+    ``pr_nu * sum_z q_u(z) * Pr(z | u, l)`` with ``q_u`` the user's
+    normalized slab histogram, is the matrix-vector product
+    ``joints.reshape(len(pois), -1) @ q_u`` against these same stacked
+    per-POI joints.
+    """
+    chains = [params.poi_tables.get(poi, params.global_table) for poi in pois]
+    if any(chain is None for chain in chains):
+        raise DataError("a POI has no backoff tables and there is no global fallback")
+    if not chains:
+        return np.zeros(0)
+    levels = [np.stack([chain[k] for chain in chains]) for k in range(len(chains[0]))]
+    joints = joint_from_chain(levels)
+    return joints.reshape(len(pois), -1).mean(axis=1)
+
+
+def mati_mix(psi: np.ndarray, depth: np.ndarray, phi_t: float) -> np.ndarray:
     """Mixture score over a candidate set.
 
     Both components are max-normalized per query user before mixing:
@@ -387,25 +419,7 @@ def mati_scores(user: str, candidates: Sequence[str], params: MatiParams,
     """
     if not 0 <= phi_t <= 1:
         raise ConfigError(f"phi_t must be in [0,1], got {phi_t}")
-    psi_raw: dict[str, float] = {}
-    depth_raw: dict[str, float] = {}
-    for l in candidates:
-        psi, depth = mati_score_components(user, l, params, user_profile,
-                                           poi_profiles.get(l), pr_nu_map.get(l, 0.0))
-        psi_raw[l] = psi
-        depth_raw[l] = depth
-    psi_n = _max_normalize(psi_raw)
-    depth_n = _max_normalize(depth_raw)
-    return {l: phi_t * psi_n[l] + (1 - phi_t) * depth_n[l] for l in candidates}
-
-
-def _max_normalize(scores: dict[str, float]) -> dict[str, float]:
-    if not scores:
-        return {}
-    top = max(scores.values())
-    if top <= 0:
-        return dict(scores)
-    return {k: v / top for k, v in scores.items()}
+    return phi_t * max_normalize(psi) + (1 - phi_t) * max_normalize(depth)
 
 
 def params_to_json(params: MatiParams, fingerprint: str = "") -> str:

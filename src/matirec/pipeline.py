@@ -19,7 +19,7 @@ from .config import RunConfig, SEED_MF, SEED_SAMPLING
 from .errors import ConfigError, DataError
 from .hybrid import PROBE_N, Decision, HybridConfig, avg_shared_activity, decide
 from .ingest import CheckInLog
-from .mati import MatiParams, EmReport, mati_scores, run_em
+from .mati import EmReport, MatiParams, SlabIncidence, mati_mix, poi_depth_means, run_em
 from .sampling import CoverageRow, collect_until
 from .slabs import (SlabIndex, SlotSimilarityMatrix, UniAspectSlab, aggregate_similarity,
                     all_slab_profiles, build_factor, complete_matrix, hac_complete_linkage)
@@ -75,75 +75,71 @@ def build_slab_index(log: CheckInLog, cfg: RunConfig) -> SlabArtifacts:
 
 
 class UsgComponents:
-    """Shared scoring state for the CF + social + geo mixture."""
+    """Shared per-user scoring state for the CF + social + geo mixture.
+
+    Scores are numpy vectors over an array of POI ints (``targets``), which
+    defaults to the user's candidate pool: every POI they have not visited,
+    in id order.  Each component is max-normalized over the targets before
+    mixing.
+    """
 
     def __init__(self, log: CheckInLog, cfg: RunConfig):
         self.log = log
         self.cfg = cfg
         self.matrix = bl.UserPoiMatrix(log)
-        self.friends = bl.friend_map(log)
-        self.coords = bl.poi_coordinates(log)
         self.weights = cfg.usg.weights()
         self.k_neighbors = cfg.usg.k_neighbors
         try:
-            self.geo = bl.fit_geo_model(log, bin_km=cfg.usg.bin_km, d_min_km=cfg.usg.d_min_km)
+            self.geo = bl.fit_geo_model(self.matrix, bin_km=cfg.usg.bin_km,
+                                        d_min_km=cfg.usg.d_min_km)
         except DataError:
             # Degenerate geography (single distance bin): neutral flat model.
             logger.warning("geo fit degenerate; using a flat distance model")
             self.geo = bl.GeoModel(log_a=0.0, b=0.0, d_min_km=cfg.usg.d_min_km)
-        self._neighbor_cache: dict[str, list[tuple[str, float]]] = {}
-        self._usg_cache: dict[str, dict[str, float]] = {}
-        self._candidate_cache: dict[str, list[str]] = {}
+        self._neighbor_cache: dict[int | None, tuple[np.ndarray, np.ndarray]] = {}
+        self._usg_cache: dict[str, np.ndarray] = {}
+
+    def user_int(self, user: str) -> int | None:
+        return self.matrix.user_index.get(user)
+
+    def candidates(self, user: str) -> np.ndarray:
+        """POI ints the user has not visited, ascending (= id order)."""
+        return self.matrix.unvisited(self.user_int(user))
 
     def candidates_for(self, user: str) -> list[str]:
-        if user not in self._candidate_cache:
-            self._candidate_cache[user] = self.matrix.candidates_for(user)
-        return self._candidate_cache[user]
+        return self.matrix.ids(self.candidates(user))
 
-    def neighbors(self, user: str) -> list[tuple[str, float]]:
-        if user not in self._neighbor_cache:
-            self._neighbor_cache[user] = bl.top_neighbors(self.matrix, user, self.k_neighbors)
-        return self._neighbor_cache[user]
+    def neighbors(self, u: int | None) -> tuple[np.ndarray, np.ndarray]:
+        if u not in self._neighbor_cache:
+            self._neighbor_cache[u] = bl.top_neighbors(
+                self.matrix, bl.overlap_counts(self.matrix, u), len(self.matrix.history(u)),
+                self.k_neighbors)
+        return self._neighbor_cache[u]
 
     def set_weights(self, weights: bl.UsgWeights) -> None:
         """Swap mixing weights (tuning); invalidates cached mixed scores."""
         self.weights = weights
         self._usg_cache.clear()
 
-    def component_scores(self, user: str, pois: list[str],
-                         exclude_poi: str | None = None) -> tuple[dict, dict, dict]:
-        """Raw (cf, social, geo) maps; exclude_poi gives the leave-one-out view."""
-        if exclude_poi is None:
-            neighbors = self.neighbors(user)
-        else:
-            neighbors = bl.top_neighbors(self.matrix, user, self.k_neighbors,
-                                         exclude_poi=exclude_poi)
-        cf = {p: bl.ubcf_from_neighbors(neighbors, p, self.matrix) for p in pois}
-        weights = bl.friend_weights(self.matrix, self.friends, user, exclude_poi)
-        social = {p: bl.social_from_weights(weights, p, self.matrix) for p in pois}
-        history = [poi for poi in sorted(self.matrix.pois_of.get(user, frozenset()))
-                   if poi != exclude_poi]
-        history_coords = [self.coords[poi] for poi in history]
-        geo = bl.geo_scores(history_coords, pois, self.coords, self.geo)
-        return cf, social, geo
+    def ubcf_scores(self, user: str, targets: np.ndarray | None = None) -> np.ndarray:
+        """Weighted-neighbor visit rate over the top-k cosine-similar users."""
+        t = self.candidates(user) if targets is None else targets
+        return self.matrix.visit_rate(*self.neighbors(self.user_int(user)))[t]
 
-    def ubcf_scores(self, user: str, pois: list[str]) -> dict[str, float]:
-        neighbors = self.neighbors(user)
-        return {p: bl.ubcf_from_neighbors(neighbors, p, self.matrix) for p in pois}
-
-    def usg_scores(self, user: str, pois: list[str],
-                   exclude_poi: str | None = None) -> dict[str, float]:
-        # The normalization set is the requested pois; full-pool calls are
-        # the hot path during evaluation, so cache those per user.
-        cacheable = exclude_poi is None and pois == self.candidates_for(user)
-        if cacheable and user in self._usg_cache:
+    def usg_scores(self, user: str, targets: np.ndarray | None = None) -> np.ndarray:
+        # Candidate-pool scores are the hot path during evaluation (every
+        # model reads them), so cache those per user.
+        if targets is None and user in self._usg_cache:
             return self._usg_cache[user]
-        cf, social, geo = self.component_scores(user, pois, exclude_poi)
-        cf_n, social_n, geo_n = (bl.max_normalize(cf), bl.max_normalize(social),
-                                 bl.max_normalize(geo))
-        scores = {p: bl.usg_score(cf_n[p], social_n[p], geo_n[p], self.weights)
-                  for p in pois}
-        if cacheable:
+        u = self.user_int(user)
+        t = self.candidates(user) if targets is None else targets
+        cf = self.matrix.visit_rate(*self.neighbors(u))[t]
+        social = self.matrix.visit_rate(*bl.friend_weights(self.matrix, u))[t]
+        logs = bl.geo_log_scores(self.matrix, self.matrix.history(u), t, self.geo)
+        geo = np.exp(logs - logs.max()) if len(t) else logs
+        scores = bl.usg_score(bl.max_normalize(cf), bl.max_normalize(social),
+                              bl.max_normalize(geo), self.weights)
+        if targets is None:
             self._usg_cache[user] = scores
         return scores
 
@@ -152,49 +148,68 @@ class UsgComponents:
 
         Components are computed in each leave-one-out context and
         max-normalized across the user's POIs before mixing, so the mixture
-        weighting stays meaningful within the user.
+        weighting stays meaningful within the user.  The held-out neighbors
+        come from the user's overlap counts less that POI's visitors.
         """
-        pois = sorted(self.matrix.pois_of.get(user, frozenset()))
-        cf, social, geo = {}, {}, {}
-        for p in pois:
-            c, s, g = self.component_scores(user, [p], exclude_poi=p)
-            cf[p], social[p], geo[p] = c[p], s[p], g[p]
-        cf_n, social_n, geo_n = (bl.max_normalize(cf), bl.max_normalize(social),
-                                 bl.max_normalize(geo))
-        return {p: bl.usg_score(cf_n[p], social_n[p], geo_n[p], self.weights) for p in pois}
+        u = self.user_int(user)
+        history = self.matrix.history(u)
+        overlap = bl.overlap_counts(self.matrix, u)
+        cf = np.zeros(len(history))
+        social = np.zeros(len(history))
+        for j, p in enumerate(history):
+            visitors = self.matrix.visitors(p)
+            held_out = overlap.copy()
+            held_out[visitors] -= 1
+            held_out[u] = 0
+            neighbors = bl.top_neighbors(self.matrix, held_out, len(history) - 1,
+                                         self.k_neighbors)
+            cf[j] = self.matrix.visit_rate(*neighbors)[p]
+            social[j] = self.matrix.visit_rate(*bl.friend_weights(self.matrix, u, drop=p))[p]
+        # Each held-out POI is its own one-POI geo normalization set, so its
+        # geo score is exp(0) = 1.
+        geo = np.ones(len(history))
+        scores = bl.usg_score(bl.max_normalize(cf), bl.max_normalize(social),
+                              bl.max_normalize(geo), self.weights)
+        return dict(zip(self.matrix.ids(history), scores.tolist()))
 
 
 class _RankedRecommender:
-    """Shared recommend() on top of a per-user batch score function."""
+    """Shared recommend() and score() on top of a per-user score vector."""
 
     name = "base"
 
     def __init__(self, components: UsgComponents):
         self.components = components
 
-    def score(self, user: str, candidates: list[str]) -> dict[str, float]:
+    def scores(self, user: str, targets: np.ndarray | None = None) -> np.ndarray:
+        """Score vector over ``targets`` (POI ints; default the candidate pool)."""
         raise NotImplementedError
 
+    def score(self, user: str, candidates: list[str]) -> dict[str, float]:
+        index = self.components.matrix.poi_index
+        targets = np.fromiter((index[p] for p in candidates), np.intp, len(candidates))
+        return dict(zip(candidates, self.scores(user, targets).tolist()))
+
     def recommend(self, user_id: str, n: int) -> list[str]:
-        candidates = self.components.candidates_for(user_id)
-        if not candidates:
+        candidates = self.components.candidates(user_id)
+        if not len(candidates):
             return []
-        ranked, _ = bl.rank_top_n(self.score(user_id, candidates), n)
-        return ranked
+        top, _ = bl.rank_top_n(self.scores(user_id), n)
+        return self.components.matrix.ids(candidates[top])
 
 
 class UbcfRecommender(_RankedRecommender):
     name = "ubcf"
 
-    def score(self, user, candidates):
-        return self.components.ubcf_scores(user, candidates)
+    def scores(self, user, targets=None):
+        return self.components.ubcf_scores(user, targets)
 
 
 class UsgRecommender(_RankedRecommender):
     name = "usg"
 
-    def score(self, user, candidates):
-        return self.components.usg_scores(user, candidates)
+    def scores(self, user, targets=None):
+        return self.components.usg_scores(user, targets)
 
 
 class _UnivariateRecommender:
@@ -207,14 +222,15 @@ class _UnivariateRecommender:
         self.components = components
         self.cfg = cfg.univariate
         self.offset = cfg.utc_offset_seconds()
-        self.acts = uv.all_poi_acts(components.log, self.offset)
+        acts = uv.all_poi_acts(components.log, self.offset)
+        self.poi_act = np.array([acts[p].act for p in components.matrix.pois])
         self._profiles: dict[str, uv.UserActProfile | None] = {}
 
     def _profile(self, user: str) -> uv.UserActProfile | None:
         if user not in self._profiles:
             try:
                 if self.uniform_influence:
-                    c_star = {p: 1.0 for p in self.components.matrix.pois_of.get(user, ())}
+                    c_star = {p: 1.0 for p in self.components.log.distinct_pois(user)}
                 else:
                     c_star = self.components.leave_one_out_c_star(user)
                 self._profiles[user] = uv.effective_user_act(
@@ -224,15 +240,16 @@ class _UnivariateRecommender:
         return self._profiles[user]
 
     def recommend(self, user_id: str, n: int) -> list[str]:
-        candidates = self.components.candidates_for(user_id)
-        if not candidates:
+        candidates = self.components.candidates(user_id)
+        if not len(candidates):
             return []
-        scores = self.components.usg_scores(user_id, candidates)
-        pool, _ = bl.rank_top_n(scores, min(self.cfg.k * n, len(candidates)))
+        scores = self.components.usg_scores(user_id)
+        top, _ = bl.rank_top_n(scores, min(self.cfg.k * n, len(candidates)))
+        pool = self.components.matrix.ids(candidates[top])
         profile = self._profile(user_id)
         if profile is None:
             return pool[:n]
-        delta = {p: self.acts[p].act for p in pool}
+        delta = dict(zip(pool, self.poi_act[candidates[top]].tolist()))
         items, _, _ = uv.usgt_recommend(profile, self.cfg, pool, delta, n)
         return items
 
@@ -247,30 +264,30 @@ class UbcftRecommender(_UnivariateRecommender):
     uniform_influence = True
 
 
-class MatiRecommender:
+class MatiRecommender(_RankedRecommender):
     """Mixture of shared-activity extent and latent joint depth."""
 
     name = "mati"
 
     def __init__(self, components: UsgComponents, params: MatiParams,
                  user_profiles, poi_profiles, phi_t: float):
-        self.components = components
+        super().__init__(components)
         self.params = params
         self.user_profiles = user_profiles
         self.poi_profiles = poi_profiles
         self.phi_t = phi_t
+        pois = components.matrix.pois
+        self.poi_slabs = SlabIncidence(poi_profiles, pois)
+        self.depth_means = poi_depth_means(params, pois)
 
-    def score(self, user: str, candidates: list[str]) -> dict[str, float]:
-        pr_nu = self.components.usg_scores(user, candidates)
-        return mati_scores(user, candidates, self.params, self.user_profiles.get(user),
-                           self.poi_profiles, pr_nu, self.phi_t)
+    def scores(self, user, targets=None):
+        t = self.components.candidates(user) if targets is None else targets
+        pr_nu = self.components.usg_scores(user, targets)
+        psi = self.poi_slabs.shared_activity(self.user_profiles.get(user))[t]
+        return mati_mix(psi, pr_nu * self.depth_means[t], self.phi_t)
 
-    def recommend(self, user_id: str, n: int) -> list[str]:
-        candidates = self.components.candidates_for(user_id)
-        if not candidates:
-            return []
-        ranked, _ = bl.rank_top_n(self.score(user_id, candidates), n)
-        return ranked
+    # Each model class owns its recommend(), so each can be wrapped on its own.
+    recommend = _RankedRecommender.recommend
 
 
 class HybridRecommender:
@@ -342,13 +359,14 @@ def training_pr_nu(components: UsgComponents) -> dict[tuple[str, str], float]:
     """Non-temporal scores for every observed (user, poi) pair, per-user
     max-normalized and floored so every pair keeps support in the latent model."""
     out: dict[tuple[str, str], float] = {}
-    for user in sorted(components.matrix.counts):
-        pois = sorted(components.matrix.pois_of[user])
+    matrix = components.matrix
+    for u in np.flatnonzero(matrix.degree):
+        user = matrix.users[u]
+        pois = matrix.history(u)
         scores = components.usg_scores(user, pois)
-        top = max(scores.values()) if scores else 0.0
-        for p in pois:
-            value = scores[p] / top if top > 0 else 1.0
-            out[(user, p)] = max(value, PR_NU_FLOOR)
+        top = scores.max()
+        values = np.maximum(scores / top if top > 0 else np.ones(len(pois)), PR_NU_FLOOR)
+        out.update(zip(((user, p) for p in matrix.ids(pois)), values.tolist()))
     return out
 
 

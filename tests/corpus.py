@@ -9,6 +9,10 @@ slab-table set so estimation quality can be measured directly.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from matirec.ingest import CheckIn, CheckInLog
@@ -69,6 +73,20 @@ def planted_corpus(n_users: int = 500, seed: int = 2024) -> CheckInLog:
                           int(rngu.integers(0, 24))),
                     25.0 + pi * 0.01, 22.0))
     return CheckInLog(checkins, edges)
+
+
+def longtail_corpus(n_users: int = 200, seed: int = 1) -> CheckInLog:
+    """The benchmark's sparse long-tail city corpus (``clibench/corpora.py``)."""
+    path = Path(__file__).resolve().parents[1] / "clibench" / "corpora.py"
+    spec = importlib.util.spec_from_file_location("clibench_corpora", path)
+    corpora = sys.modules.get(spec.name)
+    if corpora is None:
+        corpora = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = corpora  # dataclasses look their module up there
+        spec.loader.exec_module(corpora)
+    corpus = corpora.longtail(n_users, seed)
+    return CheckInLog((CheckIn(u, poi, ts, lat, lon) for u, ts, lat, lon, poi in corpus.checkins),
+                      corpus.edges)
 
 
 def three_by_three_index() -> SlabIndex:

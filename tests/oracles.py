@@ -4,6 +4,13 @@ Everything here is written with explicit loops and plain float arithmetic,
 independent of the log-space / vectorized implementations under test.
 ``reference_em`` iterates the library's per-pair EM steps, which the other
 oracles check, to stand in for the closed-form ``run_em``.
+
+The scalar, string-keyed scorers below (CF, social, geo, the USG mix, its
+leave-one-out variant and the MATI components) are the per-candidate
+implementations the integer-indexed vector core replaced.  They score one
+(user, POI) at a time from sets of ids and must agree with the core: exactly
+where the arithmetic is the same, to 1e-12 relative for geo, whose numpy
+``log``/``arcsin``/``exp`` may differ from libm's in the last bit.
 """
 
 from __future__ import annotations
@@ -12,8 +19,10 @@ import math
 
 import numpy as np
 
+from matirec.baselines import EARTH_RADIUS_KM, GeoModel, UsgWeights
+from matirec.errors import DataError
 from matirec.mati import (MatiParams, chain_from_joint, e_step, joint_from_chain, joint_prob,
-                          layout_for, m_step)
+                          layout_for, m_step, psi_shared_activity)
 
 
 def oracle_joint(pr_nu: float, tables: list[np.ndarray], z: tuple[int, int]) -> float:
@@ -155,3 +164,214 @@ def oracle_sampling_rounds(users_by_stratum: dict[str, list[str]],
             for pair in activity.get(user, {}):
                 counts[pair] += 1
     return rounds, drawn, counts
+
+
+# --- Non-temporal scorers, one candidate at a time -------------------------
+
+def pois_of(matrix, user: str) -> set[str]:
+    """The user's visited POI ids (empty for a user absent from the log)."""
+    return set(matrix.ids(matrix.history(matrix.user_index.get(user))))
+
+
+def visited(matrix, user: str, poi: str) -> bool:
+    return poi in pois_of(matrix, user)
+
+
+def top_neighbors(matrix, user: str, k: int,
+                  exclude_poi: str | None = None) -> list[tuple[str, float]]:
+    """Top-k cosine neighbors sharing a POI, ties by id; ``exclude_poi``
+    drops one POI from the user's profile first."""
+    profile = pois_of(matrix, user)
+    profile.discard(exclude_poi)
+    if not profile:
+        return []
+    scored = []
+    for v in matrix.users:
+        if v == user:
+            continue
+        theirs = pois_of(matrix, v)
+        shared = 0
+        for poi in profile:
+            if poi in theirs:
+                shared += 1
+        if shared:
+            scored.append((v, shared / math.sqrt(len(profile) * len(theirs))))
+    scored.sort(key=lambda t: (-t[1], t[0]))
+    return scored[:k]
+
+
+def _weighted_share(weights, poi: str, matrix) -> float:
+    total = 0.0
+    for _, w in weights:
+        total += w
+    if total == 0:
+        return 0.0
+    hit = 0.0
+    for v, w in weights:
+        if visited(matrix, v, poi):
+            hit += w
+    return hit / total
+
+
+def ubcf_from_neighbors(neighbors, poi: str, matrix) -> float:
+    return _weighted_share(neighbors, poi, matrix)
+
+
+def ubcf_score(user: str, poi: str, matrix, k_neighbors: int = 50) -> float:
+    """Weighted-neighbor visit rate over the top-k cosine-similar users."""
+    return ubcf_from_neighbors(top_neighbors(matrix, user, k_neighbors), poi, matrix)
+
+
+def friend_map(log) -> dict[str, frozenset[str]]:
+    adj: dict[str, set[str]] = {}
+    for a, b in log.social_edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return {u: frozenset(v) for u, v in adj.items()}
+
+
+def social_tokens(matrix, friends, user: str,
+                  exclude_poi: str | None = None) -> frozenset[tuple[str, str]]:
+    """Friend circle (the user included) plus visited POIs, as tagged tokens."""
+    pois = pois_of(matrix, user)
+    pois.discard(exclude_poi)
+    circle = set(friends.get(user, frozenset())) | {user}
+    return frozenset({("f", f) for f in circle} | {("p", p) for p in pois})
+
+
+def friend_weights(matrix, friends, user: str,
+                   exclude_poi: str | None = None) -> list[tuple[str, float]]:
+    """Jaccard weight of each friend, in id order, against the user's tokens."""
+    mine = social_tokens(matrix, friends, user, exclude_poi)
+    out = []
+    for f in sorted(friends.get(user, frozenset())):
+        theirs = social_tokens(matrix, friends, f)
+        union = len(mine | theirs)
+        out.append((f, len(mine & theirs) / union if union else 0.0))
+    return out
+
+
+def social_from_weights(weights, poi: str, matrix) -> float:
+    return _weighted_share(weights, poi, matrix)
+
+
+def social_score(user: str, poi: str, matrix, friends) -> float:
+    """Like UBCF but restricted to friends, weighted by the Jaccard overlap."""
+    return social_from_weights(friend_weights(matrix, friends, user), poi, matrix)
+
+
+def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    p1, p2 = math.radians(lat1), math.radians(lat2)
+    dp = p2 - p1
+    dl = math.radians(lon2 - lon1)
+    a = math.sin(dp / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2
+    return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
+
+
+def poi_coordinates(log) -> dict[str, tuple[float, float]]:
+    """First observed coordinate per POI."""
+    coords: dict[str, tuple[float, float]] = {}
+    for c in log.checkins:
+        coords.setdefault(c.poi_id, (c.lat, c.lon))
+    return coords
+
+
+def geo_log_score(history_coords, target: tuple[float, float], model: GeoModel) -> float:
+    """Sum over the history of log_a + b * log(max(d, d_min)); 0 for no history."""
+    total = 0.0
+    for lat, lon in history_coords:
+        d = haversine_km(lat, lon, target[0], target[1])
+        total += model.log_a + model.b * math.log(max(d, model.d_min_km))
+    return total
+
+
+def geo_scores(history_coords, candidates, coords, model: GeoModel) -> dict[str, float]:
+    """Per-user max-normalized geographic scores in [0, 1] for all candidates."""
+    logs = {l: geo_log_score(history_coords, coords[l], model) for l in candidates}
+    if not logs:
+        return {}
+    top = max(logs.values())
+    return {l: math.exp(v - top) for l, v in logs.items()}
+
+
+def distance_bins(log, bin_km: float = 0.5, d_min_km: float = 0.1) -> dict[int, int]:
+    """Same-user distinct-POI pair counts per distance bin, pair by pair."""
+    coords = poi_coordinates(log)
+    bins: dict[int, int] = {}
+    for user in sorted(log.by_user):
+        pois = sorted(log.distinct_pois(user))
+        for i, p in enumerate(pois):
+            for q in pois[i + 1:]:
+                d = max(haversine_km(*coords[p], *coords[q]), d_min_km)
+                k = int(d // bin_km)
+                bins[k] = bins.get(k, 0) + 1
+    return bins
+
+
+def max_normalize(scores: dict[str, float]) -> dict[str, float]:
+    if not scores:
+        return {}
+    top = max(scores.values())
+    if top <= 0:
+        return dict(scores)
+    return {k: v / top for k, v in scores.items()}
+
+
+def usg_components(matrix, friends, coords, model: GeoModel, user: str, pois,
+                   k_neighbors: int, exclude_poi: str | None = None):
+    """Raw (cf, social, geo) maps over ``pois``; exclude_poi gives the
+    leave-one-out view."""
+    neighbors = top_neighbors(matrix, user, k_neighbors, exclude_poi)
+    cf = {p: ubcf_from_neighbors(neighbors, p, matrix) for p in pois}
+    weights = friend_weights(matrix, friends, user, exclude_poi)
+    social = {p: social_from_weights(weights, p, matrix) for p in pois}
+    history = [coords[p] for p in sorted(pois_of(matrix, user)) if p != exclude_poi]
+    return cf, social, geo_scores(history, pois, coords, model)
+
+
+def usg_mix(cf, social, geo, weights: UsgWeights) -> dict[str, float]:
+    cf_n, social_n, geo_n = max_normalize(cf), max_normalize(social), max_normalize(geo)
+    return {p: ((1 - weights.alpha - weights.beta) * cf_n[p] + weights.alpha * social_n[p]
+                + weights.beta * geo_n[p]) for p in cf}
+
+
+def leave_one_out_c_star(matrix, friends, coords, model: GeoModel, weights: UsgWeights,
+                         user: str, k_neighbors: int) -> dict[str, float]:
+    """Per visited POI, its components with that POI held out, then mixed."""
+    cf, social, geo = {}, {}, {}
+    for p in sorted(pois_of(matrix, user)):
+        c, s, g = usg_components(matrix, friends, coords, model, user, [p], k_neighbors,
+                                 exclude_poi=p)
+        cf[p], social[p], geo[p] = c[p], s[p], g[p]
+    return usg_mix(cf, social, geo, weights)
+
+
+# --- MATI components, one candidate at a time -------------------------------
+
+def mati_components(user: str, poi: str, params: MatiParams, user_profile, poi_profile,
+                    pr_nu: float) -> tuple[float, float]:
+    """(shared activity, depth): Jaccard of slab sets (0 when undefined) and
+    pr_nu times the mean joint over the pair's (or backoff) tables."""
+    psi = 0.0
+    if user_profile is not None and poi_profile is not None:
+        try:
+            psi = psi_shared_activity(user_profile, poi_profile)
+        except DataError:
+            psi = 0.0
+    joint = joint_from_chain(params.tables_for(user, poi))
+    return psi, pr_nu * float(joint.mean())
+
+
+def mati_scores(user: str, candidates, params: MatiParams, user_profile, poi_profiles,
+                pr_nu_map, phi_t: float) -> dict[str, float]:
+    """phi_t * max-normalized psi + (1 - phi_t) * max-normalized depth."""
+    psi, depth = {}, {}
+    for l in candidates:
+        psi[l], depth[l] = mati_components(user, l, params, user_profile, poi_profiles.get(l),
+                                           pr_nu_map.get(l, 0.0))
+    psi_n, depth_n = max_normalize(psi), max_normalize(depth)
+    return {l: phi_t * psi_n[l] + (1 - phi_t) * depth_n[l] for l in candidates}
+
+
+def rank(scores: dict[str, float], n: int) -> list[str]:
+    return sorted(scores, key=lambda p: (-scores[p], p))[:n]

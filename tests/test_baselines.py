@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from matirec.baselines import (GeoModel, UserPoiMatrix, UsgWeights, fit_geo_model, friend_map,
-                               friend_weights, geo_log_score, geo_scores, haversine_km,
-                               max_normalize, poi_coordinates, rank_top_n, social_score,
-                               top_neighbors, ubcf_score, usg_score)
+from oracles import (friend_map, friend_weights, geo_log_score, geo_scores, social_from_weights,
+                     social_score, top_neighbors, ubcf_from_neighbors, ubcf_score)
+
+from matirec.baselines import (GeoModel, UserPoiMatrix, UsgWeights, fit_geo_model, haversine_km,
+                               max_normalize, rank_top_n, usg_score)
 from matirec.errors import ConfigError, DataError
 from matirec.ingest import CheckIn, CheckInLog
 
@@ -35,7 +36,6 @@ def test_ubcf_no_neighbor_visited():
 
 def test_ubcf_weighted_mix():
     # Neighbor weights 1.0 (visited l) and 0.5 (did not) -> 1.0/1.5.
-    from matirec.baselines import ubcf_from_neighbors
     log = _log([("v1", "l"), ("v2", "x")])
     matrix = UserPoiMatrix(log)
     score = ubcf_from_neighbors([("v1", 1.0), ("v2", 0.5)], "l", matrix)
@@ -104,7 +104,6 @@ def test_social_two_friend_mix():
     weights = [("f1", 0.5), ("f2", 0.25)]
     log = _log([("f1", "l"), ("f2", "x")])
     matrix = UserPoiMatrix(log)
-    from matirec.baselines import social_from_weights
     assert social_from_weights(weights, "l", matrix) == pytest.approx(0.5 / 0.75)
 
 
@@ -198,41 +197,50 @@ def test_usg_weight_bounds():
 
 
 def test_rank_top_n_orders_and_ties():
-    scores = {"b": 0.9, "a": 0.9, "c": 0.1}
-    ranked, short = rank_top_n(scores, 2)
-    assert ranked == ["a", "b"]
+    # Positions are in POI-id order, so equal scores keep ascending position.
+    ranked, short = rank_top_n(np.array([0.9, 0.9, 0.1]), 2)
+    assert ranked.tolist() == [0, 1]
     assert not short
 
 
 def test_rank_top_n_short_list():
-    ranked, short = rank_top_n({"a": 1.0}, 5)
-    assert ranked == ["a"]
+    ranked, short = rank_top_n(np.array([1.0]), 5)
+    assert ranked.tolist() == [0]
     assert short
 
 
 def test_rank_top_n_invalid_size():
     with pytest.raises(ConfigError):
-        rank_top_n({"a": 1.0}, 0)
+        rank_top_n(np.array([1.0]), 0)
 
 
 def test_scaling_component_leaves_ranking_unchanged():
     rng = np.random.default_rng(1)
-    raw = {f"p{i}": float(rng.uniform(0, 5)) for i in range(20)}
-    scaled = {k: 3.7 * v for k, v in raw.items()}
+    raw = rng.uniform(0, 5, size=20)
     a, _ = rank_top_n(max_normalize(raw), 10)
-    b, _ = rank_top_n(max_normalize(scaled), 10)
-    assert a == b
+    b, _ = rank_top_n(max_normalize(3.7 * raw), 10)
+    assert a.tolist() == b.tolist()
 
 
 def test_poi_coordinates_first_seen():
     log = _log([("u", "p", 1.0, 2.0), ("v", "p", 3.0, 4.0)])
-    assert poi_coordinates(log)["p"] == (1.0, 2.0)
+    matrix = UserPoiMatrix(log)
+    p = matrix.poi_index["p"]
+    assert (matrix.lat[p], matrix.lon[p]) == (1.0, 2.0)
 
 
 def test_rank_top_n_prefix_nesting():
     rng = np.random.default_rng(13)
-    scores = {f"p{i:02d}": float(rng.uniform()) for i in range(30)}
+    scores = rng.uniform(size=30)
     full, _ = rank_top_n(scores, 30)
     for n in (1, 5, 10, 20):
         prefix, _ = rank_top_n(scores, n)
-        assert prefix == full[:n]
+        assert prefix.tolist() == full[:n].tolist()
+
+
+def test_rank_top_n_ties_at_the_cut_break_on_position():
+    # Five-way tie straddling the cut at n=3: the lowest positions win.
+    scores = np.array([0.5, 0.2, 0.9, 0.5, 0.5, 0.1, 0.5, 0.5])
+    for n in range(1, 9):
+        ranked, _ = rank_top_n(scores, n)
+        assert ranked.tolist() == sorted(range(8), key=lambda i: (-scores[i], i))[:n]

@@ -7,10 +7,10 @@ from corpus import GRID_TIMES, recovery_instance, stamp, three_by_three_index, t
 from oracles import oracle_joint, oracle_m_step, oracle_responsibilities, reference_em
 
 from matirec.errors import ConfigError, DataError
-from matirec.mati import (ChainLayout, MatiParams, chain_factorization, chain_from_joint, e_step,
-                          joint_from_chain, joint_prob, layout_for, m_step, mati_scores,
-                          params_from_json, params_to_json, psi_shared_activity, run_em,
-                          validate_chain)
+from matirec.mati import (ChainLayout, MatiParams, SlabIncidence, chain_factorization,
+                          chain_from_joint, e_step, joint_from_chain, joint_prob, layout_for, m_step,
+                          mati_mix, params_from_json, params_to_json, poi_depth_means,
+                          psi_shared_activity, run_em, validate_chain)
 from matirec.slabs import SlabProfile, TemporalFactorSpec
 
 
@@ -267,6 +267,13 @@ def test_run_em_unseen_pair_backoff():
     assert unseen in params.poi_tables
 
 
+def mati_scores(candidates, params, user_profile, poi_profiles, pr_nu, phi_t):
+    """The library's MATI mixture over ``candidates``, as a dict."""
+    psi = SlabIncidence(poi_profiles, candidates).shared_activity(user_profile)
+    depth = np.array([pr_nu[l] for l in candidates]) * poi_depth_means(params, candidates)
+    return dict(zip(candidates, mati_mix(psi, depth, phi_t).tolist()))
+
+
 def _score_setup():
     """Two candidates with opposing shared-activity and depth signals."""
     layout = ChainLayout(("day", "hour"), (1, 1))
@@ -282,13 +289,13 @@ def _score_setup():
 
 def test_mati_score_phi_one_ranks_by_shared_activity():
     params, up, pp, pr_nu = _score_setup()
-    scores = mati_scores("u", ["l1", "l2"], params, up, pp, pr_nu, phi_t=1.0)
+    scores = mati_scores(["l1", "l2"], params, up, pp, pr_nu, phi_t=1.0)
     assert scores["l1"] > scores["l2"]
 
 
 def test_mati_score_phi_zero_ranks_by_depth():
     params, up, pp, pr_nu = _score_setup()
-    scores = mati_scores("u", ["l1", "l2"], params, up, pp, pr_nu, phi_t=0.0)
+    scores = mati_scores(["l1", "l2"], params, up, pp, pr_nu, phi_t=0.0)
     assert scores["l2"] > scores["l1"]
     # With a single trivial slab the depth ranking is the pr_nu ranking.
     order = sorted(scores, key=scores.get, reverse=True)
@@ -297,8 +304,8 @@ def test_mati_score_phi_zero_ranks_by_depth():
 
 def test_mati_score_scale_invariance():
     params, up, pp, pr_nu = _score_setup()
-    base = mati_scores("u", ["l1", "l2"], params, up, pp, pr_nu, phi_t=0.4)
-    scaled = mati_scores("u", ["l1", "l2"], params, up, pp,
+    base = mati_scores(["l1", "l2"], params, up, pp, pr_nu, phi_t=0.4)
+    scaled = mati_scores(["l1", "l2"], params, up, pp,
                          {k: 7.3 * v for k, v in pr_nu.items()}, phi_t=0.4)
     assert base == pytest.approx(scaled)
 
@@ -306,7 +313,7 @@ def test_mati_score_scale_invariance():
 def test_mati_score_phi_bounds():
     params, up, pp, pr_nu = _score_setup()
     with pytest.raises(ConfigError):
-        mati_scores("u", ["l1"], params, up, pp, pr_nu, phi_t=1.5)
+        mati_scores(["l1"], params, up, pp, pr_nu, phi_t=1.5)
 
 
 def test_params_json_roundtrip_and_checksum_guard():

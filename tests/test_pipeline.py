@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from corpus import planted_corpus
@@ -6,7 +9,9 @@ from matirec.config import load_config
 from matirec.errors import ConfigError
 from matirec.evaluation import split_exclude
 from matirec.hybrid import HybridConfig
-from matirec.pipeline import PR_NU_FLOOR, build_slab_index, train_models, training_pr_nu
+from matirec.mati import chain_from_joint, joint_from_chain
+from matirec.pipeline import (PR_NU_FLOOR, MatiRecommender, build_slab_index, train_models,
+                              training_pr_nu)
 from matirec.univariate import act_observations
 
 
@@ -62,7 +67,7 @@ def test_usgt_ubcft_share_orientation_when_influence_uniform(trained):
     usgt, ubcft = models.get("usgt"), models.get("ubcft")
     users = sorted(log.by_user)[:5]
     for u in users:
-        uniform = {p: 1.0 for p in models.components.matrix.pois_of[u]}
+        uniform = {p: 1.0 for p in log.distinct_pois(u)}
         from matirec.univariate import effective_user_act
         a = effective_user_act(u, log, cfg.univariate, uniform)
         b = ubcft._profile(u)
@@ -172,3 +177,35 @@ def test_top_n_lists_are_nested(planted_split, name):
         full = model.recommend(u, 20)
         broken += [(u, n) for n in (1, 5, 10) if model.recommend(u, n) != full[:n]]
     assert not broken
+
+
+def test_depth_means_equal_per_poi_joint_means(planted_split):
+    _, models = planted_split
+    mati = models.get("mati")
+    want = [float(joint_from_chain(models.params.poi_tables[p]).mean())
+            for p in models.components.matrix.pois]
+    assert mati.depth_means.tolist() == want
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="depth reduces to pr_nu / n_cells, so the trained tables never "
+                          "reach a ranking (the open depth fix in ROADMAP.md)")
+def test_random_slab_tables_change_some_mati_list(planted_split):
+    split, models = planted_split
+    rng = np.random.default_rng(5)
+    shape = models.params.layout.shape
+
+    def random_chain():
+        joint = rng.random(shape)
+        return chain_from_joint(joint / joint.sum())
+
+    params = replace(models.params,
+                     pair_tables={pair: random_chain() for pair in models.params.pair_tables},
+                     poi_tables={poi: random_chain() for poi in models.params.poi_tables},
+                     global_table=random_chain())
+    trained = models.get("mati")
+    randomized = MatiRecommender(models.components, params, models.user_profiles,
+                                 models.poi_profiles, trained.phi_t)
+    changed = [u for u in split.test_users
+               if randomized.recommend(u, 20) != trained.recommend(u, 20)]
+    assert changed

@@ -13,7 +13,8 @@ from oracles import reference_em
 
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.localtime import SECONDS_PER_HOUR
-from matirec.mati import joint_from_chain, layout_for, mati_scores, run_em, validate_chain
+from matirec.mati import (SlabIncidence, joint_from_chain, layout_for, mati_mix,
+                          poi_depth_means, run_em, validate_chain)
 from matirec.slabs import (SlabIndex, TemporalFactorSpec, UniAspectSlab, all_slab_profiles,
                            day_factor, hour_factor)
 
@@ -77,9 +78,9 @@ def test_em_three_factor_chain_shapes(three_factor_index, three_factor_log):
     users, pois = all_slab_profiles(log, three_factor_index)
     user = pairs[0][0]
     candidates = sorted(log.pois() - log.distinct_pois(user))
-    scores = mati_scores(user, candidates, params, users.get(user), pois,
-                         {l: 0.5 for l in candidates}, phi_t=0.6)
-    assert scores and all(0.0 <= v <= 1.0 for v in scores.values())
+    psi = SlabIncidence(pois, candidates).shared_activity(users.get(user))
+    scores = mati_mix(psi, 0.5 * poi_depth_means(params, candidates), phi_t=0.6)
+    assert len(scores) and all(0.0 <= v <= 1.0 for v in scores)
 
 
 def test_em_three_factor_closed_form_matches_reference(three_factor_index, three_factor_log):
