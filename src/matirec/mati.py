@@ -30,6 +30,18 @@ toward the global popularity joint J_0 it starts from: after k iterations
 against.  The reported log-likelihood is the per-event data log-likelihood
 under the current tables (plus the fixed Pr_nu terms); it is non-decreasing
 across iterations.
+
+Parameter file (``mati_params.json``): one JSON object with the layout,
+``pr_nu`` and the pair, POI and global chains, each chain a list of its
+level tables as nested lists; pair keys are ``user<TAB>poi``.  Its bytes are
+exactly ``json.dumps(payload, sort_keys=True)``.  ``params_to_json`` gets
+there in a stacked pass: it validates and stacks each chain level over all
+pairs (and over all POIs), renders every distinct last-axis row once (on a
+day with none of a pair's check-ins, the pair's hour row is the global
+one, so most rows repeat) and joins the pieces once.  ``params_from_json``
+reads each level into one stack, checks it against the layout (malformed
+content is a ``DataError``), validates each stack once, and hands out the
+table dicts as views into the stacks.
 """
 
 from __future__ import annotations
@@ -145,14 +157,75 @@ def log_joint_from_chain(tables: Sequence[np.ndarray]) -> np.ndarray:
     return acc
 
 
-def validate_chain(tables: Sequence[np.ndarray]) -> None:
+def validate_chain(tables: Sequence[np.ndarray], owners: Sequence | None = None) -> None:
+    """Every entry is non-negative and every last-axis row sums to 1.
+
+    With ``owners``, each table is a stack whose leading axis runs over them,
+    and an error names the first offending owner.  NaN and infinite entries
+    fail the row sums.
+    """
+    def where(bad: np.ndarray) -> str:
+        if owners is None:
+            return ""
+        return f" of {owners[int(np.argmax(bad.reshape(len(owners), -1).any(axis=1)))]!r}"
+
     for k, table in enumerate(tables):
         if (table < 0).any():
-            raise InvariantError(f"chain level {k} has negative entries")
-        sums = table.sum(axis=-1)
-        if not np.allclose(sums, 1.0, atol=ROW_SUM_TOL, rtol=0):
-            raise InvariantError(f"chain level {k} rows do not sum to 1 (max err "
-                                 f"{float(np.abs(sums - 1).max()):.3e})")
+            raise InvariantError(f"chain level {k}{where(table < 0)} has negative entries")
+        errors = np.abs(table.sum(axis=-1) - 1)
+        off = ~(errors <= ROW_SUM_TOL)
+        if off.any():
+            raise InvariantError(f"chain level {k}{where(off)} rows do not sum to 1 (max err "
+                                 f"{float(errors.max()):.3e})")
+
+
+@dataclass(frozen=True)
+class ChainStack:
+    """The chains of several owners, stacked level by level.
+
+    ``levels[k][i]`` is owner i's level-k table and ``keys[i]`` its JSON
+    object key.  For writing, owners are sorted by raw key string, as
+    ``json.dumps(sort_keys=True)`` sorts them.
+    """
+
+    owners: list
+    keys: list[str]
+    levels: list[np.ndarray]
+
+    def validate(self) -> None:
+        validate_chain(self.levels, self.owners)
+
+
+def _pair_key(pair: tuple[str, str]) -> str:
+    return f"{pair[0]}\t{pair[1]}"
+
+
+def _stack(owners: list, keys: list[str], chains: list, shape: tuple[int, ...], what: str,
+           error: type[Exception]) -> ChainStack:
+    """Stack chains level by level; ``error`` for a chain that does not fit
+    ``shape`` (a bug in memory, malformed data in a file)."""
+    if not all(isinstance(chain, (list, tuple)) and len(chain) == len(shape) for chain in chains):
+        raise error(f"model parameters: a {what} chain does not have {len(shape)} levels")
+    levels = []
+    for k in range(len(shape)):
+        want = (len(chains), *shape[:k + 1])
+        try:
+            level = np.array([chain[k] for chain in chains]) if chains else np.zeros(want)
+        except ValueError as exc:
+            raise error(f"model parameters: {what} level {k} tables are ragged") from exc
+        if level.dtype.kind not in "fiu":
+            raise error(f"model parameters: {what} level {k} has a non-numeric entry")
+        if level.shape != want:
+            raise error(f"model parameters: {what} level {k} tables have shape "
+                        f"{level.shape[1:]}, the layout needs {want[1:]}")
+        levels.append(level.astype(float, copy=False))
+    return ChainStack(owners, keys, levels)
+
+
+def _sorted_stack(tables: Mapping, shape: tuple[int, ...], what: str, key=str) -> ChainStack:
+    owners = sorted(tables, key=key)
+    return _stack(owners, [key(owner) for owner in owners], [tables[owner] for owner in owners],
+                  shape, what, InvariantError)
 
 
 @dataclass
@@ -181,13 +254,20 @@ class MatiParams:
             raise DataError(f"no tables for pair {pair} and no global fallback")
         return self.global_table
 
+    def stacks(self) -> tuple[ChainStack, ChainStack, ChainStack | None]:
+        """Pair, POI and global chains stacked per level, validated."""
+        shape = self.layout.shape
+        out = (_sorted_stack(self.pair_tables, shape, "pair", _pair_key),
+               _sorted_stack(self.poi_tables, shape, "POI"),
+               None if self.global_table is None
+               else _sorted_stack({"global": self.global_table}, shape, "global"))
+        for stack in out:
+            if stack is not None:
+                stack.validate()
+        return out
+
     def validate(self) -> None:
-        for tables in self.pair_tables.values():
-            validate_chain(tables)
-        for tables in self.poi_tables.values():
-            validate_chain(tables)
-        if self.global_table is not None:
-            validate_chain(self.global_table)
+        self.stacks()
 
 
 @dataclass
@@ -422,48 +502,165 @@ def mati_mix(psi: np.ndarray, depth: np.ndarray, phi_t: float) -> np.ndarray:
     return phi_t * max_normalize(psi) + (1 - phi_t) * max_normalize(depth)
 
 
+def _render_rows(level: np.ndarray) -> np.ndarray:
+    """JSON text of each last-axis row, shaped like the level without that axis.
+
+    Each distinct row is rendered once, as ``json.dumps`` would, and shared:
+    rows are told apart by their bit pattern, so -0.0 and 0.0 stay distinct.
+    """
+    rows = np.ascontiguousarray(level).reshape(-1, level.shape[-1])
+    bits = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    text = np.array(["[" + ", ".join(map(repr, row)) + "]" for row in rows[first].tolist()],
+                    dtype=object)
+    return text[inverse.ravel()].reshape(level.shape[:-1])
+
+
+def _chain_template(shape: tuple[int, ...]) -> list:
+    """One chain's JSON as literal strings alternating with (level, row) slots;
+    rows are numbered in C order within their level."""
+    items: list = ["["]
+
+    def nest(k: int, dims: tuple[int, ...], row: int) -> None:
+        if not dims:
+            items.append((k, row))
+            return
+        items.append("[")
+        step = math.prod(dims[1:])
+        for i in range(dims[0]):
+            if i:
+                items.append(", ")
+            nest(k, dims[1:], row + i * step)
+        items.append("]")
+
+    for k in range(len(shape)):
+        if k:
+            items.append(", ")
+        nest(k, shape[:k], 0)
+    items.append("]")
+    merged: list = []
+    for item in items:
+        if isinstance(item, str) and merged and isinstance(merged[-1], str):
+            merged[-1] += item
+        else:
+            merged.append(item)
+    return merged
+
+
+def _chain_pieces(stack: ChainStack, shape: tuple[int, ...]) -> np.ndarray:
+    """Object array with one row per owner; row i joins to owner i's chain."""
+    rows = [_render_rows(level).reshape(len(stack.owners), -1) for level in stack.levels]
+    template = _chain_template(shape)
+    pieces = np.empty((len(stack.owners), len(template)), dtype=object)
+    for j, item in enumerate(template):
+        pieces[:, j] = item if isinstance(item, str) else rows[item[0]][:, item[1]]
+    return pieces
+
+
+def _object_pieces(stack: ChainStack, shape: tuple[int, ...]) -> list[str]:
+    """Pieces of the JSON object mapping each owner's key to its chain."""
+    if not stack.owners:
+        return ["{}"]
+    pieces = _chain_pieces(stack, shape)
+    opening = pieces[0, 0]
+    pieces[:, 0] = np.array([f", {json.dumps(key)}: {opening}" for key in stack.keys],
+                            dtype=object)
+    pieces[0, 0] = pieces[0, 0][2:]
+    return ["{", *pieces.ravel().tolist(), "}"]
+
+
 def params_to_json(params: MatiParams, fingerprint: str = "") -> str:
-    payload = {
+    """The parameter file: exactly ``json.dumps(payload, sort_keys=True)``.
+
+    Tables are validated and stacked per level first, so an invalid or
+    non-finite chain raises ``InvariantError`` instead of being written.
+    """
+    pairs, pois, global_stack = params.stacks()
+    shape = params.layout.shape
+    fields = {
         "format_version": PARAMS_FORMAT_VERSION,
         "fingerprint": fingerprint,
         "slab_checksum": params.slab_checksum,
-        "layout": {"levels": list(params.layout.levels), "shape": list(params.layout.shape)},
-        "pr_nu": {f"{u}\t{l}": v for (u, l), v in sorted(params.pr_nu.items())},
-        "pair_tables": {f"{u}\t{l}": [t.tolist() for t in tables]
-                        for (u, l), tables in sorted(params.pair_tables.items())},
-        "poi_tables": {poi: [t.tolist() for t in tables]
-                       for poi, tables in sorted(params.poi_tables.items())},
-        "global_table": ([t.tolist() for t in params.global_table]
-                         if params.global_table is not None else None),
+        "layout": {"levels": list(params.layout.levels), "shape": list(shape)},
+        "pr_nu": {_pair_key(pair): v for pair, v in sorted(params.pr_nu.items())},
     }
-    return json.dumps(payload, sort_keys=True)
+    tables = {
+        "pair_tables": _object_pieces(pairs, shape),
+        "poi_tables": _object_pieces(pois, shape),
+        "global_table": (["null"] if global_stack is None
+                         else _chain_pieces(global_stack, shape)[0].tolist()),
+    }
+    pieces = ["{"]
+    for name in sorted([*fields, *tables]):
+        pieces.append(("" if len(pieces) == 1 else ", ") + json.dumps(name) + ": ")
+        if name in fields:
+            pieces.append(json.dumps(fields[name], sort_keys=True))
+        else:
+            pieces.extend(tables[name])
+    pieces.append("}")
+    return "".join(pieces)
+
+
+def _field(payload, name: str, kind: type):
+    if not isinstance(payload, dict) or not isinstance(payload.get(name), kind):
+        raise DataError(f"model parameters have no valid {name!r} ({kind.__name__})")
+    return payload[name]
+
+
+def _load_stack(chains: dict, shape: tuple[int, ...], what: str, owner=str) -> ChainStack:
+    return _stack([owner(key) for key in chains], list(chains), list(chains.values()), shape,
+                  what, DataError)
+
+
+def _split_pair_key(key: str) -> tuple[str, str]:
+    u, _, l = key.partition("\t")
+    return u, l
+
+
+def _views(stack: ChainStack) -> dict:
+    return {owner: [level[i] for level in stack.levels] for i, owner in enumerate(stack.owners)}
 
 
 def params_from_json(text: str, expected_checksum: str | None = None) -> MatiParams:
+    """Read a parameter file; malformed content raises ``DataError``.
+
+    Each chain level is read into one stack and validated once; the table
+    dicts hold views into those stacks.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"unreadable model parameters: {exc}") from exc
-    if payload.get("format_version") != PARAMS_FORMAT_VERSION:
-        raise DataError(f"unsupported parameter format {payload.get('format_version')!r}")
-    if expected_checksum is not None and payload["slab_checksum"] != expected_checksum:
+    version = payload.get("format_version") if isinstance(payload, dict) else None
+    if version != PARAMS_FORMAT_VERSION:
+        raise DataError(f"unsupported parameter format {version!r}")
+    checksum = _field(payload, "slab_checksum", str)
+    if expected_checksum is not None and checksum != expected_checksum:
         raise DataError("model parameters were trained against a different slab index; refusing")
-    layout = ChainLayout(tuple(payload["layout"]["levels"]), tuple(payload["layout"]["shape"]))
-
-    def split(key: str) -> tuple[str, str]:
-        u, _, l = key.partition("\t")
-        return u, l
-
-    params = MatiParams(
+    layout_obj = _field(payload, "layout", dict)
+    levels, shape = _field(layout_obj, "levels", list), _field(layout_obj, "shape", list)
+    if (not shape or len(levels) != len(shape) or not all(isinstance(n, str) for n in levels)
+            or not all(type(n) is int and n > 0 for n in shape)):
+        raise DataError(f"model parameters have an invalid layout {layout_obj!r}")
+    layout = ChainLayout(tuple(levels), tuple(shape))
+    pr_nu = _field(payload, "pr_nu", dict)
+    if not all(type(v) in (int, float) for v in pr_nu.values()):
+        raise DataError("model parameters: pr_nu has a non-numeric entry")
+    pairs = _load_stack(_field(payload, "pair_tables", dict), layout.shape, "pair",
+                        _split_pair_key)
+    pois = _load_stack(_field(payload, "poi_tables", dict), layout.shape, "POI")
+    if "global_table" not in payload:
+        raise DataError("model parameters have no 'global_table'")
+    global_stack = (None if payload["global_table"] is None else
+                    _load_stack({"global": payload["global_table"]}, layout.shape, "global"))
+    for stack in (pairs, pois, global_stack):
+        if stack is not None:
+            stack.validate()
+    return MatiParams(
         layout=layout,
-        pr_nu={split(k): float(v) for k, v in payload["pr_nu"].items()},
-        pair_tables={split(k): [np.asarray(t) for t in tables]
-                     for k, tables in payload["pair_tables"].items()},
-        poi_tables={poi: [np.asarray(t) for t in tables]
-                    for poi, tables in payload["poi_tables"].items()},
-        global_table=([np.asarray(t) for t in payload["global_table"]]
-                      if payload["global_table"] is not None else None),
-        slab_checksum=payload["slab_checksum"],
+        pr_nu={_split_pair_key(k): float(v) for k, v in pr_nu.items()},
+        pair_tables=_views(pairs),
+        poi_tables=_views(pois),
+        global_table=None if global_stack is None else _views(global_stack)["global"],
+        slab_checksum=checksum,
     )
-    params.validate()
-    return params

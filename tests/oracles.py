@@ -4,6 +4,8 @@ Everything here is written with explicit loops and plain float arithmetic,
 independent of the log-space / vectorized implementations under test.
 ``reference_em`` iterates the library's per-pair EM steps, which the other
 oracles check, to stand in for the closed-form ``run_em``.
+``reference_params_json`` writes the parameter file as one nested
+``json.dumps``: the byte reference for the stacked writer.
 
 The scalar, string-keyed scorers below (CF, social, geo, the USG mix, its
 leave-one-out variant and the MATI components) are the per-candidate
@@ -15,14 +17,16 @@ where the arithmetic is the same, to 1e-12 relative for geo, whose numpy
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
 from matirec.baselines import EARTH_RADIUS_KM, GeoModel, UsgWeights
 from matirec.errors import DataError
-from matirec.mati import (MatiParams, chain_from_joint, e_step, joint_from_chain, joint_prob,
-                          layout_for, m_step, psi_shared_activity)
+from matirec.mati import (PARAMS_FORMAT_VERSION, MatiParams, chain_from_joint, e_step,
+                          joint_from_chain, joint_prob, layout_for, m_step,
+                          psi_shared_activity)
 
 
 def oracle_joint(pr_nu: float, tables: list[np.ndarray], z: tuple[int, int]) -> float:
@@ -102,6 +106,25 @@ def reference_em(log, index, pr_nu, max_iter: int = 200, tol: float = 1e-6,
             break
     return {p: joint_from_chain(params.pair_tables[p]) for p in pairs}, trace
 
+
+
+def reference_params_json(params: MatiParams, fingerprint: str = "") -> str:
+    """The parameter file as one ``json.dumps`` of the nested payload: every
+    table through ``tolist()``, object keys sorted by ``sort_keys``."""
+    payload = {
+        "format_version": PARAMS_FORMAT_VERSION,
+        "fingerprint": fingerprint,
+        "slab_checksum": params.slab_checksum,
+        "layout": {"levels": list(params.layout.levels), "shape": list(params.layout.shape)},
+        "pr_nu": {f"{u}\t{l}": v for (u, l), v in sorted(params.pr_nu.items())},
+        "pair_tables": {f"{u}\t{l}": [t.tolist() for t in tables]
+                        for (u, l), tables in sorted(params.pair_tables.items())},
+        "poi_tables": {poi: [t.tolist() for t in tables]
+                       for poi, tables in sorted(params.poi_tables.items())},
+        "global_table": ([t.tolist() for t in params.global_table]
+                         if params.global_table is not None else None),
+    }
+    return json.dumps(payload, sort_keys=True)
 
 def oracle_metrics(recommended: list[str], excluded: set[str], n: int):
     """Set-intersection counting, no shortcuts."""

@@ -254,3 +254,55 @@ def test_cli_tune_phi_grid(workspace, tmp_path):
 def test_cli_tune_rejects_unknown_param(workspace):
     _, config = workspace
     assert main(["--config", str(config), "tune", "--param", "zeta", "--grid", "0:1:0.5"]) == 2
+
+
+def _damage_missing_pr_nu(params):
+    del params["pr_nu"]
+
+
+def _damage_truncated_poi_row(params):
+    chain = params["poi_tables"][min(params["poi_tables"])]
+    chain[1][0].pop()
+
+
+def _damage_non_numeric_entry(params):
+    chain = params["pair_tables"][min(params["pair_tables"])]
+    chain[1][0][0] = "0.5"
+
+
+def _damage_layout_mismatch(params):
+    params["layout"]["shape"][-1] += 1
+
+
+@pytest.mark.parametrize("damage", [_damage_missing_pr_nu, _damage_truncated_poi_row,
+                                    _damage_non_numeric_entry, _damage_layout_mismatch],
+                         ids=["missing-key", "ragged-table", "non-numeric", "wrong-shape"])
+def test_cli_recommend_malformed_params_exits_3(workspace, trained_dir, tmp_path, capsys,
+                                                damage):
+    _, config = workspace
+    params = json.loads((trained_dir / "mati_params.json").read_text())
+    damage(params)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(params), encoding="utf-8")
+    code = main(["--config", str(config), "recommend",
+                 "--slabs", str(trained_dir / "slab_index.json"),
+                 "--params", str(bad), "--user", "a0_0", "--n", "3"])
+    assert code == 3
+    assert "model parameters" in capsys.readouterr().err
+
+
+def test_cli_recommend_negative_params_entry_exits_4_naming_the_pair(workspace, trained_dir,
+                                                                     tmp_path, capsys):
+    _, config = workspace
+    params = json.loads((trained_dir / "mati_params.json").read_text())
+    key = sorted(params["pair_tables"])[3]
+    row = params["pair_tables"][key][1][2]
+    row[0], row[1] = -0.25, row[1] + row[0] + 0.25
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(params), encoding="utf-8")
+    code = main(["--config", str(config), "recommend",
+                 "--slabs", str(trained_dir / "slab_index.json"),
+                 "--params", str(bad), "--user", "a0_0", "--n", "3"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "negative" in err and repr(tuple(key.split("\t"))) in err

@@ -1,0 +1,149 @@
+"""The stacked parameter-file writer and reader.
+
+``params_to_json`` must write exactly the bytes of one nested
+``json.dumps(payload, sort_keys=True)`` (``oracles.reference_params_json``),
+and ``params_from_json`` must give every table back bit for bit.  Ids carry
+quotes, backslashes, control and non-ASCII characters, whose escaped JSON
+form sorts differently from the raw string; rows repeat, and some differ
+only by -0.0 against 0.0.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from oracles import reference_params_json
+
+from matirec.errors import InvariantError
+from matirec.mati import ChainLayout, MatiParams, params_from_json, params_to_json
+
+ID_CHARS = "aZ0 \"\\\x01\x1f\x7fé \U0001f600"
+ids = st.text(alphabet=ID_CHARS, max_size=3)
+
+
+def _row_pool(size: int, rng) -> np.ndarray:
+    """Rows of one level: uniform, one-hot with 0.0 and with -0.0, random."""
+    rows = [np.full(size, 1.0 / size)]
+    for i in range(size):
+        hot = np.zeros(size)
+        hot[i] = 1.0
+        rows.append(hot)
+        if size > 1:
+            rows.append(np.where(hot == 1.0, 1.0, -0.0))
+    rows += list(rng.dirichlet(np.ones(size), size=2))
+    return np.array(rows)
+
+
+@st.composite
+def param_sets(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pools = [_row_pool(size, rng) for size in shape]
+
+    def chain():
+        levels = []
+        for k, size in enumerate(shape):
+            n_rows = math.prod(shape[:k])
+            picks = draw(st.lists(st.integers(0, len(pools[k]) - 1),
+                                  min_size=n_rows, max_size=n_rows))
+            levels.append(pools[k][picks].reshape(*shape[:k], size))
+        return levels
+
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=6, unique=True))
+    pois = draw(st.lists(ids, max_size=4, unique=True))
+    layout = ChainLayout(tuple(f"f{k}" for k in range(len(shape))), shape)
+    return MatiParams(
+        layout=layout,
+        pr_nu={pair: draw(st.floats(0, 1)) for pair in pairs},
+        pair_tables={pair: chain() for pair in pairs},
+        poi_tables={poi: chain() for poi in pois},
+        global_table=chain() if draw(st.booleans()) else None,
+        slab_checksum=draw(ids))
+
+
+def _same_chain(mine, want):
+    assert len(mine) == len(want)
+    for a, b in zip(mine, want):
+        assert a.dtype == np.float64 and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def _assert_round_trip(params, restored):
+    assert restored.layout == params.layout
+    assert restored.slab_checksum == params.slab_checksum
+    assert {k: np.float64(v).tobytes() for k, v in restored.pr_nu.items()} == \
+        {k: np.float64(v).tobytes() for k, v in params.pr_nu.items()}
+    for mine, want in ((restored.pair_tables, params.pair_tables),
+                       (restored.poi_tables, params.poi_tables)):
+        assert mine.keys() == want.keys()
+        for key in want:
+            _same_chain(mine[key], want[key])
+    if params.global_table is None:
+        assert restored.global_table is None
+    else:
+        _same_chain(restored.global_table, params.global_table)
+
+
+@given(params=param_sets(), fingerprint=ids)
+def test_writer_matches_reference_bytes_and_round_trips(params, fingerprint):
+    text = params_to_json(params, fingerprint=fingerprint)
+    assert text == reference_params_json(params, fingerprint=fingerprint)
+    _assert_round_trip(params, params_from_json(text))
+
+
+def _unit_chain(shape):
+    return [np.full(shape[:k + 1], 1.0 / size) for k, size in enumerate(shape)]
+
+
+def test_keys_sort_by_raw_string_not_escaped_form():
+    names = ['"', "A", "é", "z", "\x01", "\\"]
+    assert sorted(names) != sorted(names, key=json.dumps)
+    shape = (2, 2)
+    params = MatiParams(layout=ChainLayout(("day", "hour"), shape),
+                        pr_nu={(u, "p"): 0.5 for u in names},
+                        pair_tables={(u, "p"): _unit_chain(shape) for u in names},
+                        poi_tables={u: _unit_chain(shape) for u in names},
+                        global_table=_unit_chain(shape))
+    text = params_to_json(params)
+    assert text == reference_params_json(params)
+    _assert_round_trip(params, params_from_json(text))
+
+
+def test_many_duplicate_rows_render_once_each():
+    shape = (3, 4)
+    rows = np.array([[0.25] * 4, [1.0, 0.0, 0.0, 0.0], [1.0, -0.0, -0.0, -0.0]])
+    rng = np.random.default_rng(3)
+    pairs = {(f"u{i}", f"p{i % 7}"): [np.full(3, 1 / 3), rows[rng.integers(0, 3, size=3)]]
+             for i in range(200)}
+    params = MatiParams(layout=ChainLayout(("day", "hour"), shape),
+                        pr_nu={pair: 1.0 for pair in pairs}, pair_tables=pairs)
+    text = params_to_json(params)
+    assert text == reference_params_json(params)
+    assert "[1.0, -0.0, -0.0, -0.0]" in text and "[1.0, 0.0, 0.0, 0.0]" in text
+    _assert_round_trip(params, params_from_json(text))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 0.7],
+                         ids=["nan", "inf", "negative", "row-sum"])
+def test_writer_refuses_invalid_chains(bad):
+    shape = (2, 3)
+    chain = _unit_chain(shape)
+    chain[1] = chain[1].copy()
+    chain[1][1, 0] = bad
+    params = MatiParams(layout=ChainLayout(("day", "hour"), shape),
+                        pr_nu={("u", "p"): 1.0, ("v", "p"): 1.0},
+                        pair_tables={("u", "p"): _unit_chain(shape), ("v", "p"): chain})
+    with pytest.raises(InvariantError, match=r"chain level 1 of \('v', 'p'\)") as err:
+        params_to_json(params)
+    assert err.value.exit_code == 4
+
+
+def test_writer_refuses_tables_off_the_layout():
+    params = MatiParams(layout=ChainLayout(("day", "hour"), (2, 3)), pr_nu={},
+                        pair_tables={}, poi_tables={"p": _unit_chain((2, 2))})
+    with pytest.raises(InvariantError, match="layout needs"):
+        params_to_json(params)
