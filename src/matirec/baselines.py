@@ -52,8 +52,8 @@ def _gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple[
 class UserPoiMatrix:
     """Integer-indexed binary visits, social graph and POI coordinates of a log.
 
-    Users (check-in and social-only) and POIs are interned to dense ints in
-    sorted-id order, so int order is id order.  Visits are held as CSR rows
+    Users and POIs take their ints from the log's ``columns`` (sorted-id
+    order, so int order is id order).  Visits are held as CSR rows
     (``indptr``/``indices``, POI ints ascending) and transposed as each POI's
     visitors (``visitor_indptr``/``visitor_indices``); friendships likewise
     (``friend_indptr``/``friend_indices``).  ``lat``/``lon`` hold each POI's
@@ -62,14 +62,12 @@ class UserPoiMatrix:
     """
 
     def __init__(self, log: CheckInLog):
-        self.users: tuple[str, ...] = tuple(sorted(log.users()))
-        self.pois: tuple[str, ...] = tuple(sorted(log.pois()))
+        columns = log.columns
+        self.users, self.pois = columns.users, columns.pois
         self.user_index = {u: i for i, u in enumerate(self.users)}
         self.poi_index = {p: i for i, p in enumerate(self.pois)}
         self._poi_ids = np.array(self.pois, dtype=object)
-        n = len(log.checkins)
-        users = np.fromiter((self.user_index[c.user_id] for c in log.checkins), np.intp, n)
-        pois = np.fromiter((self.poi_index[c.poi_id] for c in log.checkins), np.intp, n)
+        users, pois = columns.user, columns.poi
         self.indptr, self.indices = _csr(users, pois, len(self.users))
         self.visitor_indptr, self.visitor_indices = _csr(pois, users, len(self.pois))
         self.degree = np.diff(self.indptr)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -94,7 +95,8 @@ def cmd_slabs(cfg: RunConfig, args) -> int:
     for name, matrix in artifacts.matrices.items():
         _write(out, f"similarity_{name}.csv", stamp + similarity_csv(matrix))
     counts = artifacts.index.slab_counts()
-    print(f"slab index written: {counts} -> {len(artifacts.index.multi_slabs)} multi-aspect slabs")
+    cells = math.prod(artifacts.index.grid_shape())
+    print(f"slab index written: {counts} -> {cells} multi-aspect slabs")
     return 0
 
 

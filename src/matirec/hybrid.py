@@ -3,16 +3,19 @@
 A query user is temporally sensitive when the mean shared-activity overlap
 between them and their non-temporal top-``PROBE_N`` candidates falls inside a
 tuned closed interval; only then does the temporal score rank the final list.
+The overlap is ``mati.shared_activity`` over the user's and the candidates'
+rows of slab cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DataError
-from .mati import psi_shared_activity
-from .slabs import SlabProfile
+from .mati import shared_activity
 
 Path = Literal["temporal", "non_temporal"]
 
@@ -44,26 +47,16 @@ class HybridConfig:
         return cls(*PSI_RANGE_PRESETS[dataset])
 
 
-def avg_shared_activity(user_profile: SlabProfile | None,
-                        candidates: Sequence[str],
-                        poi_profiles: Mapping[str, SlabProfile]) -> float:
-    """Mean shared-activity overlap between the user and their candidates.
-
-    Candidates without a defined overlap (missing or empty profile on either
-    side) contribute zero rather than being dropped.
-    """
-    if not candidates:
+def avg_shared_activity(user_cells: np.ndarray, candidate_cells: np.ndarray) -> float:
+    """Mean shared-activity overlap between the user and their candidates
+    (one row of per-cell counts or active flags each), summed left to right
+    in candidate order."""
+    if not len(candidate_cells):
         raise DataError("cannot average shared activity over an empty candidate list")
     total = 0.0
-    for poi in candidates:
-        profile = poi_profiles.get(poi)
-        if user_profile is None or profile is None:
-            continue
-        try:
-            total += psi_shared_activity(user_profile, profile)
-        except DataError:
-            continue
-    return total / len(candidates)
+    for psi in shared_activity(user_cells, candidate_cells).tolist():
+        total += psi
+    return total / len(candidate_cells)
 
 
 def decide(mean_psi: float, cfg: HybridConfig) -> Path:

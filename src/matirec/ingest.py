@@ -13,8 +13,11 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
+
+import numpy as np
 
 from .errors import DataError
 
@@ -43,12 +46,28 @@ class CheckIn:
             raise DataError(f"coordinate out of range: ({self.lat}, {self.lon})")
 
 
+@dataclass(frozen=True)
+class LogColumns:
+    """A log's check-ins as integer columns, one entry per check-in.
+
+    Users (check-in and social-only) and POIs are interned to dense ints in
+    sorted-id order, so int order is id order.
+    """
+
+    users: tuple[str, ...]
+    pois: tuple[str, ...]
+    user: np.ndarray
+    poi: np.ndarray
+    timestamp: np.ndarray
+
+
 class CheckInLog:
     """Canonical store of check-in events plus the undirected social edge set.
 
     ``by_user`` groups the events by user in stable input order.  Social
     edges may reference users that have no check-ins; self loops are
-    rejected.
+    rejected.  ``columns`` is the integer view every array computation
+    starts from.
     """
 
     def __init__(self, checkins: Iterable[CheckIn], social_edges: Iterable[tuple[str, str]] = (),
@@ -73,6 +92,19 @@ class CheckInLog:
 
     def pois(self) -> frozenset[str]:
         return frozenset(c.poi_id for c in self.checkins)
+
+    @cached_property
+    def columns(self) -> LogColumns:
+        users = tuple(sorted(self.users()))
+        pois = tuple(sorted(self.pois()))
+        user_index = {u: i for i, u in enumerate(users)}
+        poi_index = {p: i for i, p in enumerate(pois)}
+        n = len(self.checkins)
+        return LogColumns(
+            users, pois,
+            np.fromiter((user_index[c.user_id] for c in self.checkins), np.intp, n),
+            np.fromiter((poi_index[c.poi_id] for c in self.checkins), np.intp, n),
+            np.fromiter((c.timestamp for c in self.checkins), np.int64, n))
 
     def distinct_pois(self, user_id: str) -> frozenset[str]:
         return frozenset(c.poi_id for c in self.by_user.get(user_id, ()))

@@ -9,6 +9,9 @@ Table arrays are indexed coarsest-first, so the table for chain level k has
 the conditioning axes first and the level's own slab axis last; every table
 sums to 1 over that last axis for each conditioning tuple.
 
+Slabs are addressed as integer grid cells (``SlabIndex.cells``); a pair's
+evidence is its row of per-cell check-in counts.
+
 The joint visit probability is Pr(u) * Pr_nu(l|u) * chain, with Pr(u) = 1
 (users are treated equally) and Pr_nu the fixed non-temporal score.  All
 probability arithmetic runs in log space with an explicit -inf sentinel for
@@ -30,6 +33,10 @@ toward the global popularity joint J_0 it starts from: after k iterations
 against.  The reported log-likelihood is the per-event data log-likelihood
 under the current tables (plus the fixed Pr_nu terms); it is non-decreasing
 across iterations.
+
+Scoring mixes the depth with the shared activity psi: the Jaccard overlap of
+the cells a user and a POI were active in, from integer rows of per-cell
+check-in counts (``shared_activity``).
 
 Parameter file (``mati_params.json``): one JSON object with the layout,
 ``pr_nu`` and the pair, POI and global chains, each chain a list of its
@@ -57,7 +64,7 @@ import numpy as np
 from .baselines import max_normalize
 from .errors import ConfigError, DataError, InvariantError
 from .ingest import CheckInLog
-from .slabs import SlabIndex, SlabProfile, TemporalFactorSpec
+from .slabs import SlabIndex, TemporalFactorSpec
 
 logger = logging.getLogger(__name__)
 
@@ -279,15 +286,6 @@ class EmReport:
     converged: bool
 
 
-def psi_shared_activity(user_profile: SlabProfile, poi_profile: SlabProfile) -> float:
-    """Jaccard overlap of the two slab-id sets (extent of shared activity)."""
-    a, b = user_profile.slab_set, poi_profile.slab_set
-    union = a | b
-    if not union:
-        raise DataError("shared activity undefined: both slab profiles empty")
-    return len(a & b) / len(union)
-
-
 def joint_prob(user: str, poi: str, assignment: tuple[int, ...], params: MatiParams,
                pr_nu: float | None = None) -> float:
     """Log joint probability of (user, poi, slab assignment).
@@ -360,9 +358,15 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: Mapping[tuple[str, str], fl
     change drops below ``tol`` or after ``max_iter`` iterations; a decrease
     beyond the slack is an invariant breach.
     """
-    pairs = sorted({(c.user_id, c.poi_id) for c in log.checkins})
-    if not pairs:
+    columns = log.columns
+    n_pois = len(columns.pois)
+    # Pair keys in int order, which is sorted (user, poi) order.
+    keys, pair_of = np.unique(columns.user * n_pois + columns.poi, return_inverse=True)
+    if not len(keys):
         raise DataError("no observed pairs to train on")
+    pair_users, pair_pois = np.divmod(keys, n_pois)
+    pairs = [(columns.users[u], columns.pois[p])
+             for u, p in zip(pair_users.tolist(), pair_pois.tolist())]
     weights = np.array([pr_nu.get(pair, 0.0) for pair in pairs], dtype=float)
     bad = np.flatnonzero(weights <= 0)
     if bad.size:
@@ -370,15 +374,9 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: Mapping[tuple[str, str], fl
 
     # Slab histogram H, one row per pair over the flattened grid.
     shape = index.grid_shape()
-    row = {pair: i for i, pair in enumerate(pairs)}
-    pair_of = np.fromiter((row[(c.user_id, c.poi_id)] for c in log.checkins), dtype=np.intp,
-                          count=len(log.checkins))
-    stamps, stamp_of = np.unique(np.fromiter((c.timestamp for c in log.checkins), dtype=np.int64,
-                                             count=len(log.checkins)), return_inverse=True)
-    cell_of_stamp = np.array([np.ravel_multi_index(index.grid_index_of(int(ts)), shape)
-                              for ts in stamps], dtype=np.intp)
-    hist = np.zeros((len(pairs), math.prod(shape)))
-    np.add.at(hist, (pair_of, cell_of_stamp[stamp_of]), 1.0)
+    n_cells = math.prod(shape)
+    hist = np.bincount(pair_of * n_cells + index.cells(columns.timestamp),
+                       minlength=len(pairs) * n_cells).reshape(len(pairs), n_cells).astype(float)
 
     n = hist.sum(axis=1, keepdims=True)
     empirical = hist / n
@@ -418,7 +416,7 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: Mapping[tuple[str, str], fl
     joints = (empirical + rate ** iterations * (start - empirical)).reshape(len(pairs), *shape)
     pair_chains = _stacked_chains(joints)
     # POI backoff chain: mean of the POI's observed pair joints.
-    pois, poi_of = np.unique([poi for _, poi in pairs], return_inverse=True)
+    pois, poi_of = np.unique(pair_pois, return_inverse=True)
     poi_sums = np.zeros((len(pois), *shape))
     np.add.at(poi_sums, poi_of, joints)
     poi_chains = _stacked_chains(poi_sums / np.bincount(poi_of).reshape(-1, *[1] * len(shape)))
@@ -430,42 +428,24 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: Mapping[tuple[str, str], fl
         layout=layout_for(index),
         pr_nu={pair: float(w) for pair, w in zip(pairs, weights)},
         pair_tables={pair: [t[i] for t in pair_chains] for i, pair in enumerate(pairs)},
-        poi_tables={poi: [t[i] for t in poi_chains] for i, poi in enumerate(pois.tolist())},
+        poi_tables={columns.pois[p]: [t[i] for t in poi_chains]
+                    for i, p in enumerate(pois.tolist())},
         global_table=global_chain,
         slab_checksum=index.checksum)
     return params, EmReport(trace, iterations, converged)
 
 
-class SlabIncidence:
-    """Which multi-aspect slabs each owner (a POI, say) was active in.
-
-    A boolean owner-by-slab matrix over the slabs of the given profiles; an
-    owner without a profile has an empty row.
-    """
-
-    def __init__(self, profiles: Mapping[str, SlabProfile], owners: Sequence[str]):
-        slabs = sorted({s for profile in profiles.values() for s in profile.slab_set})
-        self.column = {s: j for j, s in enumerate(slabs)}
-        cells = [(i, self.column[s]) for i, owner in enumerate(owners)
-                 if owner in profiles for s in profiles[owner].slab_set]
-        self.matrix = np.zeros((len(owners), len(slabs)), dtype=bool)
-        if cells:
-            self.matrix[tuple(np.array(cells).T)] = True
-        self.sizes = np.count_nonzero(self.matrix, axis=1)
-
-    def shared_activity(self, profile: SlabProfile | None) -> np.ndarray:
-        """Per owner: Jaccard overlap of its slab set with ``profile``'s
-        (``psi_shared_activity``); zero where either side is missing or both
-        are empty."""
-        if profile is None:
-            return np.zeros(len(self.sizes))
-        mine = profile.slab_set
-        inter = np.count_nonzero(
-            self.matrix[:, [self.column[s] for s in mine if s in self.column]], axis=1)
-        union = len(mine) + self.sizes - inter
-        psi = np.zeros(len(self.sizes))
-        np.divide(inter, union, out=psi, where=union > 0)
-        return psi
+def shared_activity(user_cells: np.ndarray, poi_cells: np.ndarray) -> np.ndarray:
+    """Per row of ``poi_cells``: the Jaccard overlap of its active cells with
+    those of ``user_cells``, from integer intersection and union counts; 0
+    where both are empty.  Rows hold per-cell check-in counts (or booleans),
+    so a cell is active where its entry is nonzero."""
+    mine = np.flatnonzero(user_cells)
+    inter = np.count_nonzero(poi_cells[..., mine], axis=-1)
+    union = len(mine) + np.count_nonzero(poi_cells, axis=-1) - inter
+    psi = np.zeros(union.shape)
+    np.divide(inter, union, out=psi, where=union > 0)
+    return psi
 
 
 def poi_depth_means(params: MatiParams, pois: Sequence[str]) -> np.ndarray:

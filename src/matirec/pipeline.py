@@ -19,7 +19,7 @@ from .config import RunConfig, SEED_MF, SEED_SAMPLING
 from .errors import ConfigError, DataError
 from .hybrid import PROBE_N, Decision, HybridConfig, avg_shared_activity, decide
 from .ingest import CheckInLog
-from .mati import EmReport, MatiParams, SlabIncidence, mati_mix, poi_depth_means, run_em
+from .mati import EmReport, MatiParams, mati_mix, poi_depth_means, run_em, shared_activity
 from .sampling import CoverageRow, collect_until
 from .slabs import (SlabIndex, SlotSimilarityMatrix, UniAspectSlab, aggregate_similarity,
                     all_slab_profiles, build_factor, complete_matrix, hac_complete_linkage)
@@ -37,7 +37,7 @@ class SlabArtifacts:
 
 
 def build_slab_index(log: CheckInLog, cfg: RunConfig) -> SlabArtifacts:
-    """Sampling -> similarity aggregation -> completion -> clustering -> cross product.
+    """Sampling -> similarity aggregation -> completion -> clustering -> cell grid.
 
     A factor with no observed slot pair has nothing to complete or merge, so
     it keeps one slab per slot.
@@ -265,26 +265,38 @@ class UbcftRecommender(_UnivariateRecommender):
 
 
 class MatiRecommender(_RankedRecommender):
-    """Mixture of shared-activity extent and latent joint depth."""
+    """Mixture of shared-activity extent and latent joint depth.
+
+    ``user_profiles`` and ``poi_profiles`` are the users x cells and POIs x
+    cells check-in counts of ``all_slab_profiles``, in the components' int
+    order.  Shared activity reads only which cells are active, so they are
+    kept as booleans, which are also cheaper to gather per query.
+    """
 
     name = "mati"
 
     def __init__(self, components: UsgComponents, params: MatiParams,
-                 user_profiles, poi_profiles, phi_t: float):
+                 user_profiles: np.ndarray, poi_profiles: np.ndarray, phi_t: float):
         super().__init__(components)
         self.params = params
-        self.user_profiles = user_profiles
-        self.poi_profiles = poi_profiles
+        self.user_active = user_profiles > 0
+        self.poi_active = poi_profiles > 0
         self.phi_t = phi_t
-        pois = components.matrix.pois
-        self.poi_slabs = SlabIncidence(poi_profiles, pois)
-        self.depth_means = poi_depth_means(params, pois)
+        self.depth_means = poi_depth_means(params, components.matrix.pois)
+
+    def user_cells(self, user: str) -> np.ndarray:
+        """The user's active cells; none for a user absent from the log."""
+        u = self.components.user_int(user)
+        return self.user_active[u] if u is not None else np.zeros(self.user_active.shape[1], bool)
+
+    def psi(self, user: str, targets: np.ndarray) -> np.ndarray:
+        """Shared activity of the user with each target POI int."""
+        return shared_activity(self.user_cells(user), self.poi_active[targets])
 
     def scores(self, user, targets=None):
         t = self.components.candidates(user) if targets is None else targets
         pr_nu = self.components.usg_scores(user, targets)
-        psi = self.poi_slabs.shared_activity(self.user_profiles.get(user))[t]
-        return mati_mix(psi, pr_nu * self.depth_means[t], self.phi_t)
+        return mati_mix(self.psi(user, t), pr_nu * self.depth_means[t], self.phi_t)
 
     # Each model class owns its recommend(), so each can be wrapped on its own.
     recommend = _RankedRecommender.recommend
@@ -315,8 +327,9 @@ class HybridRecommender:
             probe = self.usg.recommend(user_id, PROBE_N)
             decision = None
             if probe:
-                mean_psi = avg_shared_activity(self.mati.user_profiles.get(user_id), probe,
-                                               self.mati.poi_profiles)
+                index = self.mati.components.matrix.poi_index
+                mean_psi = avg_shared_activity(self.mati.user_cells(user_id),
+                                               self.mati.poi_active[[index[p] for p in probe]])
                 decision = Decision(user_id, mean_psi, decide(mean_psi, self.cfg))
             self.routes[user_id] = decision
         return self.routes[user_id]
@@ -345,8 +358,8 @@ class TrainedModels:
     slab_artifacts: SlabArtifacts
     params: MatiParams
     em_report: EmReport | None
-    user_profiles: dict
-    poi_profiles: dict
+    user_profiles: np.ndarray
+    poi_profiles: np.ndarray
     recommenders: dict[str, object] = field(default_factory=dict)
 
     def get(self, name: str):

@@ -137,10 +137,6 @@ def collect_until(log: CheckInLog, factors: Sequence[TemporalFactorSpec],
     return samples, coverage, state
 
 
-def undersampled_pairs(coverage: Sequence[CoverageRow], m_min: int) -> list[CoverageRow]:
-    return [row for row in coverage if row.sample_count < m_min]
-
-
 def coverage_csv(coverage: Sequence[CoverageRow]) -> str:
     lines = ["factor,slot_a,slot_b,sample_count"]
     lines += [f"{r.factor},{r.slot_a},{r.slot_b},{r.sample_count}" for r in coverage]

@@ -3,11 +3,13 @@
 A temporal factor (hour of day, day of week, ...) slices timestamps into a
 fixed number of slots.  Per factor we estimate a slot-by-slot similarity
 matrix from sampled user activity, complete its unobserved cells by low-rank
-symmetric matrix factorization, cluster mutually similar slots into
-uni-aspect slabs with complete-linkage agglomerative clustering, and cross
-the per-factor slabs into multi-aspect slabs that partition the timestamp
-space.  Check-in profiles over multi-aspect slabs feed the latent temporal
-model and the shared-activity overlap.
+symmetric matrix factorization, and cluster mutually similar slots into
+uni-aspect slabs with complete-linkage agglomerative clustering.  The cross
+product of the per-factor slabs is a grid of multi-aspect cells that
+partitions the timestamp space; a cell is an integer, the C-order flat index
+over ``SlabIndex.grid_shape()`` (coarsest factor first).  ``SlabIndex.cells``
+maps timestamps to cells in one array pass, and per-user and per-POI cell
+counts feed the latent temporal model and the shared-activity overlap.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ SLAB_INDEX_FORMAT_VERSION = 1
 class TemporalFactorSpec:
     """One temporal granularity: a total slot extractor plus its containment rank.
 
+    ``slot_of`` works elementwise on int64 timestamp arrays.
     ``containment_rank`` orders granularities by containment (lower = finer:
     minute < hour < day < week); it fixes the conditioning order of the
     latent chain and the axis order of slab tables.
@@ -38,7 +41,7 @@ class TemporalFactorSpec:
 
     name: str
     slot_count: int
-    slot_of: Callable[[int], int]
+    slot_of: Callable[[np.ndarray], np.ndarray]
     containment_rank: int
     utc_offset: int = 0
 
@@ -57,20 +60,15 @@ def day_factor(utc_offset: int = 0) -> TemporalFactorSpec:
                               containment_rank=2, utc_offset=utc_offset)
 
 
-FACTOR_BUILDERS: dict[str, Callable[[int], TemporalFactorSpec]] = {
+FACTOR_BUILDERS: Mapping[str, Callable[[int], TemporalFactorSpec]] = {
     "hour": hour_factor,
     "day": day_factor,
 }
 
 
-def register_factor(name: str, builder: Callable[[int], TemporalFactorSpec]) -> None:
-    """Register a custom factor builder so slab indexes using it can round-trip."""
-    FACTOR_BUILDERS[name] = builder
-
-
 def build_factor(name: str, utc_offset: int = 0) -> TemporalFactorSpec:
     if name not in FACTOR_BUILDERS:
-        raise ConfigError(f"unknown temporal factor {name!r}; registered: {sorted(FACTOR_BUILDERS)}")
+        raise ConfigError(f"unknown temporal factor {name!r}; known: {sorted(FACTOR_BUILDERS)}")
     return FACTOR_BUILDERS[name](utc_offset)
 
 
@@ -262,44 +260,11 @@ def hac_complete_linkage(matrix: SlotSimilarityMatrix, threshold: float) -> tupl
                  for idx, c in enumerate(clusters))
 
 
-@dataclass(frozen=True)
-class MultiAspectSlab:
-    """One cell of the cross product of uni-aspect slabs, finest factor first."""
-
-    id: str
-    parts: tuple[UniAspectSlab, ...]
-
-
-def cross_slabs(slab_sets: Mapping[str, Sequence[UniAspectSlab]],
-                factors: Sequence[TemporalFactorSpec]) -> tuple[MultiAspectSlab, ...]:
-    """Full Cartesian product of per-factor slab partitions.
-
-    Ids are deterministic: factors ordered finest-first by containment rank,
-    combinations enumerated lexicographically over per-factor slab indices.
-    """
-    if not factors:
-        raise DataError("cross_slabs requires at least one factor")
-    ranks = [f.containment_rank for f in factors]
-    if len(set(ranks)) != len(ranks):
-        raise ConfigError(f"duplicate containment ranks: {ranks}")
-    ordered = sorted(factors, key=lambda f: f.containment_rank)
-    combos: list[tuple[UniAspectSlab, ...]] = [()]
-    for f in ordered:
-        slabs = slab_sets[f.name]
-        combos = [prefix + (s,) for prefix in combos for s in slabs]
-    out = []
-    for combo in combos:
-        slab_id = "|".join(part.id for part in combo)
-        out.append(MultiAspectSlab(slab_id, combo))
-    return tuple(out)
-
-
 class SlabIndex:
-    """Immutable mapping timestamp -> multi-aspect slab, plus related lookups.
+    """Immutable mapping timestamp -> multi-aspect grid cell.
 
-    ``factors`` are kept finest-first (ascending containment rank).  For
-    latent tables the companion tuple ordering is coarsest-first; see
-    ``grid_shape`` and ``grid_index_of``.
+    ``factors`` are kept finest-first (ascending containment rank); the grid
+    axes run coarsest-first, see ``grid_shape`` and ``cells``.
     """
 
     def __init__(self, factors: Sequence[TemporalFactorSpec],
@@ -311,22 +276,16 @@ class SlabIndex:
         if len(set(ranks)) != len(ranks):
             raise ConfigError(f"duplicate containment ranks: {ranks}")
         self.slab_sets = {f.name: tuple(slab_sets[f.name]) for f in self.factors}
+        lookups = []
         for f in self.factors:
             covered = sorted(s for slab in self.slab_sets[f.name] for s in slab.slots)
             if covered != list(range(f.slot_count)):
                 raise DataError(f"slabs of factor {f.name} do not partition its slots")
-        self._slot_to_slab = {
-            f.name: {slot: slab.index for slab in self.slab_sets[f.name] for slot in slab.slots}
-            for f in self.factors
-        }
-        self.multi_slabs = cross_slabs(self.slab_sets, self.factors)
-        self._combo_to_id = {
-            tuple(part.index for part in slab.parts): slab.id for slab in self.multi_slabs
-        }
-
-    @property
-    def multi_ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.multi_slabs)
+            slab_by_slot = np.empty(f.slot_count, dtype=np.intp)
+            for slab in self.slab_sets[f.name]:
+                slab_by_slot[sorted(slab.slots)] = slab.index
+            lookups.append((f, slab_by_slot))
+        self._slab_lookups = lookups[::-1]  # coarsest first, as the grid axes
 
     def slab_counts(self) -> dict[str, int]:
         return {f.name: len(self.slab_sets[f.name]) for f in self.factors}
@@ -335,15 +294,13 @@ class SlabIndex:
         """Slab counts per factor, coarsest first (array axis order for tables)."""
         return tuple(len(self.slab_sets[f.name]) for f in reversed(self.factors))
 
-    def slab_of(self, timestamp: int) -> str:
-        """The unique multi-aspect slab id containing the timestamp."""
-        combo = tuple(self._slot_to_slab[f.name][f.slot_of(timestamp)] for f in self.factors)
-        return self._combo_to_id[combo]
-
-    def grid_index_of(self, timestamp: int) -> tuple[int, ...]:
-        """Per-factor slab indices, coarsest first, for table addressing."""
-        return tuple(self._slot_to_slab[f.name][f.slot_of(timestamp)]
-                     for f in reversed(self.factors))
+    def cells(self, timestamps) -> np.ndarray:
+        """Flat grid cell of each timestamp: the C-order index over
+        ``grid_shape`` of its per-factor slabs, coarsest first."""
+        ts = np.asarray(timestamps, dtype=np.int64)
+        return np.ravel_multi_index([slab_by_slot[f.slot_of(ts)]
+                                     for f, slab_by_slot in self._slab_lookups],
+                                    self.grid_shape())
 
     def to_json(self, fingerprint: str = "") -> str:
         """Versioned text form.  The content checksum covers factor specs and
@@ -386,7 +343,7 @@ class SlabIndex:
         factors = [build_factor(spec["name"], spec["utc_offset"]) for spec in payload["factors"]]
         for spec, f in zip(payload["factors"], factors):
             if f.slot_count != spec["slot_count"] or f.containment_rank != spec["containment_rank"]:
-                raise DataError(f"registered factor {f.name!r} disagrees with stored spec")
+                raise DataError(f"built-in factor {f.name!r} disagrees with stored spec")
         slab_sets = {
             name: tuple(UniAspectSlab(name, i, frozenset(slots))
                         for i, slots in enumerate(slot_lists))
@@ -399,54 +356,18 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class SlabProfile:
-    """Check-in counts of one user or POI over multi-aspect slabs."""
+def all_slab_profiles(log: CheckInLog, index: SlabIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Check-in counts per (user, cell) and per (POI, cell), in the log's
+    ``columns`` int order; a user without check-ins has a zero row."""
+    columns = log.columns
+    n_cells = math.prod(index.grid_shape())
+    cells = index.cells(columns.timestamp)
 
-    owner: str
-    slab_counts: dict[str, int]
+    def counts(owner: np.ndarray, n_owners: int) -> np.ndarray:
+        flat = np.bincount(owner * n_cells + cells, minlength=n_owners * n_cells)
+        return flat.reshape(n_owners, n_cells)
 
-    @property
-    def slab_set(self) -> frozenset[str]:
-        return frozenset(k for k, v in self.slab_counts.items() if v > 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self.slab_counts.values())
-
-
-def entity_slab_profile(log: CheckInLog, entity_id: str, index: SlabIndex,
-                        kind: str = "user") -> SlabProfile:
-    """Slab profile of a user (own events) or a POI (all its visitors' events)."""
-    if kind == "user":
-        events = log.by_user.get(entity_id)
-        if not events:
-            raise DataError(f"unknown user {entity_id!r}")
-    elif kind == "poi":
-        events = [c for c in log.checkins if c.poi_id == entity_id]
-        if not events:
-            raise DataError(f"unknown poi {entity_id!r}")
-    else:
-        raise DataError(f"kind must be 'user' or 'poi', got {kind!r}")
-    counts: dict[str, int] = {}
-    for c in events:
-        slab = index.slab_of(c.timestamp)
-        counts[slab] = counts.get(slab, 0) + 1
-    return SlabProfile(entity_id, counts)
-
-
-def all_slab_profiles(log: CheckInLog, index: SlabIndex) -> tuple[dict[str, SlabProfile], dict[str, SlabProfile]]:
-    """One pass over the log yielding (user profiles, poi profiles)."""
-    users: dict[str, dict[str, int]] = {}
-    pois: dict[str, dict[str, int]] = {}
-    for c in log.checkins:
-        slab = index.slab_of(c.timestamp)
-        u = users.setdefault(c.user_id, {})
-        u[slab] = u.get(slab, 0) + 1
-        p = pois.setdefault(c.poi_id, {})
-        p[slab] = p.get(slab, 0) + 1
-    return ({u: SlabProfile(u, counts) for u, counts in users.items()},
-            {p: SlabProfile(p, counts) for p, counts in pois.items()})
+    return counts(columns.user, len(columns.users)), counts(columns.poi, len(columns.pois))
 
 
 def similarity_csv(matrix: SlotSimilarityMatrix) -> str:

@@ -88,20 +88,6 @@ class UserActProfile:
     raw_act: float
 
 
-def poi_act(poi_id: str, log: CheckInLog, utc_offset: int = 0) -> PoiAct:
-    """Visit-share margin of a POI; positive = weekday-leaning."""
-    day = end = 0
-    for c in log.checkins:
-        if c.poi_id == poi_id:
-            if is_weekend(c.timestamp, utc_offset):
-                end += 1
-            else:
-                day += 1
-    if day + end == 0:
-        raise DataError(f"poi {poi_id!r} has no visits")
-    return PoiAct(poi_id, day, end)
-
-
 def all_poi_acts(log: CheckInLog, utc_offset: int = 0) -> dict[str, PoiAct]:
     day: dict[str, int] = {}
     end: dict[str, int] = {}
@@ -126,34 +112,6 @@ def user_poi_probs(user: str, poi: str, log: CheckInLog,
     if total == 0:
         raise DataError(f"user {user!r} never visited poi {poi!r}")
     return day / total, end / total
-
-
-def absolute_poi_act(poi: str, log: CheckInLog, min_users: int = 5,
-                     utc_offset: int = 0) -> float | None:
-    """Mean absolute per-visitor weekday/weekend deviation; None below the
-    visitor floor (the POI is skipped from the observation)."""
-    visitors = sorted({c.user_id for c in log.checkins if c.poi_id == poi})
-    if len(visitors) < min_users:
-        return None
-    deviations = []
-    for u in visitors:
-        p_d, p_e = user_poi_probs(u, poi, log, utc_offset)
-        deviations.append(abs(p_d - p_e))
-    return sum(deviations) / len(deviations)
-
-
-def absolute_user_act(user: str, log: CheckInLog, min_pois: int = 8,
-                      utc_offset: int = 0) -> float | None:
-    """Mean absolute per-POI deviation over the user's distinct POIs; None
-    below the POI floor."""
-    pois = sorted(log.distinct_pois(user))
-    if len(pois) < min_pois:
-        return None
-    deviations = []
-    for p in pois:
-        p_d, p_e = user_poi_probs(user, p, log, utc_offset)
-        deviations.append(abs(p_d - p_e))
-    return sum(deviations) / len(deviations)
 
 
 def effective_user_act(user: str, log: CheckInLog, cfg: UnivariateConfig,

@@ -7,6 +7,13 @@ oracles check, to stand in for the closed-form ``run_em``.
 ``reference_params_json`` writes the parameter file as one nested
 ``json.dumps``: the byte reference for the stacked writer.
 
+The slab references work on string ids such as ``"hour:21|day:1"`` (one
+uni-aspect slab id per factor, finest first), found by scanning slab
+memberships: the cell of one timestamp, the string-keyed check-in profiles
+of users and POIs, and the Jaccard overlap of two id sets.  The array code
+(``SlabIndex.cells``, ``all_slab_profiles``, ``shared_activity``) must agree
+with them exactly.
+
 The scalar, string-keyed scorers below (CF, social, geo, the USG mix, its
 leave-one-out variant and the MATI components) are the per-candidate
 implementations the integer-indexed vector core replaced.  They score one
@@ -17,6 +24,7 @@ where the arithmetic is the same, to 1e-12 relative for geo, whose numpy
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -24,9 +32,120 @@ import numpy as np
 
 from matirec.baselines import EARTH_RADIUS_KM, GeoModel, UsgWeights
 from matirec.errors import DataError
+from matirec.localtime import is_weekend
 from matirec.mati import (PARAMS_FORMAT_VERSION, MatiParams, chain_from_joint, e_step,
-                          joint_from_chain, joint_prob, layout_for, m_step,
-                          psi_shared_activity)
+                          joint_from_chain, joint_prob, layout_for, m_step)
+from matirec.univariate import PoiAct, user_poi_probs
+
+
+# --- Slabs as string ids, one timestamp at a time ---------------------------
+
+def slab_parts(index, timestamp: int) -> tuple:
+    """The uni-aspect slab of each factor holding the timestamp, finest first."""
+    parts = []
+    for f in index.factors:
+        slot = f.slot_of(timestamp)
+        holding = [slab for slab in index.slab_sets[f.name] if slot in slab.slots]
+        assert len(holding) == 1, f"slot {slot} of {f.name} is in {len(holding)} slabs"
+        parts.append(holding[0])
+    return tuple(parts)
+
+
+def slab_id(index, timestamp: int) -> str:
+    """The multi-aspect slab id of the timestamp, e.g. ``"hour:21|day:1"``."""
+    return "|".join(part.id for part in slab_parts(index, timestamp))
+
+
+def grid_cell(index, timestamp: int) -> tuple[int, ...]:
+    """Per-factor slab indices of the timestamp, coarsest first."""
+    return tuple(part.index for part in reversed(slab_parts(index, timestamp)))
+
+
+def flat_cell(index, timestamp: int) -> int:
+    """``grid_cell`` as one mixed-radix number over the grid, coarsest digit first."""
+    cell = 0
+    for digit, size in zip(grid_cell(index, timestamp), index.grid_shape()):
+        cell = cell * size + digit
+    return cell
+
+
+def slab_profiles(log, index) -> tuple[dict[str, dict[str, int]], dict[str, dict[str, int]]]:
+    """Check-in counts per slab id of every user and every POI, one check-in
+    at a time."""
+    users: dict[str, dict[str, int]] = {}
+    pois: dict[str, dict[str, int]] = {}
+    for c in log.checkins:
+        slab = slab_id(index, c.timestamp)
+        for owner, profiles in ((c.user_id, users), (c.poi_id, pois)):
+            counts = profiles.setdefault(owner, {})
+            counts[slab] = counts.get(slab, 0) + 1
+    return users, pois
+
+
+def cell_ids(index) -> list[str]:
+    """The slab id of every flat cell, in cell order (C order over the grid,
+    coarsest factor first)."""
+    return ["|".join(f"{f.name}:{i}" for f, i in zip(index.factors, reversed(digits)))
+            for digits in itertools.product(*map(range, index.grid_shape()))]
+
+
+def cell_profile(index, counts) -> dict[str, int]:
+    """A row of per-cell counts as a slab-id-keyed profile (nonzero cells only)."""
+    ids = cell_ids(index)
+    return {ids[cell]: int(n) for cell, n in enumerate(counts) if n}
+
+
+def jaccard(a: set[str], b: set[str]) -> float:
+    """Overlap of two slab-id sets; 0 when both are empty."""
+    union = a | b
+    return len(a & b) / len(union) if union else 0.0
+
+
+# --- Weekday/weekend acts, one POI or user at a time ------------------------
+
+def poi_act(poi_id: str, log, utc_offset: int = 0) -> PoiAct:
+    """Visit-share margin of a POI; positive = weekday-leaning."""
+    day = end = 0
+    for c in log.checkins:
+        if c.poi_id == poi_id:
+            if is_weekend(c.timestamp, utc_offset):
+                end += 1
+            else:
+                day += 1
+    if day + end == 0:
+        raise DataError(f"poi {poi_id!r} has no visits")
+    return PoiAct(poi_id, day, end)
+
+
+def absolute_poi_act(poi: str, log, min_users: int = 5, utc_offset: int = 0) -> float | None:
+    """Mean absolute per-visitor weekday/weekend deviation; None below the
+    visitor floor (the POI is skipped from the observation)."""
+    visitors = sorted({c.user_id for c in log.checkins if c.poi_id == poi})
+    if len(visitors) < min_users:
+        return None
+    deviations = []
+    for u in visitors:
+        p_d, p_e = user_poi_probs(u, poi, log, utc_offset)
+        deviations.append(abs(p_d - p_e))
+    return sum(deviations) / len(deviations)
+
+
+def absolute_user_act(user: str, log, min_pois: int = 8, utc_offset: int = 0) -> float | None:
+    """Mean absolute per-POI deviation over the user's distinct POIs; None
+    below the POI floor."""
+    pois = sorted(log.distinct_pois(user))
+    if len(pois) < min_pois:
+        return None
+    deviations = []
+    for p in pois:
+        p_d, p_e = user_poi_probs(user, p, log, utc_offset)
+        deviations.append(abs(p_d - p_e))
+    return sum(deviations) / len(deviations)
+
+
+def undersampled_pairs(coverage, m_min: int) -> list:
+    """Coverage rows with fewer than ``m_min`` samples."""
+    return [row for row in coverage if row.sample_count < m_min]
 
 
 def oracle_joint(pr_nu: float, tables: list[np.ndarray], z: tuple[int, int]) -> float:
@@ -82,7 +201,7 @@ def reference_em(log, index, pr_nu, max_iter: int = 200, tol: float = 1e-6,
     evidence = {pair: np.zeros(shape) for pair in pairs}
     popularity = np.zeros(shape)
     for c in log.checkins:
-        cell = index.grid_index_of(c.timestamp)
+        cell = grid_cell(index, c.timestamp)
         evidence[(c.user_id, c.poi_id)][cell] += 1
         popularity[cell] += 1
     start = chain_from_joint(popularity / popularity.sum())
@@ -371,27 +490,21 @@ def leave_one_out_c_star(matrix, friends, coords, model: GeoModel, weights: UsgW
 
 # --- MATI components, one candidate at a time -------------------------------
 
-def mati_components(user: str, poi: str, params: MatiParams, user_profile, poi_profile,
-                    pr_nu: float) -> tuple[float, float]:
-    """(shared activity, depth): Jaccard of slab sets (0 when undefined) and
-    pr_nu times the mean joint over the pair's (or backoff) tables."""
-    psi = 0.0
-    if user_profile is not None and poi_profile is not None:
-        try:
-            psi = psi_shared_activity(user_profile, poi_profile)
-        except DataError:
-            psi = 0.0
+def mati_components(user: str, poi: str, params: MatiParams, user_slabs: set[str],
+                    poi_slabs: set[str], pr_nu: float) -> tuple[float, float]:
+    """(shared activity, depth): Jaccard of the slab-id sets and pr_nu times
+    the mean joint over the pair's (or backoff) tables."""
     joint = joint_from_chain(params.tables_for(user, poi))
-    return psi, pr_nu * float(joint.mean())
+    return jaccard(user_slabs, poi_slabs), pr_nu * float(joint.mean())
 
 
-def mati_scores(user: str, candidates, params: MatiParams, user_profile, poi_profiles,
-                pr_nu_map, phi_t: float) -> dict[str, float]:
+def mati_scores(user: str, candidates, params: MatiParams, user_slabs: set[str],
+                poi_slabs: dict[str, set[str]], pr_nu_map, phi_t: float) -> dict[str, float]:
     """phi_t * max-normalized psi + (1 - phi_t) * max-normalized depth."""
     psi, depth = {}, {}
     for l in candidates:
-        psi[l], depth[l] = mati_components(user, l, params, user_profile, poi_profiles.get(l),
-                                           pr_nu_map.get(l, 0.0))
+        psi[l], depth[l] = mati_components(user, l, params, user_slabs,
+                                           poi_slabs.get(l, set()), pr_nu_map.get(l, 0.0))
     psi_n, depth_n = max_normalize(psi), max_normalize(depth)
     return {l: phi_t * psi_n[l] + (1 - phi_t) * depth_n[l] for l in candidates}
 

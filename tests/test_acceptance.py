@@ -15,7 +15,7 @@ import pytest
 
 from corpus import planted_corpus, recovery_instance, stamp, total_variation
 from oracles import (oracle_joint, oracle_m_step, oracle_metrics, oracle_rank1_completion,
-                     oracle_responsibilities)
+                     oracle_responsibilities, poi_act)
 
 from matirec.config import load_config
 from matirec.evaluation import evaluate, metrics_at_n, split_exclude, tune_sweep
@@ -26,7 +26,7 @@ from matirec.mati import (ChainLayout, MatiParams, chain_from_joint, e_step, joi
 from matirec.pipeline import MatiRecommender, train_models
 from matirec.slabs import (SlabIndex, SlotSimilarityMatrix, TemporalFactorSpec, UniAspectSlab,
                            complete_matrix, day_factor, hac_complete_linkage, hour_factor)
-from matirec.univariate import UnivariateConfig, effective_user_act, m_avg_recommend, poi_act
+from matirec.univariate import UnivariateConfig, effective_user_act, m_avg_recommend
 
 
 @contextmanager
@@ -149,12 +149,15 @@ def test_criterion_3_slab_pipeline():
             {"hour": [UniAspectSlab("hour", i, frozenset(s)) for i, s in enumerate(hour_slots)],
              "day": [UniAspectSlab("day", i, frozenset(s)) for i, s in enumerate(day_slots)]})
         hf, df = hour_factor(), day_factor()
-        for ts in rng.integers(1, 2_000_000_000, size=10_000):
-            ts = int(ts)
-            slab_id = index.slab_of(ts)
-            matches = [m.id for m in index.multi_slabs
-                       if hf.slot_of(ts) in m.parts[0].slots and df.slot_of(ts) in m.parts[1].slots]
-            assert matches == [slab_id]
+        timestamps = rng.integers(1, 2_000_000_000, size=10_000)
+        cells = index.cells(timestamps)
+        assert cells.shape == timestamps.shape
+        # Grid cells in C order, coarsest factor (day) first.
+        grid = [(day, hour) for day in index.slab_sets["day"] for hour in index.slab_sets["hour"]]
+        for ts, cell in zip(timestamps.tolist(), cells.tolist()):
+            matches = [i for i, (day, hour) in enumerate(grid)
+                       if hf.slot_of(ts) in hour.slots and df.slot_of(ts) in day.slots]
+            assert matches == [cell]
 
         # Rank-1 hidden-cell recovery within 1e-6, checked against the
         # analytic pivot formula.

@@ -1,46 +1,42 @@
+import numpy as np
 import pytest
 
+import oracles as orc
 from corpus import planted_corpus
 
 from matirec.config import load_config
 from matirec.errors import ConfigError, DataError
-from matirec.hybrid import Decision, HybridConfig, avg_shared_activity, decide, decisions_csv
+from matirec.hybrid import (PROBE_N, Decision, HybridConfig, avg_shared_activity, decide,
+                            decisions_csv)
 from matirec.pipeline import train_models
-from matirec.slabs import SlabProfile
+
+CELLS = "abcdefgh"
 
 
-def _profile(owner, slabs):
-    return SlabProfile(owner, {s: 1 for s in slabs})
+def _cells(*active_sets):
+    """One row of per-cell check-in counts per set of active cells."""
+    return np.array([[2 if c in active else 0 for c in CELLS] for active in active_sets])
 
 
 def test_avg_all_shared():
-    up = _profile("u", {"a", "b"})
-    pois = {"l1": _profile("l1", {"a", "b"}), "l2": _profile("l2", {"a", "b"})}
-    assert avg_shared_activity(up, ["l1", "l2"], pois) == 1.0
+    assert avg_shared_activity(_cells({"a", "b"})[0], _cells({"a", "b"}, {"a", "b"})) == 1.0
 
 
 def test_avg_all_disjoint():
-    up = _profile("u", {"a"})
-    pois = {"l1": _profile("l1", {"x"}), "l2": _profile("l2", {"y"})}
-    assert avg_shared_activity(up, ["l1", "l2"], pois) == 0.0
+    assert avg_shared_activity(_cells({"a"})[0], _cells({"g"}, {"h"})) == 0.0
 
 
 def test_avg_mean_of_values():
-    up = _profile("u", {"a", "b", "c", "d", "e"})
-    pois = {"l1": _profile("l1", {"a"}),                       # 1/5
-            "l2": _profile("l2", {"a", "b", "c"})}             # 3/5
-    assert avg_shared_activity(up, ["l1", "l2"], pois) == pytest.approx((0.2 + 0.6) / 2)
-
-
-def test_avg_missing_profile_counts_zero():
-    up = _profile("u", {"a"})
-    pois = {"l1": _profile("l1", {"a"})}
-    assert avg_shared_activity(up, ["l1", "ghost"], pois) == pytest.approx(0.5)
+    up = _cells({"a", "b", "c", "d", "e"})[0]
+    pois = _cells({"a"},                  # 1/5
+                  {"h"},                  # 0, still counted
+                  {"a", "b", "c"})        # 3/5
+    assert avg_shared_activity(up, pois) == (0.2 + 0.0 + 0.6) / 3
 
 
 def test_avg_empty_candidates_errors():
     with pytest.raises(DataError):
-        avg_shared_activity(_profile("u", {"a"}), [], {})
+        avg_shared_activity(_cells({"a"})[0], _cells())
 
 
 def test_decide_closed_interval():
@@ -148,3 +144,39 @@ def test_planted_user_temporal_path_differs_from_usg(small_trained):
         if hybrid.decisions[-1].path == "temporal" and h and h[0] != usg.recommend(u, 5)[0]:
             differs += 1
     assert differs > 0
+
+
+@pytest.fixture(scope="module")
+def planted_300():
+    """Planted corpus, 300 users, at the benchmark's planted settings."""
+    log = planted_corpus(n_users=300, seed=11)
+    cfg = load_config()
+    cfg.sampling.m_min = 20
+    cfg.sampling.n_percent = 10
+    cfg.usg.alpha, cfg.usg.beta = 0.2, 0.3
+    cfg.hybrid = HybridConfig(0.05, 0.95)
+    return log, train_models(log, cfg)
+
+
+def test_planted_psi_matches_string_set_oracle(planted_300):
+    """Every MATI psi vector and every hybrid route's mean_psi equal the
+    string-set Jaccard of the users' and POIs' slab ids, exactly."""
+    log, models = planted_300
+    user_slabs, poi_slabs = orc.slab_profiles(log, models.slab_artifacts.index)
+    comp, mati, hybrid = models.components, models.get("mati"), models.get("hybrid")
+    usg = models.get("usg")
+    users = comp.matrix.users + ("nobody",)
+    for user in users:
+        mine = set(user_slabs.get(user, ()))
+        want = [orc.jaccard(mine, set(poi_slabs[p])) for p in comp.candidates_for(user)]
+        assert mati.psi(user, comp.candidates(user)).tolist() == want
+        hybrid.recommend(user, 1)
+    assert list(hybrid.routes) == list(users)
+    for user, decision in hybrid.routes.items():
+        mine = set(user_slabs.get(user, ()))
+        probe = usg.recommend(user, PROBE_N)
+        total = 0.0
+        for p in probe:
+            total += orc.jaccard(mine, set(poi_slabs[p]))
+        assert decision.mean_psi == total / len(probe)
+    assert hybrid.routes["nobody"].mean_psi == 0.0

@@ -7,33 +7,41 @@ from corpus import GRID_TIMES, recovery_instance, stamp, three_by_three_index, t
 from oracles import oracle_joint, oracle_m_step, oracle_responsibilities, reference_em
 
 from matirec.errors import ConfigError, DataError
-from matirec.mati import (ChainLayout, MatiParams, SlabIncidence, chain_factorization,
-                          chain_from_joint, e_step, joint_from_chain, joint_prob, layout_for, m_step,
-                          mati_mix, params_from_json, params_to_json, poi_depth_means,
-                          psi_shared_activity, run_em, validate_chain)
-from matirec.slabs import SlabProfile, TemporalFactorSpec
+from matirec.mati import (ChainLayout, MatiParams, chain_factorization, chain_from_joint, e_step,
+                          joint_from_chain, joint_prob, layout_for, m_step, mati_mix,
+                          params_from_json, params_to_json, poi_depth_means, run_em,
+                          shared_activity, validate_chain)
+from matirec.slabs import TemporalFactorSpec
+
+CELLS = "abcdefgh"
 
 
-def _profile(owner, slabs):
-    return SlabProfile(owner, {s: 1 for s in slabs})
+def _cells(active, counts=1):
+    """A row of per-cell check-in counts, active on the named cells."""
+    return np.array([counts if c in active else 0 for c in CELLS])
+
+
+def _psi(user, poi):
+    return float(shared_activity(_cells(user), _cells(poi)[None])[0])
 
 
 def test_psi_identical_sets():
-    assert psi_shared_activity(_profile("u", {"a", "b"}), _profile("l", {"a", "b"})) == 1.0
+    assert _psi({"a", "b"}, {"a", "b"}) == 1.0
 
 
 def test_psi_disjoint():
-    assert psi_shared_activity(_profile("u", {"a"}), _profile("l", {"b"})) == 0.0
+    assert _psi({"a"}, {"b"}) == 0.0
 
 
 def test_psi_one_third():
-    value = psi_shared_activity(_profile("u", {"a", "b"}), _profile("l", {"b", "c"}))
-    assert value == pytest.approx(1 / 3)
+    assert _psi({"a", "b"}, {"b", "c"}) == 1 / 3
 
 
-def test_psi_both_empty_errors():
-    with pytest.raises(DataError):
-        psi_shared_activity(SlabProfile("u", {}), SlabProfile("l", {}))
+def test_psi_counts_only_activity():
+    """Counts above one weigh nothing; an empty side gives 0, as do both."""
+    rows = np.stack([_cells({"b", "c"}, 7), _cells(set()), _cells({"a", "b"})])
+    assert shared_activity(_cells({"a", "b"}, 3), rows).tolist() == [1 / 3, 0.0, 1.0]
+    assert shared_activity(_cells(set()), rows).tolist() == [0.0, 0.0, 0.0]
 
 
 def _factor(name, rank, slots=4):
@@ -269,7 +277,7 @@ def test_run_em_unseen_pair_backoff():
 
 def mati_scores(candidates, params, user_profile, poi_profiles, pr_nu, phi_t):
     """The library's MATI mixture over ``candidates``, as a dict."""
-    psi = SlabIncidence(poi_profiles, candidates).shared_activity(user_profile)
+    psi = shared_activity(user_profile, np.stack([poi_profiles[l] for l in candidates]))
     depth = np.array([pr_nu[l] for l in candidates]) * poi_depth_means(params, candidates)
     return dict(zip(candidates, mati_mix(psi, depth, phi_t).tolist()))
 
@@ -280,9 +288,9 @@ def _score_setup():
     unit = [np.array([1.0]), np.array([[1.0]])]
     params = MatiParams(layout=layout, pr_nu={}, pair_tables={},
                         poi_tables={"l1": unit, "l2": unit}, global_table=unit)
-    user_profile = _profile("u", {"s1", "s2"})
-    poi_profiles = {"l1": _profile("l1", {"s1", "s2"}),   # psi 1.0
-                    "l2": _profile("l2", {"s9"})}          # psi 0.0
+    user_profile = _cells({"a", "b"})
+    poi_profiles = {"l1": _cells({"a", "b"}),   # psi 1.0
+                    "l2": _cells({"h"})}        # psi 0.0
     pr_nu = {"l1": 0.2, "l2": 0.9}
     return params, user_profile, poi_profiles, pr_nu
 
@@ -339,4 +347,4 @@ def test_evidence_grid_alignment():
     """GRID_TIMES cells land in the slab-grid positions they claim."""
     index = three_by_three_index()
     for (di, hi), (day, hour) in GRID_TIMES.items():
-        assert index.grid_index_of(stamp(0, day, hour)) == (di, hi)
+        assert index.cells(stamp(0, day, hour)) == di * 3 + hi

@@ -131,7 +131,8 @@ def test_binary_vector_toggle_builds():
     cfg.factors = type(cfg.factors)(names="hour,day", hac_threshold=0.6,
                                     binary_vectors=True)
     artifacts = build_slab_index(log, cfg)
-    assert artifacts.index.multi_slabs
+    assert artifacts.index.slab_counts().keys() == {"hour", "day"}
+    assert all(n >= 1 for n in artifacts.index.grid_shape())
 
 
 def test_no_observed_slot_pair_keeps_one_slab_per_slot(tiny_log, caplog):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from corpus import stamp
-from oracles import oracle_sampling_rounds
+from oracles import oracle_sampling_rounds, undersampled_pairs
 
 from matirec.errors import ConfigError
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.sampling import (SamplingState, collect_until, coverage_csv, sample_round,
-                              stratify_users, undersampled_pairs)
+                              stratify_users)
 from matirec.slabs import TemporalFactorSpec, slot_pair_similarity, user_slot_vectors
 
 

@@ -72,6 +72,8 @@ def test_core_matches_scalar_oracles(log, alpha, beta, k, seed):
 
     index = three_by_three_index()
     user_profiles, poi_profiles = all_slab_profiles(log, index)
+    user_slabs, poi_profile_map = orc.slab_profiles(log, index)
+    poi_slabs = {p: set(counts) for p, counts in poi_profile_map.items()}
     rng = np.random.default_rng(seed)
     shape = index.grid_shape()
     params = MatiParams(layout=layout_for(index), pr_nu={}, pair_tables={},
@@ -107,14 +109,14 @@ def test_core_matches_scalar_oracles(log, alpha, beta, k, seed):
         assert comp.leave_one_out_c_star(user) == orc.leave_one_out_c_star(
             matrix, friends, coords, comp.geo, weights, user, k)
 
-        up = user_profiles.get(user)
-        psi = mati.poi_slabs.shared_activity(up)[comp.candidates(user)]
+        mine = set(user_slabs.get(user, ()))
+        psi = mati.psi(user, comp.candidates(user))
         depth = got * mati.depth_means[comp.candidates(user)]
-        want = [orc.mati_components(user, p, params, up, poi_profiles.get(p), s)
+        want = [orc.mati_components(user, p, params, mine, poi_slabs[p], s)
                 for p, s in zip(cands, got.tolist())]
         assert psi.tolist() == [w[0] for w in want]
         assert depth.tolist() == [w[1] for w in want]
-        mati_scores = orc.mati_scores(user, cands, params, up, poi_profiles,
+        mati_scores = orc.mati_scores(user, cands, params, mine, poi_slabs,
                                       dict(zip(cands, got.tolist())), 0.6)
         assert mati.scores(user).tolist() == [mati_scores[p] for p in cands]
 

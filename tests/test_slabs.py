@@ -3,16 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles as orc
 from corpus import stamp
 from oracles import oracle_rank1_completion
 
 from matirec.errors import ConfigError, DataError
-from matirec.ingest import CheckIn
+from matirec.ingest import CheckIn, CheckInLog
+from matirec.localtime import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from matirec.slabs import (SimilaritySamples, SlabIndex, SlotSimilarityMatrix, TemporalFactorSpec,
                            UniAspectSlab, aggregate_similarity, all_slab_profiles, complete_matrix,
-                           cross_slabs, day_factor, entity_slab_profile, hac_complete_linkage,
-                           hour_factor, similarity_csv, slot_pair_similarity, user_slot_vectors)
+                           day_factor, hac_complete_linkage, hour_factor, similarity_csv,
+                           slot_pair_similarity, user_slot_vectors)
 
 
 def test_slot_of_monday_evening():
@@ -233,29 +237,31 @@ def _slab(factor, index, slots):
 
 
 def test_cross_slabs_product_count():
-    hour = hour_factor()
-    day = day_factor()
+    """The cell grid is the full cross product of the per-factor slabs."""
     sets = {
         "hour": [_slab("hour", 0, range(0, 8)), _slab("hour", 1, range(8, 16)),
                  _slab("hour", 2, range(16, 24))],
         "day": [_slab("day", 0, range(0, 5)), _slab("day", 1, range(5, 7))],
     }
-    multi = cross_slabs(sets, [hour, day])
-    assert len(multi) == 6
-    assert multi[0].id == "hour:0|day:0"
-    assert [m.id for m in multi] == sorted(m.id for m in multi)
+    index = SlabIndex([hour_factor(), day_factor()], sets)
+    assert index.grid_shape() == (2, 3)
+    ids = orc.cell_ids(index)
+    assert len(ids) == 6
+    assert ids[0] == "hour:0|day:0"
+    # Weekday evening: day slab 0, hour slab 2.
+    assert index.cells([stamp(0, 1, 20)]).tolist() == [ids.index("hour:2|day:0")] == [2]
 
 
 def test_cross_slabs_single_factor_identity():
-    hour = hour_factor()
     sets = {"hour": [_slab("hour", 0, range(0, 12)), _slab("hour", 1, range(12, 24))]}
-    multi = cross_slabs(sets, [hour])
-    assert [m.id for m in multi] == ["hour:0", "hour:1"]
+    index = SlabIndex([hour_factor()], sets)
+    assert orc.cell_ids(index) == ["hour:0", "hour:1"]
+    assert index.cells([stamp(0, 3, 11), stamp(0, 3, 12)]).tolist() == [0, 1]
 
 
 def test_cross_slabs_empty_factors_error():
     with pytest.raises(DataError):
-        cross_slabs({}, [])
+        SlabIndex([], {})
 
 
 def test_cross_slabs_duplicate_rank_error():
@@ -263,7 +269,7 @@ def test_cross_slabs_duplicate_rank_error():
     b = TemporalFactorSpec("b", 2, lambda ts: 0, containment_rank=1)
     sets = {"a": [_slab("a", 0, [0, 1])], "b": [_slab("b", 0, [0, 1])]}
     with pytest.raises(ConfigError, match="duplicate"):
-        cross_slabs(sets, [a, b])
+        SlabIndex([a, b], sets)
 
 
 def _fig_index():
@@ -281,31 +287,71 @@ def test_slab_of_merged_block():
     index = _fig_index()
     tue_22 = stamp(0, 1, 22)
     thu_21 = stamp(0, 3, 21)
-    assert index.slab_of(tue_22) == index.slab_of(thu_21) == "hour:21|day:1"
+    cells = index.cells([tue_22, thu_21]).tolist()
+    assert cells[0] == cells[1] == orc.flat_cell(index, tue_22)
+    assert orc.cell_ids(index)[cells[0]] == orc.slab_id(index, thu_21) == "hour:21|day:1"
 
 
 def test_slab_of_same_slots_same_slab():
     index = _fig_index()
     a = stamp(0, 4, 7, 5)
     b = stamp(3, 4, 7, 59)
-    assert index.slab_of(a) == index.slab_of(b)
+    assert index.cells(a) == index.cells(b)
 
 
 def test_multi_slabs_partition_timestamps():
     index = _fig_index()
     rng = np.random.default_rng(5)
     timestamps = rng.integers(1, 2_000_000_000, size=2000)
-    for ts in timestamps:
-        slab_id = index.slab_of(int(ts))
-        matches = 0
-        hour_slot = hour_factor().slot_of(int(ts))
-        day_slot = day_factor().slot_of(int(ts))
-        for multi in index.multi_slabs:
-            hour_part, day_part = multi.parts
-            if hour_slot in hour_part.slots and day_slot in day_part.slots:
-                matches += 1
-                assert multi.id == slab_id
-        assert matches == 1
+    cells = index.cells(timestamps)
+    assert cells.dtype == np.intp
+    assert cells.tolist() == [orc.flat_cell(index, int(ts)) for ts in timestamps]
+
+
+def _cell_factor(name: str, rank: int, offset: int) -> TemporalFactorSpec:
+    if name == "halfhour":
+        return TemporalFactorSpec("halfhour", 2, lambda ts: (ts + offset) % 3600 // 1800,
+                                  containment_rank=rank, utc_offset=offset)
+    return {"hour": hour_factor, "day": day_factor}[name](offset)
+
+
+@st.composite
+def cell_indexes(draw):
+    """1 to 3 factors (half-hour, hour, day) at one UTC offset, each slot
+    partition drawn at random."""
+    names = draw(st.lists(st.sampled_from(["halfhour", "hour", "day"]), min_size=1,
+                          max_size=3, unique=True))
+    offset = draw(st.sampled_from([0, 3600, -3600, 5 * 3600 + 1800, -8 * 3600, -9 * 3600 - 1800]))
+    rank = {"halfhour": 0, "hour": 1, "day": 2}
+    factors = [_cell_factor(name, rank[name], offset) for name in names]
+    sets = {}
+    for f in factors:
+        labels = draw(st.lists(st.integers(0, f.slot_count - 1), min_size=f.slot_count,
+                               max_size=f.slot_count))
+        groups = sorted({frozenset(s for s in range(f.slot_count) if labels[s] == label)
+                         for label in set(labels)}, key=min)
+        sets[f.name] = [UniAspectSlab(f.name, i, g) for i, g in enumerate(groups)]
+    return SlabIndex(factors, sets)
+
+
+def _stamps(offset: int):
+    """Timestamps on, just before and just after local hour, half-hour and
+    day edges, plus arbitrary ones."""
+    edge = st.builds(lambda day, hour, half: day * SECONDS_PER_DAY + hour * SECONDS_PER_HOUR
+                     + half * 1800 - offset, st.integers(1, 30_000), st.integers(0, 23),
+                     st.integers(0, 1))
+    near = st.builds(lambda t, d: t + d, edge, st.sampled_from([-1, 0, 1]))
+    return st.one_of(near, st.integers(1, 2_000_000_000))
+
+
+@given(index=cell_indexes(), data=st.data())
+def test_cells_match_string_oracle(index, data):
+    timestamps = data.draw(st.lists(_stamps(index.factors[0].utc_offset), min_size=1,
+                                    max_size=40))
+    cells = index.cells(np.array(timestamps, dtype=np.int64))
+    assert cells.tolist() == [orc.flat_cell(index, ts) for ts in timestamps]
+    ids = orc.cell_ids(index)
+    assert [ids[c] for c in cells.tolist()] == [orc.slab_id(index, ts) for ts in timestamps]
 
 
 def test_index_rejects_non_partition():
@@ -316,35 +362,43 @@ def test_index_rejects_non_partition():
 
 def test_profiles_conserve_counts(tiny_log):
     index = _fig_index()
-    profile = entity_slab_profile(tiny_log, "ua", index, kind="user")
-    assert profile.total == len(tiny_log.by_user["ua"])
-    poi_profile = entity_slab_profile(tiny_log, "p1", index, kind="poi")
-    assert poi_profile.total == 2
+    users, pois = all_slab_profiles(tiny_log, index)
+    columns = tiny_log.columns
+    assert users.shape == (len(columns.users), math.prod(index.grid_shape()))
+    assert users[columns.users.index("ua")].sum() == len(tiny_log.by_user["ua"])
+    assert pois[columns.pois.index("p1")].sum() == 2
+    assert users.sum() == pois.sum() == len(tiny_log)
 
 
 def test_profile_unknown_entity(tiny_log):
-    with pytest.raises(DataError):
-        entity_slab_profile(tiny_log, "nobody", _fig_index(), kind="user")
+    """A user known only from the social graph has no active cell."""
+    log = CheckInLog(tiny_log.checkins, [("nobody", "ua")])
+    users, _ = all_slab_profiles(log, _fig_index())
+    assert not users[log.columns.users.index("nobody")].any()
 
 
 def test_all_profiles_match_entity_profiles(tiny_log):
     index = _fig_index()
     users, pois = all_slab_profiles(tiny_log, index)
-    for u in tiny_log.by_user:
-        assert users[u].slab_counts == entity_slab_profile(tiny_log, u, index, "user").slab_counts
-    for p in tiny_log.pois():
-        assert pois[p].slab_counts == entity_slab_profile(tiny_log, p, index, "poi").slab_counts
+    want_users, want_pois = orc.slab_profiles(tiny_log, index)
+    columns = tiny_log.columns
+    for u, row in zip(columns.users, users):
+        assert orc.cell_profile(index, row) == want_users.get(u, {})
+    for p, row in zip(columns.pois, pois):
+        assert orc.cell_profile(index, row) == want_pois[p]
 
 
 def test_index_json_roundtrip():
     index = _fig_index()
     text = index.to_json()
     restored = SlabIndex.from_json(text)
-    assert restored.multi_ids == index.multi_ids
+    assert restored.grid_shape() == index.grid_shape()
     assert restored.checksum == index.checksum
     for f in index.factors:
         assert [sorted(s.slots) for s in restored.slab_sets[f.name]] == \
                [sorted(s.slots) for s in index.slab_sets[f.name]]
+    stamps = np.arange(1, 3 * 86400 * 7, 1799)
+    assert restored.cells(stamps).tolist() == index.cells(stamps).tolist()
 
 
 def test_index_json_tamper_detected():

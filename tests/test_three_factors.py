@@ -8,20 +8,20 @@ EM, and scoring must all hold with three levels.
 import numpy as np
 import pytest
 
+import oracles as orc
 from corpus import stamp
 from oracles import reference_em
 
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.localtime import SECONDS_PER_HOUR
-from matirec.mati import (SlabIncidence, joint_from_chain, layout_for, mati_mix,
-                          poi_depth_means, run_em, validate_chain)
+from matirec.mati import (joint_from_chain, layout_for, mati_mix, poi_depth_means, run_em,
+                          shared_activity, validate_chain)
 from matirec.slabs import (SlabIndex, TemporalFactorSpec, UniAspectSlab, all_slab_profiles,
                            day_factor, hour_factor)
 
 
 def half_hour_factor():
-    return TemporalFactorSpec("halfhour", 2,
-                              lambda ts: 0 if (ts % SECONDS_PER_HOUR) < 1800 else 1,
+    return TemporalFactorSpec("halfhour", 2, lambda ts: (ts % SECONDS_PER_HOUR) // 1800,
                               containment_rank=0)
 
 
@@ -47,8 +47,8 @@ def test_layout_three_levels(three_factor_index):
 
 def test_slab_of_three_factors(three_factor_index):
     ts = stamp(0, 5, 13, 45)  # Saturday 13:45
-    assert three_factor_index.slab_of(ts) == "halfhour:1|hour:1|day:1"
-    assert three_factor_index.grid_index_of(ts) == (1, 1, 1)
+    assert orc.slab_id(three_factor_index, ts) == "halfhour:1|hour:1|day:1"
+    assert three_factor_index.cells([ts]).tolist() == [7]  # (1, 1, 1) on the 2x2x2 grid
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,9 @@ def test_em_three_factor_chain_shapes(three_factor_index, three_factor_log):
     users, pois = all_slab_profiles(log, three_factor_index)
     user = pairs[0][0]
     candidates = sorted(log.pois() - log.distinct_pois(user))
-    psi = SlabIncidence(pois, candidates).shared_activity(users.get(user))
+    columns = log.columns
+    psi = shared_activity(users[columns.users.index(user)],
+                          pois[[columns.pois.index(p) for p in candidates]])
     scores = mati_mix(psi, 0.5 * poi_depth_means(params, candidates), phi_t=0.6)
     assert len(scores) and all(0.0 <= v <= 1.0 for v in scores)
 
