@@ -15,7 +15,7 @@ from .pipeline import TrainedModels, build_slab_index, train_models
 from .sampling import SamplingState, UserStrata, collect_until, sample_round, stratify_users
 from .slabs import (SlabIndex, SlotSimilarityMatrix, TemporalFactorSpec, UniAspectSlab,
                     aggregate_similarity, complete_matrix, day_factor, hac_complete_linkage,
-                    hour_factor, slot_pair_similarity, user_slot_vectors)
+                    hour_factor, slot_pair_cosines)
 from .univariate import (PoiAct, UnivariateConfig, UserActProfile, effective_user_act,
                          is_weekend, m_avg_recommend, user_poi_probs, usgt_recommend)
 

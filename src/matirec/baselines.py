@@ -64,16 +64,14 @@ class UserPoiMatrix:
     def __init__(self, log: CheckInLog):
         columns = log.columns
         self.users, self.pois = columns.users, columns.pois
-        self.user_index = {u: i for i, u in enumerate(self.users)}
-        self.poi_index = {p: i for i, p in enumerate(self.pois)}
+        self.user_index, self.poi_index = columns.user_index, columns.poi_index
         self._poi_ids = np.array(self.pois, dtype=object)
         users, pois = columns.user, columns.poi
         self.indptr, self.indices = _csr(users, pois, len(self.users))
         self.visitor_indptr, self.visitor_indices = _csr(pois, users, len(self.pois))
         self.degree = np.diff(self.indptr)
         _, first = np.unique(pois, return_index=True)
-        self.lat = np.fromiter((log.checkins[i].lat for i in first), float, len(first))
-        self.lon = np.fromiter((log.checkins[i].lon for i in first), float, len(first))
+        self.lat, self.lon = columns.lat[first], columns.lon[first]
         ends = np.array([(self.user_index[a], self.user_index[b])
                          for a, b in log.social_edges], dtype=np.intp).reshape(-1, 2)
         self.friend_indptr, self.friend_indices = _csr(

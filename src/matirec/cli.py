@@ -31,7 +31,8 @@ def _load_log(cfg: RunConfig) -> ing.CheckInLog:
     fmt = ing.ColumnFormat.parse(cfg.data.column_format)
     log = ing.parse_checkins(cfg.data.checkins, fmt, on_error=cfg.data.on_error)
     if cfg.data.social:
-        log = log.with_social(ing.parse_social(cfg.data.social).edges)
+        social = ing.parse_social(cfg.data.social, on_error=cfg.data.on_error)
+        log = log.with_social(social.edges)
     return log
 
 
@@ -54,11 +55,12 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 def cmd_ingest(cfg: RunConfig, args) -> int:
     log = _load_log(cfg)
     out = Path(args.out)
-    stamp = f"# fingerprint={_fingerprint(cfg)}\n"
+    fp = _fingerprint(cfg)
+    stamp = f"# fingerprint={fp}\n"
     _write(out, "checkins.tsv", stamp + ing.serialize_log(log))
     _write(out, "social.tsv", stamp + ing.serialize_social(log))
     summary = {
-        "fingerprint": _fingerprint(cfg),
+        "fingerprint": fp,
         "checkins": len(log.checkins),
         "social_edges": len(log.social_edges),
         "skipped_lines": log.skipped_lines,
@@ -72,10 +74,11 @@ def cmd_ingest(cfg: RunConfig, args) -> int:
 def cmd_stats(cfg: RunConfig, args) -> int:
     log = _load_log(cfg)
     stats = ing.dataset_stats(log)
-    text = f"fingerprint={_fingerprint(cfg)}\n" + stats.report()
+    fp = _fingerprint(cfg)
+    text = f"fingerprint={fp}\n" + stats.report()
     if args.out:
         out = Path(args.out)
-        stamp = f"# fingerprint={_fingerprint(cfg)}\n"
+        stamp = f"# fingerprint={fp}\n"
         _write(out, "stats.txt", text)
         from .univariate import act_histogram, act_observations, histogram_csv
         user_acts, poi_acts = act_observations(log, cfg.utc_offset_seconds())
@@ -89,8 +92,9 @@ def cmd_slabs(cfg: RunConfig, args) -> int:
     log = _load_log(cfg)
     artifacts = build_slab_index(log, cfg)
     out = Path(args.out)
-    stamp = f"# fingerprint={_fingerprint(cfg)}\n"
-    _write(out, "slab_index.json", artifacts.index.to_json(fingerprint=_fingerprint(cfg)))
+    fp = _fingerprint(cfg)
+    stamp = f"# fingerprint={fp}\n"
+    _write(out, "slab_index.json", artifacts.index.to_json(fingerprint=fp))
     _write(out, "coverage.csv", stamp + coverage_csv(artifacts.coverage))
     for name, matrix in artifacts.matrices.items():
         _write(out, f"similarity_{name}.csv", stamp + similarity_csv(matrix))
@@ -106,24 +110,25 @@ def cmd_train(cfg: RunConfig, args) -> int:
     from .pipeline import SlabArtifacts
     models = train_models(log, cfg, SlabArtifacts(index, {}, []))
     out = Path(args.out)
-    _write(out, "mati_params.json", params_to_json(models.params, fingerprint=_fingerprint(cfg)))
+    fp = _fingerprint(cfg)
+    _write(out, "mati_params.json", params_to_json(models.params, fingerprint=fp))
     report = {
-        "fingerprint": _fingerprint(cfg),
+        "fingerprint": fp,
         "log_likelihood": models.em_report.log_likelihood,
         "iterations": models.em_report.iterations,
         "converged": models.em_report.converged,
         "slab_checksum": models.params.slab_checksum,
     }
     _write(out, "em_report.json", json.dumps(report, sort_keys=True, indent=1))
-    _write(out, "geo_model.json", _geo_json(models, cfg))
+    _write(out, "geo_model.json", _geo_json(models, fp))
     print(f"EM finished in {models.em_report.iterations} iterations "
           f"(converged={models.em_report.converged})")
     return 0
 
 
-def _geo_json(models, cfg: RunConfig) -> str:
+def _geo_json(models, fp: str) -> str:
     geo = models.components.geo
-    return json.dumps({"fingerprint": _fingerprint(cfg), "log_a": geo.log_a,
+    return json.dumps({"fingerprint": fp, "log_a": geo.log_a,
                        "b": geo.b, "d_min_km": geo.d_min_km}, sort_keys=True, indent=1)
 
 
@@ -141,7 +146,7 @@ def cmd_recommend(cfg: RunConfig, args) -> int:
     model = models.get(args.model)
     lines = ["user_id,rank,poi_id,score,path"]
     for user in args.user:
-        if user not in log.by_user:
+        if not len(log.rows(user)):
             raise DataError(f"unknown user {user!r}")
         items = model.recommend(user, args.n)
         scores = {}
@@ -169,7 +174,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     report = ev.evaluate(chosen, split, ns=cfg.eval.n_list(), fingerprint=_fingerprint(cfg))
     out = Path(args.out)
     _write(out, "eval_report.json", report.to_json())
-    _write(out, "geo_model.json", _geo_json(models, cfg))
+    _write(out, "geo_model.json", _geo_json(models, report.fingerprint))
     _write(out, "eval_users.csv", f"# fingerprint={report.fingerprint}\n" + report.rows_csv())
     hybrid = models.recommenders.get("hybrid")
     if hybrid is not None and hybrid.decisions:
@@ -233,10 +238,11 @@ def cmd_tune(cfg: RunConfig, args) -> int:
 
     result = ev.tune_sweep(args.param, grid, build, split, objective)
     out = Path(args.out)
-    _write(out, "tune_curve.csv", f"# fingerprint={_fingerprint(cfg)}\n" + result.curve_csv())
+    fp = _fingerprint(cfg)
+    _write(out, "tune_curve.csv", f"# fingerprint={fp}\n" + result.curve_csv())
     _write(out, "tune_best.json", json.dumps(
         {"parameter": result.parameter, "best_value": result.best_value,
-         "objective": result.objective, "fingerprint": _fingerprint(cfg)},
+         "objective": result.objective, "fingerprint": fp},
         sort_keys=True, indent=1))
     print(f"best {result.parameter} = {result.best_value} by {result.objective}")
     return 0

@@ -60,11 +60,12 @@ def split_exclude(log: CheckInLog, x: float, seed: int, test_fraction: float = 0
         raise ConfigError(f"exclusion fraction must be in (0,1), got {x}")
     if not 0 < test_fraction <= 1:
         raise ConfigError(f"test fraction must be in (0,1], got {test_fraction}")
-    all_users = sorted(log.by_user)
-    eligible = [u for u in all_users
-                if len(log.distinct_pois(u)) >= min_distinct
-                and len(log.by_user[u]) >= min_checkins]
-    skipped = len(all_users) - len(eligible)
+    columns = log.columns
+    checkins, distinct = columns.checkin_counts(), columns.distinct_poi_counts()
+    has_checkins = checkins > 0
+    eligible_mask = has_checkins & (distinct >= min_distinct) & (checkins >= min_checkins)
+    eligible = [columns.users[u] for u in np.flatnonzero(eligible_mask).tolist()]
+    skipped = int(has_checkins.sum()) - len(eligible)
     if not eligible:
         raise DataError("no eligible test users")
     n_test = max(1, int(len(eligible) * test_fraction + 0.5))
@@ -72,19 +73,26 @@ def split_exclude(log: CheckInLog, x: float, seed: int, test_fraction: float = 0
     idx = rng.choice(len(eligible), size=n_test, replace=False)
     test_users = sorted(eligible[i] for i in idx)
 
+    # Each user's distinct POI ints, ascending (= id order), from the pair ints.
+    n_pois = len(columns.pois)
+    pairs = columns.pairs
+    starts = np.searchsorted(pairs, np.arange(len(columns.users) + 1) * n_pois)
     excluded: dict[str, frozenset[str]] = {}
     retained: dict[str, frozenset[str]] = {}
+    hidden_pairs = []
     for user in test_users:
-        pois = sorted(log.distinct_pois(user))
+        u = columns.user_index[user]
+        user_pairs = pairs[starts[u]:starts[u + 1]]
+        pois = [columns.pois[p] for p in (user_pairs - u * n_pois).tolist()]
         k = max(1, int(len(pois) * x + 0.5))
         pick = _user_rng(seed, user).choice(len(pois), size=k, replace=False)
+        hidden_pairs.append(user_pairs[pick])
         hidden = frozenset(pois[i] for i in pick)
         excluded[user] = hidden
         retained[user] = frozenset(pois) - hidden
 
-    keep = [c for c in log.checkins
-            if c.user_id not in excluded or c.poi_id not in excluded[c.user_id]]
-    train = CheckInLog(keep, log.social_edges)
+    keep = ~np.isin(columns.pair, np.concatenate(hidden_pairs))
+    train = CheckInLog(columns.take(keep), log.social_edges)
     return EvalSplit(train, excluded, retained, x, seed, test_fraction, skipped)
 
 

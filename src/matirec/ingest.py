@@ -4,25 +4,34 @@ Input is tab-separated check-in lines (default column order
 ``user_id, timestamp, lat, lon, poi_id`` -- the order of the public
 Brightkite dump) and tab-separated undirected social edges.  Timestamps may
 be integer epoch seconds or ISO-8601; naive ISO timestamps are treated as
-UTC.  The parsed ``CheckInLog`` is immutable after construction and safe for
-concurrent reads.
+UTC.
+
+The log is columnar: ``LogColumns`` holds one array per field, one entry per
+check-in in input order, with users and POIs interned to ints in sorted-id
+order.  The parser splits and converts whole columns at once and builds no
+per-check-in object; ``CheckInLog.checkins`` renders ``CheckIn`` records on
+demand for readers that want them.  The parsed ``CheckInLog`` is immutable
+after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
-import io
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import compress, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, InvariantError
 
 DEFAULT_COLUMNS = ("user", "time", "lat", "lon", "poi")
 COLD_START_DISTINCT_POIS = 5
+# Timestamps are held as int64.
+TIMESTAMP_LIMIT = 1 << 63
 
 Source = Union[str, Path, bytes, IO]
 
@@ -42,16 +51,46 @@ class CheckIn:
             raise DataError("empty user or poi id")
         if self.timestamp <= 0:
             raise DataError(f"timestamp must be positive, got {self.timestamp}")
+        if self.timestamp >= TIMESTAMP_LIMIT:
+            raise DataError(f"timestamp out of range, got {self.timestamp}")
         if not -90.0 <= self.lat <= 90.0 or not -180.0 <= self.lon <= 180.0:
             raise DataError(f"coordinate out of range: ({self.lat}, {self.lon})")
 
 
-@dataclass(frozen=True)
+def _intern(tokens: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted distinct ids of ``tokens`` and each token's int."""
+    ids = sorted(set(tokens))
+    index = {t: i for i, t in enumerate(ids)}
+    return tuple(ids), np.fromiter(map(index.__getitem__, tokens), np.intp, len(tokens))
+
+
+def _reintern(ids: tuple[str, ...], ints: np.ndarray,
+              extra: Iterable[str] = ()) -> tuple[tuple[str, ...], np.ndarray]:
+    """Re-intern an int column over the ids it uses, plus ``extra`` ids.
+
+    Ids no entry uses (and not in ``extra``) drop out; the order stays
+    sorted-id order, so the remap is one gather.
+    """
+    used = np.flatnonzero(np.bincount(ints, minlength=len(ids)))
+    kept = [ids[i] for i in used.tolist()]
+    added = set(extra).difference(kept)
+    if not added and len(kept) == len(ids):
+        return ids, ints
+    new_ids = sorted(added.union(kept)) if added else kept
+    index = {t: i for i, t in enumerate(new_ids)}
+    remap = np.zeros(len(ids), dtype=np.intp)
+    remap[used] = np.fromiter(map(index.__getitem__, kept), np.intp, len(kept))
+    return tuple(new_ids), remap[ints]
+
+
+@dataclass(frozen=True, eq=False)
 class LogColumns:
-    """A log's check-ins as integer columns, one entry per check-in.
+    """A log's check-ins as columns, one entry per check-in, in input order.
 
     Users (check-in and social-only) and POIs are interned to dense ints in
-    sorted-id order, so int order is id order.
+    sorted-id order, so int order is id order.  ``user``/``poi`` are intp,
+    ``timestamp`` int64 epoch seconds, ``lat``/``lon`` float64.  The derived
+    indexes below are computed once, on first use.
     """
 
     users: tuple[str, ...]
@@ -59,62 +98,168 @@ class LogColumns:
     user: np.ndarray
     poi: np.ndarray
     timestamp: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+
+    @classmethod
+    def intern(cls, user_ids: Sequence[str], poi_ids: Sequence[str], timestamp, lat,
+               lon) -> "LogColumns":
+        """Columns from per-check-in id sequences and value arrays, taken as
+        given, unchecked: ``parse_checkins`` and ``CheckInLog.from_checkins``
+        validate their input first."""
+        users, user = _intern(user_ids)
+        pois, poi = _intern(poi_ids)
+        return cls(users, pois, user, poi, np.asarray(timestamp, dtype=np.int64).reshape(-1),
+                   np.asarray(lat, dtype=float).reshape(-1),
+                   np.asarray(lon, dtype=float).reshape(-1))
+
+    def take(self, rows: np.ndarray) -> "LogColumns":
+        """The given rows (indices or a mask), re-interned: users and POIs
+        without a kept row drop out."""
+        users, user = _reintern(self.users, self.user[rows])
+        pois, poi = _reintern(self.pois, self.poi[rows])
+        return LogColumns(users, pois, user, poi, self.timestamp[rows], self.lat[rows],
+                          self.lon[rows])
+
+    @cached_property
+    def user_index(self) -> dict[str, int]:
+        return {u: i for i, u in enumerate(self.users)}
+
+    @cached_property
+    def poi_index(self) -> dict[str, int]:
+        return {p: i for i, p in enumerate(self.pois)}
+
+    @cached_property
+    def pair(self) -> np.ndarray:
+        """Each check-in's (user, POI) pair as one int, ``user * n_pois + poi``,
+        so pair int order is sorted (user id, POI id) order."""
+        return self.user.astype(np.int64) * len(self.pois) + self.poi
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """The distinct pair ints, ascending."""
+        return np.unique(self.pair)
+
+    @cached_property
+    def user_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, rows): user ``u``'s check-in rows are
+        ``rows[indptr[u]:indptr[u + 1]]``, in input order."""
+        indptr = np.zeros(len(self.users) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.user, minlength=len(self.users)), out=indptr[1:])
+        return indptr, np.argsort(self.user, kind="stable")
+
+    def checkin_counts(self) -> np.ndarray:
+        """Check-ins per user int."""
+        return np.diff(self.user_rows[0])
+
+    def distinct_poi_counts(self) -> np.ndarray:
+        """Distinct POIs per user int."""
+        return np.bincount(self.pairs // len(self.pois), minlength=len(self.users))
+
+
+class CheckInView(Sequence):
+    """Read-only ``CheckIn`` records over a log's columns, in input order.
+
+    Records are built on access; ``len`` reads the column length.
+    """
+
+    def __init__(self, columns: LogColumns):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns.user)
+
+    def _record(self, user: int, poi: int, timestamp: int, lat: float, lon: float) -> CheckIn:
+        c = self._columns
+        return CheckIn(c.users[user], c.pois[poi], timestamp, lat, lon)
+
+    def __getitem__(self, i: int) -> CheckIn:
+        c = self._columns
+        i = range(len(self))[i]
+        return self._record(int(c.user[i]), int(c.poi[i]), int(c.timestamp[i]),
+                            float(c.lat[i]), float(c.lon[i]))
+
+    def __iter__(self) -> Iterator[CheckIn]:
+        c = self._columns
+        return map(self._record, c.user.tolist(), c.poi.tolist(), c.timestamp.tolist(),
+                   c.lat.tolist(), c.lon.tolist())
+
+
+def _normalize_edges(social_edges: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
+    edges = set()
+    for a, b in social_edges:
+        if a == b:
+            raise DataError(f"self-loop social edge: {a}")
+        edges.add((a, b) if a < b else (b, a))
+    return frozenset(edges)
 
 
 class CheckInLog:
     """Canonical store of check-in events plus the undirected social edge set.
 
-    ``by_user`` groups the events by user in stable input order.  Social
-    edges may reference users that have no check-ins; self loops are
-    rejected.  ``columns`` is the integer view every array computation
-    starts from.
+    ``columns`` holds the check-ins; its users are exactly the check-in users
+    plus every user of a social edge (who may have no check-ins).  Self
+    loops are rejected.  ``checkins`` is a read-only record view, and
+    ``rows(user)`` gives one user's rows in input order.
     """
 
-    def __init__(self, checkins: Iterable[CheckIn], social_edges: Iterable[tuple[str, str]] = (),
+    def __init__(self, columns: LogColumns, social_edges: Iterable[tuple[str, str]] = (),
                  skipped_lines: int = 0):
-        self.checkins: tuple[CheckIn, ...] = tuple(checkins)
-        edges = set()
-        for a, b in social_edges:
-            if a == b:
-                raise DataError(f"self-loop social edge: {a}")
-            edges.add((a, b) if a < b else (b, a))
-        self.social_edges: frozenset[tuple[str, str]] = frozenset(edges)
+        self.social_edges: frozenset[tuple[str, str]] = _normalize_edges(social_edges)
+        social_users = {u for edge in self.social_edges for u in edge}
+        users, user = _reintern(columns.users, columns.user, social_users)
+        if users is not columns.users:
+            columns = LogColumns(users, columns.pois, user, columns.poi, columns.timestamp,
+                                 columns.lat, columns.lon)
+        self.columns = columns
         self.skipped_lines = skipped_lines
-        by_user: dict[str, list[CheckIn]] = {}
-        for c in self.checkins:
-            by_user.setdefault(c.user_id, []).append(c)
-        self.by_user: dict[str, tuple[CheckIn, ...]] = {u: tuple(v) for u, v in by_user.items()}
+        self.checkins = CheckInView(columns)
+
+    @classmethod
+    def from_checkins(cls, checkins: Iterable[CheckIn],
+                      social_edges: Iterable[tuple[str, str]] = ()) -> "CheckInLog":
+        """A log of ``CheckIn`` records in the given order; each record was
+        validated when it was made."""
+        records = list(checkins)
+        for c in records:
+            if not isinstance(c, CheckIn):
+                raise DataError(f"expected CheckIn records, got {type(c).__name__}")
+        columns = LogColumns.intern(
+            [c.user_id for c in records], [c.poi_id for c in records],
+            [c.timestamp for c in records], [c.lat for c in records], [c.lon for c in records])
+        return cls(columns, social_edges)
 
     def users(self) -> frozenset[str]:
         """Users that appear in the check-ins or in the social graph."""
-        social_users = {u for edge in self.social_edges for u in edge}
-        return frozenset(self.by_user) | frozenset(social_users)
+        return frozenset(self.columns.users)
 
     def pois(self) -> frozenset[str]:
-        return frozenset(c.poi_id for c in self.checkins)
+        return frozenset(self.columns.pois)
 
-    @cached_property
-    def columns(self) -> LogColumns:
-        users = tuple(sorted(self.users()))
-        pois = tuple(sorted(self.pois()))
-        user_index = {u: i for i, u in enumerate(users)}
-        poi_index = {p: i for i, p in enumerate(pois)}
-        n = len(self.checkins)
-        return LogColumns(
-            users, pois,
-            np.fromiter((user_index[c.user_id] for c in self.checkins), np.intp, n),
-            np.fromiter((poi_index[c.poi_id] for c in self.checkins), np.intp, n),
-            np.fromiter((c.timestamp for c in self.checkins), np.int64, n))
+    def rows(self, user_id: str) -> np.ndarray:
+        """Row indices of the user's check-ins, in input order (none for an
+        unknown or social-only user)."""
+        u = self.columns.user_index.get(user_id)
+        if u is None:
+            return np.zeros(0, dtype=np.intp)
+        indptr, rows = self.columns.user_rows
+        return rows[indptr[u]:indptr[u + 1]]
 
     def distinct_pois(self, user_id: str) -> frozenset[str]:
-        return frozenset(c.poi_id for c in self.by_user.get(user_id, ()))
+        columns = self.columns
+        return frozenset(columns.pois[p]
+                         for p in np.unique(columns.poi[self.rows(user_id)]).tolist())
 
     def with_social(self, edges: Iterable[tuple[str, str]]) -> "CheckInLog":
-        return CheckInLog(self.checkins, edges, self.skipped_lines)
+        return CheckInLog(self.columns, edges, self.skipped_lines)
 
     def _canonical(self):
-        key = lambda c: (c.user_id, c.timestamp, c.poi_id, c.lat, c.lon)
-        return (tuple(sorted(self.checkins, key=key)), self.social_edges)
+        c = self.columns
+        order = _canonical_order(c)
+        return (np.array(c.users, dtype=object)[c.user[order]].tolist(),
+                c.timestamp[order].tolist(),
+                np.array(c.pois, dtype=object)[c.poi[order]].tolist(),
+                c.lat[order].tolist(), c.lon[order].tolist(), self.social_edges)
 
     def __eq__(self, other):
         if not isinstance(other, CheckInLog):
@@ -122,7 +267,12 @@ class CheckInLog:
         return self._canonical() == other._canonical()
 
     def __len__(self):
-        return len(self.checkins)
+        return len(self.columns.user)
+
+
+def _canonical_order(columns: LogColumns) -> np.ndarray:
+    """Rows sorted by (user, timestamp, poi, lat, lon), ties in input order."""
+    return np.lexsort((columns.lon, columns.lat, columns.poi, columns.timestamp, columns.user))
 
 
 @dataclass(frozen=True)
@@ -172,15 +322,17 @@ class ColumnFormat:
         return cls(tuple(part.strip() for part in spec.split(",")))
 
 
-def _lines(source: Source) -> Iterator[str]:
+def _text(source: Source) -> str:
+    """The whole source as text, with the line endings file iteration sees;
+    split on ``\\n`` it gives the lines (blank lines, a trailing empty piece
+    included, are skipped by the parsers)."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
-    elif isinstance(source, bytes):
-        yield from io.StringIO(source.decode("utf-8"))
-    else:
-        for line in source:
-            yield line.decode("utf-8") if isinstance(line, bytes) else line
+            return fh.read()
+    if isinstance(source, bytes):
+        return source.decode("utf-8")
+    text = source.read()
+    return text.decode("utf-8") if isinstance(text, bytes) else text
 
 
 def parse_timestamp(token: str) -> int:
@@ -198,6 +350,67 @@ def parse_timestamp(token: str) -> int:
     return int(dt.timestamp())
 
 
+def _parse_float(token: str, name: str) -> float:
+    try:
+        return float(token)
+    except ValueError as exc:
+        raise DataError(f"malformed {name} {token!r}") from exc
+
+
+def _rows(lines: list[str]) -> list[str]:
+    """The lines that hold a check-in: neither blank nor a ``#`` comment."""
+    return [line for line in filter(str.strip, lines) if line[0] != "#"]
+
+
+def _line_checkin(line: str, idx: dict) -> CheckIn:
+    """One line's check-in, by the per-field checks whose first failure
+    names a malformed line (raises ``DataError``)."""
+    parts = line.rstrip("\r").split("\t")
+    if len(parts) != len(DEFAULT_COLUMNS):
+        raise DataError(f"expected {len(DEFAULT_COLUMNS)} fields, got {len(parts)}")
+    return CheckIn(
+        user_id=parts[idx["user"]].strip(),
+        poi_id=parts[idx["poi"]].strip(),
+        timestamp=parse_timestamp(parts[idx["time"]].strip()),
+        lat=_parse_float(parts[idx["lat"]].strip(), "lat"),
+        lon=_parse_float(parts[idx["lon"]].strip(), "lon"),
+    )
+
+
+def _timestamp_or_zero(token: str) -> int:
+    """``parse_timestamp`` of the stripped token, with 0 (itself invalid) for
+    a token it refuses or one beyond int64."""
+    try:
+        value = parse_timestamp(token.strip())
+    except DataError:
+        return 0
+    return value if 0 < value < TIMESTAMP_LIMIT else 0
+
+
+def _float_or_nan(token: str) -> float:
+    """``float`` of the stripped token, with NaN (outside every coordinate
+    range) for a bad one."""
+    try:
+        return float(token.strip())
+    except ValueError:
+        return float("nan")
+
+
+def _convert(tokens: list[str], fast, safe, dtype) -> np.ndarray:
+    """One column through ``fast`` at C speed; only a column holding a token
+    ``fast`` refuses goes through ``safe``, which strips each token and marks
+    a bad one invalid instead.
+
+    ``int`` and ``float`` skip surrounding whitespace themselves, and any
+    whitespace they do not skip makes them refuse the token, so ``fast``
+    takes the tokens unstripped and still agrees with ``safe``.
+    """
+    try:
+        return np.fromiter(map(fast, tokens), dtype, len(tokens))
+    except (ValueError, OverflowError):
+        return np.fromiter(map(safe, tokens), dtype, len(tokens))
+
+
 def parse_checkins(source: Source, fmt: ColumnFormat | None = None,
                    on_error: str = "abort") -> CheckInLog:
     """Parse a check-in TSV into a CheckInLog (no social edges yet).
@@ -205,42 +418,50 @@ def parse_checkins(source: Source, fmt: ColumnFormat | None = None,
     ``on_error`` is ``abort`` (raise on the first malformed line, with its
     line number) or ``skip`` (drop malformed lines and count them in
     ``log.skipped_lines``).  Blank lines and ``#`` comment lines (used for
-    fingerprints in cached files) are ignored.  Input order is preserved
-    per user.
+    fingerprints in cached files) are ignored.  Input order is preserved.
+
+    The file is split into fields once and each column is converted and
+    checked as a whole.  The message for the first malformed line comes from
+    the per-field checks of ``_line_checkin`` run on that line alone.
     """
     if on_error not in ("abort", "skip"):
         raise DataError(f"on_error must be 'abort' or 'skip', got {on_error!r}")
     fmt = fmt or ColumnFormat()
     idx = fmt.index
-    checkins = []
-    skipped = 0
-    for lineno, raw in enumerate(_lines(source), start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        try:
-            if len(parts) != len(DEFAULT_COLUMNS):
-                raise DataError(f"expected {len(DEFAULT_COLUMNS)} fields, got {len(parts)}")
-            checkins.append(CheckIn(
-                user_id=parts[idx["user"]].strip(),
-                poi_id=parts[idx["poi"]].strip(),
-                timestamp=parse_timestamp(parts[idx["time"]].strip()),
-                lat=_parse_float(parts[idx["lat"]].strip(), "lat"),
-                lon=_parse_float(parts[idx["lon"]].strip(), "lon"),
-            ))
-        except DataError as exc:
-            if on_error == "abort":
+    width = len(DEFAULT_COLUMNS)
+    lines = _text(source).split("\n")
+    rows = _rows(lines)
+    bad = np.fromiter(map(str.count, rows, repeat("\t")), np.intp, len(rows)) != width - 1
+    good = list(compress(rows, ~bad)) if bad.any() else rows
+    fields = "\t".join(good).split("\t") if good else []
+    tokens = {name: fields[i::width] for name, i in idx.items()}
+    columns = LogColumns.intern(
+        list(map(str.strip, tokens["user"])), list(map(str.strip, tokens["poi"])),
+        _convert(tokens["time"], int, _timestamp_or_zero, np.int64),
+        _convert(tokens["lat"], float, _float_or_nan, float),
+        _convert(tokens["lon"], float, _float_or_nan, float))
+    lat, lon = columns.lat, columns.lon
+    field_bad = ~((columns.timestamp > 0) & (lat >= -90.0) & (lat <= 90.0)
+                  & (lon >= -180.0) & (lon <= 180.0))
+    # An empty id sorts first, so it can only hold int 0.
+    if columns.users[:1] == ("",):
+        field_bad |= columns.user == 0
+    if columns.pois[:1] == ("",):
+        field_bad |= columns.poi == 0
+    if field_bad.any():
+        bad[np.flatnonzero(~bad)[field_bad]] = True
+    if bad.any():
+        if on_error == "abort":
+            first = int(np.argmax(bad))
+            lineno = [number for number, line in enumerate(lines, start=1)
+                      if _rows([line])][first]
+            try:
+                _line_checkin(lines[lineno - 1], idx)
+            except DataError as exc:
                 raise DataError(f"line {lineno}: {exc}") from exc
-            skipped += 1
-    return CheckInLog(checkins, skipped_lines=skipped)
-
-
-def _parse_float(token: str, name: str) -> float:
-    try:
-        return float(token)
-    except ValueError as exc:
-        raise DataError(f"malformed {name} {token!r}") from exc
+            raise InvariantError(f"line {lineno} failed a column check but no field check")
+        columns = columns.take(~field_bad)
+    return CheckInLog(columns, skipped_lines=int(bad.sum()))
 
 
 def parse_social(source: Source, on_error: str = "abort") -> ParsedSocial:
@@ -250,7 +471,7 @@ def parse_social(source: Source, on_error: str = "abort") -> ParsedSocial:
     """
     edges = set()
     skipped = 0
-    for lineno, raw in enumerate(_lines(source), start=1):
+    for lineno, raw in enumerate(_text(source).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -270,21 +491,19 @@ def parse_social(source: Source, on_error: str = "abort") -> ParsedSocial:
 
 def dataset_stats(log: CheckInLog) -> DatasetStats:
     """Corpus statistics: counts, cold-start ratio (< 5 distinct POIs), density."""
-    if not log.checkins:
+    if not len(log):
         raise DataError("empty dataset")
-    users = sorted(log.users())
-    pois = log.pois()
-    distinct_per_user = {u: len(log.distinct_pois(u)) for u in users}
-    n_users = len(users)
-    n_pois = len(pois)
-    n_pairs = sum(distinct_per_user.values())
-    cold = sum(1 for v in distinct_per_user.values() if v < COLD_START_DISTINCT_POIS)
+    columns = log.columns
+    distinct = columns.distinct_poi_counts()
+    n_users = len(columns.users)
+    n_pois = len(columns.pois)
+    n_pairs = len(columns.pairs)
     return DatasetStats(
         n_users=n_users,
         n_pois=n_pois,
-        n_checkins=len(log.checkins),
+        n_checkins=len(log),
         n_social_links=len(log.social_edges),
-        cold_start_ratio=cold / n_users,
+        cold_start_ratio=int((distinct < COLD_START_DISTINCT_POIS).sum()) / n_users,
         avg_pois_per_user=n_pairs / n_users,
         density=n_pairs / (n_users * n_pois),
     )
@@ -292,10 +511,15 @@ def dataset_stats(log: CheckInLog) -> DatasetStats:
 
 def serialize_log(log: CheckInLog) -> str:
     """Canonical on-disk form: input TSV sorted by (user, timestamp, poi)."""
-    key = lambda c: (c.user_id, c.timestamp, c.poi_id, c.lat, c.lon)
-    rows = [f"{c.user_id}\t{int(c.timestamp)}\t{float(c.lat)!r}\t{float(c.lon)!r}\t{c.poi_id}"
-            for c in sorted(log.checkins, key=key)]
-    return "\n".join(rows) + ("\n" if rows else "")
+    c = log.columns
+    if not len(log):
+        return ""
+    order = _canonical_order(c)
+    users = np.array(c.users, dtype=object)[c.user[order]].tolist()
+    pois = np.array(c.pois, dtype=object)[c.poi[order]].tolist()
+    rows = zip(users, map(str, c.timestamp[order].tolist()), map(repr, c.lat[order].tolist()),
+               map(repr, c.lon[order].tolist()), pois)
+    return "\n".join(map("\t".join, rows)) + "\n"
 
 
 def serialize_social(log: CheckInLog) -> str:

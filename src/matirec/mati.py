@@ -361,7 +361,7 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: Mapping[tuple[str, str], fl
     columns = log.columns
     n_pois = len(columns.pois)
     # Pair keys in int order, which is sorted (user, poi) order.
-    keys, pair_of = np.unique(columns.user * n_pois + columns.poi, return_inverse=True)
+    keys, pair_of = np.unique(columns.pair, return_inverse=True)
     if not len(keys):
         raise DataError("no observed pairs to train on")
     pair_users, pair_pois = np.divmod(keys, n_pois)
@@ -601,6 +601,16 @@ def _views(stack: ChainStack) -> dict:
     return {owner: [level[i] for level in stack.levels] for i, owner in enumerate(stack.owners)}
 
 
+class _FloatLiterals(dict):
+    """``float`` of each numeric literal, converted once per distinct literal
+    (a parameter file repeats few literals many times).  Keys are the literal
+    text, so ``-0.0`` and ``0.0`` stay apart."""
+
+    def __missing__(self, literal: str) -> float:
+        value = self[literal] = float(literal)
+        return value
+
+
 def params_from_json(text: str, expected_checksum: str | None = None) -> MatiParams:
     """Read a parameter file; malformed content raises ``DataError``.
 
@@ -608,7 +618,7 @@ def params_from_json(text: str, expected_checksum: str | None = None) -> MatiPar
     dicts hold views into those stacks.
     """
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_float=_FloatLiterals().__getitem__)
     except json.JSONDecodeError as exc:
         raise DataError(f"unreadable model parameters: {exc}") from exc
     version = payload.get("format_version") if isinstance(payload, dict) else None

@@ -399,7 +399,10 @@ def train_models(log: CheckInLog, cfg: RunConfig,
                                 max_iter=cfg.mati.em_max_iter, tol=cfg.mati.em_tol,
                                 gamma=cfg.mati.gamma)
     else:
-        observed = {(c.user_id, c.poi_id) for c in log.checkins}
+        columns = log.columns
+        pair_users, pair_pois = np.divmod(columns.pairs, len(columns.pois))
+        observed = set(zip(np.array(columns.users, dtype=object)[pair_users].tolist(),
+                           np.array(columns.pois, dtype=object)[pair_pois].tolist()))
         if set(params.pair_tables) != observed:
             raise DataError(f"model parameters were trained on a different check-in log "
                             f"({len(observed ^ set(params.pair_tables))} (user, poi) pairs "

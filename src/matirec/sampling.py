@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .ingest import CheckInLog
-from .slabs import SimilaritySamples, TemporalFactorSpec, slot_pair_similarity, user_slot_vectors
+from .slabs import SimilaritySamples, TemporalFactorSpec, slot_pair_cosines
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,16 @@ def stratify_users(log: CheckInLog, thresholds: tuple[int, int] = (5, 15)) -> Us
     low, high = thresholds
     if low >= high:
         raise ConfigError(f"strata thresholds must satisfy low < high, got {thresholds}")
-    passive, semi, active = set(), set(), set()
-    for user in log.by_user:
-        n = len(log.distinct_pois(user))
-        if n < low:
-            passive.add(user)
-        elif n < high:
-            semi.add(user)
-        else:
-            active.add(user)
-    return UserStrata(frozenset(passive), frozenset(semi), frozenset(active))
+    columns = log.columns
+    distinct = columns.distinct_poi_counts()
+    users = np.array(columns.users, dtype=object)
+
+    def members(mask: np.ndarray) -> frozenset[str]:
+        # Social-only users have no check-ins and sit in no stratum.
+        return frozenset(users[mask & (distinct > 0)].tolist())
+
+    return UserStrata(members(distinct < low), members((distinct >= low) & (distinct < high)),
+                      members(distinct >= high))
 
 
 def sample_round(strata: UserStrata, state: SamplingState, n_percent: float) -> frozenset[str]:
@@ -112,22 +112,23 @@ def collect_until(log: CheckInLog, factors: Sequence[TemporalFactorSpec],
     strata = stratify_users(log, thresholds)
     state = SamplingState(rng_seed=seed)
     samples = {f.name: SimilaritySamples(f) for f in factors}
+    columns = log.columns
+    slots = {f.name: np.broadcast_to(np.asarray(f.slot_of(columns.timestamp), dtype=np.intp),
+                                     columns.timestamp.shape) for f in factors}
     while state.round < max_rounds:
         if all(s.covered(m_min) for s in samples.values()):
             break
         drawn = sample_round(strata, state, n_percent)
         if not drawn:
             break
-        for user in sorted(drawn):
-            history = log.by_user.get(user, ())
-            for f in factors:
-                vectors = user_slot_vectors(history, f, binary=binary)
-                slots = sorted(vectors)
-                for i, a in enumerate(slots):
-                    for b in slots[i + 1:]:
-                        value = slot_pair_similarity(vectors[a], vectors[b])
-                        if value is not None:
-                            samples[f.name].add(a, b, value)
+        # The round's users in id order, as ranks 0..len(drawn) - 1.
+        picked = np.zeros(len(columns.users), dtype=bool)
+        picked[[columns.user_index[u] for u in drawn]] = True
+        rows = np.flatnonzero(picked[columns.user])
+        rank = (np.cumsum(picked) - 1)[columns.user[rows]]
+        for f in factors:
+            samples[f.name].extend(*slot_pair_cosines(
+                rank, slots[f.name][rows], columns.poi[rows], len(drawn), f.slot_count, binary))
     coverage = [
         CoverageRow(f.name, a, b, samples[f.name].count(a, b))
         for f in factors

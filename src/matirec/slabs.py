@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ingest import CheckIn, CheckInLog
+from .ingest import CheckInLog
 from .localtime import local_hour, local_weekday
 
 SLAB_INDEX_FORMAT_VERSION = 1
@@ -72,32 +72,43 @@ def build_factor(name: str, utc_offset: int = 0) -> TemporalFactorSpec:
     return FACTOR_BUILDERS[name](utc_offset)
 
 
-def user_slot_vectors(history: Sequence[CheckIn], factor: TemporalFactorSpec,
-                      binary: bool = False) -> dict[int, dict[str, float]]:
-    """Per-slot visit-count vectors over POIs for one user's history.
+def slot_pair_cosines(user: np.ndarray, slot: np.ndarray, poi: np.ndarray, n_users: int,
+                      n_slots: int, binary: bool = False
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cosine similarity of every pair of each user's active slots, for many
+    users at once.
 
-    With ``binary=True`` counts collapse to 0/1 presence.
+    One entry per check-in: the user (an int below ``n_users``), its slot and
+    its POI int.  A user's slot vector counts their check-ins per POI in that
+    slot (0/1 presence with ``binary=True``); a slot is active when it holds
+    a check-in, and an inactive slot yields no sample at all (it must not be
+    conflated with similarity zero).  Returns ``(slot_a, slot_b, value)``
+    with ``slot_a < slot_b``, ordered by (user, slot_a, slot_b).  Each user's
+    Gram matrix over slots is summed from the products of the counts that
+    share a (user, POI), so every dot product and squared norm is an exact
+    integer.
     """
-    vectors: dict[int, dict[str, float]] = {}
-    for c in history:
-        slot = factor.slot_of(c.timestamp)
-        vec = vectors.setdefault(slot, {})
-        vec[c.poi_id] = 1.0 if binary else vec.get(c.poi_id, 0.0) + 1.0
-    return vectors
-
-
-def slot_pair_similarity(vec_a: Mapping[str, float], vec_b: Mapping[str, float]) -> float | None:
-    """Cosine similarity of two slot vectors; None when either slot is inactive.
-
-    An inactive slot yields no sample at all (it must not be conflated with
-    similarity zero).
-    """
-    if not vec_a or not vec_b:
-        return None
-    dot = sum(vec_a[k] * vec_b[k] for k in vec_a.keys() & vec_b.keys())
-    norm_a = math.sqrt(sum(v * v for v in vec_a.values()))
-    norm_b = math.sqrt(sum(v * v for v in vec_b.values()))
-    return dot / (norm_a * norm_b)
+    n_pois = int(poi.max()) + 1 if len(poi) else 1
+    keys, counts = np.unique((user.astype(np.int64) * n_pois + poi) * n_slots + slot,
+                             return_counts=True)
+    weight = np.ones(len(keys)) if binary else counts.astype(float)
+    group, slot_of = np.divmod(keys, n_slots)
+    # Every ordered pair of entries within one (user, POI) group.
+    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    sizes = np.diff(np.r_[starts, len(keys)])
+    size = np.repeat(sizes, sizes)
+    left = np.repeat(np.arange(len(keys)), size)
+    right = (np.repeat(np.repeat(starts, sizes), size)
+             + np.arange(len(left)) - np.repeat(np.cumsum(size) - size, size))
+    cell = ((group[left] // n_pois) * n_slots + slot_of[left]) * n_slots + slot_of[right]
+    gram = np.bincount(cell, weights=weight[left] * weight[right],
+                       minlength=n_users * n_slots * n_slots).reshape(n_users, n_slots, n_slots)
+    squares = np.diagonal(gram, axis1=1, axis2=2)
+    active = squares > 0
+    owner, a, b = np.nonzero(active[:, :, None] & active[:, None, :]
+                             & np.triu(np.ones((n_slots, n_slots), dtype=bool), 1))
+    norm = np.sqrt(squares)
+    return a, b, gram[owner, a, b] / (norm[owner, a] * norm[owner, b])
 
 
 @dataclass
@@ -107,9 +118,12 @@ class SimilaritySamples:
     factor: TemporalFactorSpec
     values: dict[tuple[int, int], list[float]] = field(default_factory=dict)
 
-    def add(self, slot_a: int, slot_b: int, value: float) -> None:
-        key = (slot_a, slot_b) if slot_a < slot_b else (slot_b, slot_a)
-        self.values.setdefault(key, []).append(value)
+    def extend(self, slot_a, slot_b, values) -> None:
+        """Append samples in order, each under its slot pair (a, b) with a < b."""
+        slot_a, slot_b = np.asarray(slot_a), np.asarray(slot_b)
+        keys = zip(np.minimum(slot_a, slot_b).tolist(), np.maximum(slot_a, slot_b).tolist())
+        for key, value in zip(keys, np.asarray(values).tolist()):
+            self.values.setdefault(key, []).append(value)
 
     def count(self, slot_a: int, slot_b: int) -> int:
         key = (slot_a, slot_b) if slot_a < slot_b else (slot_b, slot_a)
@@ -302,10 +316,8 @@ class SlabIndex:
                                      for f, slab_by_slot in self._slab_lookups],
                                     self.grid_shape())
 
-    def to_json(self, fingerprint: str = "") -> str:
-        """Versioned text form.  The content checksum covers factor specs and
-        slab memberships only, so the run fingerprint can vary freely."""
-        payload = {
+    def _payload(self) -> dict:
+        return {
             "format_version": SLAB_INDEX_FORMAT_VERSION,
             "factors": [
                 {"name": f.name, "slot_count": f.slot_count,
@@ -317,6 +329,18 @@ class SlabIndex:
                 for name, slabs in self.slab_sets.items()
             },
         }
+
+    def to_json(self, fingerprint: str = "") -> str:
+        """Versioned text form.  The content checksum covers factor specs and
+        slab memberships only, so the run fingerprint can vary freely.
+
+        ``from_json`` rebuilds factors with ``_rebuild``, so a factor it
+        cannot rebuild raises ``ConfigError`` here instead of being written
+        unreadable.
+        """
+        for f in self.factors:
+            _rebuild(f.name, f.utc_offset, f.slot_count, f.containment_rank)
+        payload = self._payload()
         payload["checksum"] = _checksum(payload)
         if fingerprint:
             payload["fingerprint"] = fingerprint
@@ -324,9 +348,7 @@ class SlabIndex:
 
     @property
     def checksum(self) -> str:
-        payload = json.loads(self.to_json())
-        payload.pop("checksum")
-        return _checksum(payload)
+        return _checksum(self._payload())
 
     @classmethod
     def from_json(cls, text: str) -> "SlabIndex":
@@ -340,16 +362,25 @@ class SlabIndex:
         stored = payload.pop("checksum", None)
         if stored != _checksum(payload):
             raise DataError("slab index checksum mismatch; file is stale or corrupted")
-        factors = [build_factor(spec["name"], spec["utc_offset"]) for spec in payload["factors"]]
-        for spec, f in zip(payload["factors"], factors):
-            if f.slot_count != spec["slot_count"] or f.containment_rank != spec["containment_rank"]:
-                raise DataError(f"built-in factor {f.name!r} disagrees with stored spec")
+        factors = [_rebuild(spec["name"], spec["utc_offset"], spec["slot_count"],
+                            spec["containment_rank"]) for spec in payload["factors"]]
         slab_sets = {
             name: tuple(UniAspectSlab(name, i, frozenset(slots))
                         for i, slots in enumerate(slot_lists))
             for name, slot_lists in payload["slabs"].items()
         }
         return cls(factors, slab_sets)
+
+
+def _rebuild(name: str, utc_offset: int, slot_count: int, rank: int) -> TemporalFactorSpec:
+    """The built-in factor a slab index stores as (name, offset, slot count,
+    containment rank); ``ConfigError`` when no built-in factor matches."""
+    built = FACTOR_BUILDERS[name](utc_offset) if name in FACTOR_BUILDERS else None
+    if built is None or (built.slot_count, built.containment_rank) != (slot_count, rank):
+        raise ConfigError(f"factor {name!r} is not a built-in factor "
+                          f"({', '.join(sorted(FACTOR_BUILDERS))}) with slot count {slot_count} "
+                          f"and containment rank {rank}, so a slab index cannot hold it")
+    return built
 
 
 def _checksum(payload: dict) -> str:

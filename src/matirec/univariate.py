@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, DataError
 from .ingest import CheckInLog
 from .localtime import is_weekend
@@ -89,29 +91,35 @@ class UserActProfile:
 
 
 def all_poi_acts(log: CheckInLog, utc_offset: int = 0) -> dict[str, PoiAct]:
-    day: dict[str, int] = {}
-    end: dict[str, int] = {}
-    for c in log.checkins:
-        bucket = end if is_weekend(c.timestamp, utc_offset) else day
-        bucket[c.poi_id] = bucket.get(c.poi_id, 0) + 1
-    return {p: PoiAct(p, day.get(p, 0), end.get(p, 0))
-            for p in set(day) | set(end)}
+    columns = log.columns
+    weekend = is_weekend(columns.timestamp, utc_offset)
+    n_pois = len(columns.pois)
+    end = np.bincount(columns.poi[weekend], minlength=n_pois).tolist()
+    day = np.bincount(columns.poi[~weekend], minlength=n_pois).tolist()
+    return {p: PoiAct(p, d, e) for p, d, e in zip(columns.pois, day, end)}
+
+
+def _visit_counts(user: str, log: CheckInLog,
+                  utc_offset: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The user's distinct POI ints (ascending) and their weekday and weekend
+    check-in counts."""
+    rows = log.rows(user)
+    pois, local = np.unique(log.columns.poi[rows], return_inverse=True)
+    weekend = is_weekend(log.columns.timestamp[rows], utc_offset)
+    end = np.bincount(local[weekend], minlength=len(pois))
+    day = np.bincount(local[~weekend], minlength=len(pois))
+    return pois, day, end
 
 
 def user_poi_probs(user: str, poi: str, log: CheckInLog,
                    utc_offset: int = 0) -> tuple[float, float]:
     """(weekday, weekend) visit shares of one user at one POI; they sum to 1."""
-    day = end = 0
-    for c in log.by_user.get(user, ()):
-        if c.poi_id == poi:
-            if is_weekend(c.timestamp, utc_offset):
-                end += 1
-            else:
-                day += 1
-    total = day + end
-    if total == 0:
+    pois, day, end = _visit_counts(user, log, utc_offset)
+    at = np.flatnonzero(pois == log.columns.poi_index.get(poi, -1))
+    if not len(at):
         raise DataError(f"user {user!r} never visited poi {poi!r}")
-    return day / total, end / total
+    d, e = int(day[at[0]]), int(end[at[0]])
+    return d / (d + e), e / (d + e)
 
 
 def effective_user_act(user: str, log: CheckInLog, cfg: UnivariateConfig,
@@ -125,7 +133,8 @@ def effective_user_act(user: str, log: CheckInLog, cfg: UnivariateConfig,
     POIs; when they are all equal the scaling is degenerate and every weight
     falls back to 1 (all POIs treated the same).
     """
-    pois = sorted(log.distinct_pois(user))
+    poi_ints, day_counts, end_counts = _visit_counts(user, log, utc_offset)
+    pois = [log.columns.pois[p] for p in poi_ints.tolist()]
     if len(pois) < 2:
         raise DataError(f"user {user!r} needs >= 2 distinct POIs for feature scaling")
     raw = {p: (c_star[p] if isinstance(c_star, Mapping) else c_star(user, p)) for p in pois}
@@ -136,17 +145,16 @@ def effective_user_act(user: str, log: CheckInLog, cfg: UnivariateConfig,
         c_hat = {p: (raw[p] - lo) / (hi - lo) for p in pois}
 
     p_day, p_end, pr_day, pr_end = {}, {}, {}, {}
-    for p in pois:
-        d, e = user_poi_probs(user, p, log, utc_offset)
-        p_day[p], p_end[p] = d, e
-        pr_day[p] = c_hat[p] * (d - cfg.lam)
-        pr_end[p] = c_hat[p] * (e - cfg.lam)
+    for p, d, e in zip(pois, day_counts.tolist(), end_counts.tolist()):
+        p_day[p], p_end[p] = d / (d + e), e / (d + e)
+        pr_day[p] = c_hat[p] * (p_day[p] - cfg.lam)
+        pr_end[p] = c_hat[p] * (p_end[p] - cfg.lam)
     avg_day = sum(pr_day.values()) / len(pois)
     avg_end = sum(pr_end.values()) / len(pois)
     margin = avg_day - avg_end
 
-    day_events = sum(1 for c in log.by_user[user] if not is_weekend(c.timestamp, utc_offset))
-    total_events = len(log.by_user[user])
+    day_events = int(day_counts.sum())
+    total_events = day_events + int(end_counts.sum())
     raw_act = day_events / total_events - (total_events - day_events) / total_events
 
     return UserActProfile(
@@ -240,24 +248,24 @@ def act_observations(log: CheckInLog, utc_offset: int = 0, min_users: int = 5,
     Returns (user_acts, poi_acts) restricted to users with at least
     ``min_pois`` distinct POIs and POIs with at least ``min_users`` visitors.
     """
-    day: dict[tuple[str, str], int] = {}
-    end: dict[tuple[str, str], int] = {}
-    for c in log.checkins:
-        bucket = end if is_weekend(c.timestamp, utc_offset) else day
-        key = (c.user_id, c.poi_id)
-        bucket[key] = bucket.get(key, 0) + 1
-    deviation: dict[tuple[str, str], float] = {}
-    for key in set(day) | set(end):
-        d, e = day.get(key, 0), end.get(key, 0)
-        deviation[key] = abs(d - e) / (d + e)
-    by_user: dict[str, list[float]] = {}
-    by_poi: dict[str, list[float]] = {}
-    for (u, p), dev in deviation.items():
-        by_user.setdefault(u, []).append(dev)
-        by_poi.setdefault(p, []).append(dev)
-    user_acts = [sum(v) / len(v) for u, v in sorted(by_user.items()) if len(v) >= min_pois]
-    poi_acts = [sum(v) / len(v) for p, v in sorted(by_poi.items()) if len(v) >= min_users]
-    return user_acts, poi_acts
+    columns = log.columns
+    n_pois = len(columns.pois)
+    weekend = is_weekend(columns.timestamp, utc_offset)
+    pairs, pair_of = np.unique(columns.pair, return_inverse=True)
+    end = np.bincount(pair_of[weekend], minlength=len(pairs))
+    day = np.bincount(pair_of[~weekend], minlength=len(pairs))
+    deviation = np.abs(day - end) / (day + end)
+    pair_user, pair_poi = np.divmod(pairs, n_pois)
+
+    def means(owner: np.ndarray, n_owners: int, floor: int) -> list[float]:
+        # Each owner's deviations summed left to right, in pair (id) order.
+        n = np.bincount(owner, minlength=n_owners)
+        total = np.bincount(owner, weights=deviation, minlength=n_owners)
+        keep = np.flatnonzero((n > 0) & (n >= floor))
+        return (total[keep] / n[keep]).tolist()
+
+    return (means(pair_user, len(columns.users), min_pois),
+            means(pair_poi, n_pois, min_users))
 
 
 def act_histogram(values: Sequence[float], width: float = 0.1) -> list[tuple[float, float, int]]:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+
 from matirec.ingest import CheckIn, CheckInLog
 
 settings.register_profile("suite", max_examples=50, deadline=None)
@@ -17,4 +18,4 @@ def tiny_log():
         CheckIn("ub", "p3", 1270900800, 40.0, -73.0),          # Sat 12:00 UTC
         CheckIn("xx", "p4", 1270000000, 10.0, 10.0),
     ]
-    return CheckInLog(checkins, [("ua", "ub")])
+    return CheckInLog.from_checkins(checkins, [("ua", "ub")])

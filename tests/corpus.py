@@ -1,5 +1,6 @@
 """Synthetic corpora shared by the module and acceptance tests.
 
+``checkin_users`` lists the users that have check-ins.
 ``planted_corpus`` builds two user cohorts with disjoint, slab-aligned POI
 preferences (fine-grained taste groups, universal popular POIs that pollute
 plain CF, in-group social edges, and geographically clustered pools).
@@ -24,6 +25,11 @@ BASE_MONDAY = 1262563200  # 2010-01-04 00:00 UTC, a Monday
 
 def stamp(week: int, day: int, hour: int, minute: int = 0) -> int:
     return BASE_MONDAY + (week * 7 + day) * 86400 + hour * 3600 + minute * 60
+
+
+def checkin_users(log) -> list[str]:
+    """Users with at least one check-in, in id order."""
+    return sorted({c.user_id for c in log.checkins})
 
 
 def planted_corpus(n_users: int = 500, seed: int = 2024) -> CheckInLog:
@@ -72,7 +78,7 @@ def planted_corpus(n_users: int = 500, seed: int = 2024) -> CheckInLog:
                     stamp(int(rngu.integers(0, 8)), int(rngu.integers(0, 7)),
                           int(rngu.integers(0, 24))),
                     25.0 + pi * 0.01, 22.0))
-    return CheckInLog(checkins, edges)
+    return CheckInLog.from_checkins(checkins, edges)
 
 
 def longtail_corpus(n_users: int = 200, seed: int = 1) -> CheckInLog:
@@ -85,8 +91,8 @@ def longtail_corpus(n_users: int = 200, seed: int = 1) -> CheckInLog:
         sys.modules[spec.name] = corpora  # dataclasses look their module up there
         spec.loader.exec_module(corpora)
     corpus = corpora.longtail(n_users, seed)
-    return CheckInLog((CheckIn(u, poi, ts, lat, lon) for u, ts, lat, lon, poi in corpus.checkins),
-                      corpus.edges)
+    return CheckInLog.from_checkins(
+        (CheckIn(u, poi, ts, lat, lon) for u, ts, lat, lon, poi in corpus.checkins), corpus.edges)
 
 
 def three_by_three_index() -> SlabIndex:
@@ -146,7 +152,7 @@ def recovery_instance(n_users: int = 50, n_pois: int = 100, pois_per_user: int =
                     day, hour = GRID_TIMES[(di, hi)]
                     ts = stamp(0, day, hour)
                     checkins.extend(CheckIn(user, poi, ts, 1.0, 1.0) for _ in range(n))
-    return CheckInLog(checkins), index, true_tables, sorted(pairs)
+    return CheckInLog.from_checkins(checkins), index, true_tables, sorted(pairs)
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

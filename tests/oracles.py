@@ -14,6 +14,14 @@ of users and POIs, and the Jaccard overlap of two id sets.  The array code
 (``SlabIndex.cells``, ``all_slab_profiles``, ``shared_activity``) must agree
 with them exactly.
 
+The log references walk ``CheckIn`` records: ``reference_parse`` reads a
+check-in TSV one line at a time with the per-field checks,
+``reference_serialize`` sorts records into the cache, ``user_slot_vectors``
+and ``slot_pair_similarity`` build one user's per-slot POI count dicts and
+their cosines, and the act references count weekday and weekend visits with
+dicts.  The columnar parser, ``slot_pair_cosines`` and the ``bincount``-based
+acts must agree with them exactly.
+
 The scalar, string-keyed scorers below (CF, social, geo, the USG mix, its
 leave-one-out variant and the MATI components) are the per-candidate
 implementations the integer-indexed vector core replaced.  They score one
@@ -24,6 +32,7 @@ where the arithmetic is the same, to 1e-12 relative for geo, whose numpy
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -32,10 +41,11 @@ import numpy as np
 
 from matirec.baselines import EARTH_RADIUS_KM, GeoModel, UsgWeights
 from matirec.errors import DataError
+from matirec.ingest import DEFAULT_COLUMNS, CheckIn, ColumnFormat, parse_timestamp
 from matirec.localtime import is_weekend
 from matirec.mati import (PARAMS_FORMAT_VERSION, MatiParams, chain_from_joint, e_step,
                           joint_from_chain, joint_prob, layout_for, m_step)
-from matirec.univariate import PoiAct, user_poi_probs
+from matirec.univariate import PoiAct, UserActProfile, user_poi_probs
 
 
 # --- Slabs as string ids, one timestamp at a time ---------------------------
@@ -101,6 +111,102 @@ def jaccard(a: set[str], b: set[str]) -> float:
     return len(a & b) / len(union) if union else 0.0
 
 
+# --- Parsing and slot similarity, one line or one user at a time ----------
+
+def reference_parse(source, fmt=None, on_error: str = "abort") -> tuple[list[CheckIn], int]:
+    """The check-in records and skipped-line count of a check-in TSV, parsed
+    one line at a time with the per-field checks (the columnar parser's
+    reference)."""
+    fmt = fmt or ColumnFormat()
+    idx = fmt.index
+    checkins = []
+    skipped = 0
+    if isinstance(source, bytes):
+        lines = io.StringIO(source.decode("utf-8"))
+    elif isinstance(source, str):
+        lines = open(source, "r", encoding="utf-8")
+    else:
+        lines = source
+    with lines:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line.strip() or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            try:
+                if len(parts) != len(DEFAULT_COLUMNS):
+                    raise DataError(f"expected {len(DEFAULT_COLUMNS)} fields, got {len(parts)}")
+                checkins.append(CheckIn(
+                    user_id=parts[idx["user"]].strip(),
+                    poi_id=parts[idx["poi"]].strip(),
+                    timestamp=parse_timestamp(parts[idx["time"]].strip()),
+                    lat=_parse_float(parts[idx["lat"]].strip(), "lat"),
+                    lon=_parse_float(parts[idx["lon"]].strip(), "lon"),
+                ))
+            except DataError as exc:
+                if on_error == "abort":
+                    raise DataError(f"line {lineno}: {exc}") from exc
+                skipped += 1
+    return checkins, skipped
+
+
+def reference_serialize(log) -> str:
+    """The sorted cache, one record at a time: rows sorted by (user,
+    timestamp, poi, lat, lon), stable for equal keys."""
+    key = lambda c: (c.user_id, c.timestamp, c.poi_id, c.lat, c.lon)
+    rows = [f"{c.user_id}\t{int(c.timestamp)}\t{float(c.lat)!r}\t{float(c.lon)!r}\t{c.poi_id}"
+            for c in sorted(log.checkins, key=key)]
+    return "\n".join(rows) + ("\n" if rows else "")
+
+
+def _parse_float(token: str, name: str) -> float:
+    try:
+        return float(token)
+    except ValueError as exc:
+        raise DataError(f"malformed {name} {token!r}") from exc
+
+
+def user_slot_vectors(history, factor, binary: bool = False) -> dict[int, dict[str, float]]:
+    """Per-slot visit-count vectors over POIs for one user's check-ins.
+
+    With ``binary=True`` counts collapse to 0/1 presence.
+    """
+    vectors: dict[int, dict[str, float]] = {}
+    for c in history:
+        slot = int(factor.slot_of(c.timestamp))
+        vec = vectors.setdefault(slot, {})
+        vec[c.poi_id] = 1.0 if binary else vec.get(c.poi_id, 0.0) + 1.0
+    return vectors
+
+
+def slot_pair_similarity(vec_a: dict[str, float], vec_b: dict[str, float]) -> float | None:
+    """Cosine similarity of two slot vectors; None when either slot is inactive."""
+    if not vec_a or not vec_b:
+        return None
+    dot = sum(vec_a[k] * vec_b[k] for k in vec_a.keys() & vec_b.keys())
+    norm_a = math.sqrt(sum(v * v for v in vec_a.values()))
+    norm_b = math.sqrt(sum(v * v for v in vec_b.values()))
+    return dot / (norm_a * norm_b)
+
+
+def similarity_samples(by_user, factors, users, binary: bool = False) -> dict[str, list]:
+    """Per factor, the (slot_a, slot_b, value) samples of the given users in
+    (user, slot_a, slot_b) order, one user's slot vectors at a time.
+    ``by_user`` maps each user to their check-in records (see ``histories``)."""
+    out = {f.name: [] for f in factors}
+    for user in users:
+        history = by_user.get(user, [])
+        for f in factors:
+            vectors = user_slot_vectors(history, f, binary=binary)
+            slots = sorted(vectors)
+            for i, a in enumerate(slots):
+                for b in slots[i + 1:]:
+                    value = slot_pair_similarity(vectors[a], vectors[b])
+                    if value is not None:
+                        out[f.name].append((a, b, value))
+    return out
+
+
 # --- Weekday/weekend acts, one POI or user at a time ------------------------
 
 def poi_act(poi_id: str, log, utc_offset: int = 0) -> PoiAct:
@@ -141,6 +247,78 @@ def absolute_user_act(user: str, log, min_pois: int = 8, utc_offset: int = 0) ->
         p_d, p_e = user_poi_probs(user, p, log, utc_offset)
         deviations.append(abs(p_d - p_e))
     return sum(deviations) / len(deviations)
+
+
+def histories(log) -> dict[str, list]:
+    """Each user's check-in records in input order, from one pass over the log."""
+    out: dict[str, list] = {}
+    for c in log.checkins:
+        out.setdefault(c.user_id, []).append(c)
+    return out
+
+
+def reference_poi_acts(log, utc_offset: int = 0) -> dict[str, PoiAct]:
+    """Weekday and weekend visit counts of every visited POI, one check-in at a time."""
+    day: dict[str, int] = {}
+    end: dict[str, int] = {}
+    for c in log.checkins:
+        bucket = end if is_weekend(c.timestamp, utc_offset) else day
+        bucket[c.poi_id] = bucket.get(c.poi_id, 0) + 1
+    return {p: PoiAct(p, day.get(p, 0), end.get(p, 0)) for p in set(day) | set(end)}
+
+
+def reference_user_act(user: str, history, cfg, c_star, utc_offset: int = 0) -> UserActProfile:
+    """``effective_user_act`` over one user's check-in records, POI by POI."""
+    pois = sorted({c.poi_id for c in history})
+    if len(pois) < 2:
+        raise DataError(f"user {user!r} needs >= 2 distinct POIs for feature scaling")
+    raw = {p: c_star[p] for p in pois}
+    lo, hi = min(raw.values()), max(raw.values())
+    c_hat = ({p: 1.0 for p in pois} if hi == lo
+             else {p: (raw[p] - lo) / (hi - lo) for p in pois})
+    p_day, p_end, pr_day, pr_end = {}, {}, {}, {}
+    for p in pois:
+        day = sum(1 for c in history if c.poi_id == p and not is_weekend(c.timestamp, utc_offset))
+        end = sum(1 for c in history if c.poi_id == p and is_weekend(c.timestamp, utc_offset))
+        p_day[p], p_end[p] = day / (day + end), end / (day + end)
+        pr_day[p] = c_hat[p] * (p_day[p] - cfg.lam)
+        pr_end[p] = c_hat[p] * (p_end[p] - cfg.lam)
+    avg_day = sum(pr_day.values()) / len(pois)
+    avg_end = sum(pr_end.values()) / len(pois)
+    margin = avg_day - avg_end
+    day_events = sum(1 for c in history if not is_weekend(c.timestamp, utc_offset))
+    total = len(history)
+    return UserActProfile(
+        user_id=user, p_day=p_day, p_end=p_end, c_star=dict(raw), c_hat=c_hat,
+        pr_day=pr_day, pr_end=pr_end, avg_day=avg_day, avg_end=avg_end,
+        act=abs(margin), orientation=(margin > 0) - (margin < 0),
+        raw_act=day_events / total - (total - day_events) / total)
+
+
+def reference_act_observations(log, utc_offset: int = 0, min_users: int = 5,
+                               min_pois: int = 8) -> tuple[list[float], list[float]]:
+    """Mean absolute weekday/weekend deviation per user and per POI, from
+    per-pair counts; each mean sums its pairs left to right in id order."""
+    day: dict[tuple[str, str], int] = {}
+    end: dict[tuple[str, str], int] = {}
+    for c in log.checkins:
+        bucket = end if is_weekend(c.timestamp, utc_offset) else day
+        bucket[(c.user_id, c.poi_id)] = bucket.get((c.user_id, c.poi_id), 0) + 1
+    by_user: dict[str, list[float]] = {}
+    by_poi: dict[str, list[float]] = {}
+    for u, p in sorted(set(day) | set(end)):
+        d, e = day.get((u, p), 0), end.get((u, p), 0)
+        by_user.setdefault(u, []).append(abs(d - e) / (d + e))
+        by_poi.setdefault(p, []).append(abs(d - e) / (d + e))
+
+    def mean(values: list[float]) -> float:
+        total = 0.0
+        for v in values:
+            total += v
+        return total / len(values)
+
+    return ([mean(v) for _, v in sorted(by_user.items()) if len(v) >= min_pois],
+            [mean(v) for _, v in sorted(by_poi.items()) if len(v) >= min_users])
 
 
 def undersampled_pairs(coverage, m_min: int) -> list:
@@ -440,7 +618,7 @@ def distance_bins(log, bin_km: float = 0.5, d_min_km: float = 0.1) -> dict[int, 
     """Same-user distinct-POI pair counts per distance bin, pair by pair."""
     coords = poi_coordinates(log)
     bins: dict[int, int] = {}
-    for user in sorted(log.by_user):
+    for user in sorted({c.user_id for c in log.checkins}):
         pois = sorted(log.distinct_pois(user))
         for i, p in enumerate(pois):
             for q in pois[i + 1:]:

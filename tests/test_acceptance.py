@@ -197,8 +197,8 @@ def test_criterion_4_univariate_arithmetic():
         sat, mon = stamp(0, 5, 12), stamp(0, 0, 12)
 
         def visits(spec):
-            return CheckInLog([CheckIn(u, p, (sat if we else mon) + i, 0.0, 0.0)
-                               for i, (u, p, we) in enumerate(spec)])
+            return CheckInLog.from_checkins([CheckIn(u, p, (sat if we else mon) + i, 0.0, 0.0)
+                                             for i, (u, p, we) in enumerate(spec)])
 
         # POI act margins.
         assert poi_act("p", visits([("a", "p", False)] * 3 + [("a", "p", True)])).act == 0.5
@@ -297,7 +297,7 @@ def test_criterion_7_metrics_and_determinism(planted_run):
 def test_criterion_8_stats_fidelity():
     with criterion(8, "dataset statistics"):
         # Toy fixtures against hand counts.
-        log = CheckInLog([
+        log = CheckInLog.from_checkins([
             CheckIn("a", "p1", 100, 0.0, 0.0),
             CheckIn("a", "p2", 200, 0.0, 0.0),
             CheckIn("a", "p1", 300, 0.0, 0.0),

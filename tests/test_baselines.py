@@ -19,7 +19,7 @@ def _log(visits, edges=()):
         u, p = entry[0], entry[1]
         lat, lon = (entry[2], entry[3]) if len(entry) > 2 else (0.0, 0.0)
         checkins.append(CheckIn(u, p, 1000 + i, lat, lon))
-    return CheckInLog(checkins, edges)
+    return CheckInLog.from_checkins(checkins, edges)
 
 
 def test_ubcf_identical_neighbor():

@@ -126,6 +126,23 @@ def test_cli_ingest_writes_canonical_cache(workspace, tmp_path):
     assert parse_checkins(str(out / "checkins.tsv")) == original
 
 
+@pytest.mark.parametrize("on_error,code", [("abort", 3), ("skip", 0)])
+def test_cli_on_error_applies_to_the_social_file(tmp_path, on_error, code):
+    """A social line that is not ``a TAB b`` exits 3 under abort and is
+    skipped under skip, as a malformed check-in line is."""
+    checkins = tmp_path / "checkins.tsv"
+    checkins.write_text("u1\t100\t0.0\t0.0\tp1\nu2\t200\t0.0\t0.0\tp1\n", encoding="utf-8")
+    social = tmp_path / "social.tsv"
+    social.write_text("u1\tu2\nnot an edge\n", encoding="utf-8")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"[data]\ncheckins = {checkins}\nsocial = {social}\n"
+                      f"on_error = {on_error}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "ingest", "--out", str(out)]) == code
+    if code == 0:
+        assert (out / "social.tsv").read_text().splitlines()[1:] == ["u1\tu2"]
+
+
 def test_cli_slabs_train_recommend(workspace, tmp_path):
     _, config = workspace
     slab_dir = tmp_path / "slabs"

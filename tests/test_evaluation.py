@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corpus import planted_corpus
+from corpus import checkin_users, planted_corpus
 from oracles import oracle_metrics
 
 from matirec.errors import ConfigError, DataError
@@ -17,7 +17,7 @@ def _uniform_log(n_users=12, pois_per_user=10):
         for j in range(pois_per_user):
             checkins.append(CheckIn(u, f"{u}_p{j}", 1000 + j, 0.0, 0.0))
             checkins.append(CheckIn(u, f"shared{j}", 2000 + j, 0.0, 0.0))
-    return CheckInLog(checkins)
+    return CheckInLog.from_checkins(checkins)
 
 
 def test_split_rounding_three_of_ten():
@@ -42,7 +42,7 @@ def test_split_removes_only_test_users_view():
         train_pois = split.train_log.distinct_pois(user)
         assert not train_pois & split.excluded[user]
         assert split.retained[user] == train_pois
-    untouched = [u for u in log.by_user if u not in split.excluded]
+    untouched = [u for u in checkin_users(log) if u not in split.excluded]
     for u in untouched:
         assert split.train_log.distinct_pois(u) == log.distinct_pois(u)
 
@@ -50,7 +50,7 @@ def test_split_removes_only_test_users_view():
 def test_split_skips_single_poi_users():
     checkins = [CheckIn("rich", f"p{i}", 100 + i, 0.0, 0.0) for i in range(10)]
     checkins.append(CheckIn("poor", "p0", 50, 0.0, 0.0))
-    split = split_exclude(CheckInLog(checkins), 0.3, seed=1, test_fraction=1.0)
+    split = split_exclude(CheckInLog.from_checkins(checkins), 0.3, seed=1, test_fraction=1.0)
     assert split.skipped_ineligible == 1
     assert split.test_users == ["rich"]
 
@@ -106,7 +106,7 @@ class _FixedModel:
 
 def _toy_split():
     checkins = [CheckIn("u1", f"p{i}", 100 + i, 0.0, 0.0) for i in range(4)]
-    log = CheckInLog(checkins)
+    log = CheckInLog.from_checkins(checkins)
     return EvalSplit(train_log=log, excluded={"u1": frozenset({"e1", "e2"})},
                      retained={"u1": frozenset({"p0"})}, x=0.5, seed=0,
                      test_fraction=1.0, skipped_ineligible=0)
@@ -186,4 +186,4 @@ def test_tune_population_min_checkins():
     log = planted_corpus(n_users=40, seed=3)
     split = split_exclude(log, 0.3, seed=4, test_fraction=0.5, min_checkins=15)
     for u in split.test_users:
-        assert len(log.by_user[u]) >= 15
+        assert len(log.rows(u)) >= 15

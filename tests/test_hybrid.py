@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from corpus import planted_corpus
+from corpus import checkin_users, planted_corpus
 
 from matirec.config import load_config
 from matirec.errors import ConfigError, DataError
 from matirec.hybrid import (PROBE_N, Decision, HybridConfig, avg_shared_activity, decide,
                             decisions_csv)
+from matirec.ingest import CheckInLog
 from matirec.pipeline import train_models
 
 CELLS = "abcdefgh"
@@ -83,7 +84,7 @@ def small_trained():
 def test_hybrid_recommend_routes_and_logs(small_trained):
     log, cfg, models = small_trained
     hybrid = models.get("hybrid")
-    user = sorted(log.by_user)[0]
+    user = checkin_users(log)[0]
     items = hybrid.recommend(user, 5)
     assert len(items) == 5
     assert hybrid.decisions[-1].user_id == user
@@ -96,7 +97,7 @@ def test_hybrid_full_range_equals_mati(small_trained):
     full = HybridRecommender(models.get("usg"), models.get("mati"), HybridConfig(0.0, 1.0))
     out_of_range = HybridRecommender(models.get("usg"), models.get("mati"),
                                      HybridConfig(1.0, 1.0))
-    users = sorted(log.by_user)[:6]
+    users = checkin_users(log)[:6]
     for u in users:
         assert full.recommend(u, 5) == models.get("mati").recommend(u, 5)
         assert full.decisions[-1].path == "temporal"
@@ -110,11 +111,11 @@ def test_hybrid_full_range_equals_mati(small_trained):
 def test_hybrid_cold_user_routes_non_temporal(small_trained):
     """A user with one noise check-in shares almost no slabs with candidates."""
     log, cfg, models = small_trained
-    from matirec.ingest import CheckIn, CheckInLog
+    from matirec.ingest import CheckIn
     from matirec.pipeline import train_models as retrain
     from corpus import stamp
     cold = CheckIn("cold_u", "pa0_0", stamp(0, 3, 3), 10.0, 20.0)
-    bigger = CheckInLog(log.checkins + (cold,), log.social_edges)
+    bigger = CheckInLog.from_checkins(tuple(log.checkins) + (cold,), log.social_edges)
     cfg2 = load_config()
     cfg2.sampling.m_min = 10
     cfg2.sampling.n_percent = 25
@@ -139,7 +140,7 @@ def test_planted_user_temporal_path_differs_from_usg(small_trained):
     hybrid = models.get("hybrid")
     usg = models.get("usg")
     differs = 0
-    for u in sorted(log.by_user)[:20]:
+    for u in checkin_users(log)[:20]:
         h = hybrid.recommend(u, 5)
         if hybrid.decisions[-1].path == "temporal" and h and h[0] != usg.recommend(u, 5)[0]:
             differs += 1

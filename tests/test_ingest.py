@@ -3,6 +3,8 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
+from corpus import checkin_users
+
 from matirec.errors import DataError
 from matirec.ingest import (CheckIn, CheckInLog, ColumnFormat, dataset_stats, parse_checkins,
                             parse_social, serialize_log, serialize_social)
@@ -10,7 +12,7 @@ from matirec.ingest import (CheckIn, CheckInLog, ColumnFormat, dataset_stats, pa
 
 def test_parse_single_line_maps_fields():
     log = parse_checkins(io.StringIO("u1\t2010-04-05T21:30:00Z\t37.77\t-122.41\tp9\n"))
-    assert log.checkins == (CheckIn("u1", "p9", 1270503000, 37.77, -122.41),)
+    assert tuple(log.checkins) == (CheckIn("u1", "p9", 1270503000, 37.77, -122.41),)
 
 
 def test_parse_epoch_timestamp():
@@ -25,7 +27,7 @@ def test_parse_naive_iso_is_utc():
 
 def test_parse_empty_stream():
     log = parse_checkins(io.StringIO(""))
-    assert len(log) == 0 and not log.by_user
+    assert len(log) == 0 and not checkin_users(log)
 
 
 def test_coordinate_out_of_range_aborts_with_line_number():
@@ -70,11 +72,19 @@ def test_parse_social_three_lines():
 
 def test_self_loop_edge_rejected_in_log():
     with pytest.raises(DataError):
-        CheckInLog([], [("u", "u")])
+        CheckInLog.from_checkins([], [("u", "u")])
+
+
+def test_log_from_checkins_takes_only_validated_records():
+    log = CheckInLog.from_checkins([CheckIn("u", "p", 100, 1.5, -2.5)], [("u", "v")])
+    assert list(log.checkins) == [CheckIn("u", "p", 100, 1.5, -2.5)]
+    assert log.users() == {"u", "v"}
+    with pytest.raises(DataError, match="CheckIn records"):
+        CheckInLog.from_checkins([("u", "p", 100, 1.5, -2.5)])
 
 
 def test_stats_single_user_single_poi():
-    log = CheckInLog([CheckIn("u", "p", 100, 0.0, 0.0)])
+    log = CheckInLog.from_checkins([CheckIn("u", "p", 100, 0.0, 0.0)])
     stats = dataset_stats(log)
     assert stats.density == 1.0
     assert stats.cold_start_ratio == 1.0
@@ -83,7 +93,7 @@ def test_stats_single_user_single_poi():
 
 def test_stats_two_users_four_pois():
     # User A visits 2 distinct POIs, user B visits 1 (4 POIs in the corpus).
-    log = CheckInLog([
+    log = CheckInLog.from_checkins([
         CheckIn("a", "p1", 100, 0.0, 0.0),
         CheckIn("a", "p2", 200, 0.0, 0.0),
         CheckIn("b", "p3", 300, 0.0, 0.0),
@@ -99,7 +109,7 @@ def test_stats_two_users_four_pois():
 
 def test_stats_empty_log_errors():
     with pytest.raises(DataError, match="empty"):
-        dataset_stats(CheckInLog([]))
+        dataset_stats(CheckInLog.from_checkins([]))
 
 
 def test_stats_social_only_users_counted(tiny_log):
@@ -125,7 +135,7 @@ _checkin = st.builds(
 
 @given(st.lists(_checkin, min_size=0, max_size=30))
 def test_roundtrip_serialize_parse(checkins):
-    log = CheckInLog(checkins, [("u1", "u2")] if checkins else [])
+    log = CheckInLog.from_checkins(checkins, [("u1", "u2")] if checkins else [])
     reparsed = parse_checkins(io.StringIO(serialize_log(log)))
     reparsed = reparsed.with_social(parse_social(io.StringIO(serialize_social(log))).edges)
     assert reparsed == log
@@ -135,4 +145,5 @@ def test_roundtrip_serialize_parse(checkins):
 def test_stats_order_independent(checkins, rnd):
     shuffled = list(checkins)
     rnd.shuffle(shuffled)
-    assert dataset_stats(CheckInLog(checkins)) == dataset_stats(CheckInLog(shuffled))
+    assert (dataset_stats(CheckInLog.from_checkins(checkins))
+            == dataset_stats(CheckInLog.from_checkins(shuffled)))

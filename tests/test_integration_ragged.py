@@ -37,7 +37,7 @@ def ragged_log():
     # A POI visited exactly once, far away.
     checkins.append(CheckIn("ok0", "lonely", stamp(1, 6, 3), 80.0, 170.0))
     edges = [("ok0", "ok1"), ("ok2", "ghost_user"), ("one0", "ok3")]
-    return CheckInLog(checkins, edges)
+    return CheckInLog.from_checkins(checkins, edges)
 
 
 def test_ragged_pipeline_runs(ragged_log):

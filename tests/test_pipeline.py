@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from corpus import planted_corpus
+from corpus import checkin_users, planted_corpus
 from oracles import reference_params_json
 
 from matirec.config import load_config
@@ -33,7 +33,7 @@ ALL_MODELS = ("ubcf", "usg", "usgt", "ubcft", "mati", "hybrid")
 
 def test_every_model_recommends_full_lists(trained):
     log, cfg, models = trained
-    users = sorted(log.by_user)[:5]
+    users = checkin_users(log)[:5]
     for name in ALL_MODELS:
         model = models.get(name)
         for u in users:
@@ -67,7 +67,7 @@ def test_usgt_ubcft_share_orientation_when_influence_uniform(trained):
     """With every influence weight equal, the two variants see the same act."""
     log, cfg, models = trained
     usgt, ubcft = models.get("usgt"), models.get("ubcft")
-    users = sorted(log.by_user)[:5]
+    users = checkin_users(log)[:5]
     for u in users:
         uniform = {p: 1.0 for p in log.distinct_pois(u)}
         from matirec.univariate import effective_user_act
@@ -83,7 +83,7 @@ def test_usgt_temporal_path_recomposes(trained):
     log, cfg, models = trained
     usgt = models.get("usgt")
     routed_temporal = 0
-    for u in sorted(log.by_user)[:10]:
+    for u in checkin_users(log)[:10]:
         profile = usgt._profile(u)
         if profile is not None and profile.act >= cfg.univariate.t:
             routed_temporal += 1
@@ -230,10 +230,10 @@ def test_leave_one_out_c_star_sees_geography():
     log = planted_corpus(n_users=40, seed=9)
     cfg = load_config()
     cfg.usg.alpha, cfg.usg.beta = 0.2, 0.3
-    user = sorted(log.by_user)[0]
+    user = checkin_users(log)[0]
     far = sorted(log.distinct_pois(user))[0]
-    moved = CheckInLog([replace(c, lat=c.lat + 30.0) if c.poi_id == far else c
-                        for c in log.checkins], log.social_edges)
+    moved = CheckInLog.from_checkins([replace(c, lat=c.lat + 30.0) if c.poi_id == far else c
+                                      for c in log.checkins], log.social_edges)
     before = UsgComponents(log, cfg).leave_one_out_c_star(user)
     after = UsgComponents(moved, cfg).leave_one_out_c_star(user)
     assert after[far] != before[far]

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from corpus import stamp
-from oracles import oracle_sampling_rounds, undersampled_pairs
+from corpus import checkin_users, stamp
+from oracles import (oracle_sampling_rounds, slot_pair_similarity, undersampled_pairs,
+                     user_slot_vectors)
 
 from matirec.errors import ConfigError
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.sampling import (SamplingState, collect_until, coverage_csv, sample_round,
                               stratify_users)
-from matirec.slabs import TemporalFactorSpec, slot_pair_similarity, user_slot_vectors
+from matirec.slabs import TemporalFactorSpec
 
 
 def _log_with_counts(counts):
@@ -17,7 +18,7 @@ def _log_with_counts(counts):
     for u, n in counts.items():
         for i in range(n):
             checkins.append(CheckIn(u, f"{u}_p{i}", 1000 + i, 0.0, 0.0))
-    return CheckInLog(checkins)
+    return CheckInLog.from_checkins(checkins)
 
 
 def test_stratify_thresholds():
@@ -88,8 +89,8 @@ def test_collect_until_full_coverage_first_round():
         u = f"u{i}"
         checkins.append(CheckIn(u, "p1", stamp(0, 0, 9), 0.0, 0.0))
         checkins.append(CheckIn(u, "p1", stamp(0, 0, 10), 0.0, 0.0))
-    log = CheckInLog(checkins)
-    two_slot = TemporalFactorSpec("two", 2, lambda ts: 0 if (ts % 86400) // 3600 < 10 else 1,
+    log = CheckInLog.from_checkins(checkins)
+    two_slot = TemporalFactorSpec("two", 2, lambda ts: ((ts % 86400) // 3600 >= 10) * 1,
                                   containment_rank=1)
     samples, coverage, state = collect_until(log, [two_slot], m_min=4, n_percent=100, seed=1)
     assert state.round == 1
@@ -99,11 +100,11 @@ def test_collect_until_full_coverage_first_round():
 
 def test_collect_until_inactive_slot_flagged():
 
-    factor = TemporalFactorSpec("tri", 3, lambda ts: min((ts % 86400) // 28800, 2),
+    factor = TemporalFactorSpec("tri", 3, lambda ts: np.minimum((ts % 86400) // 28800, 2),
                                 containment_rank=1)
     checkins = [CheckIn("u1", "p1", stamp(0, 0, 1), 0.0, 0.0),
                 CheckIn("u1", "p1", stamp(0, 0, 9), 0.0, 0.0)]
-    log = CheckInLog(checkins)
+    log = CheckInLog.from_checkins(checkins)
     samples, coverage, _ = collect_until(log, [factor], m_min=1, n_percent=100, seed=1)
     under = undersampled_pairs(coverage, 1)
     assert {(r.slot_a, r.slot_b) for r in under} == {(0, 2), (1, 2)}
@@ -113,7 +114,7 @@ def test_collect_until_inactive_slot_flagged():
 def test_coverage_csv_shape():
 
     factor = TemporalFactorSpec("two", 2, lambda ts: 0, containment_rank=1)
-    log = CheckInLog([CheckIn("u", "p", 100, 0.0, 0.0)])
+    log = CheckInLog.from_checkins([CheckIn("u", "p", 100, 0.0, 0.0)])
     _, coverage, _ = collect_until(log, [factor], m_min=1, n_percent=100, max_rounds=2, seed=0)
     text = coverage_csv(coverage)
     assert text.splitlines()[0] == "factor,slot_a,slot_b,sample_count"
@@ -133,7 +134,7 @@ def test_collect_until_matches_independent_simulation():
             if rng.random() < 0.6:
                 checkins.append(CheckIn(u, f"{u}p{j}", stamp(0, 1, int(rng.integers(0, 4))),
                                         0.0, 0.0))
-    log = CheckInLog(checkins)
+    log = CheckInLog.from_checkins(checkins)
 
     factor = TemporalFactorSpec("quad", 4, lambda ts: (ts % 86400) // 3600 % 4,
                                 containment_rank=1)
@@ -146,8 +147,8 @@ def test_collect_until_matches_independent_simulation():
                         "semi_active": sorted(strata.semi_active),
                         "active": sorted(strata.active)}
     activity = {}
-    for u in log.by_user:
-        vectors = user_slot_vectors(log.by_user[u], factor)
+    for u in checkin_users(log):
+        vectors = user_slot_vectors([log.checkins[i] for i in log.rows(u)], factor)
         pairs = {}
         slots = sorted(vectors)
         for i, a in enumerate(slots):

@@ -43,7 +43,7 @@ def small_logs(draw):
                 for u, p, day, hour in visits]
     checkins.append(CheckIn("solo", "p0", stamp(1, 2, 3), *where[0]))  # no friends
     social = [(f"u{a}", f"u{b}") for a, b in edges if a != b] + [("ghost", "u0")]
-    return CheckInLog(checkins, social)
+    return CheckInLog.from_checkins(checkins, social)
 
 
 def _components(log, alpha, beta, k):
@@ -152,7 +152,7 @@ def test_long_neighbor_sums_are_left_to_right():
     visits = [("u", p) for p in shared]
     for i in range(12):
         visits += [(f"v{i:02d}", p) for p in shared[:i + 1]] + [(f"v{i:02d}", f"x{i:02d}")]
-    log = CheckInLog([CheckIn(u, p, stamp(0, 1, 9), 10.0, 20.0) for u, p in visits])
+    log = CheckInLog.from_checkins([CheckIn(u, p, stamp(0, 1, 9), 10.0, 20.0) for u, p in visits])
     comp = _components(log, 0.0, 0.0, 50)
     cands = comp.candidates_for("u")
     assert comp.ubcf_scores("u").tolist() == [orc.ubcf_score("u", p, comp.matrix) for p in cands]

@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 import oracles as orc
 from corpus import stamp
-from oracles import oracle_rank1_completion
+from oracles import oracle_rank1_completion, slot_pair_similarity, user_slot_vectors
 
 from matirec.errors import ConfigError, DataError
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.localtime import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from matirec.slabs import (SimilaritySamples, SlabIndex, SlotSimilarityMatrix, TemporalFactorSpec,
                            UniAspectSlab, aggregate_similarity, all_slab_profiles, complete_matrix,
-                           day_factor, hac_complete_linkage, hour_factor, similarity_csv,
-                           slot_pair_similarity, user_slot_vectors)
+                           day_factor, hac_complete_linkage, hour_factor, similarity_csv)
 
 
 def test_slot_of_monday_evening():
@@ -82,8 +81,7 @@ def _two_slot_factor():
 
 def test_aggregate_mean_and_count():
     samples = SimilaritySamples(TemporalFactorSpec("six", 6, lambda ts: 0, containment_rank=1))
-    samples.add(1, 2, 0.2)
-    samples.add(2, 1, 0.4)
+    samples.extend([1, 2], [2, 1], [0.2, 0.4])
     matrix = aggregate_similarity(samples, m_min=1)
     assert matrix.sim[1, 2] == pytest.approx(0.3)
     assert matrix.sim[2, 1] == pytest.approx(0.3)
@@ -95,7 +93,7 @@ def test_aggregate_mean_and_count():
 
 def test_aggregate_below_floor_unobserved():
     samples = SimilaritySamples(_two_slot_factor())
-    samples.add(0, 1, 0.9)
+    samples.extend([0], [1], [0.9])
     matrix = aggregate_similarity(samples, m_min=2)
     assert not matrix.observed[0, 1]
 
@@ -365,14 +363,14 @@ def test_profiles_conserve_counts(tiny_log):
     users, pois = all_slab_profiles(tiny_log, index)
     columns = tiny_log.columns
     assert users.shape == (len(columns.users), math.prod(index.grid_shape()))
-    assert users[columns.users.index("ua")].sum() == len(tiny_log.by_user["ua"])
+    assert users[columns.users.index("ua")].sum() == len(tiny_log.rows("ua"))
     assert pois[columns.pois.index("p1")].sum() == 2
     assert users.sum() == pois.sum() == len(tiny_log)
 
 
 def test_profile_unknown_entity(tiny_log):
     """A user known only from the social graph has no active cell."""
-    log = CheckInLog(tiny_log.checkins, [("nobody", "ua")])
+    log = CheckInLog.from_checkins(tiny_log.checkins, [("nobody", "ua")])
     users, _ = all_slab_profiles(log, _fig_index())
     assert not users[log.columns.users.index("nobody")].any()
 
@@ -399,6 +397,22 @@ def test_index_json_roundtrip():
                [sorted(s.slots) for s in index.slab_sets[f.name]]
     stamps = np.arange(1, 3 * 86400 * 7, 1799)
     assert restored.cells(stamps).tolist() == index.cells(stamps).tolist()
+
+
+@pytest.mark.parametrize("factor", [
+    TemporalFactorSpec("halfhour", 2, lambda ts: (ts % SECONDS_PER_HOUR) // 1800,
+                       containment_rank=0),
+    TemporalFactorSpec("hour", 24, lambda ts: (ts % SECONDS_PER_DAY) // SECONDS_PER_HOUR,
+                       containment_rank=0),
+], ids=["unknown-name", "other-rank"])
+def test_index_json_refuses_a_factor_it_cannot_read_back(factor):
+    """Only factors ``from_json`` rebuilds (same name, slot count and rank)
+    are written; anything else is refused at write time."""
+    others = [day_factor()] if factor.name == "hour" else [hour_factor()]
+    index = SlabIndex([factor] + others, {
+        f.name: [_slab(f.name, s, [s]) for s in range(f.slot_count)] for f in [factor] + others})
+    with pytest.raises(ConfigError, match=factor.name):
+        index.to_json()
 
 
 def test_index_json_tamper_detected():

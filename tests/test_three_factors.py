@@ -63,7 +63,7 @@ def three_factor_log():
                 ts = stamp(int(rng.integers(0, 4)), int(rng.integers(0, 7)),
                            int(rng.integers(0, 24)), int(rng.integers(0, 60)))
                 checkins.append(CheckIn(u, p, ts, 0.0, 0.0))
-    return CheckInLog(checkins)
+    return CheckInLog.from_checkins(checkins)
 
 
 def test_em_three_factor_chain_shapes(three_factor_index, three_factor_log):

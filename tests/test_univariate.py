@@ -26,7 +26,7 @@ def _visits(spec):
     out = []
     for i, (u, p, weekend) in enumerate(spec):
         out.append(CheckIn(u, p, (SAT_NOON if weekend else MON_NOON) + i, 0.0, 0.0))
-    return CheckInLog(out)
+    return CheckInLog.from_checkins(out)
 
 
 def test_poi_act_three_to_one():
