@@ -13,9 +13,9 @@ Slabs are addressed as integer grid cells (``SlabIndex.cells``); a pair's
 evidence is its row of per-cell check-in counts.
 
 The joint visit probability is Pr(u) * Pr_nu(l|u) * chain, with Pr(u) = 1
-(users are treated equally) and Pr_nu the fixed non-temporal score.  All
-probability arithmetic runs in log space with an explicit -inf sentinel for
-zero factors, never a silent underflow.
+(users are treated equally) and Pr_nu the fixed non-temporal score.  The
+log-likelihood is summed in log space, where a zero factor is -inf, never a
+silent underflow.
 
 EM: the E step's responsibilities for a pair are its own current joint J,
 renormalized, and the M step blends them with the pair's empirical slab
@@ -28,11 +28,13 @@ toward the global popularity joint J_0 it starts from: after k iterations
 
     J_k = H/n + (gamma / (n + gamma))^k * (J_0 - H/n).
 
-``run_em`` computes iteration k directly for all pairs at once; ``e_step``,
-``m_step`` and ``joint_prob`` are the per-pair reference it is tested
-against.  The reported log-likelihood is the per-event data log-likelihood
-under the current tables (plus the fixed Pr_nu terms); it is non-decreasing
-across iterations.
+``run_em`` computes iteration k directly for all pairs at once.  The
+reported log-likelihood is the per-event data log-likelihood under the
+current tables (plus the fixed Pr_nu terms); it is non-decreasing across
+iterations.
+
+``MatiParams`` holds the pair and POI chains as ``ChainStack``s, one array
+per level with a row per owner in raw key string order (the file's order).
 
 Scoring mixes the depth with the shared activity psi: the Jaccard overlap of
 the cells a user and a POI were active in, from integer rows of per-cell
@@ -41,23 +43,21 @@ check-in counts (``shared_activity``).
 Parameter file (``mati_params.json``): one JSON object with the layout,
 ``pr_nu`` and the pair, POI and global chains, each chain a list of its
 level tables as nested lists; pair keys are ``user<TAB>poi``.  Its bytes are
-exactly ``json.dumps(payload, sort_keys=True)``.  ``params_to_json`` gets
-there in a stacked pass: it validates and stacks each chain level over all
-pairs (and over all POIs), renders every distinct last-axis row once (on a
-day with none of a pair's check-ins, the pair's hour row is the global
-one, so most rows repeat) and joins the pieces once.  ``params_from_json``
-reads each level into one stack, checks it against the layout (malformed
-content is a ``DataError``), validates each stack once, and hands out the
-table dicts as views into the stacks.
+exactly ``json.dumps(payload, sort_keys=True)``.  ``params_to_json``
+validates the stacks and renders straight from them: every distinct
+last-axis row once (on a day with none of a pair's check-ins, the pair's
+hour row is the global one, so most rows repeat), then joins the pieces
+once.  ``params_from_json`` reads each level into one stack, checks it
+against the layout (malformed content is a ``DataError``) and validates
+each stack once.
 """
-
 from __future__ import annotations
 
 import json
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -90,27 +90,18 @@ class ChainLayout:
         return int(np.prod(self.shape))
 
 
-def chain_factorization(factors: Sequence[tuple[TemporalFactorSpec, int]] |
-                        Sequence[tuple[str, int, int]]) -> ChainLayout:
+def chain_factorization(factors: Sequence[tuple[TemporalFactorSpec, int]]) -> ChainLayout:
     """Layout for (factor, slab_count) pairs; finest factor ends the chain.
 
-    Accepts (TemporalFactorSpec, slab_count) or (name, containment_rank,
-    slab_count) tuples.  Duplicate containment ranks are rejected.
+    Duplicate containment ranks are rejected.
     """
-    norm = []
-    for item in factors:
-        if isinstance(item[0], TemporalFactorSpec):
-            spec, count = item
-            norm.append((spec.name, spec.containment_rank, count))
-        else:
-            norm.append(tuple(item))
-    if not norm:
+    if not factors:
         raise DataError("chain factorization requires at least one factor")
-    ranks = [r for _, r, _ in norm]
+    ranks = [spec.containment_rank for spec, _ in factors]
     if len(set(ranks)) != len(ranks):
         raise ConfigError(f"duplicate containment ranks: {ranks}")
-    ordered = sorted(norm, key=lambda t: -t[1])  # coarsest first
-    return ChainLayout(tuple(n for n, _, _ in ordered), tuple(c for _, _, c in ordered))
+    ordered = sorted(factors, key=lambda item: -item[0].containment_rank)  # coarsest first
+    return ChainLayout(tuple(spec.name for spec, _ in ordered), tuple(c for _, c in ordered))
 
 
 def layout_for(index: SlabIndex) -> ChainLayout:
@@ -155,26 +146,17 @@ def joint_from_chain(tables: Sequence[np.ndarray]) -> np.ndarray:
     return joint
 
 
-def log_joint_from_chain(tables: Sequence[np.ndarray]) -> np.ndarray:
-    """Log-space joint with -inf where any chain factor is zero."""
-    with np.errstate(divide="ignore"):
-        acc = np.log(tables[0])
-        for table in tables[1:]:
-            acc = acc[..., None] + np.log(table)
-    return acc
-
-
-def validate_chain(tables: Sequence[np.ndarray], owners: Sequence | None = None) -> None:
+def validate_chain(tables: Sequence[np.ndarray], owner: Callable[[int], object] | None = None):
     """Every entry is non-negative and every last-axis row sums to 1.
 
-    With ``owners``, each table is a stack whose leading axis runs over them,
-    and an error names the first offending owner.  NaN and infinite entries
-    fail the row sums.
+    With ``owner``, each table is a stack whose leading axis runs over
+    owners, and an error names the first offending one, ``owner(i)``.  NaN
+    and infinite entries fail the row sums.
     """
     def where(bad: np.ndarray) -> str:
-        if owners is None:
+        if owner is None:
             return ""
-        return f" of {owners[int(np.argmax(bad.reshape(len(owners), -1).any(axis=1)))]!r}"
+        return f" of {owner(int(np.argmax(bad.reshape(len(bad), -1).any(axis=1))))!r}"
 
     for k, table in enumerate(tables):
         if (table < 0).any():
@@ -190,91 +172,61 @@ def validate_chain(tables: Sequence[np.ndarray], owners: Sequence | None = None)
 class ChainStack:
     """The chains of several owners, stacked level by level.
 
-    ``levels[k][i]`` is owner i's level-k table and ``keys[i]`` its JSON
-    object key.  For writing, owners are sorted by raw key string, as
-    ``json.dumps(sort_keys=True)`` sorts them.
+    ``levels[k][i]`` is owner i's level-k table and ``keys[i]`` its key in
+    the parameter file: ``user<TAB>poi`` for a pair, the POI id for a POI.
+    Owners are in raw key string order, as ``json.dumps(sort_keys=True)``
+    sorts them.
     """
 
-    owners: list
-    keys: list[str]
-    levels: list[np.ndarray]
+    keys: tuple[str, ...]
+    levels: tuple[np.ndarray, ...]
 
-    def validate(self) -> None:
-        validate_chain(self.levels, self.owners)
-
-
-def _pair_key(pair: tuple[str, str]) -> str:
-    return f"{pair[0]}\t{pair[1]}"
+    def __len__(self) -> int:
+        return len(self.keys)
 
 
-def _stack(owners: list, keys: list[str], chains: list, shape: tuple[int, ...], what: str,
-           error: type[Exception]) -> ChainStack:
-    """Stack chains level by level; ``error`` for a chain that does not fit
-    ``shape`` (a bug in memory, malformed data in a file)."""
-    if not all(isinstance(chain, (list, tuple)) and len(chain) == len(shape) for chain in chains):
-        raise error(f"model parameters: a {what} chain does not have {len(shape)} levels")
-    levels = []
-    for k in range(len(shape)):
-        want = (len(chains), *shape[:k + 1])
-        try:
-            level = np.array([chain[k] for chain in chains]) if chains else np.zeros(want)
-        except ValueError as exc:
-            raise error(f"model parameters: {what} level {k} tables are ragged") from exc
-        if level.dtype.kind not in "fiu":
-            raise error(f"model parameters: {what} level {k} has a non-numeric entry")
-        if level.shape != want:
-            raise error(f"model parameters: {what} level {k} tables have shape "
-                        f"{level.shape[1:]}, the layout needs {want[1:]}")
-        levels.append(level.astype(float, copy=False))
-    return ChainStack(owners, keys, levels)
+def pair_of(key: str) -> tuple[str, str]:
+    """The (user, poi) of a pair key."""
+    user, _, poi = key.partition("\t")
+    return user, poi
 
 
-def _sorted_stack(tables: Mapping, shape: tuple[int, ...], what: str, key=str) -> ChainStack:
-    owners = sorted(tables, key=key)
-    return _stack(owners, [key(owner) for owner in owners], [tables[owner] for owner in owners],
-                  shape, what, InvariantError)
+def pair_keys(log: CheckInLog) -> np.ndarray:
+    """Object array of the ``user<TAB>poi`` key of each of ``log.columns.pairs``."""
+    columns = log.columns
+    pair_users, pair_pois = np.divmod(columns.pairs, len(columns.pois))
+    return (np.array(columns.users, dtype=object)[pair_users] + "\t"
+            + np.array(columns.pois, dtype=object)[pair_pois])
+
+
+def _validate_stack(stack: ChainStack, what: str) -> None:
+    """``validate_chain`` over a stack; an error names a pair as its (user, poi)."""
+    keys = stack.keys
+    validate_chain(stack.levels, (lambda i: pair_of(keys[i])) if what == "pair"
+                   else keys.__getitem__)
+
+
+def _sorted_keys(keys: Sequence[str]) -> bool:
+    return all(map(str.__lt__, keys[:-1], keys[1:]))
 
 
 @dataclass
 class MatiParams:
     """Trained parameter set: fixed non-temporal scores plus slab chains.
 
-    ``pair_tables`` covers observed pairs; candidate pairs unseen in
-    training back off to the POI-marginal chain (mean of the POI's observed
-    pair joints) and finally to the global popularity chain.
+    ``pair_tables`` stacks the chains of the observed pairs and ``pr_nu``
+    holds their non-temporal scores, aligned with ``pair_tables.keys``.
+    Candidate pairs unseen in training back off to the POI-marginal chains
+    of ``poi_tables`` (mean of the POI's observed pair joints) and finally
+    to the single global popularity chain ``global_table``.
     """
 
     layout: ChainLayout
-    pr_nu: dict[tuple[str, str], float]
-    pair_tables: dict[tuple[str, str], list[np.ndarray]]
-    poi_tables: dict[str, list[np.ndarray]] = field(default_factory=dict)
-    global_table: list[np.ndarray] | None = None
+    pair_tables: ChainStack
+    pr_nu: np.ndarray
+    poi_tables: ChainStack
+    global_table: list[np.ndarray] | None
     slab_checksum: str = ""
-
-    def tables_for(self, user: str, poi: str) -> list[np.ndarray]:
-        pair = (user, poi)
-        if pair in self.pair_tables:
-            return self.pair_tables[pair]
-        if poi in self.poi_tables:
-            return self.poi_tables[poi]
-        if self.global_table is None:
-            raise DataError(f"no tables for pair {pair} and no global fallback")
-        return self.global_table
-
-    def stacks(self) -> tuple[ChainStack, ChainStack, ChainStack | None]:
-        """Pair, POI and global chains stacked per level, validated."""
-        shape = self.layout.shape
-        out = (_sorted_stack(self.pair_tables, shape, "pair", _pair_key),
-               _sorted_stack(self.poi_tables, shape, "POI"),
-               None if self.global_table is None
-               else _sorted_stack({"global": self.global_table}, shape, "global"))
-        for stack in out:
-            if stack is not None:
-                stack.validate()
-        return out
-
-    def validate(self) -> None:
-        self.stacks()
 
 
 @dataclass
@@ -286,112 +238,45 @@ class EmReport:
     converged: bool
 
 
-def joint_prob(user: str, poi: str, assignment: tuple[int, ...], params: MatiParams,
-               pr_nu: float | None = None) -> float:
-    """Log joint probability of (user, poi, slab assignment).
-
-    ``assignment`` indexes slabs coarsest-first.  Any zero factor yields the
-    -inf sentinel.  ``pr_nu`` overrides the stored non-temporal score (used
-    when scoring candidate pairs).
-    """
-    if pr_nu is None:
-        pr_nu = params.pr_nu.get((user, poi))
-        if pr_nu is None:
-            raise DataError(f"no stored non-temporal score for pair ({user}, {poi})")
-    if pr_nu < 0:
-        raise DataError(f"negative non-temporal score for ({user}, {poi})")
-    # log Pr(u) = log 1 = 0 contributes nothing.
-    log_p = -math.inf if pr_nu == 0 else math.log(pr_nu)
-    tables = params.tables_for(user, poi)
-    for k, table in enumerate(tables):
-        value = float(table[assignment[:k + 1]])
-        if value == 0.0:
-            return -math.inf
-        log_p += math.log(value)
-    return log_p
-
-
-def e_step(params: MatiParams, pairs: Sequence[tuple[str, str]]) -> dict[tuple[str, str], np.ndarray]:
-    """Posterior slab responsibilities per pair, log-sum-exp normalized."""
-    out: dict[tuple[str, str], np.ndarray] = {}
-    for pair in pairs:
-        user, poi = pair
-        pr_nu = params.pr_nu.get(pair)
-        if pr_nu is None or pr_nu <= 0:
-            raise DataError(f"pair {pair} has no positive non-temporal score")
-        log_joint = log_joint_from_chain(params.tables_for(user, poi)) + math.log(pr_nu)
-        top = log_joint.max()
-        if top == -math.inf:
-            raise DataError(f"pair {pair} has no support")
-        shifted = np.exp(log_joint - top)
-        out[pair] = shifted / shifted.sum()
-    return out
-
-
-def m_step(responsibilities: Mapping[tuple[str, str], np.ndarray],
-           evidence: Mapping[tuple[str, str], np.ndarray],
-           gamma: float = 1.0) -> dict[tuple[str, str], list[np.ndarray]]:
-    """Update each pair's chain from evidence-blended responsibilities."""
-    tables: dict[tuple[str, str], list[np.ndarray]] = {}
-    for pair in responsibilities:
-        resp = responsibilities[pair]
-        hist = evidence.get(pair)
-        n = float(hist.sum()) if hist is not None else 0.0
-        if n > 0:
-            blended = (hist + gamma * resp) / (n + gamma)
-        else:
-            blended = resp
-        tables[pair] = chain_from_joint(blended)
-    return tables
-
-
-def run_em(log: CheckInLog, index: SlabIndex, pr_nu: Mapping[tuple[str, str], float],
-           init: Mapping[tuple[str, str], list[np.ndarray]] | None = None,
-           max_iter: int = 200, tol: float = 1e-6,
-           gamma: float = 1.0) -> tuple[MatiParams, EmReport]:
+def run_em(log: CheckInLog, index: SlabIndex, pr_nu: np.ndarray, max_iter: int = 200,
+           tol: float = 1e-6, gamma: float = 1.0) -> tuple[MatiParams, EmReport]:
     """Run EM on every observed pair's slab tables, in closed form.
 
     Observed pairs are every (user, poi) with at least one training
-    check-in, in sorted order.  EM starts from the global popularity joint,
-    or from ``init`` when given, and iteration k is evaluated directly (see
-    the module docstring).  The run stops when the relative log-likelihood
-    change drops below ``tol`` or after ``max_iter`` iterations; a decrease
-    beyond the slack is an invariant breach.
+    check-in; ``pr_nu`` holds their non-temporal scores, aligned with
+    ``log.columns.pairs``.  EM starts from the global popularity joint and
+    iteration k is evaluated directly (see the module docstring).  The run
+    stops when the relative log-likelihood change drops below ``tol`` or
+    after ``max_iter`` iterations; a decrease beyond the slack is an
+    invariant breach.
     """
     columns = log.columns
-    n_pois = len(columns.pois)
-    # Pair keys in int order, which is sorted (user, poi) order.
-    keys, pair_of = np.unique(columns.pair, return_inverse=True)
+    # Pair rows in int order, which is sorted (user, poi) order.
+    keys, pair_of_row = np.unique(columns.pair, return_inverse=True)
     if not len(keys):
         raise DataError("no observed pairs to train on")
-    pair_users, pair_pois = np.divmod(keys, n_pois)
-    pairs = [(columns.users[u], columns.pois[p])
-             for u, p in zip(pair_users.tolist(), pair_pois.tolist())]
-    weights = np.array([pr_nu.get(pair, 0.0) for pair in pairs], dtype=float)
-    bad = np.flatnonzero(weights <= 0)
+    weights = np.asarray(pr_nu, dtype=float)
+    names = pair_keys(log)
+    bad = np.flatnonzero(~(weights > 0))
     if bad.size:
-        raise DataError(f"observed pair {pairs[bad[0]]} needs a positive non-temporal score")
+        raise DataError(f"observed pair {pair_of(names[bad[0]])} needs a positive "
+                        f"non-temporal score")
 
     # Slab histogram H, one row per pair over the flattened grid.
     shape = index.grid_shape()
     n_cells = math.prod(shape)
-    hist = np.bincount(pair_of * n_cells + index.cells(columns.timestamp),
-                       minlength=len(pairs) * n_cells).reshape(len(pairs), n_cells).astype(float)
+    hist = np.bincount(pair_of_row * n_cells + index.cells(columns.timestamp),
+                       minlength=len(keys) * n_cells).reshape(len(keys), n_cells).astype(float)
 
     n = hist.sum(axis=1, keepdims=True)
     empirical = hist / n
-    popularity = hist.sum(axis=0) / len(log.checkins)
-    if init is None:
-        start = np.broadcast_to(popularity, hist.shape)
-    else:
-        levels = [np.stack([init[pair][k] for pair in pairs]) for k in range(len(shape))]
-        start = joint_from_chain(levels).reshape(hist.shape)
+    start = hist.sum(axis=0) / len(log.checkins)
     rate = gamma / (n + gamma)
 
     # J_k on the cells that carry evidence is all the likelihood needs.
     rows, cells = np.nonzero(hist)
     counts, target = hist[rows, cells], empirical[rows, cells]
-    gap, cell_rate = start[rows, cells] - target, rate[rows, 0]
+    gap, cell_rate = start[cells] - target, rate[rows, 0]
     base = float(n[:, 0] @ np.log(weights))
 
     def log_likelihood(k: int) -> float:
@@ -413,23 +298,29 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: Mapping[tuple[str, str], fl
             converged = True
             break
 
-    joints = (empirical + rate ** iterations * (start - empirical)).reshape(len(pairs), *shape)
+    joints = (empirical + rate ** iterations * (start - empirical)).reshape(len(keys), *shape)
     pair_chains = _stacked_chains(joints)
     # POI backoff chain: mean of the POI's observed pair joints.
-    pois, poi_of = np.unique(pair_pois, return_inverse=True)
+    pois, poi_of = np.unique(keys % len(columns.pois), return_inverse=True)
     poi_sums = np.zeros((len(pois), *shape))
     np.add.at(poi_sums, poi_of, joints)
     poi_chains = _stacked_chains(poi_sums / np.bincount(poi_of).reshape(-1, *[1] * len(shape)))
-    global_chain = chain_from_joint(popularity.reshape(shape))
+    global_chain = chain_from_joint(start.reshape(shape))
     for chain in (pair_chains, poi_chains, global_chain):
         validate_chain(chain)
+    # Pair int order differs from raw key order where an id holds a
+    # character below the tab.
+    if not _sorted_keys(names.tolist()):
+        order = np.argsort(names, kind="stable")
+        names, weights = names[order], weights[order]
+        pair_chains = [level[order] for level in pair_chains]
 
     params = MatiParams(
         layout=layout_for(index),
-        pr_nu={pair: float(w) for pair, w in zip(pairs, weights)},
-        pair_tables={pair: [t[i] for t in pair_chains] for i, pair in enumerate(pairs)},
-        poi_tables={columns.pois[p]: [t[i] for t in poi_chains]
-                    for i, p in enumerate(pois.tolist())},
+        pair_tables=ChainStack(tuple(names.tolist()), tuple(pair_chains)),
+        pr_nu=weights,
+        poi_tables=ChainStack(tuple(np.array(columns.pois, dtype=object)[pois].tolist()),
+                              tuple(poi_chains)),
         global_table=global_chain,
         slab_checksum=index.checksum)
     return params, EmReport(trace, iterations, converged)
@@ -455,20 +346,17 @@ def poi_depth_means(params: MatiParams, pois: Sequence[str]) -> np.ndarray:
     Candidates are POIs the user has not visited, so their depth is
     ``pr_nu * mean`` of exactly these chains.  Every valid chain's joint sums
     to 1, so the mean is 1 / n_cells and the trained tables never change a
-    ranking (the open depth fix in ROADMAP.md).  The fixed depth,
-    ``pr_nu * sum_z q_u(z) * Pr(z | u, l)`` with ``q_u`` the user's
-    normalized slab histogram, is the matrix-vector product
-    ``joints.reshape(len(pois), -1) @ q_u`` against these same stacked
-    per-POI joints.
+    ranking (the open depth fix in ROADMAP.md).
     """
-    chains = [params.poi_tables.get(poi, params.global_table) for poi in pois]
-    if any(chain is None for chain in chains):
+    stack = params.poi_tables
+    means = joint_from_chain(stack.levels).reshape(len(stack), params.layout.n_cells).mean(axis=1)
+    row = {key: i for i, key in enumerate(stack.keys)}
+    rows = np.array([row.get(poi, len(stack)) for poi in pois], dtype=np.intp)
+    if params.global_table is not None:
+        means = np.append(means, joint_from_chain(params.global_table).mean())
+    elif (rows == len(stack)).any():
         raise DataError("a POI has no backoff tables and there is no global fallback")
-    if not chains:
-        return np.zeros(0)
-    levels = [np.stack([chain[k] for chain in chains]) for k in range(len(chains[0]))]
-    joints = joint_from_chain(levels)
-    return joints.reshape(len(pois), -1).mean(axis=1)
+    return means[rows]
 
 
 def mati_mix(psi: np.ndarray, depth: np.ndarray, phi_t: float) -> np.ndarray:
@@ -529,9 +417,9 @@ def _chain_template(shape: tuple[int, ...]) -> list:
 
 def _chain_pieces(stack: ChainStack, shape: tuple[int, ...]) -> np.ndarray:
     """Object array with one row per owner; row i joins to owner i's chain."""
-    rows = [_render_rows(level).reshape(len(stack.owners), -1) for level in stack.levels]
+    rows = [_render_rows(level).reshape(len(stack), -1) for level in stack.levels]
     template = _chain_template(shape)
-    pieces = np.empty((len(stack.owners), len(template)), dtype=object)
+    pieces = np.empty((len(stack), len(template)), dtype=object)
     for j, item in enumerate(template):
         pieces[:, j] = item if isinstance(item, str) else rows[item[0]][:, item[1]]
     return pieces
@@ -539,7 +427,7 @@ def _chain_pieces(stack: ChainStack, shape: tuple[int, ...]) -> np.ndarray:
 
 def _object_pieces(stack: ChainStack, shape: tuple[int, ...]) -> list[str]:
     """Pieces of the JSON object mapping each owner's key to its chain."""
-    if not stack.owners:
+    if not len(stack):
         return ["{}"]
     pieces = _chain_pieces(stack, shape)
     opening = pieces[0, 0]
@@ -552,17 +440,39 @@ def _object_pieces(stack: ChainStack, shape: tuple[int, ...]) -> list[str]:
 def params_to_json(params: MatiParams, fingerprint: str = "") -> str:
     """The parameter file: exactly ``json.dumps(payload, sort_keys=True)``.
 
-    Tables are validated and stacked per level first, so an invalid or
-    non-finite chain raises ``InvariantError`` instead of being written.
+    Each stack is checked against the layout and validated first, so an
+    invalid or non-finite chain, or a negative or non-finite ``pr_nu``,
+    raises ``InvariantError`` instead of being written.
     """
-    pairs, pois, global_stack = params.stacks()
     shape = params.layout.shape
+    pairs, pois = params.pair_tables, params.poi_tables
+    global_stack = (None if params.global_table is None
+                    else ChainStack(("global",), tuple(t[None] for t in params.global_table)))
+    for stack, what in ((pairs, "pair"), (pois, "POI"), (global_stack, "global")):
+        if stack is None:
+            continue
+        got = [level.shape for level in stack.levels]
+        want = [(len(stack), *shape[:k + 1]) for k in range(len(shape))]
+        if got != want:
+            raise InvariantError(f"model parameters: {what} levels have shapes {got}, the "
+                                 f"layout needs {want}")
+        if not _sorted_keys(stack.keys):
+            raise InvariantError(f"model parameters: {what} keys are not in sorted order")
+        _validate_stack(stack, what)
+    pr_nu = np.asarray(params.pr_nu, dtype=float)
+    if pr_nu.shape != (len(pairs),):
+        raise InvariantError(f"model parameters: {pr_nu.size} pr_nu scores for {len(pairs)} "
+                             f"pairs")
+    bad = np.flatnonzero(~(np.isfinite(pr_nu) & (pr_nu >= 0)))
+    if bad.size:
+        raise InvariantError(f"model parameters: pr_nu of {pair_of(pairs.keys[bad[0]])!r} is "
+                             f"{pr_nu[bad[0]]}, not a finite non-negative score")
     fields = {
         "format_version": PARAMS_FORMAT_VERSION,
         "fingerprint": fingerprint,
         "slab_checksum": params.slab_checksum,
         "layout": {"levels": list(params.layout.levels), "shape": list(shape)},
-        "pr_nu": {_pair_key(pair): v for pair, v in sorted(params.pr_nu.items())},
+        "pr_nu": dict(zip(pairs.keys, pr_nu.tolist())),
     }
     tables = {
         "pair_tables": _object_pieces(pairs, shape),
@@ -587,18 +497,28 @@ def _field(payload, name: str, kind: type):
     return payload[name]
 
 
-def _load_stack(chains: dict, shape: tuple[int, ...], what: str, owner=str) -> ChainStack:
-    return _stack([owner(key) for key in chains], list(chains), list(chains.values()), shape,
-                  what, DataError)
-
-
-def _split_pair_key(key: str) -> tuple[str, str]:
-    u, _, l = key.partition("\t")
-    return u, l
-
-
-def _views(stack: ChainStack) -> dict:
-    return {owner: [level[i] for level in stack.levels] for i, owner in enumerate(stack.owners)}
+def _stack(chains: dict, shape: tuple[int, ...], what: str) -> ChainStack:
+    """The chains of a file object, stacked level by level in key order."""
+    keys = tuple(chains)
+    chains = list(chains.values())
+    if not all(isinstance(chain, list) and len(chain) == len(shape) for chain in chains):
+        raise DataError(f"model parameters: a {what} chain does not have {len(shape)} levels")
+    levels = []
+    for k in range(len(shape)):
+        want = (len(chains), *shape[:k + 1])
+        try:
+            level = np.array([chain[k] for chain in chains]) if chains else np.zeros(want)
+        except ValueError as exc:
+            raise DataError(f"model parameters: {what} level {k} tables are ragged") from exc
+        if level.dtype.kind not in "fiu":
+            raise DataError(f"model parameters: {what} level {k} has a non-numeric entry")
+        if level.shape != want:
+            raise DataError(f"model parameters: {what} level {k} tables have shape "
+                            f"{level.shape[1:]}, the layout needs {want[1:]}")
+        levels.append(level.astype(float, copy=False))
+    stack = ChainStack(keys, tuple(levels))
+    _validate_stack(stack, what)
+    return stack
 
 
 class _FloatLiterals(dict):
@@ -614,8 +534,9 @@ class _FloatLiterals(dict):
 def params_from_json(text: str, expected_checksum: str | None = None) -> MatiParams:
     """Read a parameter file; malformed content raises ``DataError``.
 
-    Each chain level is read into one stack and validated once; the table
-    dicts hold views into those stacks.
+    Each chain level is read into one stack and validated once.  ``pr_nu``
+    must hold one finite, non-negative score for each pair of
+    ``pair_tables`` and nothing else.
     """
     try:
         payload = json.loads(text, parse_float=_FloatLiterals().__getitem__)
@@ -636,21 +557,22 @@ def params_from_json(text: str, expected_checksum: str | None = None) -> MatiPar
     pr_nu = _field(payload, "pr_nu", dict)
     if not all(type(v) in (int, float) for v in pr_nu.values()):
         raise DataError("model parameters: pr_nu has a non-numeric entry")
-    pairs = _load_stack(_field(payload, "pair_tables", dict), layout.shape, "pair",
-                        _split_pair_key)
-    pois = _load_stack(_field(payload, "poi_tables", dict), layout.shape, "POI")
+    chains = _field(payload, "pair_tables", dict)
+    if pr_nu.keys() != chains.keys():
+        raise DataError("model parameters: the pr_nu keys differ from the pair_tables keys")
+    scores = np.array([pr_nu[key] for key in chains], dtype=float)
+    if not (np.isfinite(scores) & (scores >= 0)).all():
+        raise DataError("model parameters: pr_nu has a negative or non-finite entry")
     if "global_table" not in payload:
         raise DataError("model parameters have no 'global_table'")
-    global_stack = (None if payload["global_table"] is None else
-                    _load_stack({"global": payload["global_table"]}, layout.shape, "global"))
-    for stack in (pairs, pois, global_stack):
-        if stack is not None:
-            stack.validate()
+    global_table = payload["global_table"]
     return MatiParams(
         layout=layout,
-        pr_nu={_split_pair_key(k): float(v) for k, v in pr_nu.items()},
-        pair_tables=_views(pairs),
-        poi_tables=_views(pois),
-        global_table=None if global_stack is None else _views(global_stack)["global"],
+        pair_tables=_stack(chains, layout.shape, "pair"),
+        pr_nu=scores,
+        poi_tables=_stack(_field(payload, "poi_tables", dict), layout.shape, "POI"),
+        global_table=(None if global_table is None else
+                      [level[0] for level in
+                       _stack({"global": global_table}, layout.shape, "global").levels]),
         slab_checksum=checksum,
     )

@@ -19,7 +19,8 @@ from .config import RunConfig, SEED_MF, SEED_SAMPLING
 from .errors import ConfigError, DataError
 from .hybrid import PROBE_N, Decision, HybridConfig, avg_shared_activity, decide
 from .ingest import CheckInLog
-from .mati import EmReport, MatiParams, mati_mix, poi_depth_means, run_em, shared_activity
+from .mati import (EmReport, MatiParams, mati_mix, pair_keys, poi_depth_means, run_em,
+                   shared_activity)
 from .sampling import CoverageRow, collect_until
 from .slabs import (SlabIndex, SlotSimilarityMatrix, UniAspectSlab, aggregate_similarity,
                     all_slab_profiles, build_factor, complete_matrix, hac_complete_linkage)
@@ -278,7 +279,6 @@ class MatiRecommender(_RankedRecommender):
     def __init__(self, components: UsgComponents, params: MatiParams,
                  user_profiles: np.ndarray, poi_profiles: np.ndarray, phi_t: float):
         super().__init__(components)
-        self.params = params
         self.user_active = user_profiles > 0
         self.poi_active = poi_profiles > 0
         self.phi_t = phi_t
@@ -368,19 +368,17 @@ class TrainedModels:
         return self.recommenders[name]
 
 
-def training_pr_nu(components: UsgComponents) -> dict[tuple[str, str], float]:
-    """Non-temporal scores for every observed (user, poi) pair, per-user
-    max-normalized and floored so every pair keeps support in the latent model."""
-    out: dict[tuple[str, str], float] = {}
+def training_pr_nu(components: UsgComponents) -> np.ndarray:
+    """Non-temporal scores of the observed (user, poi) pairs, aligned with the
+    log's ``columns.pairs``: per-user max-normalized and floored so every pair
+    keeps support in the latent model."""
     matrix = components.matrix
+    out = [np.zeros(0)]
     for u in np.flatnonzero(matrix.degree):
-        user = matrix.users[u]
-        pois = matrix.history(u)
-        scores = components.usg_scores(user, pois)
+        scores = components.usg_scores(matrix.users[u], matrix.history(u))
         top = scores.max()
-        values = np.maximum(scores / top if top > 0 else np.ones(len(pois)), PR_NU_FLOOR)
-        out.update(zip(((user, p) for p in matrix.ids(pois)), values.tolist()))
-    return out
+        out.append(np.maximum(scores / top if top > 0 else np.ones(len(scores)), PR_NU_FLOOR))
+    return np.concatenate(out)
 
 
 def train_models(log: CheckInLog, cfg: RunConfig,
@@ -399,14 +397,10 @@ def train_models(log: CheckInLog, cfg: RunConfig,
                                 max_iter=cfg.mati.em_max_iter, tol=cfg.mati.em_tol,
                                 gamma=cfg.mati.gamma)
     else:
-        columns = log.columns
-        pair_users, pair_pois = np.divmod(columns.pairs, len(columns.pois))
-        observed = set(zip(np.array(columns.users, dtype=object)[pair_users].tolist(),
-                           np.array(columns.pois, dtype=object)[pair_pois].tolist()))
-        if set(params.pair_tables) != observed:
+        differ = set(pair_keys(log).tolist()).symmetric_difference(params.pair_tables.keys)
+        if differ:
             raise DataError(f"model parameters were trained on a different check-in log "
-                            f"({len(observed ^ set(params.pair_tables))} (user, poi) pairs "
-                            f"differ)")
+                            f"({len(differ)} (user, poi) pairs differ)")
         report = None
     usg = UsgRecommender(components)
     mati = MatiRecommender(components, params, user_profiles, poi_profiles, cfg.mati.phi_t)

@@ -111,17 +111,6 @@ def _visit_counts(user: str, log: CheckInLog,
     return pois, day, end
 
 
-def user_poi_probs(user: str, poi: str, log: CheckInLog,
-                   utc_offset: int = 0) -> tuple[float, float]:
-    """(weekday, weekend) visit shares of one user at one POI; they sum to 1."""
-    pois, day, end = _visit_counts(user, log, utc_offset)
-    at = np.flatnonzero(pois == log.columns.poi_index.get(poi, -1))
-    if not len(at):
-        raise DataError(f"user {user!r} never visited poi {poi!r}")
-    d, e = int(day[at[0]]), int(end[at[0]])
-    return d / (d + e), e / (d + e)
-
-
 def effective_user_act(user: str, log: CheckInLog, cfg: UnivariateConfig,
                        c_star: Mapping[str, float] | Callable[[str, str], float],
                        utc_offset: int = 0) -> UserActProfile:

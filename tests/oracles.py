@@ -2,10 +2,14 @@
 
 Everything here is written with explicit loops and plain float arithmetic,
 independent of the log-space / vectorized implementations under test.
-``reference_em`` iterates the library's per-pair EM steps, which the other
-oracles check, to stand in for the closed-form ``run_em``.
-``reference_params_json`` writes the parameter file as one nested
-``json.dumps``: the byte reference for the stacked writer.
+``DictParams`` is the trained parameter set as plain dicts of chains, one
+entry per (user, POI) pair or POI; ``stacked`` and ``as_dicts`` convert it
+to and from the library's stacked ``MatiParams``.  ``e_step``, ``m_step``
+and ``joint_prob`` are the per-pair EM steps over it, which the other
+oracles check; ``reference_em`` iterates them to stand in for the
+closed-form ``run_em``.  ``reference_params_json`` writes the parameter
+file from a ``DictParams`` as one nested ``json.dumps``: the byte reference
+for the stacked writer.
 
 The slab references work on string ids such as ``"hour:21|day:1"`` (one
 uni-aspect slab id per factor, finest first), found by scanning slab
@@ -36,6 +40,8 @@ import io
 import itertools
 import json
 import math
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -43,9 +49,9 @@ from matirec.baselines import EARTH_RADIUS_KM, GeoModel, UsgWeights
 from matirec.errors import DataError
 from matirec.ingest import DEFAULT_COLUMNS, CheckIn, ColumnFormat, parse_timestamp
 from matirec.localtime import is_weekend
-from matirec.mati import (PARAMS_FORMAT_VERSION, MatiParams, chain_from_joint, e_step,
-                          joint_from_chain, joint_prob, layout_for, m_step)
-from matirec.univariate import PoiAct, UserActProfile, user_poi_probs
+from matirec.mati import (PARAMS_FORMAT_VERSION, ChainLayout, ChainStack, MatiParams,
+                          chain_from_joint, joint_from_chain, layout_for, pair_of)
+from matirec.univariate import PoiAct, UserActProfile
 
 
 # --- Slabs as string ids, one timestamp at a time ---------------------------
@@ -223,6 +229,20 @@ def poi_act(poi_id: str, log, utc_offset: int = 0) -> PoiAct:
     return PoiAct(poi_id, day, end)
 
 
+def user_poi_probs(user: str, poi: str, log, utc_offset: int = 0) -> tuple[float, float]:
+    """(weekday, weekend) visit shares of one user at one POI; they sum to 1."""
+    day = end = 0
+    for c in log.checkins:
+        if c.user_id == user and c.poi_id == poi:
+            if is_weekend(c.timestamp, utc_offset):
+                end += 1
+            else:
+                day += 1
+    if day + end == 0:
+        raise DataError(f"user {user!r} never visited poi {poi!r}")
+    return day / (day + end), end / (day + end)
+
+
 def absolute_poi_act(poi: str, log, min_users: int = 5, utc_offset: int = 0) -> float | None:
     """Mean absolute per-visitor weekday/weekend deviation; None below the
     visitor floor (the POI is skipped from the observation)."""
@@ -326,6 +346,127 @@ def undersampled_pairs(coverage, m_min: int) -> list:
     return [row for row in coverage if row.sample_count < m_min]
 
 
+# --- The parameter set as dicts of chains, and per-pair EM -----------------
+
+@dataclass
+class DictParams:
+    """Trained parameter set as plain dicts: ``pr_nu`` and ``pair_tables``
+    keyed by (user, poi), ``poi_tables`` by POI, one chain (a list of level
+    tables) per entry, plus the global chain."""
+
+    layout: ChainLayout
+    pr_nu: dict[tuple[str, str], float]
+    pair_tables: dict[tuple[str, str], list[np.ndarray]]
+    poi_tables: dict[str, list[np.ndarray]] = field(default_factory=dict)
+    global_table: list[np.ndarray] | None = None
+    slab_checksum: str = ""
+
+    def tables_for(self, user: str, poi: str) -> list[np.ndarray]:
+        """The pair's chain, else its POI's backoff chain, else the global one."""
+        pair = (user, poi)
+        if pair in self.pair_tables:
+            return self.pair_tables[pair]
+        if poi in self.poi_tables:
+            return self.poi_tables[poi]
+        if self.global_table is None:
+            raise DataError(f"no tables for pair {pair} and no global fallback")
+        return self.global_table
+
+
+def _chain_stack(chains: Mapping[str, list], shape: tuple[int, ...]) -> ChainStack:
+    keys = sorted(chains)
+    return ChainStack(tuple(keys), tuple(
+        np.array([chains[key][k] for key in keys], dtype=float) if keys
+        else np.zeros((0, *shape[:k + 1])) for k in range(len(shape))))
+
+
+def stacked(ref: DictParams) -> MatiParams:
+    """The library's ``MatiParams`` holding the same chains, stacked as given
+    (unvalidated) in raw key order."""
+    shape = ref.layout.shape
+    pairs = _chain_stack({f"{u}\t{l}": tables for (u, l), tables in ref.pair_tables.items()},
+                         shape)
+    return MatiParams(layout=ref.layout, pair_tables=pairs,
+                      pr_nu=np.array([ref.pr_nu[pair_of(key)] for key in pairs.keys], dtype=float),
+                      poi_tables=_chain_stack(ref.poi_tables, shape),
+                      global_table=ref.global_table, slab_checksum=ref.slab_checksum)
+
+
+def as_dicts(params: MatiParams) -> DictParams:
+    """The chains of a ``MatiParams`` as dicts of per-owner level views."""
+    def chains(stack: ChainStack) -> dict:
+        return {key: [level[i] for level in stack.levels] for i, key in enumerate(stack.keys)}
+
+    pairs = params.pair_tables
+    return DictParams(
+        layout=params.layout,
+        pr_nu={pair_of(key): v for key, v in zip(pairs.keys, params.pr_nu.tolist())},
+        pair_tables={pair_of(key): chain for key, chain in chains(pairs).items()},
+        poi_tables=chains(params.poi_tables), global_table=params.global_table,
+        slab_checksum=params.slab_checksum)
+
+
+def log_joint_from_chain(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Log-space joint with -inf where any chain factor is zero."""
+    with np.errstate(divide="ignore"):
+        acc = np.log(tables[0])
+        for table in tables[1:]:
+            acc = acc[..., None] + np.log(table)
+    return acc
+
+
+def joint_prob(user: str, poi: str, assignment: tuple[int, ...], params: DictParams,
+               pr_nu: float | None = None) -> float:
+    """Log joint probability of (user, poi, slab assignment).
+
+    ``assignment`` indexes slabs coarsest-first.  Any zero factor yields the
+    -inf sentinel.  ``pr_nu`` overrides the stored non-temporal score.
+    """
+    if pr_nu is None:
+        pr_nu = params.pr_nu.get((user, poi))
+        if pr_nu is None:
+            raise DataError(f"no stored non-temporal score for pair ({user}, {poi})")
+    if pr_nu < 0:
+        raise DataError(f"negative non-temporal score for ({user}, {poi})")
+    # log Pr(u) = log 1 = 0 contributes nothing.
+    log_p = -math.inf if pr_nu == 0 else math.log(pr_nu)
+    for k, table in enumerate(params.tables_for(user, poi)):
+        value = float(table[assignment[:k + 1]])
+        if value == 0.0:
+            return -math.inf
+        log_p += math.log(value)
+    return log_p
+
+
+def e_step(params: DictParams,
+           pairs: Sequence[tuple[str, str]]) -> dict[tuple[str, str], np.ndarray]:
+    """Posterior slab responsibilities per pair, log-sum-exp normalized."""
+    out: dict[tuple[str, str], np.ndarray] = {}
+    for pair in pairs:
+        pr_nu = params.pr_nu.get(pair)
+        if pr_nu is None or pr_nu <= 0:
+            raise DataError(f"pair {pair} has no positive non-temporal score")
+        log_joint = log_joint_from_chain(params.tables_for(*pair)) + math.log(pr_nu)
+        top = log_joint.max()
+        if top == -math.inf:
+            raise DataError(f"pair {pair} has no support")
+        shifted = np.exp(log_joint - top)
+        out[pair] = shifted / shifted.sum()
+    return out
+
+
+def m_step(responsibilities: Mapping[tuple[str, str], np.ndarray],
+           evidence: Mapping[tuple[str, str], np.ndarray],
+           gamma: float = 1.0) -> dict[tuple[str, str], list[np.ndarray]]:
+    """Update each pair's chain from evidence-blended responsibilities."""
+    tables: dict[tuple[str, str], list[np.ndarray]] = {}
+    for pair, resp in responsibilities.items():
+        hist = evidence.get(pair)
+        n = float(hist.sum()) if hist is not None else 0.0
+        tables[pair] = chain_from_joint((hist + gamma * resp) / (n + gamma) if n > 0 else resp)
+    return tables
+
+
 def oracle_joint(pr_nu: float, tables: list[np.ndarray], z: tuple[int, int]) -> float:
     """Direct product Pr(u)*Pr_nu*Pr(z_d)*Pr(z_h|z_d) for a 2-factor grid."""
     di, hi = z
@@ -383,7 +524,7 @@ def reference_em(log, index, pr_nu, max_iter: int = 200, tol: float = 1e-6,
         evidence[(c.user_id, c.poi_id)][cell] += 1
         popularity[cell] += 1
     start = chain_from_joint(popularity / popularity.sum())
-    params = MatiParams(layout=layout_for(index), pr_nu={p: pr_nu[p] for p in pairs},
+    params = DictParams(layout=layout_for(index), pr_nu={p: pr_nu[p] for p in pairs},
                         pair_tables={p: start for p in pairs})
 
     def log_likelihood() -> float:
@@ -405,7 +546,7 @@ def reference_em(log, index, pr_nu, max_iter: int = 200, tol: float = 1e-6,
 
 
 
-def reference_params_json(params: MatiParams, fingerprint: str = "") -> str:
+def reference_params_json(params: DictParams, fingerprint: str = "") -> str:
     """The parameter file as one ``json.dumps`` of the nested payload: every
     table through ``tolist()``, object keys sorted by ``sort_keys``."""
     payload = {
@@ -668,7 +809,7 @@ def leave_one_out_c_star(matrix, friends, coords, model: GeoModel, weights: UsgW
 
 # --- MATI components, one candidate at a time -------------------------------
 
-def mati_components(user: str, poi: str, params: MatiParams, user_slabs: set[str],
+def mati_components(user: str, poi: str, params: DictParams, user_slabs: set[str],
                     poi_slabs: set[str], pr_nu: float) -> tuple[float, float]:
     """(shared activity, depth): Jaccard of the slab-id sets and pr_nu times
     the mean joint over the pair's (or backoff) tables."""
@@ -676,7 +817,7 @@ def mati_components(user: str, poi: str, params: MatiParams, user_slabs: set[str
     return jaccard(user_slabs, poi_slabs), pr_nu * float(joint.mean())
 
 
-def mati_scores(user: str, candidates, params: MatiParams, user_slabs: set[str],
+def mati_scores(user: str, candidates, params: DictParams, user_slabs: set[str],
                 poi_slabs: dict[str, set[str]], pr_nu_map, phi_t: float) -> dict[str, float]:
     """phi_t * max-normalized psi + (1 - phi_t) * max-normalized depth."""
     psi, depth = {}, {}

@@ -14,15 +14,15 @@ import numpy as np
 import pytest
 
 from corpus import planted_corpus, recovery_instance, stamp, total_variation
-from oracles import (oracle_joint, oracle_m_step, oracle_metrics, oracle_rank1_completion,
+from oracles import (DictParams, as_dicts, e_step, joint_prob, m_step, oracle_joint,
+                     oracle_m_step, oracle_metrics, oracle_rank1_completion,
                      oracle_responsibilities, poi_act)
 
 from matirec.config import load_config
 from matirec.evaluation import evaluate, metrics_at_n, split_exclude, tune_sweep
 from matirec.hybrid import HybridConfig
 from matirec.ingest import CheckIn, CheckInLog, dataset_stats, parse_checkins, parse_social
-from matirec.mati import (ChainLayout, MatiParams, chain_from_joint, e_step, joint_prob, m_step,
-                          run_em)
+from matirec.mati import ChainLayout, chain_from_joint, run_em
 from matirec.pipeline import MatiRecommender, train_models
 from matirec.slabs import (SlabIndex, SlotSimilarityMatrix, TemporalFactorSpec, UniAspectSlab,
                            complete_matrix, day_factor, hac_complete_linkage, hour_factor)
@@ -67,15 +67,16 @@ def test_criterion_1_em_recovery():
         started = time.monotonic()
         log, index, truth, pairs = recovery_instance(
             n_users=50, n_pois=100, pois_per_user=3, visits_per_pair=8000, seed=77)
-        params, report = run_em(log, index, {p: 1.0 for p in pairs})
+        params, report = run_em(log, index, np.ones(len(pairs)))
         elapsed = time.monotonic() - started
         trace = report.log_likelihood
         for prev, cur in zip(trace, trace[1:]):
             assert cur >= prev - 1e-9 * max(1.0, abs(prev))
         assert report.converged and report.iterations < 200
         worst = 0.0
+        tables = as_dicts(params).pair_tables
         for pair in pairs:
-            est, want = params.pair_tables[pair], truth[pair]
+            est, want = tables[pair], truth[pair]
             worst = max(worst, total_variation(est[0], want[0]))
             for di in range(index.grid_shape()[0]):
                 worst = max(worst, total_variation(est[1][di], want[1][di]))
@@ -97,7 +98,7 @@ def test_criterion_2_oracle_equivalence():
                 joint = rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
                 tables[p] = chain_from_joint(joint)
                 pr_nu[p] = float(rng.uniform(0.01, 1.0))
-            params = MatiParams(layout=ChainLayout(("day", "hour"), shape),
+            params = DictParams(layout=ChainLayout(("day", "hour"), shape),
                                 pr_nu=pr_nu, pair_tables=tables)
             resp = e_step(params, pairs)
             evidence = {p: rng.integers(0, 5, size=shape).astype(float)

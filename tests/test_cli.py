@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -291,9 +292,20 @@ def _damage_layout_mismatch(params):
     params["layout"]["shape"][-1] += 1
 
 
+def _damage_pr_nu_keys(params):
+    key = min(params["pr_nu"])
+    params["pr_nu"]["x\ty"] = params["pr_nu"].pop(key)
+
+
+def _damage_nan_pr_nu(params):
+    params["pr_nu"][min(params["pr_nu"])] = math.nan
+
+
 @pytest.mark.parametrize("damage", [_damage_missing_pr_nu, _damage_truncated_poi_row,
-                                    _damage_non_numeric_entry, _damage_layout_mismatch],
-                         ids=["missing-key", "ragged-table", "non-numeric", "wrong-shape"])
+                                    _damage_non_numeric_entry, _damage_layout_mismatch,
+                                    _damage_pr_nu_keys, _damage_nan_pr_nu],
+                         ids=["missing-key", "ragged-table", "non-numeric", "wrong-shape",
+                              "pr-nu-keys", "nan-pr-nu"])
 def test_cli_recommend_malformed_params_exits_3(workspace, trained_dir, tmp_path, capsys,
                                                 damage):
     _, config = workspace

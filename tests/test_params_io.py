@@ -1,11 +1,12 @@
 """The stacked parameter-file writer and reader.
 
-``params_to_json`` must write exactly the bytes of one nested
-``json.dumps(payload, sort_keys=True)`` (``oracles.reference_params_json``),
-and ``params_from_json`` must give every table back bit for bit.  Ids carry
-quotes, backslashes, control and non-ASCII characters, whose escaped JSON
-form sorts differently from the raw string; rows repeat, and some differ
-only by -0.0 against 0.0.
+Parameter sets are drawn as ``oracles.DictParams`` and stacked with
+``oracles.stacked``.  ``params_to_json`` must write exactly the bytes of one
+nested ``json.dumps(payload, sort_keys=True)`` of the dicts
+(``oracles.reference_params_json``), and ``params_from_json`` must give
+every table and score back bit for bit.  Ids carry quotes, backslashes,
+control and non-ASCII characters, whose escaped JSON form sorts differently
+from the raw string; rows repeat, and some differ only by -0.0 against 0.0.
 """
 
 import json
@@ -16,10 +17,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import reference_params_json
+from corpus import stamp, three_by_three_index
+from oracles import DictParams, as_dicts, reference_em, reference_params_json, stacked
 
+from matirec.config import load_config
 from matirec.errors import InvariantError
-from matirec.mati import ChainLayout, MatiParams, params_from_json, params_to_json
+from matirec.ingest import CheckIn, CheckInLog
+from matirec.mati import ChainLayout, joint_from_chain, params_from_json, params_to_json, run_em
+from matirec.pipeline import SlabArtifacts, train_models
 
 ID_CHARS = "aZ0 \"\\\x01\x1f\x7fé \U0001f600"
 ids = st.text(alphabet=ID_CHARS, max_size=3)
@@ -56,7 +61,7 @@ def param_sets(draw):
     pairs = draw(st.lists(st.tuples(ids, ids), max_size=6, unique=True))
     pois = draw(st.lists(ids, max_size=4, unique=True))
     layout = ChainLayout(tuple(f"f{k}" for k in range(len(shape))), shape)
-    return MatiParams(
+    return DictParams(
         layout=layout,
         pr_nu={pair: draw(st.floats(0, 1)) for pair in pairs},
         pair_tables={pair: chain() for pair in pairs},
@@ -73,6 +78,9 @@ def _same_chain(mine, want):
 
 
 def _assert_round_trip(params, restored):
+    """``restored``, a ``MatiParams``, holds exactly the chains and scores of
+    ``params``, a ``DictParams``."""
+    restored = as_dicts(restored)
     assert restored.layout == params.layout
     assert restored.slab_checksum == params.slab_checksum
     assert {k: np.float64(v).tobytes() for k, v in restored.pr_nu.items()} == \
@@ -90,7 +98,7 @@ def _assert_round_trip(params, restored):
 
 @given(params=param_sets(), fingerprint=ids)
 def test_writer_matches_reference_bytes_and_round_trips(params, fingerprint):
-    text = params_to_json(params, fingerprint=fingerprint)
+    text = params_to_json(stacked(params), fingerprint=fingerprint)
     assert text == reference_params_json(params, fingerprint=fingerprint)
     _assert_round_trip(params, params_from_json(text))
 
@@ -103,12 +111,12 @@ def test_keys_sort_by_raw_string_not_escaped_form():
     names = ['"', "A", "é", "z", "\x01", "\\"]
     assert sorted(names) != sorted(names, key=json.dumps)
     shape = (2, 2)
-    params = MatiParams(layout=ChainLayout(("day", "hour"), shape),
+    params = DictParams(layout=ChainLayout(("day", "hour"), shape),
                         pr_nu={(u, "p"): 0.5 for u in names},
                         pair_tables={(u, "p"): _unit_chain(shape) for u in names},
                         poi_tables={u: _unit_chain(shape) for u in names},
                         global_table=_unit_chain(shape))
-    text = params_to_json(params)
+    text = params_to_json(stacked(params))
     assert text == reference_params_json(params)
     _assert_round_trip(params, params_from_json(text))
 
@@ -119,9 +127,9 @@ def test_many_duplicate_rows_render_once_each():
     rng = np.random.default_rng(3)
     pairs = {(f"u{i}", f"p{i % 7}"): [np.full(3, 1 / 3), rows[rng.integers(0, 3, size=3)]]
              for i in range(200)}
-    params = MatiParams(layout=ChainLayout(("day", "hour"), shape),
+    params = DictParams(layout=ChainLayout(("day", "hour"), shape),
                         pr_nu={pair: 1.0 for pair in pairs}, pair_tables=pairs)
-    text = params_to_json(params)
+    text = params_to_json(stacked(params))
     assert text == reference_params_json(params)
     assert "[1.0, -0.0, -0.0, -0.0]" in text and "[1.0, 0.0, 0.0, 0.0]" in text
     _assert_round_trip(params, params_from_json(text))
@@ -134,16 +142,57 @@ def test_writer_refuses_invalid_chains(bad):
     chain = _unit_chain(shape)
     chain[1] = chain[1].copy()
     chain[1][1, 0] = bad
-    params = MatiParams(layout=ChainLayout(("day", "hour"), shape),
+    params = DictParams(layout=ChainLayout(("day", "hour"), shape),
                         pr_nu={("u", "p"): 1.0, ("v", "p"): 1.0},
                         pair_tables={("u", "p"): _unit_chain(shape), ("v", "p"): chain})
     with pytest.raises(InvariantError, match=r"chain level 1 of \('v', 'p'\)") as err:
-        params_to_json(params)
+        params_to_json(stacked(params))
+    assert err.value.exit_code == 4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5],
+                         ids=["nan", "inf", "minus-inf", "negative"])
+def test_writer_refuses_invalid_pr_nu(bad):
+    shape = (2, 3)
+    params = DictParams(layout=ChainLayout(("day", "hour"), shape),
+                        pr_nu={("u", "p"): 0.0, ("v", "p"): bad},
+                        pair_tables={("u", "p"): _unit_chain(shape),
+                                     ("v", "p"): _unit_chain(shape)})
+    with pytest.raises(InvariantError, match=r"pr_nu of \('v', 'p'\)") as err:
+        params_to_json(stacked(params))
     assert err.value.exit_code == 4
 
 
 def test_writer_refuses_tables_off_the_layout():
-    params = MatiParams(layout=ChainLayout(("day", "hour"), (2, 3)), pr_nu={},
+    params = DictParams(layout=ChainLayout(("day", "hour"), (2, 3)), pr_nu={},
                         pair_tables={}, poi_tables={"p": _unit_chain((2, 2))})
     with pytest.raises(InvariantError, match="layout needs"):
-        params_to_json(params)
+        params_to_json(stacked(params))
+
+
+def test_pair_keys_leave_em_in_raw_key_order():
+    """User ``a`` sorts before ``a\x01b`` as an id, yet its key ``a<TAB>p``
+    sorts after ``a\x01b<TAB>p``: EM trains pairs in id order and must
+    write, read and serve them in key order."""
+    visits = [("a", "p", 0, 3), ("a", "p", 2, 11), ("a\x01b", "p", 5, 19), ("a\x01b", "q", 0, 11),
+              ("a\x01b", "q", 2, 3), ("c", "q", 5, 11), ("c", "p", 0, 19)]
+    log = CheckInLog.from_checkins([CheckIn(u, l, stamp(0, day, hour), 1.0, 1.0)
+                                    for u, l, day, hour in visits])
+    index = three_by_three_index()
+    pairs = sorted({(u, l) for u, l, _, _ in visits})
+    pr_nu = {pair: 0.1 * (i + 1) for i, pair in enumerate(pairs)}
+    params, _ = run_em(log, index, np.array([pr_nu[pair] for pair in pairs]))
+    keys = [f"{u}\t{l}" for u, l in pairs]
+    assert keys != sorted(keys) and list(params.pair_tables.keys) == sorted(keys)
+
+    ref = as_dicts(params)
+    assert ref.pr_nu == pr_nu
+    joints, _ = reference_em(log, index, pr_nu)
+    for pair, want in joints.items():
+        assert np.abs(joint_from_chain(ref.pair_tables[pair]) - want).max() <= 1e-12
+    text = params_to_json(params)
+    assert text == reference_params_json(ref)
+    _assert_round_trip(ref, params_from_json(text))
+    models = train_models(log, load_config(), SlabArtifacts(index, {}, []),
+                          params_from_json(text))
+    assert models.em_report is None

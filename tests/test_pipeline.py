@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from corpus import checkin_users, planted_corpus
-from oracles import reference_params_json
+from oracles import as_dicts, reference_params_json
 
 from matirec.config import load_config
 from matirec.errors import ConfigError
 from matirec.evaluation import split_exclude
 from matirec.hybrid import HybridConfig
 from matirec.ingest import CheckInLog
-from matirec.mati import chain_from_joint, joint_from_chain, params_from_json, params_to_json
+from matirec.mati import (ChainStack, chain_from_joint, joint_from_chain, pair_keys, pair_of,
+                          params_from_json, params_to_json)
 from matirec.pipeline import (PR_NU_FLOOR, MatiRecommender, UsgComponents, build_slab_index,
                               train_models, training_pr_nu)
 from matirec.univariate import act_observations
@@ -52,15 +53,17 @@ def test_unknown_model_name(trained):
 def test_training_pr_nu_normalized_and_floored(trained):
     log, cfg, models = trained
     pr_nu = training_pr_nu(models.components)
+    pairs = [pair_of(key) for key in pair_keys(log)]
+    assert len(pr_nu) == len(pairs)
     by_user = {}
-    for (u, l), v in pr_nu.items():
+    for (u, l), v in zip(pairs, pr_nu.tolist()):
         assert v >= PR_NU_FLOOR
         assert v <= 1.0 + 1e-12
         by_user.setdefault(u, []).append(v)
     for u, values in by_user.items():
         assert max(values) == pytest.approx(1.0)
     observed = {(c.user_id, c.poi_id) for c in log.checkins}
-    assert set(pr_nu) == observed
+    assert set(pairs) == observed
 
 
 def test_usgt_ubcft_share_orientation_when_influence_uniform(trained):
@@ -185,8 +188,8 @@ def test_top_n_lists_are_nested(planted_split, name):
 def test_depth_means_equal_per_poi_joint_means(planted_split):
     _, models = planted_split
     mati = models.get("mati")
-    want = [float(joint_from_chain(models.params.poi_tables[p]).mean())
-            for p in models.components.matrix.pois]
+    chains = as_dicts(models.params).poi_tables
+    want = [float(joint_from_chain(chains[p]).mean()) for p in models.components.matrix.pois]
     assert mati.depth_means.tolist() == want
 
 
@@ -198,14 +201,15 @@ def test_random_slab_tables_change_some_mati_list(planted_split):
     rng = np.random.default_rng(5)
     shape = models.params.layout.shape
 
-    def random_chain():
-        joint = rng.random(shape)
-        return chain_from_joint(joint / joint.sum())
+    def random_chains(keys):
+        joints = rng.random((len(keys), *shape))
+        chains = [chain_from_joint(joint / joint.sum()) for joint in joints]
+        return ChainStack(keys, tuple(np.array(level) for level in zip(*chains)))
 
-    params = replace(models.params,
-                     pair_tables={pair: random_chain() for pair in models.params.pair_tables},
-                     poi_tables={poi: random_chain() for poi in models.params.poi_tables},
-                     global_table=random_chain())
+    pairs, pois = models.params.pair_tables, models.params.poi_tables
+    params = replace(models.params, pair_tables=random_chains(pairs.keys),
+                     poi_tables=random_chains(pois.keys),
+                     global_table=[level[0] for level in random_chains(("global",)).levels])
     trained = models.get("mati")
     randomized = MatiRecommender(models.components, params, models.user_profiles,
                                  models.poi_profiles, trained.phi_t)
@@ -217,10 +221,13 @@ def test_random_slab_tables_change_some_mati_list(planted_split):
 def test_trained_params_file_matches_reference_encoder(planted_split):
     _, models = planted_split
     text = params_to_json(models.params, fingerprint="planted-300")
-    assert text == reference_params_json(models.params, fingerprint="planted-300")
+    assert text == reference_params_json(as_dicts(models.params), fingerprint="planted-300")
     restored = params_from_json(text)
-    for pair, tables in models.params.pair_tables.items():
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(restored.pair_tables[pair], tables))
+    assert restored.pair_tables.keys == models.params.pair_tables.keys
+    assert restored.pr_nu.tobytes() == models.params.pr_nu.tobytes()
+    for stack in ("pair_tables", "poi_tables"):
+        assert all(a.tobytes() == b.tobytes() for a, b in
+                   zip(getattr(restored, stack).levels, getattr(models.params, stack).levels))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -19,7 +19,7 @@ from corpus import longtail_corpus, planted_corpus, stamp, three_by_three_index
 from matirec import baselines as bl
 from matirec.config import load_config
 from matirec.ingest import CheckIn, CheckInLog
-from matirec.mati import MatiParams, chain_from_joint, layout_for
+from matirec.mati import chain_from_joint, layout_for, pair_keys, pair_of
 from matirec.pipeline import (MatiRecommender, UbcfRecommender, UsgComponents, UsgRecommender,
                               training_pr_nu)
 from matirec.slabs import all_slab_profiles
@@ -76,10 +76,10 @@ def test_core_matches_scalar_oracles(log, alpha, beta, k, seed):
     poi_slabs = {p: set(counts) for p, counts in poi_profile_map.items()}
     rng = np.random.default_rng(seed)
     shape = index.grid_shape()
-    params = MatiParams(layout=layout_for(index), pr_nu={}, pair_tables={},
-                        poi_tables={p: _random_chain(rng, shape) for p in matrix.pois[::2]},
-                        global_table=_random_chain(rng, shape))
-    mati = MatiRecommender(comp, params, user_profiles, poi_profiles, phi_t=0.6)
+    params = orc.DictParams(layout=layout_for(index), pr_nu={}, pair_tables={},
+                            poi_tables={p: _random_chain(rng, shape) for p in matrix.pois[::2]},
+                            global_table=_random_chain(rng, shape))
+    mati = MatiRecommender(comp, orc.stacked(params), user_profiles, poi_profiles, phi_t=0.6)
 
     for user in matrix.users + ("nobody",):
         cands = comp.candidates_for(user)
@@ -127,7 +127,7 @@ def test_core_matches_scalar_oracles(log, alpha, beta, k, seed):
                 assert UsgRecommender(comp).recommend(user, n) == orc.rank(usg, n)
 
     if beta == 0:
-        pr_nu = training_pr_nu(comp)
+        pr_nu = dict(zip(map(pair_of, pair_keys(log)), training_pr_nu(comp).tolist()))
         for user in matrix.users:
             pois = sorted(orc.pois_of(matrix, user))
             if pois:

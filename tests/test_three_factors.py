@@ -10,7 +10,7 @@ import pytest
 
 import oracles as orc
 from corpus import stamp
-from oracles import reference_em
+from oracles import as_dicts, reference_em
 
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.localtime import SECONDS_PER_HOUR
@@ -69,9 +69,9 @@ def three_factor_log():
 def test_em_three_factor_chain_shapes(three_factor_index, three_factor_log):
     log = three_factor_log
     pairs = sorted({(c.user_id, c.poi_id) for c in log.checkins})
-    params, report = run_em(log, three_factor_index, {p: 1.0 for p in pairs})
+    params, report = run_em(log, three_factor_index, np.ones(len(pairs)))
     assert report.converged
-    tables = params.pair_tables[pairs[0]]
+    tables = as_dicts(params).pair_tables[pairs[0]]
     assert [t.shape for t in tables] == [(2,), (2, 2), (2, 2, 2)]
     validate_chain(tables)
 
@@ -90,8 +90,9 @@ def test_em_three_factor_closed_form_matches_reference(three_factor_index, three
     pairs = sorted({(c.user_id, c.poi_id) for c in log.checkins})
     pr_nu = {p: 0.2 + 0.1 * (i % 7) for i, p in enumerate(pairs)}
     joints, trace = reference_em(log, three_factor_index, pr_nu)
-    params, report = run_em(log, three_factor_index, pr_nu)
+    params, report = run_em(log, three_factor_index, np.array([pr_nu[p] for p in pairs]))
     assert report.iterations == len(trace) - 1
     assert np.allclose(report.log_likelihood, trace, rtol=1e-12, atol=0)
+    tables = as_dicts(params).pair_tables
     for pair, want in joints.items():
-        assert np.abs(joint_from_chain(params.pair_tables[pair]) - want).max() <= 1e-12
+        assert np.abs(joint_from_chain(tables[pair]) - want).max() <= 1e-12

@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from corpus import stamp
-from oracles import absolute_poi_act, absolute_user_act, poi_act
+from oracles import absolute_poi_act, absolute_user_act, poi_act, user_poi_probs
 
 from matirec.errors import ConfigError, DataError
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.localtime import is_weekend
 from matirec.univariate import (UnivariateConfig, act_histogram, all_poi_acts, effective_user_act,
-                                m_avg_recommend, user_poi_probs, usgt_recommend)
+                                m_avg_recommend, usgt_recommend)
 
 SAT_NOON = stamp(0, 5, 12)
 MON_NOON = stamp(0, 0, 12)
