@@ -99,12 +99,9 @@ def split_exclude(log: CheckInLog, x: float, seed: int, test_fraction: float = 0
 def metrics_at_n(recommended: Sequence[str], excluded: frozenset[str] | set[str],
                  n: int) -> tuple[float, float, float]:
     """(precision, recall, f1) at n; f1 is 0 when there are no hits."""
-    return _metrics_from_hits(len(set(recommended[:n]) & set(excluded)), n, len(excluded))
-
-
-def _metrics_from_hits(hits: int, n: int, n_excluded: int) -> tuple[float, float, float]:
+    hits = len(set(recommended[:n]) & set(excluded))
     precision = hits / n
-    recall = hits / n_excluded if n_excluded else 0.0
+    recall = hits / len(excluded) if excluded else 0.0
     f1 = (2 * precision * recall / (precision + recall)) if hits else 0.0
     return precision, recall, f1
 
@@ -182,8 +179,8 @@ def evaluate(models: Sequence[Recommender], split: EvalSplit,
             ranked = model.recommend(user, top)
             excluded = split.excluded[user]
             for n in ns:
+                p, r, f1 = metrics_at_n(ranked, excluded, n)
                 hits = len(excluded.intersection(ranked[:n]))
-                p, r, f1 = _metrics_from_hits(hits, n, len(excluded))
                 per_n[n]["precision"].append(p)
                 per_n[n]["recall"].append(r)
                 per_n[n]["f1"].append(f1)

@@ -371,14 +371,29 @@ class TrainedModels:
 def training_pr_nu(components: UsgComponents) -> np.ndarray:
     """Non-temporal scores of the observed (user, poi) pairs, aligned with the
     log's ``columns.pairs``: per-user max-normalized and floored so every pair
-    keeps support in the latent model."""
+    keeps support in the latent model.
+
+    Each pair's score is its POI's USG score with the user's own history as
+    the targets, computed for blocks of users at once (``pair_components``)
+    rather than user by user; every max-normalization is over the user's
+    pairs, and a user whose scores are all zero gets ones.
+    """
     matrix = components.matrix
-    out = [np.zeros(0)]
-    for u in np.flatnonzero(matrix.degree):
-        scores = components.usg_scores(matrix.users[u], matrix.history(u))
-        top = scores.max()
-        out.append(np.maximum(scores / top if top > 0 else np.ones(len(scores)), PR_NU_FLOOR))
-    return np.concatenate(out)
+    cf, social, logs = bl.pair_components(matrix, components.k_neighbors, components.geo)
+    counts = matrix.degree[matrix.degree > 0]
+    starts = np.cumsum(counts) - counts
+
+    def user_max(values):
+        return np.repeat(np.maximum.reduceat(values, starts), counts)
+
+    def normalized(values, otherwise):
+        top = user_max(values)
+        return np.divide(values, top, out=otherwise, where=top > 0)
+
+    geo = np.exp(logs - user_max(logs))
+    scores = bl.usg_score(normalized(cf, cf.copy()), normalized(social, social.copy()),
+                          normalized(geo, geo.copy()), components.weights)
+    return np.maximum(normalized(scores, np.ones(len(scores))), PR_NU_FLOOR)
 
 
 def train_models(log: CheckInLog, cfg: RunConfig,

@@ -5,8 +5,13 @@ but no history), two POIs on the same coordinate, and plenty of tied scores;
 up to 12 neighbors and 13 friends make sums long enough for numpy's pairwise
 summation to round differently from a left-to-right sum.
 CF, social, the USG mix without geo, leave-one-out c*, pr_nu, psi, depth and
-the rankings must match the oracles exactly; geo to 1e-12 relative.
+the rankings must match the oracles exactly; geo to 1e-12 relative.  The
+batched training pass (``training_pr_nu``, ``distance_bins``) must match the
+per-user loop and the pairwise loop exactly, with blocks small enough that
+their boundaries fall inside the log.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +33,8 @@ COORDS = [(10.0, 20.0), (10.01, 20.0), (10.0, 20.02), (10.3, 19.9)]
 
 
 @st.composite
-def small_logs(draw):
+def random_checkins(draw):
+    """Check-ins and social edges of a small random log (see the module docstring)."""
     n_users = draw(st.integers(2, 14))
     n_pois = draw(st.integers(3, 8))
     visits = draw(st.lists(st.tuples(st.integers(0, n_users - 1), st.integers(0, n_pois - 1),
@@ -43,6 +49,22 @@ def small_logs(draw):
                 for u, p, day, hour in visits]
     checkins.append(CheckIn("solo", "p0", stamp(1, 2, 3), *where[0]))  # no friends
     social = [(f"u{a}", f"u{b}") for a, b in edges if a != b] + [("ghost", "u0")]
+    return checkins, social
+
+
+def small_logs():
+    return random_checkins().map(lambda drawn: CheckInLog.from_checkins(*drawn))
+
+
+@st.composite
+def training_logs(draw):
+    """A random log plus a friendless user alone at their POI (no CF neighbor,
+    and an all-zero USG row without geo) and three users with the same two
+    POIs (similarities tied at any k-th neighbor)."""
+    checkins, social = draw(random_checkins())
+    checkins.append(CheckIn("hermit", "pz", stamp(2, 0, 5), 10.0, 20.05))
+    checkins += [CheckIn(f"twin{i}", p, stamp(2, 1, 9), *COORDS[0])
+                 for i in range(3) for p in ("p0", "p1")]
     return CheckInLog.from_checkins(checkins, social)
 
 
@@ -138,6 +160,36 @@ def test_core_matches_scalar_oracles(log, alpha, beta, k, seed):
                     assert pr_nu[(user, p)] == max(scores[p] / top if top > 0 else 1.0, 1e-12)
 
 
+@given(log=training_logs(), alpha=st.sampled_from([0.0, 0.3]),
+       beta=st.sampled_from([0.0, 0.4]), k=st.integers(1, 12), block=st.integers(1, 300))
+def test_batched_pr_nu_matches_per_user_loop(log, alpha, beta, k, block):
+    comp = _components(log, alpha, beta, k)
+    matrix = comp.matrix
+    with mock.patch.object(bl, "BLOCK_ENTRIES", block):
+        got = training_pr_nu(comp)
+        cf, social, logs = bl.pair_components(matrix, k, comp.geo)
+    assert got.tolist() == orc.reference_pr_nu(comp).tolist()
+    for u in np.flatnonzero(matrix.degree):
+        history, at = matrix.history(u), slice(matrix.indptr[u], matrix.indptr[u + 1])
+        assert cf[at].tolist() == matrix.visit_rate(*comp.neighbors(u))[history].tolist()
+        assert social[at].tolist() == \
+            matrix.visit_rate(*bl.friend_weights(matrix, u))[history].tolist()
+        assert logs[at].tolist() == bl.geo_log_scores(matrix, history, history, comp.geo).tolist()
+    assert matrix.degree[matrix.user_index["ghost"]] == 0  # social-only
+    assert not len(matrix.friends(matrix.user_index["solo"]))
+    if beta == 0:
+        hermit = matrix.indptr[matrix.user_index["hermit"]]
+        assert got[hermit] == 1.0  # the all-zero row's ones
+
+
+@given(log=training_logs(), block=st.integers(1, 40))
+def test_distance_bins_match_pairwise_loop_on_random_logs(log, block):
+    matrix = bl.UserPoiMatrix(log)
+    assert {0, 1} <= set(matrix.degree.tolist())
+    with mock.patch.object(bl, "BLOCK_ENTRIES", block):
+        assert bl.distance_bins(matrix) == orc.distance_bins(log)
+
+
 @pytest.mark.parametrize("corpus", ["planted-300", "longtail-200"])
 def test_distance_bins_match_pairwise_loop(corpus):
     log = (planted_corpus(n_users=300, seed=2024) if corpus == "planted-300"
@@ -147,7 +199,9 @@ def test_distance_bins_match_pairwise_loop(corpus):
 
 def test_long_neighbor_sums_are_left_to_right():
     """Twelve neighbors whose similarity total rounds differently when summed
-    pairwise (numpy's ``sum``) than left to right (the oracle)."""
+    pairwise (numpy's ``sum``) than left to right (the oracle).  v_i visits
+    the first i + 1 shared POIs, so each POI's visitors come in reverse rank
+    order, and the batched pass must still add them in rank order."""
     shared = [f"a{i:02d}" for i in range(12)]
     visits = [("u", p) for p in shared]
     for i in range(12):
@@ -156,3 +210,6 @@ def test_long_neighbor_sums_are_left_to_right():
     comp = _components(log, 0.0, 0.0, 50)
     cands = comp.candidates_for("u")
     assert comp.ubcf_scores("u").tolist() == [orc.ubcf_score("u", p, comp.matrix) for p in cands]
+    for block in (1, 40, bl.BLOCK_ENTRIES):
+        with mock.patch.object(bl, "BLOCK_ENTRIES", block):
+            assert training_pr_nu(comp).tolist() == orc.reference_pr_nu(comp).tolist()
