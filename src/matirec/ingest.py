@@ -229,13 +229,6 @@ class CheckInLog:
             [c.timestamp for c in records], [c.lat for c in records], [c.lon for c in records])
         return cls(columns, social_edges)
 
-    def users(self) -> frozenset[str]:
-        """Users that appear in the check-ins or in the social graph."""
-        return frozenset(self.columns.users)
-
-    def pois(self) -> frozenset[str]:
-        return frozenset(self.columns.pois)
-
     def rows(self, user_id: str) -> np.ndarray:
         """Row indices of the user's check-ins, in input order (none for an
         unknown or social-only user)."""
@@ -244,11 +237,6 @@ class CheckInLog:
             return np.zeros(0, dtype=np.intp)
         indptr, rows = self.columns.user_rows
         return rows[indptr[u]:indptr[u + 1]]
-
-    def distinct_pois(self, user_id: str) -> frozenset[str]:
-        columns = self.columns
-        return frozenset(columns.pois[p]
-                         for p in np.unique(columns.poi[self.rows(user_id)]).tolist())
 
     def with_social(self, edges: Iterable[tuple[str, str]]) -> "CheckInLog":
         return CheckInLog(self.columns, edges, self.skipped_lines)

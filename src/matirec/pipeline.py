@@ -144,8 +144,9 @@ class UsgComponents:
             self._usg_cache[user] = scores
         return scores
 
-    def leave_one_out_c_star(self, user: str) -> dict[str, float]:
-        """Per visited POI: its mixed score with that POI held out of the history.
+    def leave_one_out_c_star(self, user: str) -> np.ndarray:
+        """Per visited POI (aligned with ``matrix.history``): its mixed score
+        with that POI held out of the history.
 
         Components are computed in each leave-one-out context and
         max-normalized across the user's POIs before mixing, so the mixture
@@ -169,9 +170,8 @@ class UsgComponents:
         # Each held-out POI is its own one-POI geo normalization set, so its
         # geo score is exp(0) = 1.
         geo = np.ones(len(history))
-        scores = bl.usg_score(bl.max_normalize(cf), bl.max_normalize(social),
-                              bl.max_normalize(geo), self.weights)
-        return dict(zip(self.matrix.ids(history), scores.tolist()))
+        return bl.usg_score(bl.max_normalize(cf), bl.max_normalize(social),
+                            bl.max_normalize(geo), self.weights)
 
 
 class _RankedRecommender:
@@ -223,15 +223,15 @@ class _UnivariateRecommender:
         self.components = components
         self.cfg = cfg.univariate
         self.offset = cfg.utc_offset_seconds()
-        acts = uv.all_poi_acts(components.log, self.offset)
-        self.poi_act = np.array([acts[p].act for p in components.matrix.pois])
+        self.poi_act = uv.poi_acts(components.log, self.offset)
         self._profiles: dict[str, uv.UserActProfile | None] = {}
 
     def _profile(self, user: str) -> uv.UserActProfile | None:
         if user not in self._profiles:
             try:
                 if self.uniform_influence:
-                    c_star = {p: 1.0 for p in self.components.log.distinct_pois(user)}
+                    u = self.components.user_int(user)
+                    c_star = np.ones(len(self.components.matrix.history(u)))
                 else:
                     c_star = self.components.leave_one_out_c_star(user)
                 self._profiles[user] = uv.effective_user_act(
@@ -241,18 +241,18 @@ class _UnivariateRecommender:
         return self._profiles[user]
 
     def recommend(self, user_id: str, n: int) -> list[str]:
+        """The top n of the USG pool, re-composed by ``m_avg_recommend`` when
+        the user's effective act clears t (inclusive)."""
         candidates = self.components.candidates(user_id)
         if not len(candidates):
             return []
         scores = self.components.usg_scores(user_id)
         top, _ = bl.rank_top_n(scores, min(self.cfg.k * n, len(candidates)))
-        pool = self.components.matrix.ids(candidates[top])
+        pool = candidates[top]
         profile = self._profile(user_id)
-        if profile is None:
-            return pool[:n]
-        delta = dict(zip(pool, self.poi_act[candidates[top]].tolist()))
-        items, _, _ = uv.usgt_recommend(profile, self.cfg, pool, delta, n)
-        return items
+        if profile is not None and profile.act >= self.cfg.t:
+            pool = pool[uv.m_avg_recommend(self.poi_act[pool], profile, self.cfg, n)]
+        return self.components.matrix.ids(pool[:n])
 
 
 class UsgtRecommender(_UnivariateRecommender):

@@ -1,6 +1,7 @@
 """Synthetic corpora shared by the module and acceptance tests.
 
-``checkin_users`` lists the users that have check-ins.
+``checkin_users`` lists the users that have check-ins and ``distinct_pois``
+the POIs one user checked in at.
 ``planted_corpus`` builds two user cohorts with disjoint, slab-aligned POI
 preferences (fine-grained taste groups, universal popular POIs that pollute
 plain CF, in-group social edges, and geographically clustered pools).
@@ -30,6 +31,12 @@ def stamp(week: int, day: int, hour: int, minute: int = 0) -> int:
 def checkin_users(log) -> list[str]:
     """Users with at least one check-in, in id order."""
     return sorted({c.user_id for c in log.checkins})
+
+
+def distinct_pois(log, user: str) -> frozenset[str]:
+    """The POI ids the user checked in at (none for an unknown user)."""
+    columns = log.columns
+    return frozenset(columns.pois[p] for p in columns.poi[log.rows(user)].tolist())
 
 
 def planted_corpus(n_users: int = 500, seed: int = 2024) -> CheckInLog:

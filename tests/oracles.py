@@ -24,7 +24,9 @@ check-in TSV one line at a time with the per-field checks,
 and ``slot_pair_similarity`` build one user's per-slot POI count dicts and
 their cosines, and the act references count weekday and weekend visits with
 dicts.  The columnar parser, ``slot_pair_cosines`` and the ``bincount``-based
-acts must agree with them exactly.
+acts must agree with them exactly.  ``reference_m_avg`` is the univariate
+list composition over POI ids with string-keyed quotas, seats and buckets;
+the positions ``m_avg_recommend`` returns must pick the same POIs.
 
 The scalar, string-keyed scorers below (CF, social, geo, the USG mix, its
 leave-one-out variant and the MATI components) are the per-candidate
@@ -55,7 +57,6 @@ from matirec.localtime import is_weekend
 from matirec.mati import (PARAMS_FORMAT_VERSION, ChainLayout, ChainStack, MatiParams,
                           chain_from_joint, joint_from_chain, layout_for, pair_of)
 from matirec.pipeline import PR_NU_FLOOR
-from matirec.univariate import PoiAct, UserActProfile
 
 
 # --- Slabs as string ids, one timestamp at a time ---------------------------
@@ -219,6 +220,43 @@ def similarity_samples(by_user, factors, users, binary: bool = False) -> dict[st
 
 # --- Weekday/weekend acts, one POI or user at a time ------------------------
 
+@dataclass(frozen=True)
+class PoiAct:
+    """Weekday-vs-weekend orientation of a POI over all its visits."""
+
+    poi_id: str
+    weekday_visits: int
+    weekend_visits: int
+
+    @property
+    def total(self) -> int:
+        return self.weekday_visits + self.weekend_visits
+
+    @property
+    def act(self) -> float:
+        return self.weekday_visits / self.total - self.weekend_visits / self.total
+
+
+@dataclass(frozen=True)
+class UserAct:
+    """``effective_user_act``'s profile keyed by POI id: shares, scaled
+    influence and shifted shares per POI, then the averages and the act."""
+
+    p_day: dict[str, float]
+    p_end: dict[str, float]
+    c_hat: dict[str, float]
+    pr_day: dict[str, float]
+    pr_end: dict[str, float]
+    avg_day: float
+    avg_end: float
+    act: float
+    orientation: int
+
+
+def _pois_of_user(log, user: str) -> list[str]:
+    return sorted({c.poi_id for c in log.checkins if c.user_id == user})
+
+
 def poi_act(poi_id: str, log, utc_offset: int = 0) -> PoiAct:
     """Visit-share margin of a POI; positive = weekday-leaning."""
     day = end = 0
@@ -263,7 +301,7 @@ def absolute_poi_act(poi: str, log, min_users: int = 5, utc_offset: int = 0) -> 
 def absolute_user_act(user: str, log, min_pois: int = 8, utc_offset: int = 0) -> float | None:
     """Mean absolute per-POI deviation over the user's distinct POIs; None
     below the POI floor."""
-    pois = sorted(log.distinct_pois(user))
+    pois = _pois_of_user(log, user)
     if len(pois) < min_pois:
         return None
     deviations = []
@@ -291,7 +329,7 @@ def reference_poi_acts(log, utc_offset: int = 0) -> dict[str, PoiAct]:
     return {p: PoiAct(p, day.get(p, 0), end.get(p, 0)) for p in set(day) | set(end)}
 
 
-def reference_user_act(user: str, history, cfg, c_star, utc_offset: int = 0) -> UserActProfile:
+def reference_user_act(user: str, history, cfg, c_star, utc_offset: int = 0) -> UserAct:
     """``effective_user_act`` over one user's check-in records, POI by POI."""
     pois = sorted({c.poi_id for c in history})
     if len(pois) < 2:
@@ -310,13 +348,61 @@ def reference_user_act(user: str, history, cfg, c_star, utc_offset: int = 0) -> 
     avg_day = sum(pr_day.values()) / len(pois)
     avg_end = sum(pr_end.values()) / len(pois)
     margin = avg_day - avg_end
-    day_events = sum(1 for c in history if not is_weekend(c.timestamp, utc_offset))
-    total = len(history)
-    return UserActProfile(
-        user_id=user, p_day=p_day, p_end=p_end, c_star=dict(raw), c_hat=c_hat,
-        pr_day=pr_day, pr_end=pr_end, avg_day=avg_day, avg_end=avg_end,
-        act=abs(margin), orientation=(margin > 0) - (margin < 0),
-        raw_act=day_events / total - (total - day_events) / total)
+    return UserAct(p_day=p_day, p_end=p_end, c_hat=c_hat, pr_day=pr_day, pr_end=pr_end,
+                   avg_day=avg_day, avg_end=avg_end, act=abs(margin),
+                   orientation=(margin > 0) - (margin < 0))
+
+
+def _apportion(quotas: Mapping[str, float], n: int, priority: Sequence[str]) -> dict[str, int]:
+    """Largest-remainder seat allocation summing exactly to n.
+
+    Raw quotas are clamped at zero and rescaled to total n when they do not
+    already; remainder ties are resolved by ``priority`` order.
+    """
+    clamped = {k: max(0.0, v) for k, v in quotas.items()}
+    total = sum(clamped.values())
+    if total <= 0:
+        return {k: 0 for k in quotas}
+    scaled = {k: v * n / total for k, v in clamped.items()}
+    floors = {k: int(math.floor(v)) for k, v in scaled.items()}
+    leftover = n - sum(floors.values())
+    order = sorted(quotas, key=lambda k: (-(scaled[k] - floors[k]), priority.index(k)))
+    for k in order[:leftover]:
+        floors[k] += 1
+    return floors
+
+
+def reference_m_avg(rho: Sequence[str], delta: Mapping[str, float], profile, cfg,
+                    n: int) -> list[str]:
+    """``m_avg_recommend`` over POI ids: the re-composed list of the
+    score-sorted pool ``rho`` whose POI acts are ``delta``, from string-keyed
+    quotas, seats and buckets."""
+    quotas = {
+        "day": (profile.avg_day + cfg.lam - cfg.xi / 2) * n,
+        "end": (profile.avg_end + cfg.lam - cfg.xi / 2) * n,
+        "neutral": cfg.xi * n,
+    }
+    lean = ["day", "end"] if profile.avg_day >= profile.avg_end else ["end", "day"]
+    seats = _apportion(quotas, n, priority=lean + ["neutral"])
+    buckets = {"day": [], "end": [], "neutral": []}
+    for p in rho:
+        act = delta[p]
+        if act > cfg.theta:
+            buckets["day"].append(p)
+        elif act < cfg.theta:
+            buckets["end"].append(p)
+        else:
+            buckets["neutral"].append(p)
+    chosen: set[str] = set()
+    for name in ("day", "end", "neutral"):
+        for p in buckets[name][:seats[name]]:
+            chosen.add(p)
+    if len(chosen) < n:
+        for p in rho:
+            if len(chosen) >= n:
+                break
+            chosen.add(p)
+    return [p for p in rho if p in chosen][:n]
 
 
 def reference_act_observations(log, utc_offset: int = 0, min_users: int = 5,
@@ -764,7 +850,7 @@ def distance_bins(log, bin_km: float = 0.5, d_min_km: float = 0.1) -> dict[int, 
     coords = poi_coordinates(log)
     bins: dict[int, int] = {}
     for user in sorted({c.user_id for c in log.checkins}):
-        pois = sorted(log.distinct_pois(user))
+        pois = _pois_of_user(log, user)
         for i, p in enumerate(pois):
             for q in pois[i + 1:]:
                 d = max(haversine_km(*coords[p], *coords[q]), d_min_km)

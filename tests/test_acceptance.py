@@ -208,20 +208,18 @@ def test_criterion_4_univariate_arithmetic():
 
         # Margin shift worked example: weekday share 0.75, shift 0.5 -> 0.25.
         log = visits([("u", "p", False)] * 3 + [("u", "p", True), ("u", "q", False)])
-        profile = effective_user_act("u", log, UnivariateConfig(), {"p": 1.0, "q": 1.0})
-        assert profile.pr_day["p"] == 0.25  # tolerance zero
+        profile = effective_user_act("u", log, UnivariateConfig(), np.array([1.0, 1.0]))
+        assert profile.pr_day[0] == 0.25  # POI "p"; tolerance zero
 
         # Quota arithmetic: avg_day 0.3, lam 0.5, xi 0.1, N 10 -> 8/1/1.
         cfg = UnivariateConfig(lam=0.5, xi=0.1)
         fake = type("P", (), {"avg_day": 0.3, "avg_end": -0.35})()
-        rho = ([f"d{i}" for i in range(12)] + [f"e{i}" for i in range(5)]
-               + [f"n{i}" for i in range(3)])
-        delta = {p: (0.8 if p[0] == "d" else -0.8 if p[0] == "e" else 0.0) for p in rho}
-        chosen, _ = m_avg_recommend(rho, delta, fake, cfg, 10)
+        acts = np.array([0.8] * 12 + [-0.8] * 5 + [0.0] * 3)
+        chosen = acts[m_avg_recommend(acts, fake, cfg, 10)]
         assert len(chosen) == 10
-        assert sum(1 for p in chosen if delta[p] > 0) == 8
-        assert sum(1 for p in chosen if delta[p] < 0) == 1
-        assert sum(1 for p in chosen if delta[p] == 0) == 1
+        assert (chosen > 0).sum() == 8
+        assert (chosen < 0).sum() == 1
+        assert (chosen == 0).sum() == 1
 
         # Bucket sizes always sum to N across a parameter sweep.
         rng = np.random.default_rng(12)
@@ -231,10 +229,9 @@ def test_criterion_4_univariate_arithmetic():
                                   "avg_end": float(rng.uniform(-0.5, 0.5))})()
             xi = float(rng.choice([0.0, 0.1, 0.2]))
             cfg = UnivariateConfig(lam=0.5, xi=xi) if xi > 0 else UnivariateConfig(lam=0.5, xi=0.0)
-            pool = [f"p{i:02d}" for i in range(3 * n)]
-            acts = {p: [-0.6, 0.0, 0.6][i % 3] for i, p in enumerate(pool)}
-            got, short = m_avg_recommend(pool, acts, fake, cfg, n)
-            assert not short and len(got) == n == len(set(got))
+            acts = np.array([-0.6, 0.0, 0.6] * n)
+            got = m_avg_recommend(acts, fake, cfg, n)
+            assert len(got) == n == len(set(got.tolist()))
 
 
 def test_criterion_5_directional_comparison(planted_run):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as orc
-from corpus import checkin_users, longtail_corpus, planted_corpus
+from corpus import checkin_users, distinct_pois, longtail_corpus, planted_corpus
 
 from matirec.errors import DataError
 from matirec.evaluation import split_exclude
@@ -24,8 +24,7 @@ from matirec.ingest import (DEFAULT_COLUMNS, CheckIn, CheckInLog, ColumnFormat, 
                             serialize_log)
 from matirec.sampling import SamplingState, collect_until, sample_round, stratify_users
 from matirec.slabs import day_factor, hour_factor
-from matirec.univariate import (UnivariateConfig, act_observations, all_poi_acts,
-                                effective_user_act)
+from matirec.univariate import UnivariateConfig, act_observations, effective_user_act, poi_acts
 
 # --- Parsing ----------------------------------------------------------------
 
@@ -200,20 +199,25 @@ def test_sampling_samples_equal_dict_reference(corpus_log, binary):
 def test_univariate_acts_equal_dict_reference(corpus_log):
     log = corpus_log
     offset = 3600
-    acts = all_poi_acts(log, offset)
-    assert acts == orc.reference_poi_acts(log, offset)
+    want_acts = orc.reference_poi_acts(log, offset)
+    assert poi_acts(log, offset).tolist() == [want_acts[p].act for p in log.columns.pois]
     cfg = UnivariateConfig()
     by_user = orc.histories(log)
     for user in checkin_users(log):
-        pois = log.distinct_pois(user)
+        pois = sorted(distinct_pois(log, user))  # id order = POI int order
         c_star = {p: float(len(p) % 4) for p in pois}
+        scores = np.array([c_star[p] for p in pois])
         try:
             want = orc.reference_user_act(user, by_user[user], cfg, c_star, offset)
         except DataError:
             with pytest.raises(DataError):
-                effective_user_act(user, log, cfg, c_star, offset)
+                effective_user_act(user, log, cfg, scores, offset)
             continue
-        assert effective_user_act(user, log, cfg, c_star, offset) == want
+        got = effective_user_act(user, log, cfg, scores, offset)
+        for name in ("c_hat", "pr_day", "pr_end"):
+            assert getattr(got, name).tolist() == [getattr(want, name)[p] for p in pois]
+        assert (got.avg_day, got.avg_end, got.act, got.orientation) == \
+            (want.avg_day, want.avg_end, want.act, want.orientation)
     for floors in ((5, 8), (1, 1), (2, 3)):
         assert (act_observations(log, offset, *floors)
                 == orc.reference_act_observations(log, offset, *floors))

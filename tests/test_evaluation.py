@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corpus import checkin_users, planted_corpus
+from corpus import checkin_users, distinct_pois, planted_corpus
 from oracles import oracle_metrics
 
 from matirec.errors import ConfigError, DataError
@@ -39,12 +39,12 @@ def test_split_removes_only_test_users_view():
     log = _uniform_log()
     split = split_exclude(log, 0.3, seed=2, test_fraction=0.25)
     for user in split.test_users:
-        train_pois = split.train_log.distinct_pois(user)
+        train_pois = distinct_pois(split.train_log, user)
         assert not train_pois & split.excluded[user]
         assert split.retained[user] == train_pois
     untouched = [u for u in checkin_users(log) if u not in split.excluded]
     for u in untouched:
-        assert split.train_log.distinct_pois(u) == log.distinct_pois(u)
+        assert distinct_pois(split.train_log, u) == distinct_pois(log, u)
 
 
 def test_split_skips_single_poi_users():

@@ -78,7 +78,7 @@ def test_self_loop_edge_rejected_in_log():
 def test_log_from_checkins_takes_only_validated_records():
     log = CheckInLog.from_checkins([CheckIn("u", "p", 100, 1.5, -2.5)], [("u", "v")])
     assert list(log.checkins) == [CheckIn("u", "p", 100, 1.5, -2.5)]
-    assert log.users() == {"u", "v"}
+    assert set(log.columns.users) == {"u", "v"}
     with pytest.raises(DataError, match="CheckIn records"):
         CheckInLog.from_checkins([("u", "p", 100, 1.5, -2.5)])
 

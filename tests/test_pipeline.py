@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from corpus import checkin_users, planted_corpus
+from corpus import checkin_users, distinct_pois, planted_corpus
 from oracles import as_dicts, reference_params_json
 
 from matirec.config import load_config
@@ -15,7 +15,7 @@ from matirec.mati import (ChainStack, chain_from_joint, joint_from_chain, pair_k
                           params_from_json, params_to_json)
 from matirec.pipeline import (PR_NU_FLOOR, MatiRecommender, UsgComponents, build_slab_index,
                               train_models, training_pr_nu)
-from matirec.univariate import act_observations
+from matirec.univariate import act_observations, effective_user_act
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ def test_every_model_recommends_full_lists(trained):
             items = model.recommend(u, 5)
             assert len(items) == 5, (name, u)
             assert len(set(items)) == 5
-            assert not set(items) & log.distinct_pois(u)
+            assert not set(items) & distinct_pois(log, u)
 
 
 def test_unknown_model_name(trained):
@@ -72,8 +72,7 @@ def test_usgt_ubcft_share_orientation_when_influence_uniform(trained):
     usgt, ubcft = models.get("usgt"), models.get("ubcft")
     users = checkin_users(log)[:5]
     for u in users:
-        uniform = {p: 1.0 for p in log.distinct_pois(u)}
-        from matirec.univariate import effective_user_act
+        uniform = np.ones(len(distinct_pois(log, u)))
         a = effective_user_act(u, log, cfg.univariate, uniform)
         b = ubcft._profile(u)
         assert b is not None
@@ -238,9 +237,9 @@ def test_leave_one_out_c_star_sees_geography():
     cfg = load_config()
     cfg.usg.alpha, cfg.usg.beta = 0.2, 0.3
     user = checkin_users(log)[0]
-    far = sorted(log.distinct_pois(user))[0]
+    far = sorted(distinct_pois(log, user))[0]  # POI int order: c* position 0
     moved = CheckInLog.from_checkins([replace(c, lat=c.lat + 30.0) if c.poi_id == far else c
                                       for c in log.checkins], log.social_edges)
     before = UsgComponents(log, cfg).leave_one_out_c_star(user)
     after = UsgComponents(moved, cfg).leave_one_out_c_star(user)
-    assert after[far] != before[far]
+    assert after[0] != before[0]

@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles as orc
-from corpus import longtail_corpus, planted_corpus, stamp, three_by_three_index
+from corpus import distinct_pois, longtail_corpus, planted_corpus, stamp, three_by_three_index
 
 from matirec import baselines as bl
 from matirec.config import load_config
@@ -86,9 +86,9 @@ def test_core_matches_scalar_oracles(log, alpha, beta, k, seed):
     matrix, weights = comp.matrix, comp.weights
     friends = orc.friend_map(log)
     coords = orc.poi_coordinates(log)
-    assert matrix.users == tuple(sorted(log.users()))
+    assert matrix.users == tuple(sorted(log.columns.users))
     for user in matrix.users:
-        assert orc.pois_of(matrix, user) == set(log.distinct_pois(user))
+        assert orc.pois_of(matrix, user) == distinct_pois(log, user)
         assert set(np.array(matrix.users)[matrix.friends(matrix.user_index[user])]) == \
             set(friends.get(user, ()))
 
@@ -128,8 +128,9 @@ def test_core_matches_scalar_oracles(log, alpha, beta, k, seed):
         else:
             np.testing.assert_allclose(got, [usg[p] for p in cands], rtol=1e-12, atol=0)
 
-        assert comp.leave_one_out_c_star(user) == orc.leave_one_out_c_star(
-            matrix, friends, coords, comp.geo, weights, user, k)
+        c_star = orc.leave_one_out_c_star(matrix, friends, coords, comp.geo, weights, user, k)
+        got_c_star = comp.leave_one_out_c_star(user).tolist()
+        assert dict(zip(matrix.ids(matrix.history(u)), got_c_star)) == c_star
 
         mine = set(user_slabs.get(user, ()))
         psi = mati.psi(user, comp.candidates(user))

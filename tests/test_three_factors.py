@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from corpus import stamp
+from corpus import distinct_pois, stamp
 from oracles import as_dicts, reference_em
 
 from matirec.ingest import CheckIn, CheckInLog
@@ -77,7 +77,7 @@ def test_em_three_factor_chain_shapes(three_factor_index, three_factor_log):
 
     users, pois = all_slab_profiles(log, three_factor_index)
     user = pairs[0][0]
-    candidates = sorted(log.pois() - log.distinct_pois(user))
+    candidates = sorted(set(log.columns.pois) - distinct_pois(log, user))
     columns = log.columns
     psi = shared_activity(users[columns.users.index(user)],
                           pois[[columns.pois.index(p) for p in candidates]])

@@ -1,14 +1,19 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from corpus import stamp
-from oracles import absolute_poi_act, absolute_user_act, poi_act, user_poi_probs
+from corpus import planted_corpus, stamp
+from oracles import (absolute_poi_act, absolute_user_act, poi_act, reference_m_avg,
+                     user_poi_probs)
 
+from matirec.baselines import rank_top_n
+from matirec.config import load_config
 from matirec.errors import ConfigError, DataError
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.localtime import is_weekend
-from matirec.univariate import (UnivariateConfig, act_histogram, all_poi_acts, effective_user_act,
-                                m_avg_recommend, usgt_recommend)
+from matirec.pipeline import UsgComponents, UsgRecommender, UsgtRecommender
+from matirec.univariate import (UnivariateConfig, act_histogram, effective_user_act,
+                                m_avg_recommend, poi_acts)
 
 SAT_NOON = stamp(0, 5, 12)
 MON_NOON = stamp(0, 0, 12)
@@ -94,18 +99,18 @@ def test_margin_shift_worked_example():
     """3 weekday visits of 4 with lam=0.5: shifted weekday share is exactly 0.25."""
     log = _visits([("u", "p", False)] * 3 + [("u", "p", True)] + [("u", "q", False)])
     cfg = UnivariateConfig()
-    profile = effective_user_act("u", log, cfg, {"p": 1.0, "q": 1.0})
+    profile = effective_user_act("u", log, cfg, np.array([1.0, 1.0]))
     d, _ = user_poi_probs("u", "p", log)
     assert d == 0.75
-    assert profile.pr_day["p"] == pytest.approx(0.75 - 0.5, abs=0.0)
-    assert profile.pr_day["p"] == 0.25
+    assert profile.pr_day[0] == pytest.approx(0.75 - 0.5, abs=0.0)
+    assert profile.pr_day[0] == 0.25
 
 
 def test_effective_act_forced_weekday_sign():
     log = _visits([("u", "p1", False), ("u", "p2", False)])
-    profile = effective_user_act("u", log, UnivariateConfig(), {"p1": 0.9, "p2": 0.4})
+    profile = effective_user_act("u", log, UnivariateConfig(), np.array([0.9, 0.4]))
     assert profile.orientation == 1
-    assert profile.avg_end == pytest.approx(-(profile.c_hat["p1"] + profile.c_hat["p2"]) * 0.5 / 2)
+    assert profile.avg_end == pytest.approx(-(profile.c_hat[0] + profile.c_hat[1]) * 0.5 / 2)
 
 
 def test_effective_act_matches_hand_computation():
@@ -115,15 +120,17 @@ def test_effective_act_matches_hand_computation():
         ("u", "b", False), ("u", "b", True),                       # p^d = 0.5
         ("u", "c", True), ("u", "c", True), ("u", "c", True),      # p^d = 0.0
     ])
-    c_star = {"a": 0.9, "b": 0.5, "c": 0.1}
+    c_star = np.array([0.9, 0.5, 0.1])  # a, b, c
     cfg = UnivariateConfig(lam=0.5, xi=0.1)
     profile = effective_user_act("u", log, cfg, c_star)
     # Feature scaling: a -> 1.0, b -> 0.5, c -> 0.0.
-    assert profile.c_hat == {"a": 1.0, "b": 0.5, "c": 0.0}
-    pr_day = {"a": 1.0 * 0.5, "b": 0.5 * 0.0, "c": 0.0 * -0.5}
-    pr_end = {"a": 1.0 * -0.5, "b": 0.5 * 0.0, "c": 0.0 * 0.5}
-    avg_day = sum(pr_day.values()) / 3
-    avg_end = sum(pr_end.values()) / 3
+    assert profile.c_hat.tolist() == [1.0, 0.5, 0.0]
+    pr_day = [1.0 * 0.5, 0.5 * 0.0, 0.0 * -0.5]
+    pr_end = [1.0 * -0.5, 0.5 * 0.0, 0.0 * 0.5]
+    assert profile.pr_day.tolist() == pr_day
+    assert profile.pr_end.tolist() == pr_end
+    avg_day = sum(pr_day) / 3
+    avg_end = sum(pr_end) / 3
     assert profile.avg_day == pytest.approx(avg_day)
     assert profile.avg_end == pytest.approx(avg_end)
     assert profile.act == pytest.approx(abs(avg_day - avg_end))
@@ -132,19 +139,19 @@ def test_effective_act_matches_hand_computation():
 
 def test_effective_act_degenerate_scaling_falls_back():
     log = _visits([("u", "a", False), ("u", "b", True)])
-    profile = effective_user_act("u", log, UnivariateConfig(), {"a": 0.7, "b": 0.7})
-    assert profile.c_hat == {"a": 1.0, "b": 1.0}
+    profile = effective_user_act("u", log, UnivariateConfig(), np.array([0.7, 0.7]))
+    assert profile.c_hat.tolist() == [1.0, 1.0]
 
 
 def test_effective_act_needs_two_pois():
     log = _visits([("u", "a", False)])
     with pytest.raises(DataError):
-        effective_user_act("u", log, UnivariateConfig(), {"a": 1.0})
+        effective_user_act("u", log, UnivariateConfig(), np.array([1.0]))
 
 
-def _profile(avg_day, avg_end):
+def _profile(avg_day, avg_end, act=None):
     return type("P", (), {"avg_day": avg_day, "avg_end": avg_end,
-                          "act": abs(avg_day - avg_end),
+                          "act": abs(avg_day - avg_end) if act is None else act,
                           "orientation": (avg_day > avg_end) - (avg_day < avg_end)})()
 
 
@@ -152,76 +159,92 @@ def test_m_avg_quota_example():
     """avg_day=0.3, lam=0.5, xi=0.1, N=10 -> quotas 8 / 1 / 1 after rounding."""
     cfg = UnivariateConfig(lam=0.5, xi=0.1)
     profile = _profile(0.3, -0.35)
-    rho = [f"d{i}" for i in range(12)] + [f"e{i}" for i in range(5)] + [f"n{i}" for i in range(3)]
-    delta = {}
-    delta.update({f"d{i}": 0.8 for i in range(12)})
-    delta.update({f"e{i}": -0.8 for i in range(5)})
-    delta.update({f"n{i}": 0.0 for i in range(3)})
-    result, short = m_avg_recommend(rho, delta, profile, cfg, 10)
-    assert not short
-    assert len(result) == 10
-    assert sum(1 for p in result if delta[p] > 0) == 8
-    assert sum(1 for p in result if delta[p] < 0) == 1
-    assert sum(1 for p in result if delta[p] == 0) == 1
+    acts = np.array([0.8] * 12 + [-0.8] * 5 + [0.0] * 3)
+    chosen = acts[m_avg_recommend(acts, profile, cfg, 10)]
+    assert len(chosen) == 10
+    assert (chosen > 0).sum() == 8
+    assert (chosen < 0).sum() == 1
+    assert (chosen == 0).sum() == 1
 
 
 def test_m_avg_backfills_missing_neutral():
     cfg = UnivariateConfig(lam=0.5, xi=0.2)
-    profile = _profile(0.2, -0.3)
-    rho = [f"d{i}" for i in range(10)]
-    delta = {p: 0.5 for p in rho}
-    result, _ = m_avg_recommend(rho, delta, profile, cfg, 5)
-    assert result == rho[:5]
+    result = m_avg_recommend(np.full(10, 0.5), _profile(0.2, -0.3), cfg, 5)
+    assert result.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_m_avg_all_weekday_quota_covers_list():
     cfg = UnivariateConfig(lam=0.5, xi=0.0)
-    profile = _profile(0.5, -0.5)
-    rho = [f"d{i}" for i in range(8)]
-    delta = {p: 0.9 for p in rho}
-    result, _ = m_avg_recommend(rho, delta, profile, cfg, 5)
-    assert result == rho[:5]
+    result = m_avg_recommend(np.full(8, 0.9), _profile(0.5, -0.5), cfg, 5)
+    assert result.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_m_avg_short_pool_flagged():
+    """A pool shorter than n gives a list shorter than n, the whole pool."""
     cfg = UnivariateConfig()
-    result, short = m_avg_recommend(["a"], {"a": 0.1}, _profile(0.1, -0.1), cfg, 5)
-    assert short and result == ["a"]
+    result = m_avg_recommend(np.array([0.1]), _profile(0.1, -0.1), cfg, 5)
+    assert result.tolist() == [0]
 
 
 @given(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
        st.sampled_from([0.0, 0.1, 0.3]), st.integers(1, 25))
 def test_m_avg_bucket_sizes_sum_to_n(avg_day, avg_end, xi, n):
-    cfg = UnivariateConfig(lam=0.5, xi=xi) if xi else UnivariateConfig(lam=0.5, xi=0.0)
-    profile = _profile(avg_day, avg_end)
-    rho = [f"p{i:02d}" for i in range(3 * n)]
-    delta = {p: [-0.5, 0.0, 0.5][i % 3] for i, p in enumerate(rho)}
-    result, short = m_avg_recommend(rho, delta, profile, cfg, n)
-    assert not short
+    cfg = UnivariateConfig(lam=0.5, xi=xi)
+    acts = np.array([-0.5, 0.0, 0.5] * n)
+    result = m_avg_recommend(acts, _profile(avg_day, avg_end), cfg, n)
     assert len(result) == n
-    assert len(set(result)) == n
+    assert len(set(result.tolist())) == n
+
+
+_LEANS = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-0.5, -0.2, 0.0, 0.2, 0.5]))
+
+
+@given(avg_day=_LEANS, avg_end=_LEANS, tied=st.booleans(),
+       theta=st.sampled_from([0.0, 0.25, -0.5]), xi=st.sampled_from([0.0, 0.1, 0.3]),
+       n=st.integers(1, 25), data=st.data())
+def test_m_avg_positions_pick_the_reference_pois(avg_day, avg_end, tied, theta, xi, n, data):
+    """The int path's positions name the POIs the string-keyed reference picks:
+    leans equal or apart, quotas clamped to zero, acts tied at theta, and pools
+    from empty to 3n, shorter than n included."""
+    cfg = UnivariateConfig(lam=0.5, theta=theta, xi=xi)
+    profile = _profile(avg_day, avg_day if tied else avg_end)
+    size = data.draw(st.integers(0, 3 * n), label="pool size")
+    acts = data.draw(st.lists(st.one_of(st.just(theta), st.floats(-1.0, 1.0)),
+                              min_size=size, max_size=size), label="acts")
+    pool = [f"p{i:03d}" for i in range(size)]
+    got = m_avg_recommend(np.array(acts, dtype=float), profile, cfg, n)
+    assert [pool[i] for i in got.tolist()] == reference_m_avg(pool, dict(zip(pool, acts)),
+                                                              profile, cfg, n)
 
 
 def test_usgt_router_paths():
-    cfg = UnivariateConfig()
-    pool = [f"p{i}" for i in range(10)]
-    delta = {p: 0.3 for p in pool}
-    items, path, _ = usgt_recommend(_profile(0.15, -0.05), cfg, pool, delta, 5)
-    assert path == "temporal"
-    items, path, _ = usgt_recommend(_profile(0.04, -0.01), cfg, pool, delta, 5)
-    assert path == "non_temporal" and items == pool[:5]
-    boundary = _profile(1 / 14, -1 / 14)  # act exactly 1/7
-    assert boundary.act == pytest.approx(cfg.t)
-    _, path, _ = usgt_recommend(boundary, cfg, pool, delta, 5)
-    assert path == "temporal"
+    """An effective act at t re-composes the USG pool; just below t keeps the
+    USG prefix."""
+    log = planted_corpus(n_users=40, seed=5)
+    cfg = load_config()
+    components = UsgComponents(log, cfg)
+    usgt = UsgtRecommender(components, cfg)
+    t, n = cfg.univariate.t, 5
+    user = components.matrix.users[0]  # cohort "a": weekday POIs lead the pool
+    prefix = UsgRecommender(components).recommend(user, n)
+
+    usgt._profiles[user] = _profile(-0.3, 0.3, act=t)
+    candidates = components.candidates(user)
+    top, _ = rank_top_n(components.usg_scores(user), cfg.univariate.k * n)
+    pool = components.matrix.ids(candidates[top])
+    acts = dict(zip(pool, usgt.poi_act[candidates[top]].tolist()))
+    recomposed = usgt.recommend(user, n)
+    assert recomposed == reference_m_avg(pool, acts, usgt._profiles[user], cfg.univariate, n)
+    assert recomposed != prefix
+
+    usgt._profiles[user] = _profile(-0.3, 0.3, act=np.nextafter(t, 0.0))
+    assert usgt.recommend(user, n) == prefix
 
 
-def test_all_poi_acts_matches_single(tiny_log):
-    acts = all_poi_acts(tiny_log)
-    for p in tiny_log.pois():
-        single = poi_act(p, tiny_log)
-        assert acts[p].weekday_visits == single.weekday_visits
-        assert acts[p].weekend_visits == single.weekend_visits
+def test_poi_acts_matches_single(tiny_log):
+    acts = poi_acts(tiny_log)
+    for i, p in enumerate(tiny_log.columns.pois):
+        assert acts[i] == poi_act(p, tiny_log).act
 
 
 def test_act_histogram_bins():
