@@ -103,9 +103,6 @@ class UserPoiMatrix:
         return (_NO_INTS if u is None
                 else self.friend_indices[self.friend_indptr[u]:self.friend_indptr[u + 1]])
 
-    def visitors(self, p: int) -> np.ndarray:
-        return self.visitor_indices[self.visitor_indptr[p]:self.visitor_indptr[p + 1]]
-
     def unvisited(self, u: int | None) -> np.ndarray:
         """All POI ints the user has not visited, ascending."""
         mask = np.ones(self.n_pois, dtype=bool)
@@ -144,8 +141,7 @@ def top_neighbors(matrix: UserPoiMatrix, overlap: np.ndarray, size: int,
     """Top-k cosine neighbors (user ints, similarities) that share a POI.
 
     ``overlap`` holds shared-POI counts against a profile of ``size`` POIs
-    (``overlap_counts``, less a held-out POI's visitors for leave-one-out
-    scoring).  Ties break on user id.
+    (``overlap_counts``).  Ties break on user id.
     """
     if size == 0:
         return _NO_INTS, np.zeros(0)
@@ -155,25 +151,23 @@ def top_neighbors(matrix: UserPoiMatrix, overlap: np.ndarray, size: int,
     return ids[order], sims[order]
 
 
-def friend_weights(matrix: UserPoiMatrix, u: int | None,
-                   drop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Friends (ascending) and the Jaccard weight of each against the user.
+def friend_weights(matrix: UserPoiMatrix,
+                   u: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Friends (ascending) and the Jaccard weight of each against the user, as
+    its integer intersection and union sizes (the weight is ``inter / union``).
 
     Both sides are token sets of the owner's friend circle (the owner
     included, so a mutual friendship overlaps even without common friends)
-    and visited POIs; ``drop`` removes one POI from the user's side
-    (leave-one-out scoring).
+    and visited POIs.
     """
     friends = matrix.friends(u)
     if not len(friends):
-        return friends, np.zeros(0)
+        return friends, _NO_INTS, _NO_INTS
     circle = np.zeros(len(matrix.users), dtype=bool)
     circle[friends] = True
     circle[u] = True
     mine = np.zeros(matrix.n_pois, dtype=bool)
     mine[matrix.history(u)] = True
-    if drop is not None:
-        mine[drop] = False
     # f's own token is in the user's circle (the 1); the user's token is
     # among f's friends, so the first bincount counts it.
     their_friends, seg_f = _gather(matrix.friend_indptr, matrix.friend_indices, friends)
@@ -181,8 +175,25 @@ def friend_weights(matrix: UserPoiMatrix, u: int | None,
     inter = (1 + np.bincount(seg_f[circle[their_friends]], minlength=len(friends))
              + np.bincount(seg_p[mine[their_pois]], minlength=len(friends)))
     theirs = np.diff(matrix.friend_indptr)[friends] + 1 + matrix.degree[friends]
-    union = len(friends) + 1 + int(np.count_nonzero(mine)) + theirs - inter
-    return friends, inter / union
+    union = len(friends) + 1 + len(matrix.history(u)) + theirs - inter
+    return friends, inter, union
+
+
+def visitor_flags(matrix: UserPoiMatrix, pois: np.ndarray) -> np.ndarray:
+    """(pois, users) flags: whether each user visited each POI."""
+    visitors, row = _gather(matrix.visitor_indptr, matrix.visitor_indices, pois)
+    flags = np.zeros((len(pois), len(matrix.users)), dtype=bool)
+    flags[row, visitors] = True
+    return flags
+
+
+def row_shares(weights: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """Per row: the share of its weight total on the entries flagged in
+    ``hits``, 0 where the total is 0.  Both sums run left to right along the
+    row, as ``visit_rate`` adds them."""
+    if not weights.shape[1]:
+        return np.zeros(len(weights))
+    return _shares(np.nonzero(hits)[0], weights[hits], np.add.accumulate(weights, axis=1)[:, -1])
 
 
 def haversine_km(lat1, lon1, lat2, lon2):

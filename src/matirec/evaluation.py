@@ -160,8 +160,11 @@ def evaluate(models: Sequence[Recommender], split: EvalSplit,
              ns: Sequence[int] = (5, 10, 20), fingerprint: str = "") -> EvalReport:
     """Score every model on every test user at every list size.
 
-    Each model produces one ranked list at max(ns) per user; smaller sizes
-    are its prefixes, so failure rates are monotone in n by construction.
+    Each model produces one ranked list at max(ns) per user and smaller sizes
+    are scored on its prefixes, so failure rates are monotone in n.  Those of
+    ``usgt``/``ubcft`` are not the lists they serve at smaller n: these are not
+    nested yet (strict xfails ``test_top_n_lists_are_nested[usgt|ubcft]``,
+    ROADMAP.md item 3).
     """
     if not ns or any(n < 1 for n in ns):
         raise ConfigError(f"list sizes must be positive, got {ns}")

@@ -22,11 +22,6 @@ Path = Literal["temporal", "non_temporal"]
 # Size of the non-temporal list a user's route is decided on.
 PROBE_N = 5
 
-PSI_RANGE_PRESETS: dict[str, tuple[float, float]] = {
-    "brightkite": (0.4, 0.9),
-    "foursquare": (0.4, 0.8),
-}
-
 
 @dataclass(frozen=True)
 class HybridConfig:
@@ -40,23 +35,18 @@ class HybridConfig:
             raise ConfigError(f"psi range must satisfy 0 <= low <= high <= 1, "
                               f"got [{self.psi_low}, {self.psi_high}]")
 
-    @classmethod
-    def preset(cls, dataset: str) -> "HybridConfig":
-        if dataset not in PSI_RANGE_PRESETS:
-            raise ConfigError(f"no psi-range preset for {dataset!r}")
-        return cls(*PSI_RANGE_PRESETS[dataset])
 
-
-def avg_shared_activity(user_cells: np.ndarray, candidate_cells: np.ndarray) -> float:
+def avg_shared_activity(user_cells: np.ndarray, cell_candidates: np.ndarray,
+                        candidate_counts: np.ndarray) -> float:
     """Mean shared-activity overlap between the user and their candidates
-    (one row of per-cell counts or active flags each), summed left to right
-    in candidate order."""
-    if not len(candidate_cells):
+    (one column of per-cell counts or active flags each, and each one's
+    number of active cells), summed left to right in candidate order."""
+    if not len(candidate_counts):
         raise DataError("cannot average shared activity over an empty candidate list")
     total = 0.0
-    for psi in shared_activity(user_cells, candidate_cells).tolist():
+    for psi in shared_activity(user_cells, cell_candidates, candidate_counts).tolist():
         total += psi
-    return total / len(candidate_cells)
+    return total / len(candidate_counts)
 
 
 def decide(mean_psi: float, cfg: HybridConfig) -> Path:

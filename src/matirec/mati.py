@@ -326,14 +326,17 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: np.ndarray, max_iter: int =
     return params, EmReport(trace, iterations, converged)
 
 
-def shared_activity(user_cells: np.ndarray, poi_cells: np.ndarray) -> np.ndarray:
-    """Per row of ``poi_cells``: the Jaccard overlap of its active cells with
-    those of ``user_cells``, from integer intersection and union counts; 0
-    where both are empty.  Rows hold per-cell check-in counts (or booleans),
-    so a cell is active where its entry is nonzero."""
+def shared_activity(user_cells: np.ndarray, cell_pois: np.ndarray,
+                    poi_counts: np.ndarray) -> np.ndarray:
+    """Per POI, a column of the cells × POIs ``cell_pois``: the Jaccard overlap
+    of its active cells with those of ``user_cells``, from integer
+    intersection and union counts; 0 where both are empty.  Entries are
+    per-cell check-in counts (or booleans), so a cell is active where its
+    entry is nonzero.  ``poi_counts`` holds each POI's number of active cells,
+    counted once by the caller, so only the user's active cells' rows are read."""
     mine = np.flatnonzero(user_cells)
-    inter = np.count_nonzero(poi_cells[..., mine], axis=-1)
-    union = len(mine) + np.count_nonzero(poi_cells, axis=-1) - inter
+    inter = np.count_nonzero(cell_pois[mine], axis=0)
+    union = len(mine) + poi_counts - inter
     psi = np.zeros(union.shape)
     np.divide(inter, union, out=psi, where=union > 0)
     return psi

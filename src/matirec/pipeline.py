@@ -2,8 +2,11 @@
 
 This is the glue between the library modules and the CLI / evaluation
 harness.  All recommenders share one candidate rule (every known POI the
-user has not visited in the training view, ties broken by POI id) and one
-ranked list per (user, n) so that top-N lists are nested by construction.
+user has not visited in the training view, ties broken by POI id).  Top-N
+lists are nested, except that ``usgt``/``ubcft`` re-compose a ``k·n`` USG pool
+per n (strict xfails ``test_top_n_lists_are_nested[usgt|ubcft]``, ROADMAP.md
+item 3), so their n = 5 and 10 figures in ``evaluate``, taken from the top-20
+list's prefix, are not of the lists ``recommend --n 5`` or ``--n 10`` serves.
 """
 
 from __future__ import annotations
@@ -98,6 +101,7 @@ class UsgComponents:
             logger.warning("geo fit degenerate; using a flat distance model")
             self.geo = bl.GeoModel(log_a=0.0, b=0.0, d_min_km=cfg.usg.d_min_km)
         self._neighbor_cache: dict[int | None, tuple[np.ndarray, np.ndarray]] = {}
+        self._friend_cache: dict[int | None, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._usg_cache: dict[str, np.ndarray] = {}
 
     def user_int(self, user: str) -> int | None:
@@ -117,6 +121,12 @@ class UsgComponents:
                 self.k_neighbors)
         return self._neighbor_cache[u]
 
+    def friends(self, u: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The user's ``friend_weights``: friends, Jaccard intersections, unions."""
+        if u not in self._friend_cache:
+            self._friend_cache[u] = bl.friend_weights(self.matrix, u)
+        return self._friend_cache[u]
+
     def set_weights(self, weights: bl.UsgWeights) -> None:
         """Swap mixing weights (tuning); invalidates cached mixed scores."""
         self.weights = weights
@@ -135,7 +145,8 @@ class UsgComponents:
         u = self.user_int(user)
         t = self.candidates(user) if targets is None else targets
         cf = self.matrix.visit_rate(*self.neighbors(u))[t]
-        social = self.matrix.visit_rate(*bl.friend_weights(self.matrix, u))[t]
+        friends, inter, union = self.friends(u)
+        social = self.matrix.visit_rate(friends, inter / union)[t]
         logs = bl.geo_log_scores(self.matrix, self.matrix.history(u), t, self.geo)
         geo = np.exp(logs - logs.max()) if len(t) else logs
         scores = bl.usg_score(bl.max_normalize(cf), bl.max_normalize(social),
@@ -150,23 +161,26 @@ class UsgComponents:
 
         Components are computed in each leave-one-out context and
         max-normalized across the user's POIs before mixing, so the mixture
-        weighting stays meaningful within the user.  The held-out neighbors
-        come from the user's overlap counts less that POI's visitors.
+        weighting stays meaningful within the user.  All held-out POIs are
+        rows of one pass: CF ranks the overlap counts less each POI's visitors
+        as ``top_neighbors`` does (users left at 0 sort last and add 0.0),
+        and each friend's Jaccard weight loses the POI from the user's side.
         """
         u = self.user_int(user)
         history = self.matrix.history(u)
-        overlap = bl.overlap_counts(self.matrix, u)
+        visits = bl.visitor_flags(self.matrix, history)
         cf = np.zeros(len(history))
-        social = np.zeros(len(history))
-        for j, p in enumerate(history):
-            visitors = self.matrix.visitors(p)
-            held_out = overlap.copy()
-            held_out[visitors] -= 1
-            held_out[u] = 0
-            neighbors = bl.top_neighbors(self.matrix, held_out, len(history) - 1,
-                                         self.k_neighbors)
-            cf[j] = self.matrix.visit_rate(*neighbors)[p]
-            social[j] = self.matrix.visit_rate(*bl.friend_weights(self.matrix, u, drop=p))[p]
+        if len(history) > 1:
+            overlap = bl.overlap_counts(self.matrix, u)
+            others = np.flatnonzero(overlap)
+            hit = visits[:, others]
+            norm = np.sqrt((len(history) - 1) * self.matrix.degree[others])
+            sims = (overlap[others] - hit) / norm
+            rank = np.argsort(-sims, axis=1, kind="stable")[:, :self.k_neighbors]
+            cf = bl.row_shares(np.take_along_axis(sims, rank, 1), np.take_along_axis(hit, rank, 1))
+        friends, inter, union = self.friends(u)
+        lost = visits[:, friends]
+        social = bl.row_shares((inter - lost) / (union - 1 + lost), lost)
         # Each held-out POI is its own one-POI geo normalization set, so its
         # geo score is exp(0) = 1.
         geo = np.ones(len(history))
@@ -271,7 +285,9 @@ class MatiRecommender(_RankedRecommender):
     ``user_profiles`` and ``poi_profiles`` are the users x cells and POIs x
     cells check-in counts of ``all_slab_profiles``, in the components' int
     order.  Shared activity reads only which cells are active, so they are
-    kept as booleans, which are also cheaper to gather per query.
+    kept as booleans, the POIs' transposed to cells × POIs: a query then
+    reads only the rows of the user's active cells.  Each POI's active-cell
+    count is taken once, here.
     """
 
     name = "mati"
@@ -280,7 +296,8 @@ class MatiRecommender(_RankedRecommender):
                  user_profiles: np.ndarray, poi_profiles: np.ndarray, phi_t: float):
         super().__init__(components)
         self.user_active = user_profiles > 0
-        self.poi_active = poi_profiles > 0
+        self.cell_pois = np.ascontiguousarray(poi_profiles.T > 0)
+        self.poi_cell_counts = np.count_nonzero(poi_profiles, axis=1)
         self.phi_t = phi_t
         self.depth_means = poi_depth_means(params, components.matrix.pois)
 
@@ -291,7 +308,8 @@ class MatiRecommender(_RankedRecommender):
 
     def psi(self, user: str, targets: np.ndarray) -> np.ndarray:
         """Shared activity of the user with each target POI int."""
-        return shared_activity(self.user_cells(user), self.poi_active[targets])
+        return shared_activity(self.user_cells(user), self.cell_pois,
+                               self.poi_cell_counts)[targets]
 
     def scores(self, user, targets=None):
         t = self.components.candidates(user) if targets is None else targets
@@ -328,8 +346,10 @@ class HybridRecommender:
             decision = None
             if probe:
                 index = self.mati.components.matrix.poi_index
+                rows = [index[p] for p in probe]
                 mean_psi = avg_shared_activity(self.mati.user_cells(user_id),
-                                               self.mati.poi_active[[index[p] for p in probe]])
+                                               self.mati.cell_pois[:, rows],
+                                               self.mati.poi_cell_counts[rows])
                 decision = Decision(user_id, mean_psi, decide(mean_psi, self.cfg))
             self.routes[user_id] = decision
         return self.routes[user_id]

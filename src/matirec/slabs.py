@@ -238,10 +238,6 @@ class UniAspectSlab:
     index: int
     slots: frozenset[int]
 
-    @property
-    def id(self) -> str:
-        return f"{self.factor_name}:{self.index}"
-
 
 def hac_complete_linkage(matrix: SlotSimilarityMatrix, threshold: float) -> tuple[UniAspectSlab, ...]:
     """Partition slots into slabs by bottom-up complete-linkage clustering.

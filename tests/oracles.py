@@ -74,7 +74,7 @@ def slab_parts(index, timestamp: int) -> tuple:
 
 def slab_id(index, timestamp: int) -> str:
     """The multi-aspect slab id of the timestamp, e.g. ``"hour:21|day:1"``."""
-    return "|".join(part.id for part in slab_parts(index, timestamp))
+    return "|".join(f"{part.factor_name}:{part.index}" for part in slab_parts(index, timestamp))
 
 
 def grid_cell(index, timestamp: int) -> tuple[int, ...]:

@@ -19,12 +19,17 @@ def _cells(*active_sets):
     return np.array([[2 if c in active else 0 for c in CELLS] for active in active_sets])
 
 
+def _avg(user_cells, candidate_cells):
+    rows = candidate_cells.reshape(-1, len(CELLS))
+    return avg_shared_activity(user_cells, rows.T, np.count_nonzero(rows, axis=-1))
+
+
 def test_avg_all_shared():
-    assert avg_shared_activity(_cells({"a", "b"})[0], _cells({"a", "b"}, {"a", "b"})) == 1.0
+    assert _avg(_cells({"a", "b"})[0], _cells({"a", "b"}, {"a", "b"})) == 1.0
 
 
 def test_avg_all_disjoint():
-    assert avg_shared_activity(_cells({"a"})[0], _cells({"g"}, {"h"})) == 0.0
+    assert _avg(_cells({"a"})[0], _cells({"g"}, {"h"})) == 0.0
 
 
 def test_avg_mean_of_values():
@@ -32,12 +37,12 @@ def test_avg_mean_of_values():
     pois = _cells({"a"},                  # 1/5
                   {"h"},                  # 0, still counted
                   {"a", "b", "c"})        # 3/5
-    assert avg_shared_activity(up, pois) == (0.2 + 0.0 + 0.6) / 3
+    assert _avg(up, pois) == (0.2 + 0.0 + 0.6) / 3
 
 
 def test_avg_empty_candidates_errors():
     with pytest.raises(DataError):
-        avg_shared_activity(_cells({"a"})[0], _cells())
+        _avg(_cells({"a"})[0], _cells())
 
 
 def test_decide_closed_interval():
@@ -54,13 +59,6 @@ def test_config_bounds():
         HybridConfig(0.9, 0.4)
     with pytest.raises(ConfigError):
         HybridConfig(-0.1, 0.5)
-
-
-def test_presets():
-    assert HybridConfig.preset("brightkite") == HybridConfig(0.4, 0.9)
-    assert HybridConfig.preset("foursquare") == HybridConfig(0.4, 0.8)
-    with pytest.raises(ConfigError):
-        HybridConfig.preset("gowalla")
 
 
 def test_decisions_csv():

@@ -21,8 +21,12 @@ def _cells(active, counts=1):
     return np.array([counts if c in active else 0 for c in CELLS])
 
 
+def _shared(user_cells, rows):
+    return shared_activity(user_cells, rows.T, np.count_nonzero(rows, axis=-1))
+
+
 def _psi(user, poi):
-    return float(shared_activity(_cells(user), _cells(poi)[None])[0])
+    return float(_shared(_cells(user), _cells(poi)[None])[0])
 
 
 def test_psi_identical_sets():
@@ -40,8 +44,8 @@ def test_psi_one_third():
 def test_psi_counts_only_activity():
     """Counts above one weigh nothing; an empty side gives 0, as do both."""
     rows = np.stack([_cells({"b", "c"}, 7), _cells(set()), _cells({"a", "b"})])
-    assert shared_activity(_cells({"a", "b"}, 3), rows).tolist() == [1 / 3, 0.0, 1.0]
-    assert shared_activity(_cells(set()), rows).tolist() == [0.0, 0.0, 0.0]
+    assert _shared(_cells({"a", "b"}, 3), rows).tolist() == [1 / 3, 0.0, 1.0]
+    assert _shared(_cells(set()), rows).tolist() == [0.0, 0.0, 0.0]
 
 
 def _factor(name, rank, slots=4):
@@ -271,7 +275,7 @@ def test_run_em_unseen_pair_backoff():
 
 def mati_scores(candidates, params, user_profile, poi_profiles, pr_nu, phi_t):
     """The library's MATI mixture over ``candidates``, as a dict."""
-    psi = shared_activity(user_profile, np.stack([poi_profiles[l] for l in candidates]))
+    psi = _shared(user_profile, np.stack([poi_profiles[l] for l in candidates]))
     depth = np.array([pr_nu[l] for l in candidates]) * poi_depth_means(params, candidates)
     return dict(zip(candidates, mati_mix(psi, depth, phi_t).tolist()))
 

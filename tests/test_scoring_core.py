@@ -5,7 +5,8 @@ but no history), two POIs on the same coordinate, and plenty of tied scores;
 up to 12 neighbors and 13 friends make sums long enough for numpy's pairwise
 summation to round differently from a left-to-right sum.
 CF, social, the USG mix without geo, leave-one-out c*, pr_nu, psi, depth and
-the rankings must match the oracles exactly; geo to 1e-12 relative.  The
+the rankings must match the oracles exactly; geo to 1e-12 relative.  c* is
+also checked at corpus scale, at the default k = 50.  The
 batched training pass (``training_pr_nu``, ``distance_bins``) must match the
 per-user loop and the pairwise loop exactly, with blocks small enough that
 their boundaries fall inside the log.
@@ -74,6 +75,11 @@ def _components(log, alpha, beta, k):
     return UsgComponents(log, cfg)
 
 
+def _social_rates(matrix, u):
+    friends, inter, union = bl.friend_weights(matrix, u)
+    return matrix.visit_rate(friends, inter / union)
+
+
 def _random_chain(rng, shape):
     joint = rng.random(shape)
     return chain_from_joint(joint / joint.sum())
@@ -110,8 +116,7 @@ def test_core_matches_scalar_oracles(log, alpha, beta, k, seed):
         cf = [orc.ubcf_score(user, p, matrix, k) for p in cands]
         assert comp.ubcf_scores(user).tolist() == cf
         social = [orc.social_score(user, p, matrix, friends) for p in cands]
-        assert matrix.visit_rate(*bl.friend_weights(matrix, u))[comp.candidates(user)].tolist() \
-            == social
+        assert _social_rates(matrix, u)[comp.candidates(user)].tolist() == social
 
         logs = bl.geo_log_scores(matrix, matrix.history(u), comp.candidates(user), comp.geo)
         history = [coords[p] for p in sorted(orc.pois_of(matrix, user))]
@@ -173,8 +178,7 @@ def test_batched_pr_nu_matches_per_user_loop(log, alpha, beta, k, block):
     for u in np.flatnonzero(matrix.degree):
         history, at = matrix.history(u), slice(matrix.indptr[u], matrix.indptr[u + 1])
         assert cf[at].tolist() == matrix.visit_rate(*comp.neighbors(u))[history].tolist()
-        assert social[at].tolist() == \
-            matrix.visit_rate(*bl.friend_weights(matrix, u))[history].tolist()
+        assert social[at].tolist() == _social_rates(matrix, u)[history].tolist()
         assert logs[at].tolist() == bl.geo_log_scores(matrix, history, history, comp.geo).tolist()
     assert matrix.degree[matrix.user_index["ghost"]] == 0  # social-only
     assert not len(matrix.friends(matrix.user_index["solo"]))
@@ -214,3 +218,37 @@ def test_long_neighbor_sums_are_left_to_right():
     for block in (1, 40, bl.BLOCK_ENTRIES):
         with mock.patch.object(bl, "BLOCK_ENTRIES", block):
             assert training_pr_nu(comp).tolist() == orc.reference_pr_nu(comp).tolist()
+
+
+@pytest.mark.parametrize("corpus", ["planted-300", "longtail-200"])
+def test_leave_one_out_c_star_matches_oracle_at_corpus_scale(corpus):
+    """c* at the default k = 50 on a real corpus, exactly: users with more than
+    50 positive held-out overlaps (and a tie at the 50th neighbor, where the
+    corpus has one), plus an added single-POI user and an added friendless
+    user, who share POIs with many others."""
+    log = (planted_corpus(n_users=300, seed=2024) if corpus == "planted-300"
+           else longtail_corpus(n_users=200, seed=1))
+    matrix = bl.UserPoiMatrix(log)
+    busiest = [matrix.users[u] for u in np.argsort(-matrix.degree, kind="stable")[:8]]
+    top_poi = matrix.pois[int(np.argmax(np.diff(matrix.visitor_indptr)))]
+    extra = [CheckIn("~single", top_poi, stamp(3, 0, 9), *orc.poi_coordinates(log)[top_poi])]
+    extra += [CheckIn("~friendless", c.poi_id, c.timestamp, c.lat, c.lon)
+              for c in log.checkins if c.user_id == busiest[0]]
+    log = CheckInLog.from_checkins(list(log.checkins) + extra,
+                                   [*log.social_edges, ("~single", busiest[1])])
+    comp = UsgComponents(log, load_config())
+    matrix, k = comp.matrix, comp.k_neighbors
+    friends, coords = orc.friend_map(log), orc.poi_coordinates(log)
+    assert k == 50
+    assert matrix.degree[matrix.user_index["~single"]] == 1
+    assert not len(matrix.friends(matrix.user_index["~friendless"]))
+    crowded = tied = False
+    for user in busiest + ["~single", "~friendless"]:
+        for p in sorted(orc.pois_of(matrix, user)):
+            sims = [s for _, s in orc.top_neighbors(matrix, user, len(matrix.users), p)]
+            crowded |= len(sims) > k
+            tied |= len(sims) > k and sims[k - 1] == sims[k]
+        want = orc.leave_one_out_c_star(matrix, friends, coords, comp.geo, comp.weights, user, k)
+        got = comp.leave_one_out_c_star(user).tolist()
+        assert dict(zip(matrix.ids(matrix.history(comp.user_int(user))), got)) == want
+    assert crowded and tied

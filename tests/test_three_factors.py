@@ -79,8 +79,9 @@ def test_em_three_factor_chain_shapes(three_factor_index, three_factor_log):
     user = pairs[0][0]
     candidates = sorted(set(log.columns.pois) - distinct_pois(log, user))
     columns = log.columns
-    psi = shared_activity(users[columns.users.index(user)],
-                          pois[[columns.pois.index(p) for p in candidates]])
+    rows = pois[[columns.pois.index(p) for p in candidates]]
+    psi = shared_activity(users[columns.users.index(user)], rows.T,
+                          np.count_nonzero(rows, axis=-1))
     scores = mati_mix(psi, 0.5 * poi_depth_means(params, candidates), phi_t=0.6)
     assert len(scores) and all(0.0 <= v <= 1.0 for v in scores)
 
