@@ -21,8 +21,7 @@ from .errors import ConfigError, DataError, MatirecError
 from .hybrid import decisions_csv
 from .mati import params_from_json, params_to_json
 from .pipeline import build_slab_index, train_models
-from .sampling import coverage_csv
-from .slabs import SlabIndex, similarity_csv
+from .slabs import SlabIndex, coverage_csv, similarity_csv
 
 
 def _load_log(cfg: RunConfig) -> ing.CheckInLog:
@@ -95,7 +94,7 @@ def cmd_slabs(cfg: RunConfig, args) -> int:
     fp = _fingerprint(cfg)
     stamp = f"# fingerprint={fp}\n"
     _write(out, "slab_index.json", artifacts.index.to_json(fingerprint=fp))
-    _write(out, "coverage.csv", stamp + coverage_csv(artifacts.coverage))
+    _write(out, "coverage.csv", stamp + coverage_csv(artifacts.matrices.values()))
     for name, matrix in artifacts.matrices.items():
         _write(out, f"similarity_{name}.csv", stamp + similarity_csv(matrix))
     counts = artifacts.index.slab_counts()
@@ -108,7 +107,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     log = _load_log(cfg)
     index = SlabIndex.from_json(Path(args.slabs).read_text(encoding="utf-8"))
     from .pipeline import SlabArtifacts
-    models = train_models(log, cfg, SlabArtifacts(index, {}, []))
+    models = train_models(log, cfg, SlabArtifacts(index, {}))
     out = Path(args.out)
     fp = _fingerprint(cfg)
     _write(out, "mati_params.json", params_to_json(models.params, fingerprint=fp))
@@ -142,7 +141,7 @@ def cmd_recommend(cfg: RunConfig, args) -> int:
         params = params_from_json(Path(args.params).read_text(encoding="utf-8"),
                                   expected_checksum=index.checksum)
     from .pipeline import SlabArtifacts
-    models = train_models(log, cfg, SlabArtifacts(index, {}, []), params)
+    models = train_models(log, cfg, SlabArtifacts(index, {}), params)
     model = models.get(args.model)
     lines = ["user_id,rank,poi_id,score,path"]
     for user in args.user:

@@ -31,7 +31,6 @@ class EvalSplit:
 
     train_log: CheckInLog
     excluded: dict[str, frozenset[str]]
-    retained: dict[str, frozenset[str]]
     x: float
     seed: int
     test_fraction: float
@@ -78,7 +77,6 @@ def split_exclude(log: CheckInLog, x: float, seed: int, test_fraction: float = 0
     pairs = columns.pairs
     starts = np.searchsorted(pairs, np.arange(len(columns.users) + 1) * n_pois)
     excluded: dict[str, frozenset[str]] = {}
-    retained: dict[str, frozenset[str]] = {}
     hidden_pairs = []
     for user in test_users:
         u = columns.user_index[user]
@@ -87,13 +85,11 @@ def split_exclude(log: CheckInLog, x: float, seed: int, test_fraction: float = 0
         k = max(1, int(len(pois) * x + 0.5))
         pick = _user_rng(seed, user).choice(len(pois), size=k, replace=False)
         hidden_pairs.append(user_pairs[pick])
-        hidden = frozenset(pois[i] for i in pick)
-        excluded[user] = hidden
-        retained[user] = frozenset(pois) - hidden
+        excluded[user] = frozenset(pois[i] for i in pick)
 
     keep = ~np.isin(columns.pair, np.concatenate(hidden_pairs))
     train = CheckInLog(columns.take(keep), log.social_edges)
-    return EvalSplit(train, excluded, retained, x, seed, test_fraction, skipped)
+    return EvalSplit(train, excluded, x, seed, test_fraction, skipped)
 
 
 def metrics_at_n(recommended: Sequence[str], excluded: frozenset[str] | set[str],
@@ -183,7 +179,7 @@ def evaluate(models: Sequence[Recommender], split: EvalSplit,
             excluded = split.excluded[user]
             for n in ns:
                 p, r, f1 = metrics_at_n(ranked, excluded, n)
-                hits = len(excluded.intersection(ranked[:n]))
+                hits = round(p * n)  # precision is hits / n
                 per_n[n]["precision"].append(p)
                 per_n[n]["recall"].append(r)
                 per_n[n]["f1"].append(f1)

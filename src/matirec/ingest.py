@@ -241,19 +241,6 @@ class CheckInLog:
     def with_social(self, edges: Iterable[tuple[str, str]]) -> "CheckInLog":
         return CheckInLog(self.columns, edges, self.skipped_lines)
 
-    def _canonical(self):
-        c = self.columns
-        order = _canonical_order(c)
-        return (np.array(c.users, dtype=object)[c.user[order]].tolist(),
-                c.timestamp[order].tolist(),
-                np.array(c.pois, dtype=object)[c.poi[order]].tolist(),
-                c.lat[order].tolist(), c.lon[order].tolist(), self.social_edges)
-
-    def __eq__(self, other):
-        if not isinstance(other, CheckInLog):
-            return NotImplemented
-        return self._canonical() == other._canonical()
-
     def __len__(self):
         return len(self.columns.user)
 

@@ -24,9 +24,9 @@ from .hybrid import PROBE_N, Decision, HybridConfig, avg_shared_activity, decide
 from .ingest import CheckInLog
 from .mati import (EmReport, MatiParams, mati_mix, pair_keys, poi_depth_means, run_em,
                    shared_activity)
-from .sampling import CoverageRow, collect_until
-from .slabs import (SlabIndex, SlotSimilarityMatrix, UniAspectSlab, aggregate_similarity,
-                    all_slab_profiles, build_factor, complete_matrix, hac_complete_linkage)
+from .sampling import collect_until
+from .slabs import (SlabIndex, SlotSimilarityMatrix, aggregate_similarity, all_slab_profiles,
+                    build_factor, complete_matrix, hac_complete_linkage)
 
 logger = logging.getLogger(__name__)
 
@@ -37,7 +37,6 @@ PR_NU_FLOOR = 1e-12
 class SlabArtifacts:
     index: SlabIndex
     matrices: dict[str, SlotSimilarityMatrix]
-    coverage: list[CoverageRow]
 
 
 def build_slab_index(log: CheckInLog, cfg: RunConfig) -> SlabArtifacts:
@@ -48,7 +47,7 @@ def build_slab_index(log: CheckInLog, cfg: RunConfig) -> SlabArtifacts:
     """
     offset = cfg.utc_offset_seconds()
     factors = [build_factor(name, offset) for name in cfg.factors.factor_names()]
-    samples, coverage, _ = collect_until(
+    samples, _, _ = collect_until(
         log, factors, m_min=cfg.sampling.m_min, n_percent=cfg.sampling.n_percent,
         max_rounds=cfg.sampling.max_rounds, seed=cfg.seed * 1000 + SEED_SAMPLING,
         thresholds=(cfg.sampling.strata_low, cfg.sampling.strata_high),
@@ -63,8 +62,7 @@ def build_slab_index(log: CheckInLog, cfg: RunConfig) -> SlabArtifacts:
                 logger.warning("factor %s: no slot pair reached %d samples; keeping one "
                                "slab per slot", f.name, cfg.sampling.m_min)
                 matrices[f.name] = matrix
-                slab_sets[f.name] = tuple(UniAspectSlab(f.name, s, frozenset({s}))
-                                          for s in range(f.slot_count))
+                slab_sets[f.name] = [(s,) for s in range(f.slot_count)]
                 continue
             # Degrade the rank to what the observed cells can support.
             rank = max(1, min(cfg.mf.rank, f.slot_count - 1, observed_cells // f.slot_count))
@@ -75,7 +73,7 @@ def build_slab_index(log: CheckInLog, cfg: RunConfig) -> SlabArtifacts:
                                      tol=cfg.mf.tol, seed=cfg.seed * 1000 + SEED_MF)
         matrices[f.name] = matrix
         slab_sets[f.name] = hac_complete_linkage(matrix, cfg.factors.threshold_for(f.name))
-    return SlabArtifacts(SlabIndex(factors, slab_sets), matrices, coverage)
+    return SlabArtifacts(SlabIndex(factors, slab_sets), matrices)
 
 
 class UsgComponents:
@@ -162,8 +160,10 @@ class UsgComponents:
         Components are computed in each leave-one-out context and
         max-normalized across the user's POIs before mixing, so the mixture
         weighting stays meaningful within the user.  All held-out POIs are
-        rows of one pass: CF ranks the overlap counts less each POI's visitors
-        as ``top_neighbors`` does (users left at 0 sort last and add 0.0),
+        rows of one pass over the history's visitor flags: CF ranks the
+        overlap counts (the flags' column sums, the user's own set to 0) less
+        each POI's visitors as ``top_neighbors`` does (users left at 0 sort
+        last and add 0.0),
         and each friend's Jaccard weight loses the POI from the user's side.
         """
         u = self.user_int(user)
@@ -171,7 +171,8 @@ class UsgComponents:
         visits = bl.visitor_flags(self.matrix, history)
         cf = np.zeros(len(history))
         if len(history) > 1:
-            overlap = bl.overlap_counts(self.matrix, u)
+            overlap = visits.sum(axis=0)
+            overlap[u] = 0
             others = np.flatnonzero(overlap)
             hit = visits[:, others]
             norm = np.sqrt((len(history) - 1) * self.matrix.degree[others])

@@ -6,18 +6,19 @@ users (never re-drawing anyone) and accumulates pairwise slot-similarity
 samples from the drawn users until every slot pair of every factor has the
 required number of samples, or the corpus is exhausted.  Under-coverage is
 reported, not fatal: completion of the similarity matrices handles it.
+Users are the log's ``columns`` ints throughout.
 
 RNG recipe (stable, documented so reruns and external simulations can
 reproduce draws): round ``r`` with seed ``s`` draws from
 ``numpy.random.default_rng([s, r])``, strata processed in the fixed order
 passive, semi-active, active, each drawing indices without replacement from
-its lexicographically sorted remaining users.
+its remaining users as ascending user ints, which is sorted-id order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,118 +28,92 @@ from .ingest import CheckInLog
 from .slabs import SimilaritySamples, TemporalFactorSpec, slot_pair_cosines
 
 
-@dataclass(frozen=True)
-class UserStrata:
-    """Disjoint activity strata covering all users with check-ins."""
-
-    passive: frozenset[str]
-    semi_active: frozenset[str]
-    active: frozenset[str]
-
-    def in_order(self) -> tuple[tuple[str, frozenset[str]], ...]:
-        return (("passive", self.passive), ("semi_active", self.semi_active),
-                ("active", self.active))
-
-
 @dataclass
 class SamplingState:
-    """Draw bookkeeping; ``drawn`` only ever grows (non-replacement)."""
+    """Draw bookkeeping: ``taken`` flags each user int drawn so far and only
+    ever gains users (non-replacement)."""
 
     rng_seed: int
-    drawn: set[str] = field(default_factory=set)
+    taken: np.ndarray
     round: int = 0
 
-
-@dataclass
-class CoverageRow:
-    factor: str
-    slot_a: int
-    slot_b: int
-    sample_count: int
+    @property
+    def drawn(self) -> np.ndarray:
+        """Every user drawn so far, as ascending ints."""
+        return np.flatnonzero(self.taken)
 
 
-def stratify_users(log: CheckInLog, thresholds: tuple[int, int] = (5, 15)) -> UserStrata:
-    """Partition users by distinct-POI count: passive < low <= semi-active < high <= active."""
+def stratify_users(log: CheckInLog, thresholds: tuple[int, int] = (5, 15)
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partition users by distinct-POI count: passive < low <= semi-active < high <= active.
+
+    Returns the (passive, semi-active, active) user ints, each ascending.
+    """
     low, high = thresholds
     if low >= high:
         raise ConfigError(f"strata thresholds must satisfy low < high, got {thresholds}")
-    columns = log.columns
-    distinct = columns.distinct_poi_counts()
-    users = np.array(columns.users, dtype=object)
-
-    def members(mask: np.ndarray) -> frozenset[str]:
-        # Social-only users have no check-ins and sit in no stratum.
-        return frozenset(users[mask & (distinct > 0)].tolist())
-
-    return UserStrata(members(distinct < low), members((distinct >= low) & (distinct < high)),
-                      members(distinct >= high))
+    distinct = log.columns.distinct_poi_counts()
+    # Social-only users have no check-ins and sit in no stratum.
+    return (np.flatnonzero((distinct > 0) & (distinct < low)),
+            np.flatnonzero((distinct >= low) & (distinct < high)),
+            np.flatnonzero(distinct >= high))
 
 
-def sample_round(strata: UserStrata, state: SamplingState, n_percent: float) -> frozenset[str]:
+def sample_round(strata: Sequence[np.ndarray], state: SamplingState,
+                 n_percent: float) -> np.ndarray:
     """Draw ceil(n% of remaining) users from each stratum, without replacement.
 
-    Returns the union of this round's draws and advances the state; an empty
-    result means every stratum is exhausted.
+    Returns this round's draws as ascending user ints and advances the state;
+    an empty result means every stratum is exhausted.
     """
     if not 0 < n_percent <= 100:
         raise ConfigError(f"n_percent must be in (0, 100], got {n_percent}")
     rng = np.random.default_rng([state.rng_seed, state.round])
-    picked: list[str] = []
-    for _, members in strata.in_order():
-        remaining = sorted(members - state.drawn)
-        if not remaining:
+    picked = [np.empty(0, dtype=np.intp)]
+    for members in strata:
+        remaining = members[~state.taken[members]]
+        if not len(remaining):
             continue
         k = math.ceil(len(remaining) * n_percent / 100.0)
-        idx = rng.choice(len(remaining), size=k, replace=False)
-        picked.extend(remaining[i] for i in sorted(idx))
-    state.drawn.update(picked)
+        picked.append(remaining[rng.choice(len(remaining), size=k, replace=False)])
+    drawn = np.sort(np.concatenate(picked))
+    state.taken[drawn] = True
     state.round += 1
-    return frozenset(picked)
+    return drawn
 
 
 def collect_until(log: CheckInLog, factors: Sequence[TemporalFactorSpec],
                   m_min: int = 30, n_percent: float = 5.0, max_rounds: int = 100,
                   seed: int = 0, thresholds: tuple[int, int] = (5, 15),
-                  binary: bool = False) -> tuple[dict[str, SimilaritySamples], list[CoverageRow], SamplingState]:
+                  binary: bool = False
+                  ) -> tuple[dict[str, SimilaritySamples], tuple[np.ndarray, ...], SamplingState]:
     """Sample users round by round until every slot pair has >= m_min samples.
 
     The floor applies per factor.  Stops early when all strata are exhausted
     or ``max_rounds`` is hit; in that case the similarity matrices are left
     partially observed for completion to fill.  Returns (samples per factor,
-    full coverage table, final sampling state).
+    the ``stratify_users`` strata, final sampling state).
     """
     if m_min < 1:
         raise ConfigError(f"m_min must be >= 1, got {m_min}")
     strata = stratify_users(log, thresholds)
-    state = SamplingState(rng_seed=seed)
-    samples = {f.name: SimilaritySamples(f) for f in factors}
     columns = log.columns
+    state = SamplingState(seed, np.zeros(len(columns.users), dtype=bool))
+    samples = {f.name: SimilaritySamples(f) for f in factors}
     slots = {f.name: np.broadcast_to(np.asarray(f.slot_of(columns.timestamp), dtype=np.intp),
                                      columns.timestamp.shape) for f in factors}
     while state.round < max_rounds:
         if all(s.covered(m_min) for s in samples.values()):
             break
         drawn = sample_round(strata, state, n_percent)
-        if not drawn:
+        if not len(drawn):
             break
         # The round's users in id order, as ranks 0..len(drawn) - 1.
         picked = np.zeros(len(columns.users), dtype=bool)
-        picked[[columns.user_index[u] for u in drawn]] = True
+        picked[drawn] = True
         rows = np.flatnonzero(picked[columns.user])
-        rank = (np.cumsum(picked) - 1)[columns.user[rows]]
+        rank = np.searchsorted(drawn, columns.user[rows])
         for f in factors:
             samples[f.name].extend(*slot_pair_cosines(
                 rank, slots[f.name][rows], columns.poi[rows], len(drawn), f.slot_count, binary))
-    coverage = [
-        CoverageRow(f.name, a, b, samples[f.name].count(a, b))
-        for f in factors
-        for a in range(f.slot_count)
-        for b in range(a + 1, f.slot_count)
-    ]
-    return samples, coverage, state
-
-
-def coverage_csv(coverage: Sequence[CoverageRow]) -> str:
-    lines = ["factor,slot_a,slot_b,sample_count"]
-    lines += [f"{r.factor},{r.slot_a},{r.slot_b},{r.sample_count}" for r in coverage]
-    return "\n".join(lines) + "\n"
+    return samples, strata, state

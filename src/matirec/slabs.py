@@ -4,12 +4,16 @@ A temporal factor (hour of day, day of week, ...) slices timestamps into a
 fixed number of slots.  Per factor we estimate a slot-by-slot similarity
 matrix from sampled user activity, complete its unobserved cells by low-rank
 symmetric matrix factorization, and cluster mutually similar slots into
-uni-aspect slabs with complete-linkage agglomerative clustering.  The cross
-product of the per-factor slabs is a grid of multi-aspect cells that
-partitions the timestamp space; a cell is an integer, the C-order flat index
-over ``SlabIndex.grid_shape()`` (coarsest factor first).  ``SlabIndex.cells``
-maps timestamps to cells in one array pass, and per-user and per-POI cell
-counts feed the latent temporal model and the shared-activity overlap.
+uni-aspect slabs with complete-linkage agglomerative clustering.  Samples are
+kept as flat arrays: each one's slot pair as the int ``a * n + b`` (a < b) and
+its value, in draw order.  A factor's slabs are its slot partition, a tuple of
+ascending slot tuples ordered by first slot; a slab's index is its position
+there.  The cross product of the per-factor slabs is a grid of multi-aspect
+cells that partitions the timestamp space; a cell is an integer, the C-order
+flat index over ``SlabIndex.grid_shape()`` (coarsest factor first).
+``SlabIndex.cells`` maps timestamps to cells in one array pass, and per-user
+and per-POI cell counts feed the latent temporal model and the
+shared-activity overlap.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -111,27 +115,32 @@ def slot_pair_cosines(user: np.ndarray, slot: np.ndarray, poi: np.ndarray, n_use
     return a, b, gram[owner, a, b] / (norm[owner, a] * norm[owner, b])
 
 
-@dataclass
 class SimilaritySamples:
-    """Raw per-user similarity observations for one factor, keyed (a, b) with a < b."""
+    """Raw per-user similarity observations for one factor, in draw order.
 
-    factor: TemporalFactorSpec
-    values: dict[tuple[int, int], list[float]] = field(default_factory=dict)
+    ``pairs`` and ``values`` hold one chunk per ``extend``: each sample's
+    slot pair as the int ``a * n + b`` with a < b, and its value.  ``count``
+    is the running (n, n) sample count per pair, on the upper triangle.
+    """
+
+    def __init__(self, factor: TemporalFactorSpec):
+        self.factor = factor
+        self.pairs: list[np.ndarray] = []
+        self.values: list[np.ndarray] = []
+        n = factor.slot_count
+        self.count = np.zeros((n, n), dtype=np.int64)
 
     def extend(self, slot_a, slot_b, values) -> None:
-        """Append samples in order, each under its slot pair (a, b) with a < b."""
+        """Append samples in order, each under its slot pair."""
         slot_a, slot_b = np.asarray(slot_a), np.asarray(slot_b)
-        keys = zip(np.minimum(slot_a, slot_b).tolist(), np.maximum(slot_a, slot_b).tolist())
-        for key, value in zip(keys, np.asarray(values).tolist()):
-            self.values.setdefault(key, []).append(value)
-
-    def count(self, slot_a: int, slot_b: int) -> int:
-        key = (slot_a, slot_b) if slot_a < slot_b else (slot_b, slot_a)
-        return len(self.values.get(key, ()))
+        n = self.factor.slot_count
+        pair = np.minimum(slot_a, slot_b) * n + np.maximum(slot_a, slot_b)
+        self.pairs.append(pair)
+        self.values.append(np.asarray(values, dtype=float))
+        self.count += np.bincount(pair, minlength=n * n).reshape(n, n)
 
     def covered(self, m_min: int) -> bool:
-        n = self.factor.slot_count
-        return all(self.count(a, b) >= m_min for a in range(n) for b in range(a + 1, n))
+        return bool((self.count[np.triu_indices(self.factor.slot_count, 1)] >= m_min).all())
 
 
 @dataclass
@@ -161,20 +170,23 @@ def aggregate_similarity(samples: SimilaritySamples, m_min: int = 1) -> SlotSimi
     """Average the per-user samples into a similarity matrix.
 
     A cell becomes observed once it has at least ``m_min`` samples; the mean
-    over contributing users is symmetric by construction.
+    over contributing users is symmetric by construction.  Each pair's mean
+    is ``np.mean`` over its samples taken contiguous and in draw order.
     """
     n = samples.factor.slot_count
-    sim = np.full((n, n), np.nan)
-    count = np.zeros((n, n), dtype=int)
-    observed = np.zeros((n, n), dtype=bool)
-    np.fill_diagonal(sim, 1.0)
+    count = samples.count + samples.count.T
+    observed = count >= max(m_min, 1)
     np.fill_diagonal(observed, True)
-    for (a, b), vals in samples.values.items():
-        count[a, b] = count[b, a] = len(vals)
-        if len(vals) >= m_min:
-            mean = float(np.mean(vals))
-            sim[a, b] = sim[b, a] = mean
-            observed[a, b] = observed[b, a] = True
+    sim = np.full((n, n), np.nan)
+    np.fill_diagonal(sim, 1.0)
+    pairs = np.concatenate([np.empty(0, dtype=np.intp), *samples.pairs])
+    order = np.argsort(pairs, kind="stable")
+    values = np.concatenate([np.empty(0), *samples.values])[order]
+    keys, starts = np.unique(pairs[order], return_index=True)
+    for key, vals in zip(keys.tolist(), np.split(values, starts[1:])):
+        a, b = divmod(key, n)
+        if observed[a, b]:
+            sim[a, b] = sim[b, a] = float(np.mean(vals))
     return SlotSimilarityMatrix(samples.factor, sim, count, observed,
                                 np.zeros((n, n), dtype=bool))
 
@@ -230,22 +242,15 @@ def complete_matrix(matrix: SlotSimilarityMatrix, rank: int = 3, reg: float = 0.
     return out
 
 
-@dataclass(frozen=True)
-class UniAspectSlab:
-    """A cluster of mutually similar slots within one factor."""
-
-    factor_name: str
-    index: int
-    slots: frozenset[int]
-
-
-def hac_complete_linkage(matrix: SlotSimilarityMatrix, threshold: float) -> tuple[UniAspectSlab, ...]:
+def hac_complete_linkage(matrix: SlotSimilarityMatrix,
+                         threshold: float) -> tuple[tuple[int, ...], ...]:
     """Partition slots into slabs by bottom-up complete-linkage clustering.
 
     Two clusters merge only while their least-similar cross pair is still at
     or above ``threshold``, so every within-slab slot pair is guaranteed to
     be at least that similar.  Equal-distance merge candidates are resolved
-    toward the lexicographically smallest slot ids.
+    toward the lexicographically smallest slot ids.  Returns the slabs as
+    ascending slot tuples, ordered by first slot.
     """
     if not matrix.is_complete():
         raise DataError("similarity matrix has unobserved cells; run completion first")
@@ -265,35 +270,36 @@ def hac_complete_linkage(matrix: SlotSimilarityMatrix, threshold: float) -> tupl
             break
         merged = tuple(sorted(clusters[i] + clusters[j]))
         clusters = [c for k, c in enumerate(clusters) if k not in (i, j)] + [merged]
-    clusters.sort(key=min)
-    return tuple(UniAspectSlab(matrix.factor.name, idx, frozenset(c))
-                 for idx, c in enumerate(clusters))
+    return tuple(sorted(clusters))
 
 
 class SlabIndex:
     """Immutable mapping timestamp -> multi-aspect grid cell.
 
     ``factors`` are kept finest-first (ascending containment rank); the grid
-    axes run coarsest-first, see ``grid_shape`` and ``cells``.
+    axes run coarsest-first, see ``grid_shape`` and ``cells``.  ``slab_sets``
+    holds each factor's slabs as slot tuples, sorted within a slab; a slab's
+    index is its position, as ``slab_index.json`` stores them.
     """
 
     def __init__(self, factors: Sequence[TemporalFactorSpec],
-                 slab_sets: Mapping[str, Sequence[UniAspectSlab]]):
+                 slab_sets: Mapping[str, Sequence[Sequence[int]]]):
         if not factors:
             raise DataError("SlabIndex requires at least one factor")
         self.factors = tuple(sorted(factors, key=lambda f: f.containment_rank))
         ranks = [f.containment_rank for f in self.factors]
         if len(set(ranks)) != len(ranks):
             raise ConfigError(f"duplicate containment ranks: {ranks}")
-        self.slab_sets = {f.name: tuple(slab_sets[f.name]) for f in self.factors}
+        self.slab_sets = {f.name: tuple(tuple(sorted(slab)) for slab in slab_sets[f.name])
+                          for f in self.factors}
         lookups = []
         for f in self.factors:
-            covered = sorted(s for slab in self.slab_sets[f.name] for s in slab.slots)
+            covered = sorted(s for slab in self.slab_sets[f.name] for s in slab)
             if covered != list(range(f.slot_count)):
                 raise DataError(f"slabs of factor {f.name} do not partition its slots")
             slab_by_slot = np.empty(f.slot_count, dtype=np.intp)
-            for slab in self.slab_sets[f.name]:
-                slab_by_slot[sorted(slab.slots)] = slab.index
+            for i, slab in enumerate(self.slab_sets[f.name]):
+                slab_by_slot[list(slab)] = i
             lookups.append((f, slab_by_slot))
         self._slab_lookups = lookups[::-1]  # coarsest first, as the grid axes
 
@@ -320,10 +326,8 @@ class SlabIndex:
                  "containment_rank": f.containment_rank, "utc_offset": f.utc_offset}
                 for f in self.factors
             ],
-            "slabs": {
-                name: [sorted(s.slots) for s in slabs]
-                for name, slabs in self.slab_sets.items()
-            },
+            "slabs": {name: [list(slab) for slab in slabs]
+                      for name, slabs in self.slab_sets.items()},
         }
 
     def to_json(self, fingerprint: str = "") -> str:
@@ -360,12 +364,7 @@ class SlabIndex:
             raise DataError("slab index checksum mismatch; file is stale or corrupted")
         factors = [_rebuild(spec["name"], spec["utc_offset"], spec["slot_count"],
                             spec["containment_rank"]) for spec in payload["factors"]]
-        slab_sets = {
-            name: tuple(UniAspectSlab(name, i, frozenset(slots))
-                        for i, slots in enumerate(slot_lists))
-            for name, slot_lists in payload["slabs"].items()
-        }
-        return cls(factors, slab_sets)
+        return cls(factors, payload["slabs"])
 
 
 def _rebuild(name: str, utc_offset: int, slot_count: int, rank: int) -> TemporalFactorSpec:
@@ -395,6 +394,16 @@ def all_slab_profiles(log: CheckInLog, index: SlabIndex) -> tuple[np.ndarray, np
         return flat.reshape(n_owners, n_cells)
 
     return counts(columns.user, len(columns.users)), counts(columns.poi, len(columns.pois))
+
+
+def coverage_csv(matrices: Iterable[SlotSimilarityMatrix]) -> str:
+    """Sample count of every slot pair (a < b) of each factor, row-major."""
+    lines = ["factor,slot_a,slot_b,sample_count"]
+    for matrix in matrices:
+        a, b = np.triu_indices(matrix.sim.shape[0], 1)
+        lines += [f"{matrix.factor.name},{i},{j},{c}"
+                  for i, j, c in zip(a.tolist(), b.tolist(), matrix.count[a, b].tolist())]
+    return "\n".join(lines) + "\n"
 
 
 def similarity_csv(matrix: SlotSimilarityMatrix) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.mati import joint_from_chain
-from matirec.slabs import SlabIndex, UniAspectSlab, day_factor, hour_factor
+from matirec.slabs import SlabIndex, day_factor, hour_factor
 
 BASE_MONDAY = 1262563200  # 2010-01-04 00:00 UTC, a Monday
 
@@ -107,11 +107,8 @@ def three_by_three_index() -> SlabIndex:
     hour = hour_factor()
     day = day_factor()
     slabs = {
-        "hour": tuple(UniAspectSlab("hour", i, frozenset(range(8 * i, 8 * (i + 1))))
-                      for i in range(3)),
-        "day": (UniAspectSlab("day", 0, frozenset({0, 1})),
-                UniAspectSlab("day", 1, frozenset({2, 3})),
-                UniAspectSlab("day", 2, frozenset({4, 5, 6}))),
+        "hour": [range(0, 8), range(8, 16), range(16, 24)],
+        "day": [(0, 1), (2, 3), (4, 5, 6)],
     }
     return SlabIndex([hour, day], slabs)
 

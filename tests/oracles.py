@@ -18,7 +18,8 @@ of users and POIs, and the Jaccard overlap of two id sets.  The array code
 (``SlabIndex.cells``, ``all_slab_profiles``, ``shared_activity``) must agree
 with them exactly.
 
-The log references walk ``CheckIn`` records: ``reference_parse`` reads a
+``canonical_rows`` is the order-free comparison of two logs.  The log
+references walk ``CheckIn`` records: ``reference_parse`` reads a
 check-in TSV one line at a time with the per-field checks,
 ``reference_serialize`` sorts records into the cache, ``user_slot_vectors``
 and ``slot_pair_similarity`` build one user's per-slot POI count dicts and
@@ -52,7 +53,7 @@ import numpy as np
 
 from matirec.baselines import EARTH_RADIUS_KM, GeoModel, UsgWeights
 from matirec.errors import DataError
-from matirec.ingest import DEFAULT_COLUMNS, CheckIn, ColumnFormat, parse_timestamp
+from matirec.ingest import DEFAULT_COLUMNS, CheckIn, ColumnFormat, _canonical_order, parse_timestamp
 from matirec.localtime import is_weekend
 from matirec.mati import (PARAMS_FORMAT_VERSION, ChainLayout, ChainStack, MatiParams,
                           chain_from_joint, joint_from_chain, layout_for, pair_of)
@@ -62,24 +63,25 @@ from matirec.pipeline import PR_NU_FLOOR
 # --- Slabs as string ids, one timestamp at a time ---------------------------
 
 def slab_parts(index, timestamp: int) -> tuple:
-    """The uni-aspect slab of each factor holding the timestamp, finest first."""
+    """(factor name, slab index) of each factor's slab holding the timestamp,
+    finest first."""
     parts = []
     for f in index.factors:
         slot = f.slot_of(timestamp)
-        holding = [slab for slab in index.slab_sets[f.name] if slot in slab.slots]
+        holding = [i for i, slots in enumerate(index.slab_sets[f.name]) if slot in slots]
         assert len(holding) == 1, f"slot {slot} of {f.name} is in {len(holding)} slabs"
-        parts.append(holding[0])
+        parts.append((f.name, holding[0]))
     return tuple(parts)
 
 
 def slab_id(index, timestamp: int) -> str:
     """The multi-aspect slab id of the timestamp, e.g. ``"hour:21|day:1"``."""
-    return "|".join(f"{part.factor_name}:{part.index}" for part in slab_parts(index, timestamp))
+    return "|".join(f"{name}:{i}" for name, i in slab_parts(index, timestamp))
 
 
 def grid_cell(index, timestamp: int) -> tuple[int, ...]:
     """Per-factor slab indices of the timestamp, coarsest first."""
-    return tuple(part.index for part in reversed(slab_parts(index, timestamp)))
+    return tuple(i for _, i in reversed(slab_parts(index, timestamp)))
 
 
 def flat_cell(index, timestamp: int) -> int:
@@ -123,6 +125,18 @@ def jaccard(a: set[str], b: set[str]) -> float:
 
 
 # --- Parsing and slot similarity, one line or one user at a time ----------
+
+def canonical_rows(log) -> tuple:
+    """The log's check-ins as user ids, timestamps, POI ids, lats and lons in
+    ``serialize_log``'s order, plus its social edges: equal for two logs that
+    hold the same check-ins and friendships, whatever their input order."""
+    c = log.columns
+    order = _canonical_order(c)
+    return (np.array(c.users, dtype=object)[c.user[order]].tolist(),
+            c.timestamp[order].tolist(),
+            np.array(c.pois, dtype=object)[c.poi[order]].tolist(),
+            c.lat[order].tolist(), c.lon[order].tolist(), log.social_edges)
+
 
 def reference_parse(source, fmt=None, on_error: str = "abort") -> tuple[list[CheckIn], int]:
     """The check-in records and skipped-line count of a check-in TSV, parsed
@@ -431,9 +445,11 @@ def reference_act_observations(log, utc_offset: int = 0, min_users: int = 5,
             [mean(v) for _, v in sorted(by_poi.items()) if len(v) >= min_users])
 
 
-def undersampled_pairs(coverage, m_min: int) -> list:
-    """Coverage rows with fewer than ``m_min`` samples."""
-    return [row for row in coverage if row.sample_count < m_min]
+def undersampled_pairs(coverage_csv: str, m_min: int) -> list[tuple[str, int, int]]:
+    """(factor, slot_a, slot_b) of the coverage rows with fewer than
+    ``m_min`` samples."""
+    rows = [line.split(",") for line in coverage_csv.splitlines()[1:]]
+    return [(f, int(a), int(b)) for f, a, b, count in rows if int(count) < m_min]
 
 
 # --- The parameter set as dicts of chains, and per-pair EM -----------------

@@ -24,8 +24,8 @@ from matirec.hybrid import HybridConfig
 from matirec.ingest import CheckIn, CheckInLog, dataset_stats, parse_checkins, parse_social
 from matirec.mati import ChainLayout, chain_from_joint, run_em
 from matirec.pipeline import MatiRecommender, train_models
-from matirec.slabs import (SlabIndex, SlotSimilarityMatrix, TemporalFactorSpec, UniAspectSlab,
-                           complete_matrix, day_factor, hac_complete_linkage, hour_factor)
+from matirec.slabs import (SlabIndex, SlotSimilarityMatrix, TemporalFactorSpec, complete_matrix,
+                           day_factor, hac_complete_linkage, hour_factor)
 from matirec.univariate import UnivariateConfig, effective_user_act, m_avg_recommend
 
 
@@ -135,9 +135,9 @@ def test_criterion_3_slab_pipeline():
             matrix = _random_full_matrix(rng, n)
             threshold = float(rng.uniform(0.2, 0.95))
             slabs = hac_complete_linkage(matrix, threshold)
-            assert sorted(s for slab in slabs for s in slab.slots) == list(range(n))
+            assert sorted(s for slab in slabs for s in slab) == list(range(n))
             for slab in slabs:
-                members = sorted(slab.slots)
+                members = sorted(slab)
                 for i, a in enumerate(members):
                     for b in members[i + 1:]:
                         assert matrix.sim[a, b] >= threshold
@@ -145,10 +145,7 @@ def test_criterion_3_slab_pipeline():
         # Multi-aspect slabs partition 10,000 random timestamps uniquely.
         hour_slots = [[h] for h in range(21)] + [[21, 22, 23]]
         day_slots = [[0], [1, 3], [2], [4], [5, 6]]
-        index = SlabIndex(
-            [hour_factor(), day_factor()],
-            {"hour": [UniAspectSlab("hour", i, frozenset(s)) for i, s in enumerate(hour_slots)],
-             "day": [UniAspectSlab("day", i, frozenset(s)) for i, s in enumerate(day_slots)]})
+        index = SlabIndex([hour_factor(), day_factor()], {"hour": hour_slots, "day": day_slots})
         hf, df = hour_factor(), day_factor()
         timestamps = rng.integers(1, 2_000_000_000, size=10_000)
         cells = index.cells(timestamps)
@@ -157,7 +154,7 @@ def test_criterion_3_slab_pipeline():
         grid = [(day, hour) for day in index.slab_sets["day"] for hour in index.slab_sets["hour"]]
         for ts, cell in zip(timestamps.tolist(), cells.tolist()):
             matches = [i for i, (day, hour) in enumerate(grid)
-                       if hf.slot_of(ts) in hour.slots and df.slot_of(ts) in day.slots]
+                       if hf.slot_of(ts) in hour and df.slot_of(ts) in day]
             assert matches == [cell]
 
         # Rank-1 hidden-cell recovery within 1e-6, checked against the

@@ -23,7 +23,7 @@ from matirec.evaluation import split_exclude
 from matirec.ingest import (DEFAULT_COLUMNS, CheckIn, CheckInLog, ColumnFormat, parse_checkins,
                             serialize_log)
 from matirec.sampling import SamplingState, collect_until, sample_round, stratify_users
-from matirec.slabs import day_factor, hour_factor
+from matirec.slabs import aggregate_similarity, day_factor, hour_factor
 from matirec.univariate import UnivariateConfig, act_observations, effective_user_act, poi_acts
 
 # --- Parsing ----------------------------------------------------------------
@@ -152,7 +152,8 @@ def test_split_train_log_is_the_kept_records():
     kept = [c for c in log.checkins
             if c.user_id not in split.excluded or c.poi_id not in split.excluded[c.user_id]]
     assert tuple(split.train_log.checkins) == tuple(kept)
-    assert split.train_log == CheckInLog.from_checkins(kept, log.social_edges)
+    assert orc.canonical_rows(split.train_log) == \
+        orc.canonical_rows(CheckInLog.from_checkins(kept, log.social_edges))
     assert split.train_log.columns.pois == tuple(sorted({c.poi_id for c in kept}))
 
 
@@ -174,26 +175,43 @@ def test_sampling_samples_equal_dict_reference(corpus_log, binary):
     log = corpus_log
     factors = [hour_factor(3600), day_factor(3600)]
     seed, n_percent, thresholds = 7, 10.0, (5, 15)
-    samples, _, state = collect_until(log, factors, m_min=30, n_percent=n_percent, seed=seed,
-                                      thresholds=thresholds, binary=binary)
+    samples, strata, state = collect_until(log, factors, m_min=30, n_percent=n_percent,
+                                           seed=seed, thresholds=thresholds, binary=binary)
 
+    users = log.columns.users
     by_user = orc.histories(log)
     distinct = {u: len({c.poi_id for c in cs}) for u, cs in by_user.items()}
-    strata = stratify_users(log, thresholds)
-    assert strata.passive == {u for u, n in distinct.items() if n < 5}
-    assert strata.semi_active == {u for u, n in distinct.items() if 5 <= n < 15}
-    assert strata.active == {u for u, n in distinct.items() if n >= 15}
+    passive, semi_active, active = ({users[u] for u in s.tolist()} for s in strata)
+    assert passive == {u for u, n in distinct.items() if n < 5}
+    assert semi_active == {u for u, n in distinct.items() if 5 <= n < 15}
+    assert active == {u for u, n in distinct.items() if n >= 15}
+    assert all(np.all(np.diff(s) > 0) for s in strata)
 
-    replay = SamplingState(rng_seed=seed)
+    replay = SamplingState(seed, np.zeros(len(users), dtype=bool))
     want = {f.name: {} for f in factors}
     for _ in range(state.round):
-        drawn = sample_round(strata, replay, n_percent)
-        for name, rows in orc.similarity_samples(by_user, factors, sorted(drawn), binary).items():
+        drawn = [users[u] for u in sample_round(strata, replay, n_percent).tolist()]
+        for name, rows in orc.similarity_samples(by_user, factors, drawn, binary).items():
             for a, b, value in rows:
                 want[name].setdefault((a, b), []).append(value)
-    assert replay.drawn == state.drawn
+    assert replay.drawn.tolist() == state.drawn.tolist()
     for f in factors:
-        assert samples[f.name].values == want[f.name]
+        n = f.slot_count
+        got = {}
+        for pair, value in zip(np.concatenate(samples[f.name].pairs).tolist(),
+                               np.concatenate(samples[f.name].values).tolist()):
+            got.setdefault(divmod(pair, n), []).append(value)
+        assert got == want[f.name]
+        # The aggregated matrix, bit for bit: np.mean over each pair's list.
+        sim, count = np.full((n, n), np.nan), np.zeros((n, n), dtype=np.int64)
+        np.fill_diagonal(sim, 1.0)
+        for (a, b), values in want[f.name].items():
+            count[a, b] = count[b, a] = len(values)
+            if len(values) >= 30:
+                sim[a, b] = sim[b, a] = np.mean(values)
+        matrix = aggregate_similarity(samples[f.name], m_min=30)
+        assert matrix.sim.tobytes() == sim.tobytes()
+        assert matrix.count.tobytes() == count.tobytes()
 
 
 def test_univariate_acts_equal_dict_reference(corpus_log):
@@ -226,7 +244,8 @@ def test_univariate_acts_equal_dict_reference(corpus_log):
 def test_stats_and_strata_on_a_social_only_user():
     """Social-only users count for stats but sit in no stratum."""
     log = CheckInLog.from_checkins([CheckIn("a", "p", 100, 0.0, 0.0)], [("a", "z")])
-    strata = stratify_users(log, (5, 15))
-    assert strata.passive == {"a"} and not strata.semi_active and not strata.active
+    passive, semi_active, active = stratify_users(log, (5, 15))
+    assert passive.tolist() == [log.columns.users.index("a")]
+    assert not len(semi_active) and not len(active)
     assert list(log.columns.checkin_counts()) == [1, 0]
     assert np.array_equal(log.columns.distinct_poi_counts(), [1, 0])

@@ -193,6 +193,6 @@ def test_pair_keys_leave_em_in_raw_key_order():
     text = params_to_json(params)
     assert text == reference_params_json(ref)
     _assert_round_trip(ref, params_from_json(text))
-    models = train_models(log, load_config(), SlabArtifacts(index, {}, []),
+    models = train_models(log, load_config(), SlabArtifacts(index, {}),
                           params_from_json(text))
     assert models.em_report is None

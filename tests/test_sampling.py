@@ -7,9 +7,8 @@ from oracles import (oracle_sampling_rounds, slot_pair_similarity, undersampled_
 
 from matirec.errors import ConfigError
 from matirec.ingest import CheckIn, CheckInLog
-from matirec.sampling import (SamplingState, collect_until, coverage_csv, sample_round,
-                              stratify_users)
-from matirec.slabs import TemporalFactorSpec
+from matirec.sampling import SamplingState, collect_until, sample_round, stratify_users
+from matirec.slabs import TemporalFactorSpec, aggregate_similarity, coverage_csv
 
 
 def _log_with_counts(counts):
@@ -21,19 +20,28 @@ def _log_with_counts(counts):
     return CheckInLog.from_checkins(checkins)
 
 
+def _ids(log, users):
+    """The id set of an array of user ints."""
+    return {log.columns.users[u] for u in users.tolist()}
+
+
+def _fresh_state(log, seed):
+    return SamplingState(seed, np.zeros(len(log.columns.users), dtype=bool))
+
+
 def test_stratify_thresholds():
     log = _log_with_counts({"p3": 3, "s7": 7, "a15": 15, "a20": 20})
-    strata = stratify_users(log, (5, 15))
-    assert strata.passive == {"p3"}
-    assert strata.semi_active == {"s7"}
-    assert strata.active == {"a15", "a20"}  # boundary 15 is active (>= high)
+    passive, semi_active, active = stratify_users(log, (5, 15))
+    assert _ids(log, passive) == {"p3"}
+    assert _ids(log, semi_active) == {"s7"}
+    assert _ids(log, active) == {"a15", "a20"}  # boundary 15 is active (>= high)
 
 
 def test_stratify_all_identical():
     log = _log_with_counts({f"u{i}": 6 for i in range(5)})
-    strata = stratify_users(log, (5, 15))
-    assert not strata.passive and not strata.active
-    assert len(strata.semi_active) == 5
+    passive, semi_active, active = stratify_users(log, (5, 15))
+    assert not len(passive) and not len(active)
+    assert len(semi_active) == 5
 
 
 def test_stratify_bad_thresholds():
@@ -50,36 +58,38 @@ def _hundred_per_stratum():
 
 
 def test_sample_round_draws_ten_percent_each():
-    strata = stratify_users(_hundred_per_stratum(), (5, 15))
-    state = SamplingState(rng_seed=3)
-    drawn = sample_round(strata, state, 10)
+    log = _hundred_per_stratum()
+    strata = stratify_users(log, (5, 15))
+    drawn = sample_round(strata, _fresh_state(log, 3), 10)
     assert len(drawn) == 30
-    for stratum in (strata.passive, strata.semi_active, strata.active):
-        assert len(drawn & stratum) == 10
+    for stratum in strata:
+        assert len(np.intersect1d(drawn, stratum)) == 10
 
 
 def test_sample_round_never_repeats():
-    strata = stratify_users(_hundred_per_stratum(), (5, 15))
-    state = SamplingState(rng_seed=3)
+    log = _hundred_per_stratum()
+    strata = stratify_users(log, (5, 15))
+    state = _fresh_state(log, 3)
     first = sample_round(strata, state, 10)
     second = sample_round(strata, state, 10)
-    assert not first & second
-    assert state.drawn == first | second
+    assert not len(np.intersect1d(first, second))
+    assert state.drawn.tolist() == sorted(first.tolist() + second.tolist())
 
 
 def test_sample_round_deterministic():
-    strata = stratify_users(_hundred_per_stratum(), (5, 15))
-    a = sample_round(strata, SamplingState(rng_seed=9), 10)
-    b = sample_round(strata, SamplingState(rng_seed=9), 10)
-    assert a == b
+    log = _hundred_per_stratum()
+    strata = stratify_users(log, (5, 15))
+    a = sample_round(strata, _fresh_state(log, 9), 10)
+    b = sample_round(strata, _fresh_state(log, 9), 10)
+    assert a.tolist() == b.tolist()
 
 
 def test_sample_round_exhaustion_yields_empty():
     log = _log_with_counts({"u1": 2, "u2": 8})
     strata = stratify_users(log, (5, 15))
-    state = SamplingState(rng_seed=0)
-    assert sample_round(strata, state, 100) == {"u1", "u2"}
-    assert sample_round(strata, state, 100) == frozenset()
+    state = _fresh_state(log, 0)
+    assert _ids(log, sample_round(strata, state, 100)) == {"u1", "u2"}
+    assert not len(sample_round(strata, state, 100))
 
 
 def test_collect_until_full_coverage_first_round():
@@ -92,10 +102,10 @@ def test_collect_until_full_coverage_first_round():
     log = CheckInLog.from_checkins(checkins)
     two_slot = TemporalFactorSpec("two", 2, lambda ts: ((ts % 86400) // 3600 >= 10) * 1,
                                   containment_rank=1)
-    samples, coverage, state = collect_until(log, [two_slot], m_min=4, n_percent=100, seed=1)
+    samples, _, state = collect_until(log, [two_slot], m_min=4, n_percent=100, seed=1)
     assert state.round == 1
-    assert samples["two"].count(0, 1) == 4
-    assert not undersampled_pairs(coverage, 4)
+    assert samples["two"].count[0, 1] == 4
+    assert not undersampled_pairs(coverage_csv([aggregate_similarity(samples["two"])]), 4)
 
 
 def test_collect_until_inactive_slot_flagged():
@@ -105,18 +115,18 @@ def test_collect_until_inactive_slot_flagged():
     checkins = [CheckIn("u1", "p1", stamp(0, 0, 1), 0.0, 0.0),
                 CheckIn("u1", "p1", stamp(0, 0, 9), 0.0, 0.0)]
     log = CheckInLog.from_checkins(checkins)
-    samples, coverage, _ = collect_until(log, [factor], m_min=1, n_percent=100, seed=1)
-    under = undersampled_pairs(coverage, 1)
-    assert {(r.slot_a, r.slot_b) for r in under} == {(0, 2), (1, 2)}
-    assert samples["tri"].count(0, 1) == 1
+    samples, _, _ = collect_until(log, [factor], m_min=1, n_percent=100, seed=1)
+    under = undersampled_pairs(coverage_csv([aggregate_similarity(samples["tri"])]), 1)
+    assert under == [("tri", 0, 2), ("tri", 1, 2)]
+    assert samples["tri"].count[0, 1] == 1
 
 
 def test_coverage_csv_shape():
 
     factor = TemporalFactorSpec("two", 2, lambda ts: 0, containment_rank=1)
     log = CheckInLog.from_checkins([CheckIn("u", "p", 100, 0.0, 0.0)])
-    _, coverage, _ = collect_until(log, [factor], m_min=1, n_percent=100, max_rounds=2, seed=0)
-    text = coverage_csv(coverage)
+    samples, _, _ = collect_until(log, [factor], m_min=1, n_percent=100, max_rounds=2, seed=0)
+    text = coverage_csv([aggregate_similarity(samples["two"])])
     assert text.splitlines()[0] == "factor,slot_a,slot_b,sample_count"
     assert len(text.splitlines()) == 2
 
@@ -139,13 +149,11 @@ def test_collect_until_matches_independent_simulation():
     factor = TemporalFactorSpec("quad", 4, lambda ts: (ts % 86400) // 3600 % 4,
                                 containment_rank=1)
     m_min, n_percent, seed = 10, 5.0, 123
-    samples, coverage, state = collect_until(log, [factor], m_min=m_min,
-                                             n_percent=n_percent, seed=seed)
+    samples, strata, state = collect_until(log, [factor], m_min=m_min,
+                                           n_percent=n_percent, seed=seed)
 
-    strata = stratify_users(log, (5, 15))
-    users_by_stratum = {"passive": sorted(strata.passive),
-                        "semi_active": sorted(strata.semi_active),
-                        "active": sorted(strata.active)}
+    users_by_stratum = {name: sorted(_ids(log, members))
+                        for name, members in zip(("passive", "semi_active", "active"), strata)}
     activity = {}
     for u in checkin_users(log):
         vectors = user_slot_vectors([log.checkins[i] for i in log.rows(u)], factor)
@@ -161,6 +169,6 @@ def test_collect_until_matches_independent_simulation():
     rounds, drawn, counts = oracle_sampling_rounds(users_by_stratum, activity, all_pairs,
                                                    m_min, n_percent, 100, seed)
     assert state.round == rounds
-    assert state.drawn == drawn
+    assert _ids(log, state.drawn) == drawn
     for (a, b), c in counts.items():
-        assert samples["quad"].count(a, b) == c
+        assert samples["quad"].count[a, b] == c

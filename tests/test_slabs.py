@@ -14,8 +14,8 @@ from matirec.errors import ConfigError, DataError
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.localtime import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from matirec.slabs import (SimilaritySamples, SlabIndex, SlotSimilarityMatrix, TemporalFactorSpec,
-                           UniAspectSlab, aggregate_similarity, all_slab_profiles, complete_matrix,
-                           day_factor, hac_complete_linkage, hour_factor, similarity_csv)
+                           aggregate_similarity, all_slab_profiles, complete_matrix, day_factor,
+                           hac_complete_linkage, hour_factor, similarity_csv)
 
 
 def test_slot_of_monday_evening():
@@ -180,9 +180,9 @@ def test_hac_merges_similar_evening_hours():
             if a != b:
                 sim[a, b] = 0.8
     slabs = hac_complete_linkage(_full_matrix(sim), threshold=0.6)
-    merged = [s for s in slabs if len(s.slots) > 1]
+    merged = [s for s in slabs if len(s) > 1]
     assert len(merged) == 1
-    assert merged[0].slots == frozenset({21, 22, 23})
+    assert merged[0] == (21, 22, 23)
 
 
 def test_hac_merges_tue_thu():
@@ -191,7 +191,7 @@ def test_hac_merges_tue_thu():
     np.fill_diagonal(sim, 1.0)
     sim[1, 3] = sim[3, 1] = 0.75
     slabs = hac_complete_linkage(_full_matrix(sim), threshold=0.6)
-    assert frozenset({1, 3}) in {s.slots for s in slabs}
+    assert (1, 3) in slabs
 
 
 def test_hac_threshold_above_everything_gives_singletons():
@@ -200,7 +200,7 @@ def test_hac_threshold_above_everything_gives_singletons():
     sim = (sim + sim.T) / 2
     np.fill_diagonal(sim, 1.0)
     slabs = hac_complete_linkage(_full_matrix(sim), threshold=0.95)
-    assert all(len(s.slots) == 1 for s in slabs)
+    assert all(len(s) == 1 for s in slabs)
     assert len(slabs) == 7
 
 
@@ -213,10 +213,10 @@ def test_hac_complete_linkage_guarantee_random():
         np.fill_diagonal(sim, 1.0)
         threshold = float(rng.uniform(0.2, 0.9))
         slabs = hac_complete_linkage(_full_matrix(sim), threshold)
-        covered = sorted(s for slab in slabs for s in slab.slots)
+        covered = sorted(s for slab in slabs for s in slab)
         assert covered == list(range(n))
         for slab in slabs:
-            members = sorted(slab.slots)
+            members = sorted(slab)
             for i, a in enumerate(members):
                 for b in members[i + 1:]:
                     assert sim[a, b] >= threshold
@@ -230,16 +230,11 @@ def test_hac_requires_completed_matrix():
         hac_complete_linkage(matrix, 0.5)
 
 
-def _slab(factor, index, slots):
-    return UniAspectSlab(factor, index, frozenset(slots))
-
-
 def test_cross_slabs_product_count():
     """The cell grid is the full cross product of the per-factor slabs."""
     sets = {
-        "hour": [_slab("hour", 0, range(0, 8)), _slab("hour", 1, range(8, 16)),
-                 _slab("hour", 2, range(16, 24))],
-        "day": [_slab("day", 0, range(0, 5)), _slab("day", 1, range(5, 7))],
+        "hour": [range(0, 8), range(8, 16), range(16, 24)],
+        "day": [range(0, 5), range(5, 7)],
     }
     index = SlabIndex([hour_factor(), day_factor()], sets)
     assert index.grid_shape() == (2, 3)
@@ -251,7 +246,7 @@ def test_cross_slabs_product_count():
 
 
 def test_cross_slabs_single_factor_identity():
-    sets = {"hour": [_slab("hour", 0, range(0, 12)), _slab("hour", 1, range(12, 24))]}
+    sets = {"hour": [range(0, 12), range(12, 24)]}
     index = SlabIndex([hour_factor()], sets)
     assert orc.cell_ids(index) == ["hour:0", "hour:1"]
     assert index.cells([stamp(0, 3, 11), stamp(0, 3, 12)]).tolist() == [0, 1]
@@ -265,7 +260,7 @@ def test_cross_slabs_empty_factors_error():
 def test_cross_slabs_duplicate_rank_error():
     a = TemporalFactorSpec("a", 2, lambda ts: 0, containment_rank=1)
     b = TemporalFactorSpec("b", 2, lambda ts: 0, containment_rank=1)
-    sets = {"a": [_slab("a", 0, [0, 1])], "b": [_slab("b", 0, [0, 1])]}
+    sets = {"a": [[0, 1]], "b": [[0, 1]]}
     with pytest.raises(ConfigError, match="duplicate"):
         SlabIndex([a, b], sets)
 
@@ -274,11 +269,7 @@ def _fig_index():
     """Hour slab {21,22,23} and day slab {Tue,Thu} among singletons."""
     hour_slots = [[h] for h in range(21)] + [[21, 22, 23]]
     day_slots = [[0], [1, 3], [2], [4], [5], [6]]
-    sets = {
-        "hour": [_slab("hour", i, s) for i, s in enumerate(hour_slots)],
-        "day": [_slab("day", i, s) for i, s in enumerate(day_slots)],
-    }
-    return SlabIndex([hour_factor(), day_factor()], sets)
+    return SlabIndex([hour_factor(), day_factor()], {"hour": hour_slots, "day": day_slots})
 
 
 def test_slab_of_merged_block():
@@ -326,9 +317,8 @@ def cell_indexes(draw):
     for f in factors:
         labels = draw(st.lists(st.integers(0, f.slot_count - 1), min_size=f.slot_count,
                                max_size=f.slot_count))
-        groups = sorted({frozenset(s for s in range(f.slot_count) if labels[s] == label)
-                         for label in set(labels)}, key=min)
-        sets[f.name] = [UniAspectSlab(f.name, i, g) for i, g in enumerate(groups)]
+        sets[f.name] = sorted({tuple(s for s in range(f.slot_count) if labels[s] == label)
+                               for label in set(labels)})
     return SlabIndex(factors, sets)
 
 
@@ -353,7 +343,7 @@ def test_cells_match_string_oracle(index, data):
 
 
 def test_index_rejects_non_partition():
-    sets = {"hour": [_slab("hour", 0, range(0, 23))]}  # missing slot 23
+    sets = {"hour": [range(0, 23)]}  # missing slot 23
     with pytest.raises(DataError, match="partition"):
         SlabIndex([hour_factor()], sets)
 
@@ -393,8 +383,7 @@ def test_index_json_roundtrip():
     assert restored.grid_shape() == index.grid_shape()
     assert restored.checksum == index.checksum
     for f in index.factors:
-        assert [sorted(s.slots) for s in restored.slab_sets[f.name]] == \
-               [sorted(s.slots) for s in index.slab_sets[f.name]]
+        assert restored.slab_sets[f.name] == index.slab_sets[f.name]
     stamps = np.arange(1, 3 * 86400 * 7, 1799)
     assert restored.cells(stamps).tolist() == index.cells(stamps).tolist()
 
@@ -410,7 +399,7 @@ def test_index_json_refuses_a_factor_it_cannot_read_back(factor):
     are written; anything else is refused at write time."""
     others = [day_factor()] if factor.name == "hour" else [hour_factor()]
     index = SlabIndex([factor] + others, {
-        f.name: [_slab(f.name, s, [s]) for s in range(f.slot_count)] for f in [factor] + others})
+        f.name: [(s,) for s in range(f.slot_count)] for f in [factor] + others})
     with pytest.raises(ConfigError, match=factor.name):
         index.to_json()
 

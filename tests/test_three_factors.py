@@ -16,8 +16,7 @@ from matirec.ingest import CheckIn, CheckInLog
 from matirec.localtime import SECONDS_PER_HOUR
 from matirec.mati import (joint_from_chain, layout_for, mati_mix, poi_depth_means, run_em,
                           shared_activity, validate_chain)
-from matirec.slabs import (SlabIndex, TemporalFactorSpec, UniAspectSlab, all_slab_profiles,
-                           day_factor, hour_factor)
+from matirec.slabs import SlabIndex, TemporalFactorSpec, all_slab_profiles, day_factor, hour_factor
 
 
 def half_hour_factor():
@@ -28,12 +27,9 @@ def half_hour_factor():
 @pytest.fixture(scope="module")
 def three_factor_index():
     slabs = {
-        "halfhour": (UniAspectSlab("halfhour", 0, frozenset({0})),
-                     UniAspectSlab("halfhour", 1, frozenset({1}))),
-        "hour": tuple(UniAspectSlab("hour", i, frozenset(range(12 * i, 12 * (i + 1))))
-                      for i in range(2)),
-        "day": (UniAspectSlab("day", 0, frozenset(range(0, 5))),
-                UniAspectSlab("day", 1, frozenset({5, 6}))),
+        "halfhour": [(0,), (1,)],
+        "hour": [range(0, 12), range(12, 24)],
+        "day": [range(0, 5), (5, 6)],
     }
     return SlabIndex([half_hour_factor(), hour_factor(), day_factor()], slabs)
 

@@ -4,16 +4,21 @@ The tracer wraps library functions, methods and CLI commands by name and
 reads counts from what they return, so a rename in the library breaks the
 benchmark's traced runs.  This runs traced CLI commands in-process on a
 small planted corpus and checks the counts read, and that ``uninstall`` puts
-every wrapped attribute back.
+every wrapped attribute back.  The corpus's sampling stops before it has
+drawn every user, so a count of users drawn differs from the user count.
 """
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
 from corpus import checkin_users, planted_corpus
 
 from matirec import cli, evaluation, ingest, pipeline
+from matirec.config import SEED_SAMPLING, load_config
+from matirec.sampling import collect_until
+from matirec.slabs import SlabIndex, build_factor
 
 SPANS = Path(__file__).resolve().parents[1] / "clibench" / "spans.py"
 
@@ -37,7 +42,7 @@ def _namespaces() -> list:
 
 
 def test_traced_commands_count_pairs_and_uninstall_restores(tmp_path):
-    log = planted_corpus(n_users=40, seed=3)
+    log = planted_corpus(n_users=80, seed=3)
     (tmp_path / "checkins.tsv").write_text(ingest.serialize_log(log), encoding="utf-8")
     (tmp_path / "social.tsv").write_text(ingest.serialize_social(log), encoding="utf-8")
     config = tmp_path / "run.cfg"
@@ -66,6 +71,19 @@ def test_traced_commands_count_pairs_and_uninstall_restores(tmp_path):
     assert tracer.counts["mati.pairs"] == len(log.columns.pairs)
     assert tracer.counts["mati.params_bytes"] == (out / "mati_params.json").stat().st_size
     assert {"cmd.recommend", "mati.em", "mati.params_read"} <= {s.name for s in tracer.spans}
+
+    cfg = load_config(config)
+    factors = [build_factor(name, cfg.utc_offset_seconds()) for name in cfg.factors.factor_names()]
+    _, _, state = collect_until(
+        log, factors, m_min=cfg.sampling.m_min, n_percent=cfg.sampling.n_percent,
+        max_rounds=cfg.sampling.max_rounds, seed=cfg.seed * 1000 + SEED_SAMPLING,
+        thresholds=(cfg.sampling.strata_low, cfg.sampling.strata_high),
+        binary=cfg.factors.binary_vectors)
+    assert 0 < len(state.drawn) < len(checkin_users(log))
+    assert tracer.counts["sampling.rounds"] == state.round
+    assert tracer.counts["sampling.users_drawn"] == len(state.drawn)
+    index = SlabIndex.from_json((out / "slab_index.json").read_text(encoding="utf-8"))
+    assert tracer.counts["slabs.grid_cells"] == math.prod(index.grid_shape())
     for space, saved in before:
         now = dict(space)
         assert now.keys() == saved.keys()
