@@ -1,20 +1,18 @@
 """Non-temporal scorers: user-based CF, social influence, geographic power law.
 
-The three components mix into the USG score, which also supplies the
-non-temporal visit probability consumed by the latent temporal model and the
-per-POI influence weights of the univariate model.  The social weighting is
-a documented reconstruction (the original formulation is external to this
-project): friends are weighted by the Jaccard overlap of their combined
-friend-and-POI sets.
+The three components mix into the USG score, which is also the latent
+temporal model's non-temporal factor ``Pr_nu``, applied at scoring, and
+supplies the per-POI influence weights of the univariate model.  The social
+weighting is a documented reconstruction (the original formulation is
+external to this project): friends are weighted by the Jaccard overlap of
+their combined friend-and-POI sets.
 
 Everything here works on the integer index of ``UserPoiMatrix``: a user's
 component scores are numpy vectors over POI ints, built by adding whole CSR
 rows (CF, social) or history-by-target distance rows (geo), never one
 candidate at a time.  Accumulations run in a fixed order (neighbors by
 ``(-sim, id)``, friends and history POIs by id) so the sums are reproducible
-to the last bit.  Training needs every visit pair's components, which
-``pair_components`` computes for blocks of users at once, adding the same
-terms in the same order as the per-user path.
+to the last bit.
 """
 
 from __future__ import annotations
@@ -29,10 +27,10 @@ from .ingest import CheckInLog
 
 EARTH_RADIUS_KM = 6371.0088
 
-# Working-array entries per block of users in the all-pairs passes
-# (``pair_components``, ``distance_bins``): 1 MB per 8-byte array, with a
-# handful of such arrays alive at once, so a block's arrays stay near the CPU
-# caches while the per-block overhead stays small.
+# Working-array entries per block of users in the all-pairs pass of
+# ``distance_bins``: 1 MB per 8-byte array, with a handful of such arrays
+# alive at once, so a block's arrays stay near the CPU caches while the
+# per-block overhead stays small.
 BLOCK_ENTRIES = 1 << 17
 
 _NO_INTS = np.zeros(0, dtype=np.intp)
@@ -290,137 +288,11 @@ def _blocks(cost: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _positions(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Index of each query in the ascending, non-empty ``keys``; -1 where absent."""
-    pos = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
-    return np.where(keys[pos] == queries, pos, -1)
-
-
-def _place_in_row(row: np.ndarray, n_rows: int) -> np.ndarray:
-    """Each entry's position within its row, for entries that come row by row."""
-    counts = np.bincount(row, minlength=n_rows)
-    return np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
-
-
-def _top_k_rows(row: np.ndarray, sims: np.ndarray, k: int, n_rows: int) -> np.ndarray:
-    """Per row, the entries of the k largest ``sims``, descending, ties by position.
-
-    Entries come row by row.  A row with more than k entries keeps only what
-    ties or beats its k-th largest, found by one partition of all such rows
-    packed into a padded matrix; the kept entries are then sorted and cut to
-    k, as ``top_neighbors`` does for one row.
-    """
-    counts = np.bincount(row, minlength=n_rows)
-    keep = np.ones(len(row), dtype=bool)
-    big = counts > k
-    if big.any():
-        wide = big[row]
-        packed = (np.cumsum(big) - 1)[row[wide]]
-        padded = np.full((int(big.sum()), int(counts.max())), -np.inf)
-        padded[packed, _place_in_row(row, n_rows)[wide]] = sims[wide]
-        cut = padded.shape[1] - k
-        keep[wide] = sims[wide] >= np.partition(padded, cut, axis=1)[packed, cut]
-    kept = np.flatnonzero(keep)
-    kept = kept[np.lexsort((-sims[kept], row[kept]))]
-    return kept[_place_in_row(row[kept], n_rows) < k]
-
-
 def _shares(pair: np.ndarray, weights: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Weight sums per pair, added in entry order, over each pair's user total
     (0 where that total is 0)."""
     sums = np.bincount(pair, weights=weights, minlength=len(totals))
     return np.divide(sums, totals, out=np.zeros(len(totals)), where=totals != 0)
-
-
-def _block_cf(matrix: UserPoiMatrix, users: np.ndarray, history: np.ndarray,
-              pair_row: np.ndarray, k: int) -> np.ndarray:
-    """CF rate of each pair of a block of users: co-visit counts of each user
-    with everyone, the top-k cosine neighbors, then each pair's visitors among
-    them in rank order."""
-    n_users, n_rows = len(matrix.users), len(users)
-    visitors, pair = _gather(matrix.visitor_indptr, matrix.visitor_indices, history)
-    cells = pair_row[pair] * n_users + visitors
-    overlap = np.bincount(cells, minlength=n_rows * n_users)
-    overlap[np.arange(n_rows) * n_users + users] = 0
-    candidates = np.flatnonzero(overlap)
-    row, other = np.divmod(candidates, n_users)
-    sims = overlap[candidates] / np.sqrt(matrix.degree[users][row] * matrix.degree[other])
-    top = _top_k_rows(row, sims, k, n_rows)
-    sims = sims[top]
-    # The count rows become each user's neighbor map: 1 + index into ``top``.
-    overlap[candidates] = 0
-    overlap[candidates[top]] = np.arange(1, len(top) + 1)
-    neighbor = overlap[cells] - 1
-    shared = np.flatnonzero(neighbor >= 0)
-    shared = shared[np.argsort(pair[shared] * len(top) + neighbor[shared])]
-    totals = np.bincount(row[top], weights=sims, minlength=n_rows)[pair_row]
-    return _shares(pair[shared], sims[neighbor[shared]], totals)
-
-
-def _block_social(matrix: UserPoiMatrix, users: np.ndarray, pair_row: np.ndarray,
-                  first_pair: int, visit_keys: np.ndarray,
-                  friend_keys: np.ndarray) -> np.ndarray:
-    """Social rate of each pair of a block of users: the Jaccard weight of each
-    of their friendships (as ``friend_weights``), then the friends' visits."""
-    n_users, n_pois = len(matrix.users), matrix.n_pois
-    degree, friend_degree = matrix.degree, np.diff(matrix.friend_indptr)
-    friends, edge_row = _gather(matrix.friend_indptr, matrix.friend_indices, users)
-    owner = users[edge_row]
-    their_friends, edge = _gather(matrix.friend_indptr, matrix.friend_indices, friends)
-    circle = ((their_friends == owner[edge])
-              | (_positions(friend_keys, owner[edge] * n_users + their_friends) >= 0))
-    their_pois, visit_edge = _gather(matrix.indptr, matrix.indices, friends)
-    mine = _positions(visit_keys, owner[visit_edge] * n_pois + their_pois)
-    hits = mine >= 0
-    inter = (1 + np.bincount(edge[circle], minlength=len(friends))
-             + np.bincount(visit_edge[hits], minlength=len(friends)))
-    union = (friend_degree[owner] + 1 + degree[owner]
-             + friend_degree[friends] + 1 + degree[friends] - inter)
-    weights = inter / union
-    totals = np.bincount(edge_row, weights=weights, minlength=len(users))[pair_row]
-    return _shares(mine[hits] - first_pair, weights[visit_edge[hits]], totals)
-
-
-def pair_components(matrix: UserPoiMatrix, k: int,
-                    model: GeoModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw CF rate, social rate and geo log score of every visit pair.
-
-    The pairs are the CSR entries (user, POI), in (user, POI) order.  Each
-    score is the one the per-user path gives the POI as a target of its own
-    user: ``visit_rate`` over ``top_neighbors`` and over ``friend_weights``,
-    and ``geo_log_scores`` against the user's history.  Users with a history
-    are taken in blocks whose working arrays stay within about
-    ``BLOCK_ENTRIES`` entries: a row of co-visit counts per user, the (pair,
-    visitor) co-visits, the (pair, history POI) distances and the friends'
-    friends and POIs.  Every sum adds the same terms in the same order as
-    the per-user path (neighbors by rank, friends and history POIs by id),
-    so the scores agree with it bit for bit.
-    """
-    n_users = len(matrix.users)
-    degree, friend_degree = matrix.degree, np.diff(matrix.friend_indptr)
-    visit_owner = np.repeat(np.arange(n_users), degree)
-    friend_owner = np.repeat(np.arange(n_users), friend_degree)
-    visit_keys = visit_owner * matrix.n_pois + matrix.indices
-    friend_keys = friend_owner * n_users + matrix.friend_indices
-    covisits = np.bincount(visit_owner, minlength=n_users,
-                           weights=np.diff(matrix.visitor_indptr)[matrix.indices])
-    reach = np.bincount(friend_owner, minlength=n_users,
-                        weights=(friend_degree + degree)[matrix.friend_indices])
-    active = np.flatnonzero(degree)
-    cost = n_users + covisits[active] + degree[active] ** 2 + reach[active]
-    cf, soc, geo = (np.zeros(len(matrix.indices)) for _ in range(3))
-    for start, end in _blocks(cost):
-        users = active[start:end]
-        lo, hi = matrix.indptr[users[0]], matrix.indptr[users[-1] + 1]
-        history = matrix.indices[lo:hi]
-        pair_row = np.repeat(np.arange(len(users)), degree[users])
-        cf[lo:hi] = _block_cf(matrix, users, history, pair_row, k)
-        soc[lo:hi] = _block_social(matrix, users, pair_row, lo, visit_keys, friend_keys)
-        sources, pair = _gather(matrix.indptr, matrix.indices, users[pair_row])
-        d = haversine_km(matrix.lat[sources], matrix.lon[sources],
-                         matrix.lat[history[pair]], matrix.lon[history[pair]])
-        geo[lo:hi] = np.bincount(pair, weights=model.log_prob(d), minlength=hi - lo)
-    return cf, soc, geo
 
 
 @dataclass(frozen=True)

@@ -386,6 +386,11 @@ def _convert(tokens: list[str], fast, safe, dtype) -> np.ndarray:
         return np.fromiter(map(safe, tokens), dtype, len(tokens))
 
 
+def _check_on_error(on_error: str) -> None:
+    if on_error not in ("abort", "skip"):
+        raise DataError(f"on_error must be 'abort' or 'skip', got {on_error!r}")
+
+
 def parse_checkins(source: Source, fmt: ColumnFormat | None = None,
                    on_error: str = "abort") -> CheckInLog:
     """Parse a check-in TSV into a CheckInLog (no social edges yet).
@@ -399,8 +404,7 @@ def parse_checkins(source: Source, fmt: ColumnFormat | None = None,
     checked as a whole.  The message for the first malformed line comes from
     the per-field checks of ``_line_checkin`` run on that line alone.
     """
-    if on_error not in ("abort", "skip"):
-        raise DataError(f"on_error must be 'abort' or 'skip', got {on_error!r}")
+    _check_on_error(on_error)
     fmt = fmt or ColumnFormat()
     idx = fmt.index
     width = len(DEFAULT_COLUMNS)
@@ -442,8 +446,10 @@ def parse_checkins(source: Source, fmt: ColumnFormat | None = None,
 def parse_social(source: Source, on_error: str = "abort") -> ParsedSocial:
     """Parse `a TAB b` lines into a deduplicated undirected edge set.
 
-    Self-loop lines are always skipped and counted, never fatal.
+    ``on_error`` works as in ``parse_checkins``.  Self-loop lines are always
+    skipped and counted, never fatal.
     """
+    _check_on_error(on_error)
     edges = set()
     skipped = 0
     for lineno, raw in enumerate(_text(source).split("\n"), start=1):

@@ -13,9 +13,11 @@ Slabs are addressed as integer grid cells (``SlabIndex.cells``); a pair's
 evidence is its row of per-cell check-in counts.
 
 The joint visit probability is Pr(u) * Pr_nu(l|u) * chain, with Pr(u) = 1
-(users are treated equally) and Pr_nu the fixed non-temporal score.  The
-log-likelihood is summed in log space, where a zero factor is -inf, never a
-silent underflow.
+(users are treated equally).  Pr_nu is a constant factor of each pair's
+joint, so the EM update below never reads it; training passes uniform
+weights, and the model's Pr_nu factor is the live USG score, applied at
+scoring.  The log-likelihood is summed in log space, where a zero factor is
+-inf, never a silent underflow.
 
 EM: the E step's responsibilities for a pair are its own current joint J,
 renormalized, and the M step blends them with the pair's empirical slab
@@ -30,8 +32,9 @@ toward the global popularity joint J_0 it starts from: after k iterations
 
 ``run_em`` computes iteration k directly for all pairs at once.  The
 reported log-likelihood is the per-event data log-likelihood under the
-current tables (plus the fixed Pr_nu terms); it is non-decreasing across
-iterations.
+current tables plus the constant sum of n_pair * log Pr_nu (0 under
+uniform weights), which moves only the relative stop rule; it is
+non-decreasing across iterations.
 
 ``MatiParams`` holds the pair and POI chains as ``ChainStack``s, one array
 per level with a row per owner in raw key string order (the file's order).
@@ -212,10 +215,11 @@ def _sorted_keys(keys: Sequence[str]) -> bool:
 
 @dataclass
 class MatiParams:
-    """Trained parameter set: fixed non-temporal scores plus slab chains.
+    """Trained parameter set: EM's per-pair weights plus slab chains.
 
     ``pair_tables`` stacks the chains of the observed pairs and ``pr_nu``
-    holds their non-temporal scores, aligned with ``pair_tables.keys``.
+    holds the weights EM ran with, aligned with ``pair_tables.keys`` (all
+    ones from ``pipeline.train_models``; scoring uses the live USG score).
     Candidate pairs unseen in training back off to the POI-marginal chains
     of ``poi_tables`` (mean of the POI's observed pair joints) and finally
     to the single global popularity chain ``global_table``.
@@ -243,12 +247,12 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: np.ndarray, max_iter: int =
     """Run EM on every observed pair's slab tables, in closed form.
 
     Observed pairs are every (user, poi) with at least one training
-    check-in; ``pr_nu`` holds their non-temporal scores, aligned with
-    ``log.columns.pairs``.  EM starts from the global popularity joint and
-    iteration k is evaluated directly (see the module docstring).  The run
-    stops when the relative log-likelihood change drops below ``tol`` or
-    after ``max_iter`` iterations; a decrease beyond the slack is an
-    invariant breach.
+    check-in; ``pr_nu`` holds their positive weights, aligned with
+    ``log.columns.pairs``, which enter only the log-likelihood.  EM starts
+    from the global popularity joint and iteration k is evaluated directly
+    (see the module docstring).  The run stops when the relative
+    log-likelihood change drops below ``tol`` or after ``max_iter``
+    iterations; a decrease beyond the slack is an invariant breach.
     """
     columns = log.columns
     # Pair rows in int order, which is sorted (user, poi) order.

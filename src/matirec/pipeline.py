@@ -30,8 +30,6 @@ from .slabs import (SlabIndex, SlotSimilarityMatrix, aggregate_similarity, all_s
 
 logger = logging.getLogger(__name__)
 
-PR_NU_FLOOR = 1e-12
-
 
 @dataclass
 class SlabArtifacts:
@@ -389,32 +387,14 @@ class TrainedModels:
         return self.recommenders[name]
 
 
-def training_pr_nu(components: UsgComponents) -> np.ndarray:
-    """Non-temporal scores of the observed (user, poi) pairs, aligned with the
-    log's ``columns.pairs``: per-user max-normalized and floored so every pair
-    keeps support in the latent model.
+def training_pr_nu(log: CheckInLog) -> np.ndarray:
+    """EM's per-pair weights, aligned with the log's ``columns.pairs``: all ones.
 
-    Each pair's score is its POI's USG score with the user's own history as
-    the targets, computed for blocks of users at once (``pair_components``)
-    rather than user by user; every max-normalization is over the user's
-    pairs, and a user whose scores are all zero gets ones.
+    A pair's ``Pr_nu`` is a constant factor of its joint, so the chain's EM
+    update never reads it; it only shifts the log-likelihood by a constant.
+    The model's ``Pr_nu`` factor is the live USG score, applied at scoring.
     """
-    matrix = components.matrix
-    cf, social, logs = bl.pair_components(matrix, components.k_neighbors, components.geo)
-    counts = matrix.degree[matrix.degree > 0]
-    starts = np.cumsum(counts) - counts
-
-    def user_max(values):
-        return np.repeat(np.maximum.reduceat(values, starts), counts)
-
-    def normalized(values, otherwise):
-        top = user_max(values)
-        return np.divide(values, top, out=otherwise, where=top > 0)
-
-    geo = np.exp(logs - user_max(logs))
-    scores = bl.usg_score(normalized(cf, cf.copy()), normalized(social, social.copy()),
-                          normalized(geo, geo.copy()), components.weights)
-    return np.maximum(normalized(scores, np.ones(len(scores))), PR_NU_FLOOR)
+    return np.ones(len(log.columns.pairs))
 
 
 def train_models(log: CheckInLog, cfg: RunConfig,
@@ -429,7 +409,7 @@ def train_models(log: CheckInLog, cfg: RunConfig,
     artifacts = slab_artifacts or build_slab_index(log, cfg)
     user_profiles, poi_profiles = all_slab_profiles(log, artifacts.index)
     if params is None:
-        params, report = run_em(log, artifacts.index, training_pr_nu(components),
+        params, report = run_em(log, artifacts.index, training_pr_nu(log),
                                 max_iter=cfg.mati.em_max_iter, tol=cfg.mati.em_tol,
                                 gamma=cfg.mati.gamma)
     else:

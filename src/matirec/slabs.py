@@ -356,15 +356,19 @@ class SlabIndex:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"unreadable slab index: {exc}") from exc
-        if payload.get("format_version") != SLAB_INDEX_FORMAT_VERSION:
-            raise DataError(f"unsupported slab index format {payload.get('format_version')!r}")
+        version = payload.get("format_version") if isinstance(payload, dict) else None
+        if version != SLAB_INDEX_FORMAT_VERSION:
+            raise DataError(f"unsupported slab index format {version!r}")
         payload.pop("fingerprint", None)
         stored = payload.pop("checksum", None)
         if stored != _checksum(payload):
             raise DataError("slab index checksum mismatch; file is stale or corrupted")
-        factors = [_rebuild(spec["name"], spec["utc_offset"], spec["slot_count"],
-                            spec["containment_rank"]) for spec in payload["factors"]]
-        return cls(factors, payload["slabs"])
+        try:
+            factors = [_rebuild(spec["name"], spec["utc_offset"], spec["slot_count"],
+                                spec["containment_rank"]) for spec in payload["factors"]]
+            return cls(factors, payload["slabs"])
+        except (KeyError, TypeError, IndexError) as exc:
+            raise DataError(f"malformed slab index: {type(exc).__name__} {exc}") from exc
 
 
 def _rebuild(name: str, utc_offset: int, slot_count: int, rank: int) -> TemporalFactorSpec:

@@ -35,9 +35,6 @@ implementations the integer-indexed vector core replaced.  They score one
 (user, POI) at a time from sets of ids and must agree with the core: exactly
 where the arithmetic is the same, to 1e-12 relative for geo, whose numpy
 ``log``/``arcsin``/``exp`` may differ from libm's in the last bit.
-``reference_pr_nu`` is the per-user loop over ``UsgComponents.usg_scores``
-that the batched ``pipeline.training_pr_nu`` replaced; the two must agree
-bit for bit.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ from matirec.ingest import DEFAULT_COLUMNS, CheckIn, ColumnFormat, _canonical_or
 from matirec.localtime import is_weekend
 from matirec.mati import (PARAMS_FORMAT_VERSION, ChainLayout, ChainStack, MatiParams,
                           chain_from_joint, joint_from_chain, layout_for, pair_of)
-from matirec.pipeline import PR_NU_FLOOR
 
 
 # --- Slabs as string ids, one timestamp at a time ---------------------------
@@ -911,18 +907,6 @@ def leave_one_out_c_star(matrix, friends, coords, model: GeoModel, weights: UsgW
                                  exclude_poi=p)
         cf[p], social[p], geo[p] = c[p], s[p], g[p]
     return usg_mix(cf, social, geo, weights)
-
-
-def reference_pr_nu(components) -> np.ndarray:
-    """``training_pr_nu`` one user at a time: each user's USG scores of their own
-    history, max-normalized (ones if all zero) and floored, users in int order."""
-    matrix = components.matrix
-    out = [np.zeros(0)]
-    for u in np.flatnonzero(matrix.degree):
-        scores = components.usg_scores(matrix.users[u], matrix.history(u))
-        top = scores.max()
-        out.append(np.maximum(scores / top if top > 0 else np.ones(len(scores)), PR_NU_FLOOR))
-    return np.concatenate(out)
 
 
 # --- MATI components, one candidate at a time -------------------------------

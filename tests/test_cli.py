@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -236,6 +237,41 @@ def test_cli_recommend_params_from_other_log_exits_3(workspace, trained_dir, tmp
                  "--user", "a0_0", "--n", "5"])
     assert code == 3
     assert "different check-in log" in capsys.readouterr().err
+
+
+def _resealed(payload: dict) -> dict:
+    """The slab index with its checksum recomputed over what is left, as
+    ``SlabIndex.to_json`` computes it."""
+    payload = {k: v for k, v in payload.items() if k not in ("checksum", "fingerprint")}
+    text = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return {**payload, "checksum": hashlib.sha256(text).hexdigest()}
+
+
+def _without(*path):
+    def damage(payload):
+        *parents, last = path
+        node = payload
+        for key in parents:
+            node = node[key]
+        del node[last]
+        return _resealed(payload)
+    return damage
+
+
+@pytest.mark.parametrize("damage", [lambda _: [], lambda _: "x", _without("slabs"),
+                                    _without("factors"), _without("factors", 0, "slot_count"),
+                                    _without("slabs", "hour")],
+                         ids=["list", "string", "no-slabs", "no-factors", "no-slot-count",
+                              "no-hour-slabs"])
+def test_cli_train_malformed_slab_index_exits_3(workspace, trained_dir, tmp_path, capsys, damage):
+    _, config = workspace
+    index = json.loads((trained_dir / "slab_index.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(damage(index)), encoding="utf-8")
+    code = main(["--config", str(config), "train", "--slabs", str(bad),
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "slab index" in capsys.readouterr().err
 
 
 def test_cli_recommend_unknown_user_exits_3(workspace, tmp_path):

@@ -71,6 +71,13 @@ def test_parse_social_three_lines():
     assert len(parsed.edges) == 3
 
 
+@pytest.mark.parametrize("parse", [parse_checkins, parse_social])
+def test_unknown_on_error_rejected(parse):
+    """A misspelt mode is refused, not read as ``skip``, by both parsers."""
+    with pytest.raises(DataError, match="on_error"):
+        parse(io.StringIO("a\tb\nnot an edge\n"), on_error="abrot")
+
+
 def test_self_loop_edge_rejected_in_log():
     with pytest.raises(DataError):
         CheckInLog.from_checkins([], [("u", "u")])

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from oracles import (DictParams, as_dicts, e_step, joint_prob, m_step, oracle_jo
 
 from matirec.errors import ConfigError, DataError
 from matirec.mati import (ChainLayout, chain_factorization, chain_from_joint, joint_from_chain,
-                          layout_for, mati_mix, params_from_json, params_to_json,
-                          poi_depth_means, run_em, shared_activity, validate_chain)
+                          layout_for, mati_mix, pair_keys, pair_of, params_from_json,
+                          params_to_json, poi_depth_means, run_em, shared_activity,
+                          validate_chain)
 from matirec.slabs import TemporalFactorSpec
 
 CELLS = "abcdefgh"
@@ -260,6 +262,33 @@ def test_run_em_closed_form_matches_reference():
     tables = as_dicts(params).pair_tables
     for pair, want in joints.items():
         assert np.abs(joint_from_chain(tables[pair]) - want).max() <= 1e-12
+
+
+def test_run_em_weights_move_only_the_stop_rule():
+    """Pr_nu is a constant factor of each pair's joint, so with the stop rule
+    off (tol=0, k = max_iter) uniform and random positive weights give the
+    same chains bit for bit, and their traces differ by sum n_pair log w_pair
+    at every k."""
+    log, index, _, _ = recovery_instance(n_users=20, n_pois=40, pois_per_user=3,
+                                         visits_per_pair=5, seed=77)
+    pairs = [pair_of(key) for key in pair_keys(log)]
+    weights = np.random.default_rng(8).uniform(0.05, 3.0, len(pairs))
+    uniform, uniform_report = run_em(log, index, np.ones(len(pairs)), max_iter=15, tol=0)
+    weighted, weighted_report = run_em(log, index, weights, max_iter=15, tol=0)
+
+    assert uniform_report.iterations == weighted_report.iterations == 15
+    for a, b in ((uniform.pair_tables, weighted.pair_tables),
+                 (uniform.poi_tables, weighted.poi_tables)):
+        assert a.keys == b.keys
+        assert [x.tobytes() for x in a.levels] == [y.tobytes() for y in b.levels]
+    assert ([x.tobytes() for x in uniform.global_table]
+            == [y.tobytes() for y in weighted.global_table])
+    visits = Counter((c.user_id, c.poi_id) for c in log.checkins)
+    shift = math.fsum(visits[p] * math.log(w) for p, w in zip(pairs, weights))
+    assert abs(shift) > 1
+    for flat, tilted in zip(uniform_report.log_likelihood, weighted_report.log_likelihood,
+                            strict=True):
+        assert tilted - flat == pytest.approx(shift, rel=1e-12)
 
 
 def test_run_em_unseen_pair_backoff():

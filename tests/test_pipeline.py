@@ -13,8 +13,8 @@ from matirec.hybrid import HybridConfig
 from matirec.ingest import CheckInLog
 from matirec.mati import (ChainStack, chain_from_joint, joint_from_chain, pair_keys, pair_of,
                           params_from_json, params_to_json)
-from matirec.pipeline import (PR_NU_FLOOR, MatiRecommender, UsgComponents, build_slab_index,
-                              train_models, training_pr_nu)
+from matirec.pipeline import (MatiRecommender, UsgComponents, build_slab_index, train_models,
+                              training_pr_nu)
 from matirec.univariate import act_observations, effective_user_act
 
 
@@ -50,18 +50,13 @@ def test_unknown_model_name(trained):
         models.get("svd")
 
 
-def test_training_pr_nu_normalized_and_floored(trained):
-    log, cfg, models = trained
-    pr_nu = training_pr_nu(models.components)
+def test_training_pr_nu_is_one_per_observed_pair(trained):
+    """EM's update never reads Pr_nu, so training weighs every pair alike."""
+    log, _, models = trained
+    pr_nu = training_pr_nu(log)
     pairs = [pair_of(key) for key in pair_keys(log)]
-    assert len(pr_nu) == len(pairs)
-    by_user = {}
-    for (u, l), v in zip(pairs, pr_nu.tolist()):
-        assert v >= PR_NU_FLOOR
-        assert v <= 1.0 + 1e-12
-        by_user.setdefault(u, []).append(v)
-    for u, values in by_user.items():
-        assert max(values) == pytest.approx(1.0)
+    assert pr_nu.tolist() == [1.0] * len(pairs)
+    assert models.params.pr_nu.tolist() == pr_nu.tolist()
     observed = {(c.user_id, c.poi_id) for c in log.checkins}
     assert set(pairs) == observed
 

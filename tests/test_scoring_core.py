@@ -4,12 +4,11 @@ Random small logs always hold a friendless user, a social-only user (friends
 but no history), two POIs on the same coordinate, and plenty of tied scores;
 up to 12 neighbors and 13 friends make sums long enough for numpy's pairwise
 summation to round differently from a left-to-right sum.
-CF, social, the USG mix without geo, leave-one-out c*, pr_nu, psi, depth and
-the rankings must match the oracles exactly; geo to 1e-12 relative.  c* is
-also checked at corpus scale, at the default k = 50.  The
-batched training pass (``training_pr_nu``, ``distance_bins``) must match the
-per-user loop and the pairwise loop exactly, with blocks small enough that
-their boundaries fall inside the log.
+CF, social, the USG mix without geo, leave-one-out c*, psi, depth and the
+rankings must match the oracles exactly; geo to 1e-12 relative.  c* is also
+checked at corpus scale, at the default k = 50.  The batched geo-fit pass
+(``distance_bins``) must match the pairwise loop exactly, with blocks small
+enough that their boundaries fall inside the log.
 """
 
 from unittest import mock
@@ -25,9 +24,8 @@ from corpus import distinct_pois, longtail_corpus, planted_corpus, stamp, three_
 from matirec import baselines as bl
 from matirec.config import load_config
 from matirec.ingest import CheckIn, CheckInLog
-from matirec.mati import chain_from_joint, layout_for, pair_keys, pair_of
-from matirec.pipeline import (MatiRecommender, UbcfRecommender, UsgComponents, UsgRecommender,
-                              training_pr_nu)
+from matirec.mati import chain_from_joint, layout_for
+from matirec.pipeline import MatiRecommender, UbcfRecommender, UsgComponents, UsgRecommender
 from matirec.slabs import all_slab_profiles
 
 COORDS = [(10.0, 20.0), (10.01, 20.0), (10.0, 20.02), (10.3, 19.9)]
@@ -59,9 +57,8 @@ def small_logs():
 
 @st.composite
 def training_logs(draw):
-    """A random log plus a friendless user alone at their POI (no CF neighbor,
-    and an all-zero USG row without geo) and three users with the same two
-    POIs (similarities tied at any k-th neighbor)."""
+    """A random log plus a user alone at a POI of their own and three users
+    with the same two POIs on one coordinate (zero distances)."""
     checkins, social = draw(random_checkins())
     checkins.append(CheckIn("hermit", "pz", stamp(2, 0, 5), 10.0, 20.05))
     checkins += [CheckIn(f"twin{i}", p, stamp(2, 1, 9), *COORDS[0])
@@ -154,38 +151,6 @@ def test_core_matches_scalar_oracles(log, alpha, beta, k, seed):
             if beta == 0:
                 assert UsgRecommender(comp).recommend(user, n) == orc.rank(usg, n)
 
-    if beta == 0:
-        pr_nu = dict(zip(map(pair_of, pair_keys(log)), training_pr_nu(comp).tolist()))
-        for user in matrix.users:
-            pois = sorted(orc.pois_of(matrix, user))
-            if pois:
-                scores = orc.usg_mix(*orc.usg_components(matrix, friends, coords, comp.geo,
-                                                         user, pois, k), weights)
-                top = max(scores.values())
-                for p in pois:
-                    assert pr_nu[(user, p)] == max(scores[p] / top if top > 0 else 1.0, 1e-12)
-
-
-@given(log=training_logs(), alpha=st.sampled_from([0.0, 0.3]),
-       beta=st.sampled_from([0.0, 0.4]), k=st.integers(1, 12), block=st.integers(1, 300))
-def test_batched_pr_nu_matches_per_user_loop(log, alpha, beta, k, block):
-    comp = _components(log, alpha, beta, k)
-    matrix = comp.matrix
-    with mock.patch.object(bl, "BLOCK_ENTRIES", block):
-        got = training_pr_nu(comp)
-        cf, social, logs = bl.pair_components(matrix, k, comp.geo)
-    assert got.tolist() == orc.reference_pr_nu(comp).tolist()
-    for u in np.flatnonzero(matrix.degree):
-        history, at = matrix.history(u), slice(matrix.indptr[u], matrix.indptr[u + 1])
-        assert cf[at].tolist() == matrix.visit_rate(*comp.neighbors(u))[history].tolist()
-        assert social[at].tolist() == _social_rates(matrix, u)[history].tolist()
-        assert logs[at].tolist() == bl.geo_log_scores(matrix, history, history, comp.geo).tolist()
-    assert matrix.degree[matrix.user_index["ghost"]] == 0  # social-only
-    assert not len(matrix.friends(matrix.user_index["solo"]))
-    if beta == 0:
-        hermit = matrix.indptr[matrix.user_index["hermit"]]
-        assert got[hermit] == 1.0  # the all-zero row's ones
-
 
 @given(log=training_logs(), block=st.integers(1, 40))
 def test_distance_bins_match_pairwise_loop_on_random_logs(log, block):
@@ -205,8 +170,8 @@ def test_distance_bins_match_pairwise_loop(corpus):
 def test_long_neighbor_sums_are_left_to_right():
     """Twelve neighbors whose similarity total rounds differently when summed
     pairwise (numpy's ``sum``) than left to right (the oracle).  v_i visits
-    the first i + 1 shared POIs, so each POI's visitors come in reverse rank
-    order, and the batched pass must still add them in rank order."""
+    the first i + 1 shared POIs, so the neighbors' ranks and ids disagree,
+    and ``ubcf_scores`` must still add the total in rank order."""
     shared = [f"a{i:02d}" for i in range(12)]
     visits = [("u", p) for p in shared]
     for i in range(12):
@@ -215,9 +180,6 @@ def test_long_neighbor_sums_are_left_to_right():
     comp = _components(log, 0.0, 0.0, 50)
     cands = comp.candidates_for("u")
     assert comp.ubcf_scores("u").tolist() == [orc.ubcf_score("u", p, comp.matrix) for p in cands]
-    for block in (1, 40, bl.BLOCK_ENTRIES):
-        with mock.patch.object(bl, "BLOCK_ENTRIES", block):
-            assert training_pr_nu(comp).tolist() == orc.reference_pr_nu(comp).tolist()
 
 
 @pytest.mark.parametrize("corpus", ["planted-300", "longtail-200"])
