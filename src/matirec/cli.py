@@ -44,10 +44,17 @@ def _fingerprint(cfg: RunConfig) -> str:
     return fingerprint(cfg, sums)
 
 
+WRITE_SLICE = 1 << 20  # characters encoded per write
+
+
 def _write(out_dir: Path, name: str, text: str) -> Path:
+    """Write ``text`` as UTF-8, a slice at a time, so no bytes copy of the
+    whole text is held."""
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(text, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as out:
+        for begin in range(0, len(text), WRITE_SLICE):
+            out.write(text[begin:begin + WRITE_SLICE])
     return path
 
 

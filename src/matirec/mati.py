@@ -30,11 +30,14 @@ toward the global popularity joint J_0 it starts from: after k iterations
 
     J_k = H/n + (gamma / (n + gamma))^k * (J_0 - H/n).
 
-``run_em`` computes iteration k directly for all pairs at once.  The
-reported log-likelihood is the per-event data log-likelihood under the
-current tables plus the constant sum of n_pair * log Pr_nu (0 under
-uniform weights), which moves only the relative stop rule; it is
-non-decreasing across iterations.
+``run_em`` computes iteration k directly for all pairs at once.  H stays
+sparse: the likelihood reads only the cells with evidence, and the final
+joints are the grid (gamma / (n + gamma))^k * J_0 with only those cells
+overwritten, so EM holds one (pairs × cells) grid, which is then factored
+into the pair chains in place.  The reported log-likelihood is the
+per-event data log-likelihood under the current tables plus the constant
+sum of n_pair * log Pr_nu (0 under uniform weights), which moves only the
+relative stop rule; it is non-decreasing across iterations.
 
 ``MatiParams`` holds the pair and POI chains as ``ChainStack``s, one array
 per level with a row per owner in raw key string order (the file's order).
@@ -114,27 +117,30 @@ def layout_for(index: SlabIndex) -> ChainLayout:
 
 def chain_from_joint(joint: np.ndarray) -> list[np.ndarray]:
     """Factor a joint slab table into the conditional chain."""
-    return [table[0] for table in _stacked_chains(joint[None])]
+    return [table[0] for table in _stacked_chains(np.array(joint, dtype=float)[None])]
 
 
 def _stacked_chains(joints: np.ndarray) -> list[np.ndarray]:
-    """Conditional chains of a stack of joint tables (stack axis first).
+    """Conditional chains of a stack of joint tables (stack axis first),
+    factored in place: ``joints`` is overwritten by, and returned as, the
+    finest level.
 
     Level k's table is the joint marginalized over all finer axes and
     normalized along axis k given the coarser axes; conditioning tuples with
     zero mass fall back to a uniform row (their reconstructed joint mass
-    stays zero).
+    stays zero).  Each coarser level is a new marginal array, normalized
+    before the finest level divides the buffer by its row sums.
     """
     t = joints.ndim - 1
     tables = []
     fallbacks = 0
     for k in range(1, t + 1):
-        marg = joints.sum(axis=tuple(range(k + 1, t + 1)))
-        denom = marg.sum(axis=k, keepdims=True)
-        size = marg.shape[k]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            table = np.where(denom > 0, marg / np.where(denom > 0, denom, 1.0), 1.0 / size)
-        fallbacks += int(np.count_nonzero(denom <= 0))
+        table = joints.sum(axis=tuple(range(k + 1, t + 1))) if k < t else joints
+        denom = table.sum(axis=k, keepdims=True)
+        empty = ~(denom > 0)
+        np.divide(table, denom, out=table, where=~empty)
+        np.copyto(table, 1.0 / table.shape[k], where=empty)
+        fallbacks += int(np.count_nonzero(empty))
         tables.append(table)
     if fallbacks:
         logger.debug("chain_from_joint: %d zero-mass conditioning tuples set uniform", fallbacks)
@@ -250,9 +256,15 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: np.ndarray, max_iter: int =
     check-in; ``pr_nu`` holds their positive weights, aligned with
     ``log.columns.pairs``, which enter only the log-likelihood.  EM starts
     from the global popularity joint and iteration k is evaluated directly
-    (see the module docstring).  The run stops when the relative
-    log-likelihood change drops below ``tol`` or after ``max_iter``
-    iterations; a decrease beyond the slack is an invariant breach.
+    (see the module docstring) on the sparse histogram: its nonzero
+    entries come from one ``np.unique`` of (pair row, cell) positions, in
+    row-major order, and each pair's n and the start joint from two
+    ``bincount``s.  The final joints are one broadcast grid with the
+    evidence cells overwritten; the POI backoff sums are taken from it
+    before ``_stacked_chains`` factors it in place.  The run stops when
+    the relative log-likelihood change drops below ``tol`` or after
+    ``max_iter`` iterations; a decrease beyond the slack is an invariant
+    breach.
     """
     columns = log.columns
     # Pair rows in int order, which is sorted (user, poi) order.
@@ -266,22 +278,24 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: np.ndarray, max_iter: int =
         raise DataError(f"observed pair {pair_of(names[bad[0]])} needs a positive "
                         f"non-temporal score")
 
-    # Slab histogram H, one row per pair over the flattened grid.
+    # Slab histogram H, sparse: its nonzero entries as flat (pair row, cell)
+    # positions and counts, in row-major order, which fixes the order the
+    # likelihood sums them in.
     shape = index.grid_shape()
     n_cells = math.prod(shape)
-    hist = np.bincount(pair_of_row * n_cells + index.cells(columns.timestamp),
-                       minlength=len(keys) * n_cells).reshape(len(keys), n_cells).astype(float)
+    cell_of = index.cells(columns.timestamp)
+    flat, counts = np.unique(pair_of_row * n_cells + cell_of, return_counts=True)
+    rows, cells = np.divmod(flat, n_cells)
+    counts = counts.astype(float)
 
-    n = hist.sum(axis=1, keepdims=True)
-    empirical = hist / n
-    start = hist.sum(axis=0) / len(log.checkins)
+    n = np.bincount(pair_of_row, minlength=len(keys)).astype(float)
+    start = np.bincount(cell_of, minlength=n_cells) / len(log.checkins)
     rate = gamma / (n + gamma)
 
     # J_k on the cells that carry evidence is all the likelihood needs.
-    rows, cells = np.nonzero(hist)
-    counts, target = hist[rows, cells], empirical[rows, cells]
-    gap, cell_rate = start[cells] - target, rate[rows, 0]
-    base = float(n[:, 0] @ np.log(weights))
+    target = counts / n[rows]
+    gap, cell_rate = start[cells] - target, rate[rows]
+    base = float(n @ np.log(weights))
 
     def log_likelihood(k: int) -> float:
         with np.errstate(divide="ignore"):
@@ -302,13 +316,19 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: np.ndarray, max_iter: int =
             converged = True
             break
 
-    joints = (empirical + rate ** iterations * (start - empirical)).reshape(len(keys), *shape)
-    pair_chains = _stacked_chains(joints)
-    # POI backoff chain: mean of the POI's observed pair joints.
+    # J_k = rate^k * J_0 wherever H is zero; only evidence cells differ.
+    decay = rate ** iterations
+    joints = np.multiply.outer(decay, start)
+    joints.reshape(-1)[flat] = target + decay[rows] * gap
+    joints = joints.reshape(len(keys), *shape)
+    # POI backoff chain: mean of the POI's observed pair joints, summed
+    # before the pair chains are factored into the same buffer.
     pois, poi_of = np.unique(keys % len(columns.pois), return_inverse=True)
     poi_sums = np.zeros((len(pois), *shape))
     np.add.at(poi_sums, poi_of, joints)
-    poi_chains = _stacked_chains(poi_sums / np.bincount(poi_of).reshape(-1, *[1] * len(shape)))
+    poi_sums /= np.bincount(poi_of).reshape(-1, *[1] * len(shape))
+    pair_chains = _stacked_chains(joints)
+    poi_chains = _stacked_chains(poi_sums)
     global_chain = chain_from_joint(start.reshape(shape))
     for chain in (pair_chains, poi_chains, global_chain):
         validate_chain(chain)

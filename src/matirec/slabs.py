@@ -216,21 +216,27 @@ def complete_matrix(matrix: SlotSimilarityMatrix, rank: int = 3, reg: float = 0.
     rng = np.random.default_rng([seed, 7])
     factors = rng.uniform(0.1, 0.9, size=(n, rank)) / math.sqrt(rank)
     s_obs = np.where(off_obs, np.nan_to_num(matrix.sim), 0.0)
+    # Each slot's observed partners and their similarities, fixed across
+    # iterations.
+    row_obs = []
+    for i in range(n):
+        js = np.flatnonzero(off_obs[i])
+        if js.size:
+            row_obs.append((i, js, s_obs[i, js]))
+    observed_sims = s_obs[off_obs]
     reg_eye = reg * np.eye(rank)
     prev = math.inf
     for _ in range(iters):
-        for i in range(n):
-            js = np.flatnonzero(off_obs[i])
-            if js.size == 0:
-                continue
-            gram = factors[js].T @ factors[js] + reg_eye
-            rhs = factors[js].T @ s_obs[i, js]
+        for i, js, sims in row_obs:
+            partners = factors[js]
+            gram = partners.T @ partners + reg_eye
+            rhs = partners.T @ sims
             try:
                 factors[i] = np.linalg.solve(gram, rhs)
             except np.linalg.LinAlgError:
                 factors[i] = np.linalg.lstsq(gram, rhs, rcond=None)[0]
         pred = factors @ factors.T
-        obj = float(np.sum((s_obs[off_obs] - pred[off_obs]) ** 2)) + reg * float(np.sum(factors ** 2))
+        obj = float(np.sum((observed_sims - pred[off_obs]) ** 2)) + reg * float(np.sum(factors ** 2))
         if math.isfinite(prev) and abs(prev - obj) <= tol * max(abs(prev), 1e-12):
             break
         prev = obj

@@ -7,7 +7,9 @@ entry per (user, POI) pair or POI; ``stacked`` and ``as_dicts`` convert it
 to and from the library's stacked ``MatiParams``.  ``e_step``, ``m_step``
 and ``joint_prob`` are the per-pair EM steps over it, which the other
 oracles check; ``reference_em`` iterates them to stand in for the
-closed-form ``run_em``.  ``reference_params_json`` writes the parameter
+closed-form ``run_em``, and ``dense_em`` is that closed form on a dense
+(pairs × cells) grid, which ``run_em`` must match bit for bit
+(``assert_matches_dense_em``).  ``reference_params_json`` writes the parameter
 file from a ``DictParams`` as one nested ``json.dumps``: the byte reference
 for the stacked writer.
 
@@ -53,7 +55,7 @@ from matirec.errors import DataError
 from matirec.ingest import DEFAULT_COLUMNS, CheckIn, ColumnFormat, _canonical_order, parse_timestamp
 from matirec.localtime import is_weekend
 from matirec.mati import (PARAMS_FORMAT_VERSION, ChainLayout, ChainStack, MatiParams,
-                          chain_from_joint, joint_from_chain, layout_for, pair_of)
+                          chain_from_joint, joint_from_chain, layout_for, pair_of, run_em)
 
 
 # --- Slabs as string ids, one timestamp at a time ---------------------------
@@ -646,6 +648,85 @@ def reference_em(log, index, pr_nu, max_iter: int = 200, tol: float = 1e-6,
             break
     return {p: joint_from_chain(params.pair_tables[p]) for p in pairs}, trace
 
+
+def copying_chains(joints: np.ndarray) -> list[np.ndarray]:
+    """Conditional chains of a stack of joints, every level a new array:
+    marginalize over the finer axes, divide by the row sums, uniform where
+    they are zero."""
+    t = joints.ndim - 1
+    tables = []
+    for k in range(1, t + 1):
+        marg = joints.sum(axis=tuple(range(k + 1, t + 1)))
+        denom = marg.sum(axis=k, keepdims=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            tables.append(np.where(denom > 0, marg / np.where(denom > 0, denom, 1.0),
+                                   1.0 / marg.shape[k]))
+    return tables
+
+
+def dense_em(log, index, pr_nu, max_iter: int = 200, tol: float = 1e-6, gamma: float = 1.0):
+    """The closed-form EM on a dense (pairs × cells) histogram grid: the byte
+    reference for ``run_em``'s sparse evidence and in-place factoring.
+
+    J_k = H/n + rate^k (J_0 - H/n) over the whole grid, with ``run_em``'s
+    stop rule; pair chains by ``copying_chains``, POI chains from the mean of
+    each POI's pair joints.  Returns (pair keys in raw key order, pair
+    chains, POI ids, POI chains, global chain, trace).
+    """
+    columns = log.columns
+    keys, pair_of_row = np.unique(columns.pair, return_inverse=True)
+    shape = index.grid_shape()
+    n_cells = math.prod(shape)
+    hist = np.bincount(pair_of_row * n_cells + index.cells(columns.timestamp),
+                       minlength=len(keys) * n_cells).reshape(len(keys), n_cells).astype(float)
+    n = hist.sum(axis=1, keepdims=True)
+    empirical = hist / n
+    start = hist.sum(axis=0) / len(log.checkins)
+    rate = gamma / (n + gamma)
+    rows, cells = np.nonzero(hist)
+    counts, target = hist[rows, cells], empirical[rows, cells]
+    gap, cell_rate = start[cells] - target, rate[rows, 0]
+    base = float(n[:, 0] @ np.log(np.asarray(pr_nu, dtype=float)))
+
+    def log_likelihood(k: int) -> float:
+        with np.errstate(divide="ignore"):
+            return base + float(counts @ np.log(target + cell_rate ** k * gap))
+
+    trace = [log_likelihood(0)]
+    for k in range(1, max_iter + 1):
+        trace.append(log_likelihood(k))
+        prev = trace[-2]
+        if prev != -math.inf and abs(trace[-1] - prev) / max(abs(prev), 1e-12) < tol:
+            break
+    iterations = len(trace) - 1
+
+    joints = (empirical + rate ** iterations * (start - empirical)).reshape(len(keys), *shape)
+    pair_chains = copying_chains(joints)
+    pois, poi_of = np.unique(keys % len(columns.pois), return_inverse=True)
+    poi_sums = np.zeros((len(pois), *shape))
+    np.add.at(poi_sums, poi_of, joints)
+    poi_chains = copying_chains(poi_sums / np.bincount(poi_of).reshape(-1, *[1] * len(shape)))
+    global_chain = [level[0] for level in copying_chains(start.reshape(1, *shape))]
+    names = [f"{columns.users[u]}\t{columns.pois[p]}"
+             for u, p in zip(*np.divmod(keys, len(columns.pois)))]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return ([names[i] for i in order], [level[order] for level in pair_chains],
+            [columns.pois[p] for p in pois], poi_chains, global_chain, trace)
+
+
+def assert_matches_dense_em(log, index, **kw):
+    """``run_em`` gives the dense closed form's chains and trace bit for bit."""
+    params, report = run_em(log, index, np.ones(len(log.columns.pairs)), **kw)
+    pair_keys_, pair_chains, pois, poi_chains, global_chain, trace = dense_em(
+        log, index, np.ones(len(log.columns.pairs)), **kw)
+    assert report.log_likelihood == trace
+    assert list(params.pair_tables.keys) == pair_keys_
+    assert list(params.poi_tables.keys) == pois
+    for got, want in ((params.pair_tables.levels, pair_chains),
+                      (params.poi_tables.levels, poi_chains),
+                      (params.global_table, global_chain)):
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    return params
 
 
 def reference_params_json(params: DictParams, fingerprint: str = "") -> str:

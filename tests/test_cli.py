@@ -7,6 +7,7 @@ import pytest
 from corpus import planted_corpus
 from oracles import canonical_rows
 
+from matirec import cli
 from matirec.cli import main
 from matirec.config import fingerprint, load_config, serialize_config
 from matirec.errors import ConfigError
@@ -372,3 +373,16 @@ def test_cli_recommend_negative_params_entry_exits_4_naming_the_pair(workspace, 
     assert code == 4
     err = capsys.readouterr().err
     assert "negative" in err and repr(tuple(key.split("\t"))) in err
+
+
+@pytest.mark.parametrize("text", [
+    "a" * (cli.WRITE_SLICE - 1) + "\u00e9\u4e2d\U0001f600" + "b\n" * 10,
+    "",
+], ids=["multi-byte-across-slices", "empty"])
+def test_write_matches_write_text(tmp_path, text):
+    """Writing a slice at a time gives ``Path.write_text``'s bytes, also with
+    a multi-byte character on each side of a slice boundary."""
+    written = cli._write(tmp_path / "sliced", "out.txt", text)
+    whole = tmp_path / "whole.txt"
+    whole.write_text(text, encoding="utf-8")
+    assert written.read_bytes() == whole.read_bytes()

@@ -1,18 +1,23 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from corpus import GRID_TIMES, recovery_instance, stamp, three_by_three_index, total_variation
-from oracles import (DictParams, as_dicts, e_step, joint_prob, m_step, oracle_joint,
-                     oracle_m_step, oracle_responsibilities, reference_em, stacked)
+from corpus import (GRID_TIMES, planted_corpus, recovery_instance, stamp, three_by_three_index,
+                    total_variation)
+from oracles import (DictParams, as_dicts, assert_matches_dense_em, e_step, joint_prob, m_step,
+                     oracle_joint, oracle_m_step, oracle_responsibilities, reference_em, stacked)
 
+from matirec.config import load_config
 from matirec.errors import ConfigError, DataError
+from matirec.ingest import CheckIn, CheckInLog
 from matirec.mati import (ChainLayout, chain_factorization, chain_from_joint, joint_from_chain,
                           layout_for, mati_mix, pair_keys, pair_of, params_from_json,
                           params_to_json, poi_depth_means, run_em, shared_activity,
                           validate_chain)
+from matirec.pipeline import build_slab_index
 from matirec.slabs import TemporalFactorSpec
 
 CELLS = "abcdefgh"
@@ -289,6 +294,56 @@ def test_run_em_weights_move_only_the_stop_rule():
     for flat, tilted in zip(uniform_report.log_likelihood, weighted_report.log_likelihood,
                             strict=True):
         assert tilted - flat == pytest.approx(shift, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def planted_300():
+    log = planted_corpus(n_users=300, seed=2024)
+    cfg = load_config()
+    cfg.sampling.m_min, cfg.sampling.n_percent = 20, 10
+    return log, build_slab_index(log, cfg).index
+
+
+def test_run_em_matches_dense_reference_on_planted(planted_300):
+    assert_matches_dense_em(*planted_300)
+    assert_matches_dense_em(*planted_300, max_iter=15, tol=0)
+
+
+def test_run_em_matches_dense_reference_with_an_empty_coarse_slab():
+    """No check-in falls in day slab 2, so every pair, POI and the global
+    chain has a zero-mass day row, which factors to the uniform 1/3."""
+    rng = np.random.default_rng(4)
+    checkins = [CheckIn(f"u{u}", f"l{p}", stamp(0, *GRID_TIMES[(di, hi)]), 0.0, 0.0)
+                for u in range(5) for p in rng.choice(6, size=2, replace=False)
+                for di, hi in rng.integers(0, [2, 3], size=(int(rng.integers(1, 8)), 2))]
+    log = CheckInLog.from_checkins(checkins)
+    params = assert_matches_dense_em(log, three_by_three_index())
+    for hour in (params.pair_tables.levels[1], params.poi_tables.levels[1],
+                 params.global_table[1][None]):
+        assert (hour[:, 2] == 1 / 3).all()
+
+
+def test_chain_from_joint_leaves_its_argument():
+    joint = np.array([[0.2, 0.3], [0.0, 0.0], [0.4, 0.1]])
+    before = joint.copy()
+    tables = chain_from_joint(joint)
+    assert joint.tobytes() == before.tobytes()
+    assert tables[1][1].tolist() == [0.5, 0.5]
+
+
+def test_run_em_peak_memory_stays_near_one_grid(planted_300):
+    """EM holds the final joints grid and little else: its traced peak stays
+    within 2.5 (pairs × cells) float64 grids."""
+    log, index = planted_300
+    weights = np.ones(len(log.columns.pairs))
+    grid_bytes = len(weights) * math.prod(index.grid_shape()) * 8
+    tracemalloc.start()
+    try:
+        run_em(log, index, weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * grid_bytes, f"peak {peak / grid_bytes:.2f} grids"
 
 
 def test_run_em_unseen_pair_backoff():

@@ -10,7 +10,7 @@ import pytest
 
 import oracles as orc
 from corpus import distinct_pois, stamp
-from oracles import as_dicts, reference_em
+from oracles import as_dicts, assert_matches_dense_em, reference_em
 
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.localtime import SECONDS_PER_HOUR
@@ -93,3 +93,7 @@ def test_em_three_factor_closed_form_matches_reference(three_factor_index, three
     tables = as_dicts(params).pair_tables
     for pair, want in joints.items():
         assert np.abs(joint_from_chain(tables[pair]) - want).max() <= 1e-12
+
+
+def test_em_three_factor_matches_dense_reference(three_factor_index, three_factor_log):
+    assert_matches_dense_em(three_factor_log, three_factor_index)
