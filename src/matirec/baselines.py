@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ingest import CheckInLog
+from .ingest import CheckInLog, sorted_unique
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -39,7 +39,7 @@ _NO_INTS = np.zeros(0, dtype=np.intp)
 def _csr(rows: np.ndarray, cols: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, indices) of the distinct (row, col) pairs, columns ascending."""
     n_cols = int(cols.max()) + 1 if cols.size else 1
-    keys = np.unique(rows.astype(np.int64) * n_cols + cols)
+    keys = sorted_unique(rows.astype(np.int64) * n_cols + cols)
     rows, cols = np.divmod(keys, n_cols)
     indptr = np.zeros(n_rows + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
@@ -246,6 +246,14 @@ def fit_geo_model(log: CheckInLog | UserPoiMatrix, bin_km: float = 0.5,
     Pairwise haversine distances over every same-user distinct-POI pair are
     binned at ``bin_km`` resolution (floored at ``d_min_km``), converted to a
     probability mass per bin, and log Pr is regressed on log bin-center.
+
+    A fit with ``b >= 0`` is degenerate, as a single bin is, and raises the
+    same ``DataError`` (callers fall back to a flat model).  Only the
+    non-empty bins enter the regression, so when every same-user distance
+    is short the mass can rise with distance; a law with ``b > 0``, applied
+    far beyond the distances it was fitted on, would rank the farthest POIs
+    first.  Clamping distances at the largest fitted bin instead would still
+    reward distance within that range, so the fit is refused.
     """
     matrix = log if isinstance(log, UserPoiMatrix) else UserPoiMatrix(log)
     bins = distance_bins(matrix, bin_km, d_min_km)
@@ -256,6 +264,9 @@ def fit_geo_model(log: CheckInLog | UserPoiMatrix, bin_km: float = 0.5,
     ys = np.array([math.log(bins[k] / total) for k in sorted(bins)])
     design = np.column_stack([np.ones_like(xs), xs])
     coef = np.linalg.solve(design.T @ design, design.T @ ys)
+    if not coef[1] < 0:
+        raise DataError(f"geo fit is degenerate: distance exponent b = {float(coef[1]):.3g} "
+                        f"does not decay with distance")
     return GeoModel(log_a=float(coef[0]), b=float(coef[1]), d_min_km=d_min_km)
 
 

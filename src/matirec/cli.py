@@ -117,18 +117,22 @@ def cmd_train(cfg: RunConfig, args) -> int:
     models = train_models(log, cfg, SlabArtifacts(index, {}))
     out = Path(args.out)
     fp = _fingerprint(cfg)
-    _write(out, "mati_params.json", params_to_json(models.params, fingerprint=fp))
+    params, em_report, geo = models.params, models.em_report, _geo_json(models, fp)
+    # Only the parameters are rendered from here on: the log and the scorers
+    # go first, so the parameter text is not held beside them.
+    del log, models
+    _write(out, "mati_params.json", params_to_json(params, fingerprint=fp))
     report = {
         "fingerprint": fp,
-        "log_likelihood": models.em_report.log_likelihood,
-        "iterations": models.em_report.iterations,
-        "converged": models.em_report.converged,
-        "slab_checksum": models.params.slab_checksum,
+        "log_likelihood": em_report.log_likelihood,
+        "iterations": em_report.iterations,
+        "converged": em_report.converged,
+        "slab_checksum": params.slab_checksum,
     }
     _write(out, "em_report.json", json.dumps(report, sort_keys=True, indent=1))
-    _write(out, "geo_model.json", _geo_json(models, fp))
-    print(f"EM finished in {models.em_report.iterations} iterations "
-          f"(converged={models.em_report.converged})")
+    _write(out, "geo_model.json", geo)
+    print(f"EM finished in {em_report.iterations} iterations "
+          f"(converged={em_report.converged})")
     return 0
 
 
@@ -145,8 +149,8 @@ def cmd_recommend(cfg: RunConfig, args) -> int:
     index = SlabIndex.from_json(Path(args.slabs).read_text(encoding="utf-8"))
     params = None
     if args.params:
-        params = params_from_json(Path(args.params).read_text(encoding="utf-8"),
-                                  expected_checksum=index.checksum)
+        with open(args.params, encoding="utf-8") as stream:
+            params = params_from_json(stream, expected_checksum=index.checksum)
     from .pipeline import SlabArtifacts
     models = train_models(log, cfg, SlabArtifacts(index, {}), params)
     model = models.get(args.model)

@@ -77,17 +77,17 @@ def split_exclude(log: CheckInLog, x: float, seed: int, test_fraction: float = 0
     pairs = columns.pairs
     starts = np.searchsorted(pairs, np.arange(len(columns.users) + 1) * n_pois)
     excluded: dict[str, frozenset[str]] = {}
-    hidden_pairs = []
+    hidden = np.zeros(len(pairs), dtype=bool)
     for user in test_users:
         u = columns.user_index[user]
         user_pairs = pairs[starts[u]:starts[u + 1]]
         pois = [columns.pois[p] for p in (user_pairs - u * n_pois).tolist()]
         k = max(1, int(len(pois) * x + 0.5))
         pick = _user_rng(seed, user).choice(len(pois), size=k, replace=False)
-        hidden_pairs.append(user_pairs[pick])
+        hidden[starts[u] + pick] = True
         excluded[user] = frozenset(pois[i] for i in pick)
 
-    keep = ~np.isin(columns.pair, np.concatenate(hidden_pairs))
+    keep = ~hidden[np.searchsorted(pairs, columns.pair)]
     train = CheckInLog(columns.take(keep), log.social_edges)
     return EvalSplit(train, excluded, x, seed, test_fraction, skipped)
 

@@ -57,11 +57,27 @@ class CheckIn:
             raise DataError(f"coordinate out of range: ({self.lat}, {self.lon})")
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, ascending: ``np.unique``'s result
+    by sort and mask.  A plain ``np.unique`` (and ``np.isin``, which calls
+    it) imports ``numpy.ma`` on first use, a start-up cost no CLI command
+    needs to pay."""
+    ordered = np.sort(values)
+    keep = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def _intern(tokens: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Sorted distinct ids of ``tokens`` and each token's int."""
-    ids = sorted(set(tokens))
-    index = {t: i for i, t in enumerate(ids)}
-    return tuple(ids), np.fromiter(map(index.__getitem__, tokens), np.intp, len(tokens))
+    """Sorted distinct ids of ``tokens`` and each token's int.
+
+    The ids are new copies of the tokens: a parser's field strings sit
+    among the many it frees, and each one kept would pin its block of
+    freed memory, which could not go back to the system.
+    """
+    index = {t: i for i, t in enumerate(sorted(set(tokens)))}
+    ids = tuple("".join((t, "")) for t in index)  # a two-item join builds a new string
+    return ids, np.fromiter(map(index.__getitem__, tokens), np.intp, len(tokens))
 
 
 def _reintern(ids: tuple[str, ...], ints: np.ndarray,
@@ -138,7 +154,7 @@ class LogColumns:
     @cached_property
     def pairs(self) -> np.ndarray:
         """The distinct pair ints, ascending."""
-        return np.unique(self.pair)
+        return sorted_unique(self.pair)
 
     @cached_property
     def user_rows(self) -> tuple[np.ndarray, np.ndarray]:

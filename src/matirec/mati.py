@@ -53,17 +53,32 @@ exactly ``json.dumps(payload, sort_keys=True)``.  ``params_to_json``
 validates the stacks and renders straight from them: every distinct
 last-axis row once (on a day with none of a pair's check-ins, the pair's
 hour row is the global one, so most rows repeat), then joins the pieces
-once.  ``params_from_json`` reads each level into one stack, checks it
-against the layout (malformed content is a ``DataError``) and validates
-each stack once.
+once.
+
+``params_from_json`` reads the file from a text stream, ``READ_CHUNK``
+characters at a time, and never holds the whole text or the nested lists of
+all chains: it decodes the top-level object one member at a time, and
+``pair_tables`` and ``poi_tables`` one chain at a time (the scanner of
+``JSONDecoder.raw_decode``, with the ``_FloatLiterals`` cache).  The chains
+are stacked into each level's array ``STACK_BATCH`` at a time, and each
+stack is checked against the layout (malformed content is a ``DataError``)
+and validated once.  Reading the whole text and ``json.loads`` of it cost
+twice the file's size in memory; the stream costs the stacks, about a third
+of it, and a few chunks.  The file stays v1 until the benchmark's checks
+change: the benchmark reads ``pair_tables`` and ``pr_nu`` and traces
+``params_to_json`` and ``params_from_json`` by name, so both keep their
+names, and v2 (sufficient statistics in place of rendered chains,
+ROADMAP.md item 1) waits.
 """
 from __future__ import annotations
 
 import json
 import logging
 import math
+import re
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -518,57 +533,254 @@ def params_to_json(params: MatiParams, fingerprint: str = "") -> str:
     return "".join(pieces)
 
 
-def _field(payload, name: str, kind: type):
-    if not isinstance(payload, dict) or not isinstance(payload.get(name), kind):
-        raise DataError(f"model parameters have no valid {name!r} ({kind.__name__})")
-    return payload[name]
-
-
-def _stack(chains: dict, shape: tuple[int, ...], what: str) -> ChainStack:
-    """The chains of a file object, stacked level by level in key order."""
-    keys = tuple(chains)
-    chains = list(chains.values())
-    if not all(isinstance(chain, list) and len(chain) == len(shape) for chain in chains):
-        raise DataError(f"model parameters: a {what} chain does not have {len(shape)} levels")
-    levels = []
-    for k in range(len(shape)):
-        want = (len(chains), *shape[:k + 1])
-        try:
-            level = np.array([chain[k] for chain in chains]) if chains else np.zeros(want)
-        except ValueError as exc:
-            raise DataError(f"model parameters: {what} level {k} tables are ragged") from exc
-        if level.dtype.kind not in "fiu":
-            raise DataError(f"model parameters: {what} level {k} has a non-numeric entry")
-        if level.shape != want:
-            raise DataError(f"model parameters: {what} level {k} tables have shape "
-                            f"{level.shape[1:]}, the layout needs {want[1:]}")
-        levels.append(level.astype(float, copy=False))
-    stack = ChainStack(keys, tuple(levels))
-    _validate_stack(stack, what)
-    return stack
-
-
 class _FloatLiterals(dict):
     """``float`` of each numeric literal, converted once per distinct literal
     (a parameter file repeats few literals many times).  Keys are the literal
-    text, so ``-0.0`` and ``0.0`` stay apart."""
+    text, so ``-0.0`` and ``0.0`` stay apart.  ``_JsonStream`` clears it at
+    a chunk's start once it holds ``_LITERALS_HELD``, so it never holds the
+    literals of a whole file."""
 
     def __missing__(self, literal: str) -> float:
         value = self[literal] = float(literal)
         return value
 
 
-def params_from_json(text: str, expected_checksum: str | None = None) -> MatiParams:
-    """Read a parameter file; malformed content raises ``DataError``.
+READ_CHUNK = 1 << 20  # characters read from the parameter file at a time
+STACK_BATCH = 64  # chains decoded to lists before they join the level arrays
+_STITCH = 1 << 12  # first length of the next chunk's head joined to a cut value
+_LITERALS_HELD = 1 << 11  # float literals cached before the cache starts over
 
-    Each chain level is read into one stack and validated once.  ``pr_nu``
-    must hold one finite, non-negative score for each pair of
+_BLANK = re.compile(r"[ \t\n\r]*")
+_AFTER_VALUE = " \t\n\r,:]}"
+
+
+class _JsonStream:
+    """JSON values of a text stream, read ``READ_CHUNK`` characters at a time.
+
+    ``value`` decodes the next value whole with the decoder's scanner;
+    ``members`` walks an object key by key, so its values can be read one at
+    a time.  One chunk is held at a time.  A value cut by a chunk's end is
+    decoded from its text so far joined to a doubling head of the next
+    chunk, which then becomes the current one, so no chunk is ever copied
+    whole.  Malformed or truncated text raises ``DataError`` naming the
+    character offset.
+    """
+
+    def __init__(self, stream: TextIO):
+        self._stream = stream
+        self._text = ""  # the current chunk
+        self._pos = 0
+        self._offset = 0  # characters before the current chunk
+        self._floats = _FloatLiterals()
+        self._decoder = json.JSONDecoder(parse_float=self._floats.__getitem__)
+
+    def _error(self, message: str, offset: int) -> DataError:
+        return DataError(f"unreadable model parameters: {message} at character {offset}")
+
+    def _next_chunk(self) -> bool:
+        """Move on to the next chunk; False at the end of the stream."""
+        self._offset += len(self._text)
+        self._text, self._pos = "", 0  # let the old chunk go before the next is read
+        if len(self._floats) > _LITERALS_HELD:
+            self._floats.clear()
+        self._text = self._stream.read(READ_CHUNK)
+        return bool(self._text)
+
+    def _decode(self, text: str, pos: int, offset: int, final: bool):
+        """(value, end) of the value at ``text[pos]``, or None while the text
+        may end inside it; ``offset`` is the file offset of ``text[0]``.
+        A value counts as whole once a delimiter follows it, since a number
+        cut at the text's end still decodes, or where ``final``."""
+        try:
+            value, end = self._decoder.raw_decode(text, pos)
+        except json.JSONDecodeError as exc:
+            if final:
+                raise self._error(exc.msg, offset + exc.pos) from None
+            return None
+        if final or end < len(text) and text[end] in _AFTER_VALUE:
+            return value, end
+        return None
+
+    def peek(self) -> str:
+        """The next character that is not blank, left unread ('' at the end)."""
+        while True:
+            self._pos = _BLANK.match(self._text, self._pos).end()
+            if self._pos < len(self._text) or not self._next_chunk():
+                return self._text[self._pos:self._pos + 1]
+
+    def take(self, expected: str) -> str:
+        """Read the next non-blank character, which must be one of ``expected``."""
+        char = self.peek()
+        if not char or char not in expected:
+            raise self._error(f"expecting {' or '.join(map(repr, expected))}",
+                              self._offset + self._pos)
+        self._pos += 1
+        return char
+
+    def value(self):
+        """Decode the next value."""
+        self.peek()
+        text, pos = self._text, self._pos
+        try:
+            value, end = self._decoder.scan_once(text, pos)
+            if end < len(text) and text[end] in _AFTER_VALUE:
+                self._pos = end
+                return value
+        except (StopIteration, json.JSONDecodeError):
+            pass  # cut by the chunk's end, or malformed: decoded again below
+        start, head = self._offset + pos, text[pos:]
+        while self._next_chunk():
+            size = _STITCH
+            while True:
+                window = head + self._text[:size]
+                found = self._decode(window, 0, start, final=False)
+                if found is not None:
+                    value, end = found
+                    self._pos = end - len(head)
+                    return value
+                if size >= len(self._text):
+                    break
+                size *= 2
+            head = window  # the value runs on past this chunk too
+        # The stream has ended: the value is what is left, or malformed.
+        value, self._pos = self._decode(head, 0, start, final=True)
+        self._text, self._offset = head, start
+        return value
+
+    def members(self) -> Iterator[str]:
+        """The keys of the object that starts here, in file order; the caller
+        reads each key's value before it asks for the next key."""
+        self.take("{")
+        if self.peek() == "}":
+            self._pos += 1
+            return
+        while True:
+            start = self._offset + self._pos
+            key = self.value()
+            if not isinstance(key, str):
+                raise self._error("expecting a string key", start)
+            self.take(":")
+            yield key
+            if self.take(",}") == "}":
+                return
+
+    def finish(self) -> None:
+        if self.peek():
+            raise self._error("extra data", self._offset + self._pos)
+
+
+class _ChainRows:
+    """The chains of one file object, stacked level by level as they arrive.
+
+    Chains wait as nested lists until ``STACK_BATCH`` of them have come;
+    then each level of the batch becomes one array, checked, and its bytes
+    join that level's growing ``array``.  Level shapes come from the first
+    chain and are checked against the layout by ``stack``, since the layout
+    may come later in the file.
+    """
+
+    def __init__(self, what: str):
+        self._what = what
+        self._keys: list[str] = []
+        self._shapes: list[tuple[int, ...]] | None = None
+        self._levels: list[array] = []
+        self._batch: list = []
+
+    def add(self, key: str, chain) -> None:
+        self._keys.append(key)
+        self._batch.append(chain)
+        if len(self._batch) == STACK_BATCH:
+            self._flush()
+
+    def _flush(self) -> None:
+        batch, self._batch = self._batch, []
+        if not batch:
+            return
+        what = self._what
+        if not all(isinstance(chain, list) for chain in batch):
+            raise DataError(f"model parameters: a {what} chain is not a list of tables")
+        depth = len(batch[0]) if self._shapes is None else len(self._shapes)
+        if not all(len(chain) == depth for chain in batch):
+            raise DataError(f"model parameters: {what} chains differ in their number of levels")
+        if self._shapes is None:
+            self._shapes, self._levels = [], [array("d") for _ in range(depth)]
+        for k in range(depth):
+            try:
+                level = np.array([chain[k] for chain in batch])
+            except ValueError as exc:
+                raise DataError(f"model parameters: {what} level {k} tables are ragged") from exc
+            if level.dtype.kind not in "fiu":
+                raise DataError(f"model parameters: {what} level {k} has a non-numeric entry")
+            if len(self._shapes) == k:
+                self._shapes.append(level.shape[1:])
+            elif level.shape[1:] != self._shapes[k]:
+                raise DataError(f"model parameters: {what} level {k} tables are ragged")
+            self._levels[k].frombytes(memoryview(level.astype(float, copy=False)).cast("B"))
+
+    def stack(self, shape: tuple[int, ...]) -> ChainStack:
+        """The chains as a validated ``ChainStack`` in first-appearance key
+        order; a repeated key keeps its last chain, as ``json.loads`` would."""
+        self._flush()
+        what, keys = self._what, self._keys
+        if self._shapes is not None and len(self._shapes) != len(shape):
+            raise DataError(f"model parameters: a {what} chain does not have {len(shape)} levels")
+        levels = []
+        for k in range(len(shape)):
+            want = (len(keys), *shape[:k + 1])
+            if self._shapes is None:
+                levels.append(np.zeros(want))
+                continue
+            if self._shapes[k] != want[1:]:
+                raise DataError(f"model parameters: {what} level {k} tables have shape "
+                                f"{self._shapes[k]}, the layout needs {want[1:]}")
+            levels.append(np.frombuffer(self._levels[k], dtype=float).reshape(want))
+        last = {key: i for i, key in enumerate(keys)}
+        if len(last) < len(keys):
+            rows = np.fromiter(last.values(), np.intp, len(last))
+            keys, levels = list(last), [level[rows] for level in levels]
+        stack = ChainStack(tuple(keys), tuple(levels))
+        _validate_stack(stack, what)
+        return stack
+
+
+_STACKED = {"pair_tables": "pair", "poi_tables": "POI"}
+
+
+def _read_payload(stream: TextIO):
+    """The file's top-level value; each chain object among its members is
+    read chain by chain into ``_ChainRows``, every other member whole."""
+    reader = _JsonStream(stream)
+    if reader.peek() != "{":
+        payload = reader.value()
+    else:
+        payload = {}
+        for name in reader.members():
+            if name in _STACKED and reader.peek() == "{":
+                rows = payload[name] = _ChainRows(_STACKED[name])
+                for key in reader.members():
+                    rows.add(key, reader.value())
+            else:
+                payload[name] = reader.value()
+    reader.finish()
+    return payload
+
+
+def _field(payload, name: str, kind: type, label: str = ""):
+    if not isinstance(payload, dict) or not isinstance(payload.get(name), kind):
+        raise DataError(f"model parameters have no valid {name!r} ({label or kind.__name__})")
+    return payload[name]
+
+
+def params_from_json(stream: TextIO, expected_checksum: str | None = None) -> MatiParams:
+    """Read a parameter file from a text stream; malformed content raises
+    ``DataError``.
+
+    The stream is read a chunk at a time and each chain level is stacked
+    as it is read (see the module docstring); each stack is validated once.
+    ``pr_nu`` must hold one finite, non-negative score for each pair of
     ``pair_tables`` and nothing else.
     """
-    try:
-        payload = json.loads(text, parse_float=_FloatLiterals().__getitem__)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"unreadable model parameters: {exc}") from exc
+    payload = _read_payload(stream)
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != PARAMS_FORMAT_VERSION:
         raise DataError(f"unsupported parameter format {version!r}")
@@ -584,22 +796,19 @@ def params_from_json(text: str, expected_checksum: str | None = None) -> MatiPar
     pr_nu = _field(payload, "pr_nu", dict)
     if not all(type(v) in (int, float) for v in pr_nu.values()):
         raise DataError("model parameters: pr_nu has a non-numeric entry")
-    chains = _field(payload, "pair_tables", dict)
-    if pr_nu.keys() != chains.keys():
+    pairs = _field(payload, "pair_tables", _ChainRows, "dict").stack(layout.shape)
+    if pr_nu.keys() != set(pairs.keys):
         raise DataError("model parameters: the pr_nu keys differ from the pair_tables keys")
-    scores = np.array([pr_nu[key] for key in chains], dtype=float)
+    scores = np.array([pr_nu[key] for key in pairs.keys], dtype=float)
     if not (np.isfinite(scores) & (scores >= 0)).all():
         raise DataError("model parameters: pr_nu has a negative or non-finite entry")
+    pois = _field(payload, "poi_tables", _ChainRows, "dict").stack(layout.shape)
     if "global_table" not in payload:
         raise DataError("model parameters have no 'global_table'")
     global_table = payload["global_table"]
-    return MatiParams(
-        layout=layout,
-        pair_tables=_stack(chains, layout.shape, "pair"),
-        pr_nu=scores,
-        poi_tables=_stack(_field(payload, "poi_tables", dict), layout.shape, "POI"),
-        global_table=(None if global_table is None else
-                      [level[0] for level in
-                       _stack({"global": global_table}, layout.shape, "global").levels]),
-        slab_checksum=checksum,
-    )
+    if global_table is not None:
+        rows = _ChainRows("global")
+        rows.add("global", global_table)
+        global_table = [level[0] for level in rows.stack(layout.shape).levels]
+    return MatiParams(layout=layout, pair_tables=pairs, pr_nu=scores, poi_tables=pois,
+                      global_table=global_table, slab_checksum=checksum)

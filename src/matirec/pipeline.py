@@ -93,7 +93,8 @@ class UsgComponents:
             self.geo = bl.fit_geo_model(self.matrix, bin_km=cfg.usg.bin_km,
                                         d_min_km=cfg.usg.d_min_km)
         except DataError:
-            # Degenerate geography (single distance bin): neutral flat model.
+            # Degenerate geography (a single distance bin, or a law that does
+            # not decay with distance): neutral flat model.
             logger.warning("geo fit degenerate; using a flat distance model")
             self.geo = bl.GeoModel(log_a=0.0, b=0.0, d_min_km=cfg.usg.d_min_km)
         self._neighbor_cache: dict[int | None, tuple[np.ndarray, np.ndarray]] = {}

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from oracles import (friend_map, friend_weights, geo_log_score, geo_scores, social_from_weights,
                      social_score, top_neighbors, ubcf_from_neighbors, ubcf_score)
 
-from matirec.baselines import (GeoModel, UserPoiMatrix, UsgWeights, fit_geo_model, haversine_km,
-                               max_normalize, rank_top_n, usg_score)
+from matirec.baselines import (GeoModel, UserPoiMatrix, UsgWeights, fit_geo_model, geo_log_scores,
+                               haversine_km, max_normalize, rank_top_n, usg_score)
+from matirec.config import load_config
 from matirec.errors import ConfigError, DataError
 from matirec.ingest import CheckIn, CheckInLog
+from matirec.pipeline import UsgComponents
 
 
 def _log(visits, edges=()):
@@ -146,6 +149,30 @@ def test_fit_geo_recovers_power_law():
 def test_fit_geo_degenerate_single_bin():
     log = _log([("u", "a", 0.0, 0.0), ("u", "b", 0.0001, 0.0)])
     with pytest.raises(DataError, match="bins"):
+        fit_geo_model(log)
+
+
+def test_geo_fit_that_rewards_distance_falls_back_flat(caplog):
+    """Every same-user distance is under 2 km and the farther bin holds more
+    pairs, so the regression rises with distance (b > 0).  Such a law must
+    not rank a POI 50 km from the user's history over one 0.5 km away: the
+    fit is refused and the components use the flat model, with a warning."""
+    km = 1 / 111.194926  # degrees of latitude per km
+    visits = [("u1", "a", 0.0, 0.0), ("u1", "b", 0.3 * km, 0.0)]
+    for i in range(2, 5):
+        visits += [(f"u{i}", f"c{i}", 0.0, float(i)), (f"u{i}", f"d{i}", 1.8 * km, float(i))]
+    visits += [("q", "home", 10.0, 10.0), ("v1", "near", 10.0 + 0.5 * km, 10.0),
+               ("v2", "far", 10.0 + 50.0 * km, 10.0)]
+    log = _log(visits)
+    with caplog.at_level(logging.WARNING, logger="matirec.pipeline"):
+        components = UsgComponents(log, load_config())
+    matrix = components.matrix
+    targets = np.array([matrix.poi_index["near"], matrix.poi_index["far"]])
+    near, far = geo_log_scores(matrix, matrix.history(matrix.user_index["q"]), targets,
+                               components.geo)
+    assert far <= near
+    assert components.geo.b == 0.0 and "geo fit degenerate" in caplog.text
+    with pytest.raises(DataError, match="does not decay"):
         fit_geo_model(log)
 
 

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -386,3 +390,28 @@ def test_write_matches_write_text(tmp_path, text):
     whole = tmp_path / "whole.txt"
     whole.write_text(text, encoding="utf-8")
     assert written.read_bytes() == whole.read_bytes()
+
+
+def test_cli_commands_leave_numpy_ma_unloaded(workspace, tmp_path):
+    """The five commands a user runs in turn, in one process, never import
+    ``numpy.ma`` (a plain ``np.unique`` or ``np.isin`` would)."""
+    _, config = workspace
+    out = tmp_path / "out"
+    commands = [
+        ["ingest", "--out", str(out)],
+        ["slabs", "--out", str(out)],
+        ["train", "--slabs", str(out / "slab_index.json"), "--out", str(out)],
+        ["recommend", "--slabs", str(out / "slab_index.json"),
+         "--params", str(out / "mati_params.json"), "--user", "a0_0", "--n", "5"],
+        ["evaluate", "--out", str(tmp_path / "eval")],
+    ]
+    script = ("import sys\n"
+              "from matirec.cli import main\n"
+              f"for argv in {commands!r}:\n"
+              f"    assert main(['--config', {str(config)!r}, *argv]) == 0, argv\n"
+              "print('numpy.ma loaded:', 'numpy.ma' in sys.modules)\n")
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "numpy.ma loaded: False"

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 from collections import Counter
@@ -410,13 +411,13 @@ def test_params_json_roundtrip_and_checksum_guard():
     log, index, _, pairs = _small_recovery()
     params, _ = run_em(log, index, np.ones(len(pairs)))
     text = params_to_json(params)
-    restored = params_from_json(text, expected_checksum=index.checksum)
+    restored = params_from_json(io.StringIO(text), expected_checksum=index.checksum)
     assert restored.layout == params.layout
     pair = pairs[0]
     for mine, orig in zip(as_dicts(restored).pair_tables[pair], as_dicts(params).pair_tables[pair]):
         assert np.allclose(mine, orig)
     with pytest.raises(DataError, match="different slab index"):
-        params_from_json(text, expected_checksum="deadbeef")
+        params_from_json(io.StringIO(text), expected_checksum="deadbeef")
 
 
 def test_layout_for_index():

@@ -4,13 +4,17 @@ Parameter sets are drawn as ``oracles.DictParams`` and stacked with
 ``oracles.stacked``.  ``params_to_json`` must write exactly the bytes of one
 nested ``json.dumps(payload, sort_keys=True)`` of the dicts
 (``oracles.reference_params_json``), and ``params_from_json`` must give
-every table and score back bit for bit.  Ids carry quotes, backslashes,
+every table and score back bit for bit, also when it reads the stream a
+character or a few characters at a time.  Ids carry quotes, backslashes,
 control and non-ASCII characters, whose escaped JSON form sorts differently
 from the raw string; rows repeat, and some differ only by -0.0 against 0.0.
 """
 
+import io
 import json
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +24,9 @@ from hypothesis import strategies as st
 from corpus import stamp, three_by_three_index
 from oracles import DictParams, as_dicts, reference_em, reference_params_json, stacked
 
+from matirec import mati
 from matirec.config import load_config
-from matirec.errors import InvariantError
+from matirec.errors import DataError, InvariantError
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.mati import ChainLayout, joint_from_chain, params_from_json, params_to_json, run_em
 from matirec.pipeline import SlabArtifacts, train_models
@@ -96,11 +101,40 @@ def _assert_round_trip(params, restored):
         _same_chain(restored.global_table, params.global_table)
 
 
+# Stream chunk sizes the reader must agree across: one character, a few
+# (every number and escaped key is cut somewhere), and more than a small file.
+CHUNKS = (1, 7, 4096)
+
+
+def _same_params(mine, want):
+    assert mine.layout == want.layout and mine.slab_checksum == want.slab_checksum
+    assert mine.pr_nu.tobytes() == want.pr_nu.tobytes()
+    for stack in ("pair_tables", "poi_tables"):
+        a, b = getattr(mine, stack), getattr(want, stack)
+        assert a.keys == b.keys
+        assert [level.tobytes() for level in a.levels] == [level.tobytes() for level in b.levels]
+        assert [level.shape for level in a.levels] == [level.shape for level in b.levels]
+    if want.global_table is None:
+        assert mine.global_table is None
+    else:
+        _same_chain(mine.global_table, want.global_table)
+
+
+def _read(text: str):
+    """``params_from_json`` of ``text`` as a stream, which must give the same
+    stacks, bit for bit, when read at each of ``CHUNKS``."""
+    restored = params_from_json(io.StringIO(text))
+    for chunk in CHUNKS:
+        with mock.patch.object(mati, "READ_CHUNK", chunk):
+            _same_params(params_from_json(io.StringIO(text)), restored)
+    return restored
+
+
 @given(params=param_sets(), fingerprint=ids)
 def test_writer_matches_reference_bytes_and_round_trips(params, fingerprint):
     text = params_to_json(stacked(params), fingerprint=fingerprint)
     assert text == reference_params_json(params, fingerprint=fingerprint)
-    _assert_round_trip(params, params_from_json(text))
+    _assert_round_trip(params, _read(text))
 
 
 def _unit_chain(shape):
@@ -118,7 +152,7 @@ def test_keys_sort_by_raw_string_not_escaped_form():
                         global_table=_unit_chain(shape))
     text = params_to_json(stacked(params))
     assert text == reference_params_json(params)
-    _assert_round_trip(params, params_from_json(text))
+    _assert_round_trip(params, _read(text))
 
 
 def test_many_duplicate_rows_render_once_each():
@@ -132,7 +166,7 @@ def test_many_duplicate_rows_render_once_each():
     text = params_to_json(stacked(params))
     assert text == reference_params_json(params)
     assert "[1.0, -0.0, -0.0, -0.0]" in text and "[1.0, 0.0, 0.0, 0.0]" in text
-    _assert_round_trip(params, params_from_json(text))
+    _assert_round_trip(params, _read(text))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 0.7],
@@ -192,7 +226,90 @@ def test_pair_keys_leave_em_in_raw_key_order():
         assert np.abs(joint_from_chain(ref.pair_tables[pair]) - want).max() <= 1e-12
     text = params_to_json(params)
     assert text == reference_params_json(ref)
-    _assert_round_trip(ref, params_from_json(text))
+    _assert_round_trip(ref, _read(text))
     models = train_models(log, load_config(), SlabArtifacts(index, {}),
-                          params_from_json(text))
+                          params_from_json(io.StringIO(text)))
     assert models.em_report is None
+
+
+def _sample_text() -> str:
+    """A small parameter file: escaped ids, random rows, a global chain."""
+    rng = np.random.default_rng(5)
+    shape = (2, 3)
+
+    def chain():
+        return [rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(3), size=2)]
+
+    names = ['"q"', "a\\b", "é", "z\x01", "\U0001f600", "n\nl"]
+    pairs = [(u, p) for u in names for p in names[:2]]
+    params = DictParams(layout=ChainLayout(("day", "hour"), shape),
+                        pr_nu={pair: float(rng.uniform()) for pair in pairs},
+                        pair_tables={pair: chain() for pair in pairs},
+                        poi_tables={poi: chain() for poi in names}, global_table=chain(),
+                        slab_checksum="c" * 8)
+    return params_to_json(stacked(params), fingerprint="f")
+
+
+def _assert_loads_as_json_would(text: str):
+    """The stacks hold what ``json.loads`` makes of ``text``: keys in file
+    order, a repeated key at its first place with its last value."""
+    payload = json.loads(text)
+    restored = _read(text)
+    assert restored.slab_checksum == payload["slab_checksum"]
+    for name in ("pair_tables", "poi_tables"):
+        stack, chains = getattr(restored, name), payload[name]
+        assert list(stack.keys) == list(chains)
+        for k, level in enumerate(stack.levels):
+            want = np.array([chain[k] for chain in chains.values()], dtype=float)
+            assert level.tobytes() == want.tobytes()
+    scores = np.array([payload["pr_nu"][key] for key in payload["pair_tables"]], dtype=float)
+    assert restored.pr_nu.tobytes() == scores.tobytes()
+    _same_chain(restored.global_table, [np.array(t, dtype=float) for t in payload["global_table"]])
+
+
+def _object_text(members) -> str:
+    """JSON text of an object with the (key, value text) members in order,
+    repeated keys kept."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in members) + "}"
+
+
+def test_reader_loads_indented_shuffled_and_repeated_keys_as_json_loads():
+    text = _sample_text()
+    payload = json.loads(text)
+    _assert_loads_as_json_would(json.dumps(payload, indent=2))
+
+    rng = random.Random(3)
+
+    def shuffled(obj):
+        items = list(obj.items())
+        rng.shuffle(items)
+        return {key: shuffled(value) if key in ("pr_nu", "pair_tables", "poi_tables", "layout")
+                else value for key, value in items}
+
+    _assert_loads_as_json_would(json.dumps(shuffled(payload)))
+
+    pairs = list(payload["pair_tables"].items())
+    first, other = pairs[0][0], pairs[-1][1]
+    tables = _object_text([(key, json.dumps(chain)) for key, chain in pairs]
+                          + [(first, json.dumps(other))])
+    members = [("slab_checksum", '"stale"')] + [
+        (name, tables if name == "pair_tables" else json.dumps(value))
+        for name, value in payload.items()]
+    repeated = _object_text(members)
+    assert json.loads(repeated)["pair_tables"][first] == other
+    _assert_loads_as_json_would(repeated)
+
+
+def test_reader_refuses_cut_text_and_data_after_the_object():
+    text = _sample_text()
+    for end in range(len(text)):
+        with pytest.raises(DataError, match="unreadable model parameters"):
+            params_from_json(io.StringIO(text[:end]))
+    with mock.patch.object(mati, "READ_CHUNK", 7):
+        for end in range(0, len(text), 11):
+            with pytest.raises(DataError, match="unreadable model parameters"):
+                params_from_json(io.StringIO(text[:end]))
+    for extra in (" {}", "x", "}", "\n[]", ", 1"):
+        with pytest.raises(DataError, match="extra data"):
+            params_from_json(io.StringIO(text + extra))
+    _read(text + " \n\t")

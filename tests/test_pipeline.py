@@ -1,3 +1,5 @@
+import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -216,12 +218,30 @@ def test_trained_params_file_matches_reference_encoder(planted_split):
     _, models = planted_split
     text = params_to_json(models.params, fingerprint="planted-300")
     assert text == reference_params_json(as_dicts(models.params), fingerprint="planted-300")
-    restored = params_from_json(text)
+    restored = params_from_json(io.StringIO(text))
     assert restored.pair_tables.keys == models.params.pair_tables.keys
     assert restored.pr_nu.tobytes() == models.params.pr_nu.tobytes()
     for stack in ("pair_tables", "poi_tables"):
         assert all(a.tobytes() == b.tobytes() for a, b in
                    zip(getattr(restored, stack).levels, getattr(models.params, stack).levels))
+
+
+def test_reading_the_params_file_peaks_below_its_size(planted_split, tmp_path):
+    """Streamed, the read holds the stacks (about a third of the file), a
+    chunk or two and one batch of chains; the whole text plus ``json.loads``
+    of it peaked at about twice the file's size."""
+    _, models = planted_split
+    path = tmp_path / "mati_params.json"
+    path.write_text(params_to_json(models.params, fingerprint="planted-300"), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with path.open(encoding="utf-8") as stream:
+            params_from_json(stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 0.6 * size, f"peak {peak / size:.3f} of the file's size"
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
