@@ -8,6 +8,7 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 invariant breach.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import math
 import sys
@@ -149,12 +150,15 @@ def cmd_recommend(cfg: RunConfig, args) -> int:
     index = SlabIndex.from_json(Path(args.slabs).read_text(encoding="utf-8"))
     params = None
     if args.params:
-        with open(args.params, encoding="utf-8") as stream:
-            params = params_from_json(stream, expected_checksum=index.checksum)
+        # A binary file and an incremental decoder hold each chunk once; a
+        # text-mode file also keeps the chunk's bytes and its decoded text.
+        with open(args.params, "rb") as raw:
+            params = params_from_json(codecs.getreader("utf-8")(raw),
+                                      expected_checksum=index.checksum)
     from .pipeline import SlabArtifacts
     models = train_models(log, cfg, SlabArtifacts(index, {}), params)
     model = models.get(args.model)
-    lines = ["user_id,rank,poi_id,score,path"]
+    rows = [("user_id", "rank", "poi_id", "score", "path")]
     for user in args.user:
         if not len(log.rows(user)):
             raise DataError(f"unknown user {user!r}")
@@ -166,10 +170,10 @@ def cmd_recommend(cfg: RunConfig, args) -> int:
         path = model.routes[user].path if args.model == "hybrid" and items else args.model
         for rank, poi in enumerate(items, start=1):
             rendered = repr(scores[poi]) if poi in scores else ""
-            lines.append(f"{user},{rank},{poi},{rendered},{path}")
+            rows.append((user, rank, poi, rendered, path))
         if len(items) < args.n:
             print(f"note: short list for {user}: {len(items)} < {args.n}", file=sys.stderr)
-    text = f"# fingerprint={_fingerprint(cfg)}\n" + "\n".join(lines) + "\n"
+    text = f"# fingerprint={_fingerprint(cfg)}\n" + ing.csv_text(rows)
     if args.out:
         _write(Path(args.out), "recommendations.csv", text)
     print(text, end="")

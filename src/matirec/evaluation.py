@@ -16,7 +16,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ingest import CheckInLog
+from .ingest import CheckInLog, csv_text
 
 
 class Recommender(Protocol):
@@ -142,11 +142,9 @@ class EvalReport:
         return json.dumps(payload, sort_keys=True, indent=1)
 
     def rows_csv(self) -> str:
-        lines = ["model,user_id,n,hits,precision,recall,f1"]
-        for r in self.rows:
-            lines.append(f"{r['model']},{r['user']},{r['n']},{r['hits']},"
-                         f"{r['precision']!r},{r['recall']!r},{r['f1']!r}")
-        return "\n".join(lines) + "\n"
+        header = ("model", "user_id", "n", "hits", "precision", "recall", "f1")
+        return csv_text([header, *((r["model"], r["user"], r["n"], r["hits"], repr(r["precision"]),
+                                    repr(r["recall"]), repr(r["f1"])) for r in self.rows)])
 
     def objective(self, metric: str, n: int, model: str) -> float:
         return self.aggregates[model][n][metric]

@@ -15,6 +15,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .ingest import csv_text
 from .mati import shared_activity
 
 Path = Literal["temporal", "non_temporal"]
@@ -62,6 +63,5 @@ class Decision:
 
 
 def decisions_csv(decisions: Sequence[Decision], run_stamp: str) -> str:
-    lines = ["user_id,mean_psi,path,run_timestamp"]
-    lines += [f"{d.user_id},{d.mean_psi!r},{d.path},{run_stamp}" for d in decisions]
-    return "\n".join(lines) + "\n"
+    return csv_text([("user_id", "mean_psi", "path", "run_timestamp"),
+                     *((d.user_id, repr(d.mean_psi), d.path, run_stamp) for d in decisions)])

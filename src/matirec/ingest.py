@@ -16,6 +16,8 @@ after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import csv
+import io
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -517,6 +519,15 @@ def serialize_log(log: CheckInLog) -> str:
     rows = zip(users, map(str, c.timestamp[order].tolist()), map(repr, c.lat[order].tolist()),
                map(repr, c.lon[order].tolist()), pois)
     return "\n".join(map("\t".join, rows)) + "\n"
+
+
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """CSV text of ``rows``, one line each, ending in ``\\n``.  A field that
+    holds ``,``, ``"`` or a newline is quoted, so ids may hold them; every
+    other field is written as it is."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def serialize_social(log: CheckInLog) -> str:

@@ -33,14 +33,20 @@ toward the global popularity joint J_0 it starts from: after k iterations
 ``run_em`` computes iteration k directly for all pairs at once.  H stays
 sparse: the likelihood reads only the cells with evidence, and the final
 joints are the grid (gamma / (n + gamma))^k * J_0 with only those cells
-overwritten, so EM holds one (pairs × cells) grid, which is then factored
-into the pair chains in place.  The reported log-likelihood is the
-per-event data log-likelihood under the current tables plus the constant
-sum of n_pair * log Pr_nu (0 under uniform weights), which moves only the
-relative stop rule; it is non-decreasing across iterations.
+overwritten.  EM builds that (pairs × cells) grid once, to sum the POI
+backoff joints, and lets it go: the pair chains stay in closed form, as
+``EmChains`` (the pair keys, their pair rows, the sparse H, each pair's
+r^k = (gamma / (n + gamma))^k and J_0), which builds the chains of any
+slice of pairs with the same arithmetic, bit for bit.  The reported
+log-likelihood is the per-event data log-likelihood under the current
+tables plus the constant sum of n_pair * log Pr_nu (0 under uniform
+weights), which moves only the relative stop rule; it is non-decreasing
+across iterations.
 
-``MatiParams`` holds the pair and POI chains as ``ChainStack``s, one array
-per level with a row per owner in raw key string order (the file's order).
+``MatiParams`` holds the POI chains as a ``ChainStack``, one array per
+level with a row per owner in raw key string order (the file's order), and
+the pair chains as an ``EmChains`` from EM or a ``ChainStack`` read from a
+file; both give the chains of owners lo..hi through ``chains(lo, hi)``.
 
 Scoring mixes the depth with the shared activity psi: the Jaccard overlap of
 the cells a user and a POI were active in, from integer rows of per-cell
@@ -50,10 +56,11 @@ Parameter file (``mati_params.json``): one JSON object with the layout,
 ``pr_nu`` and the pair, POI and global chains, each chain a list of its
 level tables as nested lists; pair keys are ``user<TAB>poi``.  Its bytes are
 exactly ``json.dumps(payload, sort_keys=True)``.  ``params_to_json``
-validates the stacks and renders straight from them: every distinct
-last-axis row once (on a day with none of a pair's check-ins, the pair's
-hour row is the global one, so most rows repeat), then joins the pieces
-once.
+builds, checks, validates and renders the chains ``PARAMS_SLICE`` owners at
+a time, so only one slice's chains are held beside the text's pieces.  One
+cache of row texts serves every slice, so each distinct last-axis row is
+rendered once (on a day with none of a pair's check-ins, the pair's hour
+row is the global one, so most rows repeat); the pieces are joined once.
 
 ``params_from_json`` reads the file from a text stream, ``READ_CHUNK``
 characters at a time, and never holds the whole text or the nested lists of
@@ -67,8 +74,8 @@ twice the file's size in memory; the stream costs the stacks, about a third
 of it, and a few chunks.  The file stays v1 until the benchmark's checks
 change: the benchmark reads ``pair_tables`` and ``pr_nu`` and traces
 ``params_to_json`` and ``params_from_json`` by name, so both keep their
-names, and v2 (sufficient statistics in place of rendered chains,
-ROADMAP.md item 1) waits.
+names, and v2 (the sufficient statistics ``EmChains`` holds, in place of
+rendered chains, ROADMAP.md item 1) waits.
 """
 from __future__ import annotations
 
@@ -205,8 +212,59 @@ class ChainStack:
     keys: tuple[str, ...]
     levels: tuple[np.ndarray, ...]
 
+    def __post_init__(self):
+        if any(len(level) != len(self.keys) for level in self.levels):
+            raise InvariantError(f"chain stack: levels of {[len(level) for level in self.levels]} "
+                                 f"owners for {len(self.keys)} keys")
+
     def __len__(self) -> int:
         return len(self.keys)
+
+    def chains(self, lo: int, hi: int) -> list[np.ndarray]:
+        """The levels of owners ``lo`` to ``hi`` (exclusive)."""
+        return [level[lo:hi] for level in self.levels]
+
+
+@dataclass(frozen=True)
+class EmChains:
+    """EM's pair chains in closed form, built a slice of owners at a time.
+
+    ``keys[i]`` is owner i's ``user<TAB>poi`` key, in raw key string order,
+    and ``rows[i]`` its pair int row, the row of ``decay`` and of the sparse
+    evidence.  Pair row r's check-ins fall in ``cells[indptr[r]:indptr[r + 1]]``,
+    ``counts`` of them in each; ``decay[r]`` is its r^k, and ``start`` the
+    global joint J_0, shaped like the slab grid.  These are the sufficient
+    statistics of the pair chains: a pair's joint is ``decay * start`` with
+    its evidence cells set to ``E + r^k (J_0 - E)``, ``E = H/n``.
+    """
+
+    keys: tuple[str, ...]
+    rows: np.ndarray
+    indptr: np.ndarray
+    cells: np.ndarray
+    counts: np.ndarray
+    decay: np.ndarray
+    start: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def chains(self, lo: int, hi: int) -> list[np.ndarray]:
+        """The chains of owners ``lo`` to ``hi`` (exclusive), stacked, with
+        the arithmetic of ``run_em``: the grid ``r^k * J_0``, the evidence
+        cells overwritten, then ``_stacked_chains``."""
+        rows = self.rows[lo:hi]
+        first = self.indptr[rows]
+        sizes = self.indptr[rows + 1] - first
+        owner = np.repeat(np.arange(len(rows)), sizes)
+        entry = np.arange(len(owner)) + np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
+        cells, counts = self.cells[entry], self.counts[entry].astype(float)
+        start = self.start.reshape(-1)
+        decay = self.decay[rows]
+        target = counts / np.bincount(owner, weights=counts, minlength=len(rows))[owner]
+        joints = np.multiply.outer(decay, start)
+        joints[owner, cells] = target + decay[owner] * (start[cells] - target)
+        return _stacked_chains(joints.reshape(len(rows), *self.start.shape))
 
 
 def pair_of(key: str) -> tuple[str, str]:
@@ -238,16 +296,20 @@ def _sorted_keys(keys: Sequence[str]) -> bool:
 class MatiParams:
     """Trained parameter set: EM's per-pair weights plus slab chains.
 
-    ``pair_tables`` stacks the chains of the observed pairs and ``pr_nu``
-    holds the weights EM ran with, aligned with ``pair_tables.keys`` (all
-    ones from ``pipeline.train_models``; scoring uses the live USG score).
+    ``pair_tables`` is the source of the observed pairs' chains: an
+    ``EmChains`` from ``run_em`` (closed form, built a slice at a time) or
+    a ``ChainStack`` read from a file; both have ``keys``, ``len`` and
+    ``chains(lo, hi)``, and nothing but the writer builds the chains.
+    ``pr_nu`` holds the weights EM ran with, aligned with
+    ``pair_tables.keys`` (all ones from ``pipeline.train_models``; scoring
+    uses the live USG score).
     Candidate pairs unseen in training back off to the POI-marginal chains
     of ``poi_tables`` (mean of the POI's observed pair joints) and finally
     to the single global popularity chain ``global_table``.
     """
 
     layout: ChainLayout
-    pair_tables: ChainStack
+    pair_tables: EmChains | ChainStack
     pr_nu: np.ndarray
     poi_tables: ChainStack
     global_table: list[np.ndarray] | None
@@ -274,12 +336,13 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: np.ndarray, max_iter: int =
     (see the module docstring) on the sparse histogram: its nonzero
     entries come from one ``np.unique`` of (pair row, cell) positions, in
     row-major order, and each pair's n and the start joint from two
-    ``bincount``s.  The final joints are one broadcast grid with the
-    evidence cells overwritten; the POI backoff sums are taken from it
-    before ``_stacked_chains`` factors it in place.  The run stops when
-    the relative log-likelihood change drops below ``tol`` or after
-    ``max_iter`` iterations; a decrease beyond the slack is an invariant
-    breach.
+    ``bincount``s.  The final joints are built once, as one broadcast grid
+    with the evidence cells overwritten, only to sum the POI backoff joints;
+    the grid then goes, and the pair chains are returned in closed form, as
+    an ``EmChains`` that builds them a slice of pairs at a time (the writer
+    validates them as it renders).  The run stops when the relative
+    log-likelihood change drops below ``tol`` or after ``max_iter``
+    iterations; a decrease beyond the slack is an invariant breach.
     """
     columns = log.columns
     # Pair rows in int order, which is sorted (user, poi) order.
@@ -299,9 +362,9 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: np.ndarray, max_iter: int =
     shape = index.grid_shape()
     n_cells = math.prod(shape)
     cell_of = index.cells(columns.timestamp)
-    flat, counts = np.unique(pair_of_row * n_cells + cell_of, return_counts=True)
+    flat, hits = np.unique(pair_of_row * n_cells + cell_of, return_counts=True)
     rows, cells = np.divmod(flat, n_cells)
-    counts = counts.astype(float)
+    counts = hits.astype(float)
 
     n = np.bincount(pair_of_row, minlength=len(keys)).astype(float)
     start = np.bincount(cell_of, minlength=n_cells) / len(log.checkins)
@@ -335,28 +398,30 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: np.ndarray, max_iter: int =
     decay = rate ** iterations
     joints = np.multiply.outer(decay, start)
     joints.reshape(-1)[flat] = target + decay[rows] * gap
-    joints = joints.reshape(len(keys), *shape)
-    # POI backoff chain: mean of the POI's observed pair joints, summed
-    # before the pair chains are factored into the same buffer.
+    # POI backoff chain: mean of the POI's observed pair joints.  The pair
+    # chains are not kept: ``EmChains`` builds them again a slice at a time.
     pois, poi_of = np.unique(keys % len(columns.pois), return_inverse=True)
-    poi_sums = np.zeros((len(pois), *shape))
+    poi_sums = np.zeros((len(pois), n_cells))
     np.add.at(poi_sums, poi_of, joints)
-    poi_sums /= np.bincount(poi_of).reshape(-1, *[1] * len(shape))
-    pair_chains = _stacked_chains(joints)
-    poi_chains = _stacked_chains(poi_sums)
+    del joints
+    poi_sums /= np.bincount(poi_of)[:, None]
+    poi_chains = _stacked_chains(poi_sums.reshape(len(pois), *shape))
     global_chain = chain_from_joint(start.reshape(shape))
-    for chain in (pair_chains, poi_chains, global_chain):
+    for chain in (poi_chains, global_chain):
         validate_chain(chain)
     # Pair int order differs from raw key order where an id holds a
     # character below the tab.
+    order = np.arange(len(keys))
     if not _sorted_keys(names.tolist()):
         order = np.argsort(names, kind="stable")
         names, weights = names[order], weights[order]
-        pair_chains = [level[order] for level in pair_chains]
+    pair_chains = EmChains(tuple(names.tolist()), order,
+                           np.searchsorted(rows, np.arange(len(keys) + 1)), cells,
+                           hits, decay, start.reshape(shape))
 
     params = MatiParams(
         layout=layout_for(index),
-        pair_tables=ChainStack(tuple(names.tolist()), tuple(pair_chains)),
+        pair_tables=pair_chains,
         pr_nu=weights,
         poi_tables=ChainStack(tuple(np.array(columns.pois, dtype=object)[pois].tolist()),
                               tuple(poi_chains)),
@@ -412,17 +477,21 @@ def mati_mix(psi: np.ndarray, depth: np.ndarray, phi_t: float) -> np.ndarray:
     return phi_t * max_normalize(psi) + (1 - phi_t) * max_normalize(depth)
 
 
-def _render_rows(level: np.ndarray) -> np.ndarray:
+def _render_rows(level: np.ndarray, texts: dict[bytes, str]) -> np.ndarray:
     """JSON text of each last-axis row, shaped like the level without that axis.
 
     Each distinct row is rendered once, as ``json.dumps`` would, and shared:
+    ``texts`` maps a row's bytes to its text and is kept across calls, and
     rows are told apart by their bit pattern, so -0.0 and 0.0 stay distinct.
     """
     rows = np.ascontiguousarray(level).reshape(-1, level.shape[-1])
     bits = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-    text = np.array(["[" + ", ".join(map(repr, row)) + "]" for row in rows[first].tolist()],
-                    dtype=object)
+    keys = bits[first].tolist()
+    new = [j for j, key in enumerate(keys) if key not in texts]
+    for j, row in zip(new, rows[first[new]].tolist()):
+        texts[keys[j]] = "[" + ", ".join(map(repr, row)) + "]"
+    text = np.array([texts[key] for key in keys], dtype=object)
     return text[inverse.ravel()].reshape(level.shape[:-1])
 
 
@@ -457,9 +526,10 @@ def _chain_template(shape: tuple[int, ...]) -> list:
     return merged
 
 
-def _chain_pieces(stack: ChainStack, shape: tuple[int, ...]) -> np.ndarray:
+def _chain_pieces(stack: ChainStack, shape: tuple[int, ...],
+                  texts: dict[bytes, str]) -> np.ndarray:
     """Object array with one row per owner; row i joins to owner i's chain."""
-    rows = [_render_rows(level).reshape(len(stack), -1) for level in stack.levels]
+    rows = [_render_rows(level, texts).reshape(len(stack), -1) for level in stack.levels]
     template = _chain_template(shape)
     pieces = np.empty((len(stack), len(template)), dtype=object)
     for j, item in enumerate(template):
@@ -467,40 +537,69 @@ def _chain_pieces(stack: ChainStack, shape: tuple[int, ...]) -> np.ndarray:
     return pieces
 
 
-def _object_pieces(stack: ChainStack, shape: tuple[int, ...]) -> list[str]:
-    """Pieces of the JSON object mapping each owner's key to its chain."""
-    if not len(stack):
-        return ["{}"]
-    pieces = _chain_pieces(stack, shape)
-    opening = pieces[0, 0]
-    pieces[:, 0] = np.array([f", {json.dumps(key)}: {opening}" for key in stack.keys],
-                            dtype=object)
-    pieces[0, 0] = pieces[0, 0][2:]
-    return ["{", *pieces.ravel().tolist(), "}"]
+def _checked(stack: ChainStack, shape: tuple[int, ...], what: str) -> ChainStack:
+    """``stack``, once its levels are checked against the layout and validated."""
+    got = [level.shape for level in stack.levels]
+    want = [(len(stack), *shape[:k + 1]) for k in range(len(shape))]
+    if got != want:
+        raise InvariantError(f"model parameters: {what} levels have shapes {got}, the layout "
+                             f"needs {want}")
+    _validate_stack(stack, what)
+    return stack
+
+
+# Owners whose chains are built, checked and rendered at a time.  A larger
+# slice's arrays are placed between the row texts already rendered and raise
+# ``train``'s peak RSS: at 4,096 it was above rendering every chain at once.
+PARAMS_SLICE = 512
+
+
+def _object_pieces(source: EmChains | ChainStack, shape: tuple[int, ...], what: str,
+                   texts: dict[bytes, str]) -> list[str]:
+    """Pieces of the JSON object mapping each owner's key to its chain.
+
+    The chains are built, checked, validated and rendered ``PARAMS_SLICE``
+    owners at a time, so only one slice's chains are held at once.
+    """
+    keys = source.keys
+    if not _sorted_keys(keys):
+        raise InvariantError(f"model parameters: {what} keys are not in sorted order")
+    pieces = ["{"]
+    for lo in range(0, len(keys), PARAMS_SLICE):
+        hi = min(lo + PARAMS_SLICE, len(keys))
+        stack = _checked(ChainStack(keys[lo:hi], tuple(source.chains(lo, hi))), shape, what)
+        block = _chain_pieces(stack, shape, texts)
+        opening = block[0, 0]
+        block[:, 0] = [f", {json.dumps(key)}: {opening}" for key in stack.keys]
+        pieces += block.ravel().tolist()
+    if len(pieces) > 1:
+        pieces[1] = pieces[1][2:]
+    pieces.append("}")
+    return pieces
 
 
 def params_to_json(params: MatiParams, fingerprint: str = "") -> str:
     """The parameter file: exactly ``json.dumps(payload, sort_keys=True)``.
 
-    Each stack is checked against the layout and validated first, so an
-    invalid or non-finite chain, or a negative or non-finite ``pr_nu``,
-    raises ``InvariantError`` instead of being written.
+    Every chain is checked against the layout and validated before it is
+    rendered, so an invalid or non-finite chain, or a negative or
+    non-finite ``pr_nu``, raises ``InvariantError`` instead of being
+    written.  The pair and POI chains are built and rendered a slice at a
+    time (``_object_pieces``), sharing one cache of row texts, and the
+    pieces are joined once.
     """
     shape = params.layout.shape
-    pairs, pois = params.pair_tables, params.poi_tables
-    global_stack = (None if params.global_table is None
-                    else ChainStack(("global",), tuple(t[None] for t in params.global_table)))
-    for stack, what in ((pairs, "pair"), (pois, "POI"), (global_stack, "global")):
-        if stack is None:
-            continue
-        got = [level.shape for level in stack.levels]
-        want = [(len(stack), *shape[:k + 1]) for k in range(len(shape))]
-        if got != want:
-            raise InvariantError(f"model parameters: {what} levels have shapes {got}, the "
-                                 f"layout needs {want}")
-        if not _sorted_keys(stack.keys):
-            raise InvariantError(f"model parameters: {what} keys are not in sorted order")
-        _validate_stack(stack, what)
+    pairs = params.pair_tables
+    texts: dict[bytes, str] = {}
+    tables = {
+        "pair_tables": _object_pieces(pairs, shape, "pair", texts),
+        "poi_tables": _object_pieces(params.poi_tables, shape, "POI", texts),
+        "global_table": ["null"],
+    }
+    if params.global_table is not None:
+        stack = ChainStack(("global",), tuple(t[None] for t in params.global_table))
+        tables["global_table"] = _chain_pieces(_checked(stack, shape, "global"), shape,
+                                               texts)[0].tolist()
     pr_nu = np.asarray(params.pr_nu, dtype=float)
     if pr_nu.shape != (len(pairs),):
         raise InvariantError(f"model parameters: {pr_nu.size} pr_nu scores for {len(pairs)} "
@@ -515,12 +614,6 @@ def params_to_json(params: MatiParams, fingerprint: str = "") -> str:
         "slab_checksum": params.slab_checksum,
         "layout": {"levels": list(params.layout.levels), "shape": list(shape)},
         "pr_nu": dict(zip(pairs.keys, pr_nu.tolist())),
-    }
-    tables = {
-        "pair_tables": _object_pieces(pairs, shape),
-        "poi_tables": _object_pieces(pois, shape),
-        "global_table": (["null"] if global_stack is None
-                         else _chain_pieces(global_stack, shape)[0].tolist()),
     }
     pieces = ["{"]
     for name in sorted([*fields, *tables]):

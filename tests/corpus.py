@@ -19,7 +19,8 @@ import numpy as np
 
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.mati import joint_from_chain
-from matirec.slabs import SlabIndex, day_factor, hour_factor
+from matirec.localtime import SECONDS_PER_HOUR
+from matirec.slabs import SlabIndex, TemporalFactorSpec, day_factor, hour_factor
 
 BASE_MONDAY = 1262563200  # 2010-01-04 00:00 UTC, a Monday
 
@@ -120,6 +121,36 @@ GRID_TIMES = {
     for di, day in enumerate((0, 2, 5))
     for hi, hour in enumerate((3, 11, 19))
 }
+
+
+def half_hour_factor() -> TemporalFactorSpec:
+    return TemporalFactorSpec("halfhour", 2, lambda ts: (ts % SECONDS_PER_HOUR) // 1800,
+                              containment_rank=0)
+
+
+def three_factor_index() -> SlabIndex:
+    """Day, hour and half-hour factors, two slabs each: a 2 × 2 × 2 grid."""
+    slabs = {
+        "halfhour": [(0,), (1,)],
+        "hour": [range(0, 12), range(12, 24)],
+        "day": [range(0, 5), (5, 6)],
+    }
+    return SlabIndex([half_hour_factor(), hour_factor(), day_factor()], slabs)
+
+
+def three_factor_log() -> CheckInLog:
+    """8 users with 3 of 12 POIs each, 40 check-ins per pair at random times."""
+    rng = np.random.default_rng(17)
+    checkins = []
+    for ui in range(8):
+        u = f"u{ui}"
+        for pj in rng.choice(12, size=3, replace=False):
+            p = f"l{pj}"
+            for _ in range(40):
+                ts = stamp(int(rng.integers(0, 4)), int(rng.integers(0, 7)),
+                           int(rng.integers(0, 24)), int(rng.integers(0, 60)))
+                checkins.append(CheckIn(u, p, ts, 0.0, 0.0))
+    return CheckInLog.from_checkins(checkins)
 
 
 def recovery_instance(n_users: int = 50, n_pois: int = 100, pois_per_user: int = 3,

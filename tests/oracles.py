@@ -498,8 +498,9 @@ def stacked(ref: DictParams) -> MatiParams:
 
 def as_dicts(params: MatiParams) -> DictParams:
     """The chains of a ``MatiParams`` as dicts of per-owner level views."""
-    def chains(stack: ChainStack) -> dict:
-        return {key: [level[i] for level in stack.levels] for i, key in enumerate(stack.keys)}
+    def chains(stack) -> dict:
+        levels = stack.chains(0, len(stack))
+        return {key: [level[i] for level in levels] for i, key in enumerate(stack.keys)}
 
     pairs = params.pair_tables
     return DictParams(
@@ -722,7 +723,7 @@ def assert_matches_dense_em(log, index, **kw):
     assert report.log_likelihood == trace
     assert list(params.pair_tables.keys) == pair_keys_
     assert list(params.poi_tables.keys) == pois
-    for got, want in ((params.pair_tables.levels, pair_chains),
+    for got, want in ((params.pair_tables.chains(0, len(pair_keys_)), pair_chains),
                       (params.poi_tables.levels, poi_chains),
                       (params.global_table, global_chain)):
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]

@@ -1,21 +1,23 @@
+import csv
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from corpus import planted_corpus
+from corpus import distinct_pois, planted_corpus
 from oracles import canonical_rows
 
 from matirec import cli
 from matirec.cli import main
 from matirec.config import fingerprint, load_config, serialize_config
 from matirec.errors import ConfigError
-from matirec.ingest import serialize_log, serialize_social
+from matirec.ingest import CheckInLog, serialize_log, serialize_social
 
 
 @pytest.fixture(scope="module")
@@ -415,3 +417,51 @@ def test_cli_commands_leave_numpy_ma_unloaded(workspace, tmp_path):
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "numpy.ma loaded: False"
+
+
+def _csv_rows(path: Path) -> list[dict]:
+    """The rows of a CSV output after its fingerprint line; a row with more
+    or fewer fields than the header fails."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[0].startswith("# fingerprint=")
+    rows = list(csv.DictReader(lines[1:]))
+    for row in rows:
+        assert None not in row and None not in row.values(), row
+    return rows
+
+
+def test_cli_csv_outputs_keep_ids_with_commas_and_quotes(tmp_path):
+    """A user id and a POI id holding ``,`` and ``"`` read back whole from
+    ``recommendations.csv``, ``eval_users.csv`` and ``decisions.csv``."""
+    log = planted_corpus(n_users=60, seed=12)
+    user = log.checkins[0].user_id
+    poi = sorted(set(log.columns.pois) - distinct_pois(log, user))[0]
+    odd_user, odd_poi = f'{user},"u"', f'{poi},"p"'
+    renamed = CheckInLog.from_checkins(
+        [replace(c, user_id=odd_user if c.user_id == user else c.user_id,
+                 poi_id=odd_poi if c.poi_id == poi else c.poi_id) for c in log.checkins])
+    checkins = tmp_path / "checkins.tsv"
+    checkins.write_text(serialize_log(renamed), encoding="utf-8")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"[run]\nseed = 42\n[data]\ncheckins = {checkins}\n"
+                      "[sampling]\nm_min = 10\nn_percent = 25\n"
+                      "[hybrid]\npsi_low = 0.02\npsi_high = 0.98\n"
+                      "[eval]\ntest_fraction = 1.0\nns = 5\nmodels = usg,hybrid\n",
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    n_pois = len(renamed.columns.pois)
+    for argv in (["slabs", "--out", str(out)],
+                 ["train", "--slabs", str(out / "slab_index.json"), "--out", str(out)],
+                 ["recommend", "--slabs", str(out / "slab_index.json"),
+                  "--params", str(out / "mati_params.json"), "--user", odd_user,
+                  "--n", str(n_pois), "--model", "usg", "--out", str(out)],
+                 ["evaluate", "--out", str(out)]):
+        assert main(["--config", str(config), *argv]) == 0, argv
+
+    recommended = _csv_rows(out / "recommendations.csv")
+    assert {row["user_id"] for row in recommended} == {odd_user}
+    assert odd_poi in [row["poi_id"] for row in recommended]
+    assert set(renamed.columns.pois) >= {row["poi_id"] for row in recommended}
+    for name in ("eval_users.csv", "decisions.csv"):
+        users = {row["user_id"] for row in _csv_rows(out / name)}
+        assert odd_user in users and users <= set(renamed.columns.users), name

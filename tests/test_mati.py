@@ -286,7 +286,8 @@ def test_run_em_weights_move_only_the_stop_rule():
     for a, b in ((uniform.pair_tables, weighted.pair_tables),
                  (uniform.poi_tables, weighted.poi_tables)):
         assert a.keys == b.keys
-        assert [x.tobytes() for x in a.levels] == [y.tobytes() for y in b.levels]
+        assert ([x.tobytes() for x in a.chains(0, len(a))]
+                == [y.tobytes() for y in b.chains(0, len(b))])
     assert ([x.tobytes() for x in uniform.global_table]
             == [y.tobytes() for y in weighted.global_table])
     visits = Counter((c.user_id, c.poi_id) for c in log.checkins)
@@ -319,7 +320,8 @@ def test_run_em_matches_dense_reference_with_an_empty_coarse_slab():
                 for di, hi in rng.integers(0, [2, 3], size=(int(rng.integers(1, 8)), 2))]
     log = CheckInLog.from_checkins(checkins)
     params = assert_matches_dense_em(log, three_by_three_index())
-    for hour in (params.pair_tables.levels[1], params.poi_tables.levels[1],
+    for hour in (params.pair_tables.chains(0, len(params.pair_tables))[1],
+                 params.poi_tables.levels[1],
                  params.global_table[1][None]):
         assert (hour[:, 2] == 1 / 3).all()
 
@@ -345,6 +347,23 @@ def test_run_em_peak_memory_stays_near_one_grid(planted_300):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * grid_bytes, f"peak {peak / grid_bytes:.2f} grids"
+
+
+def test_run_em_params_hold_less_than_half_a_grid(planted_300):
+    """The pair chains stay in closed form (the evidence, r^k and J_0), so the
+    parameters EM returns hold under half a (pairs × cells) float64 grid;
+    stacked pair chains alone would hold more than one."""
+    log, index = planted_300
+    weights = np.ones(len(log.columns.pairs))
+    grid_bytes = len(weights) * math.prod(index.grid_shape()) * 8
+    tracemalloc.start()
+    try:
+        result = run_em(log, index, weights)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    assert held < 0.5 * grid_bytes, f"held {held / grid_bytes:.2f} grids"
 
 
 def test_run_em_unseen_pair_backoff():

@@ -204,6 +204,13 @@ def test_writer_refuses_tables_off_the_layout():
         params_to_json(stacked(params))
 
 
+def test_chain_stack_refuses_levels_off_its_keys():
+    """The writer reads a stack a slice of keys at a time, so a level with
+    more owners than keys must fail where the stack is made."""
+    with pytest.raises(InvariantError, match="levels of \\[3, 2\\] owners for 2 keys"):
+        mati.ChainStack(("a", "b"), (np.full((3, 2), 0.5), np.full((2, 2, 2), 0.5)))
+
+
 def test_pair_keys_leave_em_in_raw_key_order():
     """User ``a`` sorts before ``a\x01b`` as an id, yet its key ``a<TAB>p``
     sorts after ``a\x01b<TAB>p``: EM trains pairs in id order and must

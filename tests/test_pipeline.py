@@ -1,20 +1,25 @@
+import codecs
+import contextlib
 import io
+import json
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from corpus import checkin_users, distinct_pois, planted_corpus
+from corpus import (checkin_users, distinct_pois, planted_corpus, three_factor_index,
+                    three_factor_log)
 from oracles import as_dicts, reference_params_json
 
+from matirec import mati
 from matirec.config import load_config
 from matirec.errors import ConfigError
 from matirec.evaluation import split_exclude
 from matirec.hybrid import HybridConfig
 from matirec.ingest import CheckInLog
 from matirec.mati import (ChainStack, chain_from_joint, joint_from_chain, pair_keys, pair_of,
-                          params_from_json, params_to_json)
+                          params_from_json, params_to_json, run_em)
 from matirec.pipeline import (MatiRecommender, UsgComponents, build_slab_index, train_models,
                               training_pr_nu)
 from matirec.univariate import act_observations, effective_user_act
@@ -214,28 +219,63 @@ def test_random_slab_tables_change_some_mati_list(planted_split):
     assert changed
 
 
-def test_trained_params_file_matches_reference_encoder(planted_split):
-    _, models = planted_split
-    text = params_to_json(models.params, fingerprint="planted-300")
-    assert text == reference_params_json(as_dicts(models.params), fingerprint="planted-300")
+@pytest.fixture(scope="module", params=["planted-300", "three-factor"])
+def trained_params(request):
+    """Trained parameters and the reference encoder's file of them:
+    planted-300's from ``train_models``, and the three-level chains of the
+    three-factor log from ``run_em``."""
+    if request.param == "planted-300":
+        params = request.getfixturevalue("planted_split")[1].params
+    else:
+        log = three_factor_log()
+        params, _ = run_em(log, three_factor_index(), np.ones(len(log.columns.pairs)))
+    return params, reference_params_json(as_dicts(params), fingerprint=request.param)
+
+
+@pytest.mark.parametrize("slice_size", [1, 7, None], ids=["1", "7", "more-than-pairs"])
+def test_trained_params_file_matches_reference_encoder(trained_params, slice_size,
+                                                       monkeypatch):
+    """The writer builds EM's pair chains a slice at a time; at any slice
+    size it writes the reference bytes, which read back to the same chains."""
+    params, want = trained_params
+    pairs = params.pair_tables
+    monkeypatch.setattr(mati, "PARAMS_SLICE", slice_size or len(pairs) + 1)
+    fingerprint = json.loads(want)["fingerprint"]
+    text = params_to_json(params, fingerprint=fingerprint)
+    assert text == want
     restored = params_from_json(io.StringIO(text))
-    assert restored.pair_tables.keys == models.params.pair_tables.keys
-    assert restored.pr_nu.tobytes() == models.params.pr_nu.tobytes()
+    assert restored.pair_tables.keys == pairs.keys
+    assert restored.pr_nu.tobytes() == params.pr_nu.tobytes()
     for stack in ("pair_tables", "poi_tables"):
-        assert all(a.tobytes() == b.tobytes() for a, b in
-                   zip(getattr(restored, stack).levels, getattr(models.params, stack).levels))
+        mine, orig = getattr(restored, stack), getattr(params, stack)
+        assert ([a.tobytes() for a in mine.levels]
+                == [b.tobytes() for b in orig.chains(0, len(orig))])
 
 
-def test_reading_the_params_file_peaks_below_its_size(planted_split, tmp_path):
+def _text_mode(path):
+    return path.open(encoding="utf-8")
+
+
+@contextlib.contextmanager
+def _decoded_binary(path):
+    with path.open("rb") as raw:
+        yield codecs.getreader("utf-8")(raw)
+
+
+@pytest.mark.parametrize("opened", [_text_mode, _decoded_binary],
+                         ids=["text-mode", "decoded-binary"])
+def test_reading_the_params_file_peaks_below_its_size(planted_split, tmp_path, opened):
     """Streamed, the read holds the stacks (about a third of the file), a
     chunk or two and one batch of chains; the whole text plus ``json.loads``
-    of it peaked at about twice the file's size."""
+    of it peaked at about twice the file's size.  ``recommend`` reads a
+    binary file through an incremental decoder, which holds less of each
+    chunk than a text-mode file."""
     _, models = planted_split
     path = tmp_path / "mati_params.json"
     path.write_text(params_to_json(models.params, fingerprint="planted-300"), encoding="utf-8")
     tracemalloc.start()
     try:
-        with path.open(encoding="utf-8") as stream:
+        with opened(path) as stream:
             params_from_json(stream)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -8,30 +8,19 @@ EM, and scoring must all hold with three levels.
 import numpy as np
 import pytest
 
+import corpus
 import oracles as orc
 from corpus import distinct_pois, stamp
 from oracles import as_dicts, assert_matches_dense_em, reference_em
 
-from matirec.ingest import CheckIn, CheckInLog
-from matirec.localtime import SECONDS_PER_HOUR
 from matirec.mati import (joint_from_chain, layout_for, mati_mix, poi_depth_means, run_em,
                           shared_activity, validate_chain)
-from matirec.slabs import SlabIndex, TemporalFactorSpec, all_slab_profiles, day_factor, hour_factor
-
-
-def half_hour_factor():
-    return TemporalFactorSpec("halfhour", 2, lambda ts: (ts % SECONDS_PER_HOUR) // 1800,
-                              containment_rank=0)
+from matirec.slabs import all_slab_profiles
 
 
 @pytest.fixture(scope="module")
 def three_factor_index():
-    slabs = {
-        "halfhour": [(0,), (1,)],
-        "hour": [range(0, 12), range(12, 24)],
-        "day": [range(0, 5), (5, 6)],
-    }
-    return SlabIndex([half_hour_factor(), hour_factor(), day_factor()], slabs)
+    return corpus.three_factor_index()
 
 
 def test_layout_three_levels(three_factor_index):
@@ -49,17 +38,7 @@ def test_slab_of_three_factors(three_factor_index):
 
 @pytest.fixture(scope="module")
 def three_factor_log():
-    rng = np.random.default_rng(17)
-    checkins = []
-    for ui in range(8):
-        u = f"u{ui}"
-        for pj in rng.choice(12, size=3, replace=False):
-            p = f"l{pj}"
-            for _ in range(40):
-                ts = stamp(int(rng.integers(0, 4)), int(rng.integers(0, 7)),
-                           int(rng.integers(0, 24)), int(rng.integers(0, 60)))
-                checkins.append(CheckIn(u, p, ts, 0.0, 0.0))
-    return CheckInLog.from_checkins(checkins)
+    return corpus.three_factor_log()
 
 
 def test_em_three_factor_chain_shapes(three_factor_index, three_factor_log):
