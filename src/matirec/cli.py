@@ -205,31 +205,35 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
 def _parse_grid(spec: str) -> list[float]:
     parts = spec.split(":")
-    if len(parts) == 3:
-        lo, hi, step = (float(p) for p in parts)
-        if step <= 0 or hi < lo:
-            raise ConfigError(f"bad grid spec {spec!r}")
-        out = []
-        v = lo
-        while v <= hi + 1e-12:
-            out.append(round(v, 12))
-            v += step
-        return out
     try:
-        return [float(p) for p in spec.split(",")]
+        if len(parts) != 3:
+            return [float(p) for p in spec.split(",")]
+        lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {spec!r}") from exc
+    if step <= 0 or hi < lo:
+        raise ConfigError(f"bad grid spec {spec!r}")
+    out = []
+    v = lo
+    while v <= hi + 1e-12:
+        out.append(round(v, 12))
+        v += step
+    return out
 
 
 TUNABLE = ("phi_t", "alpha", "beta", "xi")
+OBJECTIVES = ("precision", "recall", "f1", "failure_rate")  # as EvalReport.aggregates holds them
 
 
 def cmd_tune(cfg: RunConfig, args) -> int:
     if args.param not in TUNABLE:
         raise ConfigError(f"--param must be one of {TUNABLE}, got {args.param!r}")
     grid = _parse_grid(args.grid)
-    metric, _, n_str = args.objective.partition("@")
-    objective = (metric, int(n_str or 5))
+    metric, _, n = args.objective.partition("@")
+    if metric not in OBJECTIVES or not (n or "5").isdecimal() or int(n or 5) < 1:
+        raise ConfigError(f"--objective must be metric@n, a metric of {OBJECTIVES} and n >= 1, "
+                          f"got {args.objective!r}")
+    objective = (metric, int(n or 5))
     log = _load_log(cfg)
     # Tuning population: active and semi-active users only, sampled at 20%.
     split = ev.split_exclude(log, cfg.eval.x, cfg.seed, cfg.eval.test_fraction,

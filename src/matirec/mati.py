@@ -62,41 +62,42 @@ cache of row texts serves every slice, so each distinct last-axis row is
 rendered once (on a day with none of a pair's check-ins, the pair's hour
 row is the global one, so most rows repeat); the pieces are joined once.
 
-``params_from_json`` reads the file from a text stream, ``READ_CHUNK``
-characters at a time, and never holds the whole text or the nested lists of
-all chains: it decodes the top-level object one member at a time, and
-``pair_tables`` and ``poi_tables`` one chain at a time (the scanner of
-``JSONDecoder.raw_decode``, with the ``_FloatLiterals`` cache).  The chains
-are stacked into each level's array ``STACK_BATCH`` at a time, and each
-stack is checked against the layout (malformed content is a ``DataError``)
-and validated once.  Reading the whole text and ``json.loads`` of it cost
-twice the file's size in memory; the stream costs the stacks, about a third
-of it, and a few chunks.  The file stays v1 until the benchmark's checks
-change: the benchmark reads ``pair_tables`` and ``pr_nu`` and traces
-``params_to_json`` and ``params_from_json`` by name, so both keep their
-names, and v2 (the sufficient statistics ``EmChains`` holds, in place of
-rendered chains, ROADMAP.md item 1) waits.
+``params_from_json`` reads only that text, from a stream ``READ_CHUNK``
+characters at a time: the members in ``PARAMS_MEMBERS`` order with the
+writer's separators, the layout before the chains, and each chain object
+one chain at a time (the ``JSONDecoder`` scanner, with the ``_FloatLiterals``
+cache), stacked ``STACK_BATCH`` chains at a time into each level's array.
+It never holds the whole text or the nested lists of all chains.  The file
+stays v1 until the benchmark's checks change: the benchmark reads
+``pair_tables`` and ``pr_nu`` and traces ``params_to_json`` and
+``params_from_json`` by name, so both keep their names, and v2 (the
+sufficient statistics ``EmChains`` holds, ROADMAP.md item 1) waits.
 """
 from __future__ import annotations
 
 import json
 import logging
 import math
-import re
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TextIO
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .baselines import max_normalize
 from .errors import ConfigError, DataError, InvariantError
 from .ingest import CheckInLog
-from .slabs import SlabIndex, TemporalFactorSpec
+from .slabs import SlabIndex
 
 logger = logging.getLogger(__name__)
 
 PARAMS_FORMAT_VERSION = 1
+# The parameter file's members in the order it holds them, sorted as
+# ``json.dumps(sort_keys=True)`` sorts them; the reader needs the layout
+# before ``pair_tables`` and ``poi_tables``.
+PARAMS_MEMBERS = ("fingerprint", "format_version", "global_table", "layout", "pair_tables",
+                  "poi_tables", "pr_nu", "slab_checksum")
 
 ROW_SUM_TOL = 1e-9
 MONOTONE_SLACK = 1e-9
@@ -118,23 +119,10 @@ class ChainLayout:
         return int(np.prod(self.shape))
 
 
-def chain_factorization(factors: Sequence[tuple[TemporalFactorSpec, int]]) -> ChainLayout:
-    """Layout for (factor, slab_count) pairs; finest factor ends the chain.
-
-    Duplicate containment ranks are rejected.
-    """
-    if not factors:
-        raise DataError("chain factorization requires at least one factor")
-    ranks = [spec.containment_rank for spec, _ in factors]
-    if len(set(ranks)) != len(ranks):
-        raise ConfigError(f"duplicate containment ranks: {ranks}")
-    ordered = sorted(factors, key=lambda item: -item[0].containment_rank)  # coarsest first
-    return ChainLayout(tuple(spec.name for spec, _ in ordered), tuple(c for _, c in ordered))
-
-
 def layout_for(index: SlabIndex) -> ChainLayout:
-    counts = index.slab_counts()
-    return chain_factorization([(f, counts[f.name]) for f in index.factors])
+    """The chain layout of ``index``'s grid: coarsest factor first, so the
+    finest factor ends the chain."""
+    return ChainLayout(tuple(f.name for f in reversed(index.factors)), index.grid_shape())
 
 
 def chain_from_joint(joint: np.ndarray) -> list[np.ndarray]:
@@ -616,7 +604,7 @@ def params_to_json(params: MatiParams, fingerprint: str = "") -> str:
         "pr_nu": dict(zip(pairs.keys, pr_nu.tolist())),
     }
     pieces = ["{"]
-    for name in sorted([*fields, *tables]):
+    for name in PARAMS_MEMBERS:
         pieces.append(("" if len(pieces) == 1 else ", ") + json.dumps(name) + ": ")
         if name in fields:
             pieces.append(json.dumps(fields[name], sort_keys=True))
@@ -629,279 +617,206 @@ def params_to_json(params: MatiParams, fingerprint: str = "") -> str:
 class _FloatLiterals(dict):
     """``float`` of each numeric literal, converted once per distinct literal
     (a parameter file repeats few literals many times).  Keys are the literal
-    text, so ``-0.0`` and ``0.0`` stay apart.  ``_JsonStream`` clears it at
-    a chunk's start once it holds ``_LITERALS_HELD``, so it never holds the
-    literals of a whole file."""
+    text, so ``-0.0`` and ``0.0`` stay apart.  ``_ParamsText`` clears it
+    before it reads a chunk once it holds ``_LITERALS_HELD``, so it never
+    holds the literals of a whole file."""
 
     def __missing__(self, literal: str) -> float:
         value = self[literal] = float(literal)
         return value
 
 
-READ_CHUNK = 1 << 20  # characters read from the parameter file at a time
+# Characters read from the parameter file at a time.  A chunk is appended to
+# the unread rest, so two are held for a moment: planted-300's 17.4 MB file
+# peaked at 0.65x its size (text mode) with 1 << 20 and at 0.53x with 1 << 19,
+# which reads as fast.
+READ_CHUNK = 1 << 19
 STACK_BATCH = 64  # chains decoded to lists before they join the level arrays
-_STITCH = 1 << 12  # first length of the next chunk's head joined to a cut value
 _LITERALS_HELD = 1 << 11  # float literals cached before the cache starts over
+# Unread characters below which the next chunk is read before a value: a
+# chain's text is a few KB, so few are cut, and a cut one costs a failed decode.
+_AHEAD = 1 << 16
 
-_BLANK = re.compile(r"[ \t\n\r]*")
-_AFTER_VALUE = " \t\n\r,:]}"
 
-
-class _JsonStream:
-    """JSON values of a text stream, read ``READ_CHUNK`` characters at a time.
-
-    ``value`` decodes the next value whole with the decoder's scanner;
-    ``members`` walks an object key by key, so its values can be read one at
-    a time.  One chunk is held at a time.  A value cut by a chunk's end is
-    decoded from its text so far joined to a doubling head of the next
-    chunk, which then becomes the current one, so no chunk is ever copied
-    whole.  Malformed or truncated text raises ``DataError`` naming the
-    character offset.
-    """
+class _ParamsText:
+    """The text ``params_to_json`` writes, read ``READ_CHUNK`` characters at a
+    time: ``expect`` reads the writer's text between values, and ``value``
+    decodes a value with the scanner, an object as the tuple of its (key,
+    value) members.  Anything unexpected raises ``DataError`` naming the
+    character offset and what was expected."""
 
     def __init__(self, stream: TextIO):
         self._stream = stream
-        self._text = ""  # the current chunk
+        self._text = ""  # the unread rest of the chunks read so far
         self._pos = 0
-        self._offset = 0  # characters before the current chunk
+        self._offset = 0  # characters before ``_text``
         self._floats = _FloatLiterals()
-        self._decoder = json.JSONDecoder(parse_float=self._floats.__getitem__)
+        self._decoder = json.JSONDecoder(parse_float=self._floats.__getitem__,
+                                         object_pairs_hook=tuple)
 
-    def _error(self, message: str, offset: int) -> DataError:
-        return DataError(f"unreadable model parameters: {message} at character {offset}")
+    def error(self, message: str, at: int | None = None) -> DataError:
+        at = self._offset + self._pos if at is None else at
+        return DataError(f"unreadable model parameters: {message} at character {at}")
 
-    def _next_chunk(self) -> bool:
-        """Move on to the next chunk; False at the end of the stream."""
-        self._offset += len(self._text)
-        self._text, self._pos = "", 0  # let the old chunk go before the next is read
+    def _more(self) -> bool:
+        """Append the next chunk to the unread rest; False at the stream's end.
+        A rest longer than a chunk is a value that runs on: as much again is
+        read, so a long value is decoded a few times, not once per chunk."""
+        rest = self._text[self._pos:]
+        self._offset += self._pos
+        self._text, self._pos = "", 0  # let the old text go before the next chunk is read
         if len(self._floats) > _LITERALS_HELD:
             self._floats.clear()
-        self._text = self._stream.read(READ_CHUNK)
-        return bool(self._text)
+        chunk = self._stream.read(max(READ_CHUNK, len(rest)))
+        self._text = rest + chunk
+        return bool(chunk)
 
-    def _decode(self, text: str, pos: int, offset: int, final: bool):
-        """(value, end) of the value at ``text[pos]``, or None while the text
-        may end inside it; ``offset`` is the file offset of ``text[0]``.
-        A value counts as whole once a delimiter follows it, since a number
-        cut at the text's end still decodes, or where ``final``."""
-        try:
-            value, end = self._decoder.raw_decode(text, pos)
-        except json.JSONDecodeError as exc:
-            if final:
-                raise self._error(exc.msg, offset + exc.pos) from None
-            return None
-        if final or end < len(text) and text[end] in _AFTER_VALUE:
-            return value, end
-        return None
+    def take(self, literal: str) -> bool:
+        """Read ``literal`` if it comes next."""
+        while len(self._text) - self._pos < len(literal) and self._more():
+            pass
+        found = self._text.startswith(literal, self._pos)
+        self._pos += len(literal) if found else 0
+        return found
 
-    def peek(self) -> str:
-        """The next character that is not blank, left unread ('' at the end)."""
-        while True:
-            self._pos = _BLANK.match(self._text, self._pos).end()
-            if self._pos < len(self._text) or not self._next_chunk():
-                return self._text[self._pos:self._pos + 1]
-
-    def take(self, expected: str) -> str:
-        """Read the next non-blank character, which must be one of ``expected``."""
-        char = self.peek()
-        if not char or char not in expected:
-            raise self._error(f"expecting {' or '.join(map(repr, expected))}",
-                              self._offset + self._pos)
-        self._pos += 1
-        return char
+    def expect(self, *literals: str) -> str:
+        """Read whichever of ``literals`` comes next."""
+        for literal in literals:
+            if self.take(literal):
+                return literal
+        raise self.error("expecting " + " or ".join(map(repr, literals)))
 
     def value(self):
-        """Decode the next value."""
-        self.peek()
-        text, pos = self._text, self._pos
-        try:
-            value, end = self._decoder.scan_once(text, pos)
-            if end < len(text) and text[end] in _AFTER_VALUE:
-                self._pos = end
-                return value
-        except (StopIteration, json.JSONDecodeError):
-            pass  # cut by the chunk's end, or malformed: decoded again below
-        start, head = self._offset + pos, text[pos:]
-        while self._next_chunk():
-            size = _STITCH
-            while True:
-                window = head + self._text[:size]
-                found = self._decode(window, 0, start, final=False)
-                if found is not None:
-                    value, end = found
-                    self._pos = end - len(head)
-                    return value
-                if size >= len(self._text):
-                    break
-                size *= 2
-            head = window  # the value runs on past this chunk too
-        # The stream has ended: the value is what is left, or malformed.
-        value, self._pos = self._decode(head, 0, start, final=True)
-        self._text, self._offset = head, start
-        return value
-
-    def members(self) -> Iterator[str]:
-        """The keys of the object that starts here, in file order; the caller
-        reads each key's value before it asks for the next key."""
-        self.take("{")
-        if self.peek() == "}":
-            self._pos += 1
-            return
+        """Decode the next value.  The writer follows every value with more
+        text, and a cut number still decodes, so a value cut by (or ending)
+        the text read so far is decoded again once the next chunk is appended."""
+        final = False
+        if len(self._text) - self._pos < _AHEAD:
+            final = not self._more()
         while True:
-            start = self._offset + self._pos
+            try:
+                value, end = self._decoder.raw_decode(self._text, self._pos)
+            except json.JSONDecodeError as exc:
+                if final:
+                    raise self.error(exc.msg, self._offset + exc.pos) from None
+            else:
+                if final or end < len(self._text):
+                    self._pos = end
+                    return value
+            final = not self._more()
+
+    def members(self, names: Sequence[str]) -> Iterator[str]:
+        """Each of ``names`` in turn, once its key is read: the object that
+        starts here holds exactly these members, in this order.  The caller
+        reads each value before it asks for the next name."""
+        for i, name in enumerate(names):
+            self.expect(("{" if i == 0 else ", ") + json.dumps(name) + ": ")
+            yield name
+        self.expect("}")
+
+    def entries(self) -> Iterator[tuple[str, object]]:
+        """The (key, value) members of the object that starts here, in file
+        order, read as they are asked for; the keys strictly ascending."""
+        self.expect("{")
+        last, closed = None, self.take("}")
+        while not closed:
+            at = self._offset + self._pos
             key = self.value()
             if not isinstance(key, str):
-                raise self._error("expecting a string key", start)
-            self.take(":")
-            yield key
-            if self.take(",}") == "}":
-                return
+                raise self.error("expecting a string key", at)
+            if last is not None and key <= last:
+                raise self.error(f"expecting a key that sorts after {last!r}", at)
+            self.expect(": ")
+            yield key, self.value()
+            last, closed = key, self.expect(", ", "}") == "}"
 
     def finish(self) -> None:
-        if self.peek():
-            raise self._error("extra data", self._offset + self._pos)
+        """Only blanks may follow the object."""
+        while any(map(self.take, " \t\n\r")):
+            pass
+        if self._pos < len(self._text):
+            raise self.error("extra data")
 
 
-class _ChainRows:
-    """The chains of one file object, stacked level by level as they arrive.
-
-    Chains wait as nested lists until ``STACK_BATCH`` of them have come;
-    then each level of the batch becomes one array, checked, and its bytes
-    join that level's growing ``array``.  Level shapes come from the first
-    chain and are checked against the layout by ``stack``, since the layout
-    may come later in the file.
-    """
-
-    def __init__(self, what: str):
-        self._what = what
-        self._keys: list[str] = []
-        self._shapes: list[tuple[int, ...]] | None = None
-        self._levels: list[array] = []
-        self._batch: list = []
-
-    def add(self, key: str, chain) -> None:
-        self._keys.append(key)
-        self._batch.append(chain)
-        if len(self._batch) == STACK_BATCH:
-            self._flush()
-
-    def _flush(self) -> None:
-        batch, self._batch = self._batch, []
-        if not batch:
-            return
-        what = self._what
-        if not all(isinstance(chain, list) for chain in batch):
-            raise DataError(f"model parameters: a {what} chain is not a list of tables")
-        depth = len(batch[0]) if self._shapes is None else len(self._shapes)
-        if not all(len(chain) == depth for chain in batch):
-            raise DataError(f"model parameters: {what} chains differ in their number of levels")
-        if self._shapes is None:
-            self._shapes, self._levels = [], [array("d") for _ in range(depth)]
-        for k in range(depth):
+def _stack(entries: Iterable[tuple[str, object]], what: str,
+           shape: tuple[int, ...]) -> ChainStack:
+    """The chains of the (key, chain) ``entries`` as a validated ``ChainStack``.
+    As they arrive, ``STACK_BATCH`` chains at a time, each level of the batch
+    becomes one array, checked against the layout's ``shape``, and its bytes
+    join that level's growing ``array``."""
+    keys: list[str] = []
+    levels = [array("d") for _ in shape]
+    entries = iter(entries)
+    while batch := list(islice(entries, STACK_BATCH)):
+        keys += [key for key, _ in batch]
+        chains = [chain for _, chain in batch]
+        if not all(isinstance(chain, list) and len(chain) == len(shape) for chain in chains):
+            raise DataError(f"model parameters: a {what} chain is not a list of {len(shape)} "
+                            f"tables")
+        for k, level in enumerate(levels):
             try:
-                level = np.array([chain[k] for chain in batch])
+                tables = np.array([chain[k] for chain in chains])
             except ValueError as exc:
                 raise DataError(f"model parameters: {what} level {k} tables are ragged") from exc
-            if level.dtype.kind not in "fiu":
+            if tables.dtype.kind not in "fiu":
                 raise DataError(f"model parameters: {what} level {k} has a non-numeric entry")
-            if len(self._shapes) == k:
-                self._shapes.append(level.shape[1:])
-            elif level.shape[1:] != self._shapes[k]:
-                raise DataError(f"model parameters: {what} level {k} tables are ragged")
-            self._levels[k].frombytes(memoryview(level.astype(float, copy=False)).cast("B"))
-
-    def stack(self, shape: tuple[int, ...]) -> ChainStack:
-        """The chains as a validated ``ChainStack`` in first-appearance key
-        order; a repeated key keeps its last chain, as ``json.loads`` would."""
-        self._flush()
-        what, keys = self._what, self._keys
-        if self._shapes is not None and len(self._shapes) != len(shape):
-            raise DataError(f"model parameters: a {what} chain does not have {len(shape)} levels")
-        levels = []
-        for k in range(len(shape)):
-            want = (len(keys), *shape[:k + 1])
-            if self._shapes is None:
-                levels.append(np.zeros(want))
-                continue
-            if self._shapes[k] != want[1:]:
+            if tables.shape[1:] != shape[:k + 1]:
                 raise DataError(f"model parameters: {what} level {k} tables have shape "
-                                f"{self._shapes[k]}, the layout needs {want[1:]}")
-            levels.append(np.frombuffer(self._levels[k], dtype=float).reshape(want))
-        last = {key: i for i, key in enumerate(keys)}
-        if len(last) < len(keys):
-            rows = np.fromiter(last.values(), np.intp, len(last))
-            keys, levels = list(last), [level[rows] for level in levels]
-        stack = ChainStack(tuple(keys), tuple(levels))
-        _validate_stack(stack, what)
-        return stack
+                                f"{tables.shape[1:]}, the layout needs {shape[:k + 1]}")
+            level.frombytes(memoryview(tables.astype(float, copy=False)).cast("B"))
+    stack = ChainStack(tuple(keys), tuple(np.frombuffer(level, dtype=float).reshape(
+        len(keys), *shape[:k + 1]) for k, level in enumerate(levels)))
+    _validate_stack(stack, what)
+    return stack
 
 
-_STACKED = {"pair_tables": "pair", "poi_tables": "POI"}
-
-
-def _read_payload(stream: TextIO):
-    """The file's top-level value; each chain object among its members is
-    read chain by chain into ``_ChainRows``, every other member whole."""
-    reader = _JsonStream(stream)
-    if reader.peek() != "{":
-        payload = reader.value()
-    else:
-        payload = {}
-        for name in reader.members():
-            if name in _STACKED and reader.peek() == "{":
-                rows = payload[name] = _ChainRows(_STACKED[name])
-                for key in reader.members():
-                    rows.add(key, reader.value())
-            else:
-                payload[name] = reader.value()
-    reader.finish()
-    return payload
-
-
-def _field(payload, name: str, kind: type, label: str = ""):
-    if not isinstance(payload, dict) or not isinstance(payload.get(name), kind):
-        raise DataError(f"model parameters have no valid {name!r} ({label or kind.__name__})")
-    return payload[name]
+_CHAIN_OBJECTS = {"pair_tables": "pair", "poi_tables": "POI"}
 
 
 def params_from_json(stream: TextIO, expected_checksum: str | None = None) -> MatiParams:
-    """Read a parameter file from a text stream; malformed content raises
-    ``DataError``.
+    """Read a parameter file from a text stream.
 
-    The stream is read a chunk at a time and each chain level is stacked
-    as it is read (see the module docstring); each stack is validated once.
-    ``pr_nu`` must hold one finite, non-negative score for each pair of
-    ``pair_tables`` and nothing else.
+    The text must be what ``params_to_json`` writes: the members of
+    ``PARAMS_MEMBERS`` in that order, only the writer's ``", "`` and ``": "``
+    around the keys, chain keys strictly ascending in raw string order, and
+    only blanks after the object; values are decoded by the JSON scanner.
+    Anything else, or malformed content, raises ``DataError``.  Each chain
+    stack is validated once.  ``pr_nu`` must hold one finite, non-negative
+    score for each pair, in ``pair_tables`` order.
     """
-    payload = _read_payload(stream)
-    version = payload.get("format_version") if isinstance(payload, dict) else None
-    if version != PARAMS_FORMAT_VERSION:
-        raise DataError(f"unsupported parameter format {version!r}")
-    checksum = _field(payload, "slab_checksum", str)
+    text = _ParamsText(stream)
+    read = {}
+    for name in text.members(PARAMS_MEMBERS):
+        if name == "layout":
+            levels, shape = [text.value() for _ in text.members(("levels", "shape"))]
+            if not (isinstance(levels, list) and isinstance(shape, list) and shape
+                    and len(levels) == len(shape) and all(isinstance(n, str) for n in levels)
+                    and all(type(n) is int and n > 0 for n in shape)):
+                raise DataError(f"model parameters have an invalid layout {levels!r}, {shape!r}")
+            layout = ChainLayout(tuple(levels), tuple(shape))
+        elif name in _CHAIN_OBJECTS:
+            read[name] = _stack(text.entries(), _CHAIN_OBJECTS[name], layout.shape)
+        else:
+            read[name] = text.value()
+        if name == "format_version" and read[name] != PARAMS_FORMAT_VERSION:
+            raise DataError(f"unsupported parameter format {read[name]!r}")
+    text.finish()
+    checksum = read["slab_checksum"]
+    if not isinstance(checksum, str):
+        raise DataError("model parameters have no valid 'slab_checksum' (str)")
     if expected_checksum is not None and checksum != expected_checksum:
         raise DataError("model parameters were trained against a different slab index; refusing")
-    layout_obj = _field(payload, "layout", dict)
-    levels, shape = _field(layout_obj, "levels", list), _field(layout_obj, "shape", list)
-    if (not shape or len(levels) != len(shape) or not all(isinstance(n, str) for n in levels)
-            or not all(type(n) is int and n > 0 for n in shape)):
-        raise DataError(f"model parameters have an invalid layout {layout_obj!r}")
-    layout = ChainLayout(tuple(levels), tuple(shape))
-    pr_nu = _field(payload, "pr_nu", dict)
-    if not all(type(v) in (int, float) for v in pr_nu.values()):
-        raise DataError("model parameters: pr_nu has a non-numeric entry")
-    pairs = _field(payload, "pair_tables", _ChainRows, "dict").stack(layout.shape)
-    if pr_nu.keys() != set(pairs.keys):
+    pairs, pr_nu = read["pair_tables"], read["pr_nu"]
+    if not isinstance(pr_nu, tuple) or tuple(key for key, _ in pr_nu) != pairs.keys:
         raise DataError("model parameters: the pr_nu keys differ from the pair_tables keys")
-    scores = np.array([pr_nu[key] for key in pairs.keys], dtype=float)
+    if not all(type(score) in (int, float) for _, score in pr_nu):
+        raise DataError("model parameters: pr_nu has a non-numeric entry")
+    scores = np.array([score for _, score in pr_nu], dtype=float)
     if not (np.isfinite(scores) & (scores >= 0)).all():
         raise DataError("model parameters: pr_nu has a negative or non-finite entry")
-    pois = _field(payload, "poi_tables", _ChainRows, "dict").stack(layout.shape)
-    if "global_table" not in payload:
-        raise DataError("model parameters have no 'global_table'")
-    global_table = payload["global_table"]
+    global_table = read["global_table"]
     if global_table is not None:
-        rows = _ChainRows("global")
-        rows.add("global", global_table)
-        global_table = [level[0] for level in rows.stack(layout.shape).levels]
-    return MatiParams(layout=layout, pair_tables=pairs, pr_nu=scores, poi_tables=pois,
+        stack = _stack([("global", global_table)], "global", layout.shape)
+        global_table = [level[0] for level in stack.levels]
+    return MatiParams(layout=layout, pair_tables=pairs, pr_nu=scores, poi_tables=read["poi_tables"],
                       global_table=global_table, slab_checksum=checksum)

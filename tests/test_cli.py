@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from oracles import canonical_rows
 from matirec import cli
 from matirec.cli import main
 from matirec.config import fingerprint, load_config, serialize_config
-from matirec.errors import ConfigError
+from matirec.errors import ConfigError, DataError
 from matirec.ingest import CheckInLog, serialize_log, serialize_social
 
 
@@ -318,6 +319,23 @@ def test_cli_tune_rejects_unknown_param(workspace):
     assert main(["--config", str(config), "tune", "--param", "zeta", "--grid", "0:1:0.5"]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--objective", "f1@x"), ("--objective", "foo@5"),
+                                        ("--objective", "f1@0"), ("--grid", "a:1:0.5"),
+                                        ("--grid", "0:1:x"), ("--grid", "0,x")],
+                         ids=["objective-n", "objective-metric", "objective-n-zero",
+                              "grid-range", "grid-step", "grid-list"])
+def test_cli_tune_rejects_malformed_arguments_before_training(workspace, monkeypatch, flag,
+                                                              value):
+    _, config = workspace
+
+    def no_training(*_args, **_kwargs):
+        raise AssertionError("tune must check its arguments before it trains")
+
+    monkeypatch.setattr(cli, "train_models", no_training)
+    args = {"--param": "phi_t", "--grid": "0:1:0.5", "--objective": "f1@5", flag: value}
+    assert main(["--config", str(config), "tune", *sum(args.items(), ())]) == 2
+
+
 def _damage_missing_pr_nu(params):
     del params["pr_nu"]
 
@@ -362,6 +380,70 @@ def test_cli_recommend_malformed_params_exits_3(workspace, trained_dir, tmp_path
                  "--params", str(bad), "--user", "a0_0", "--n", "3"])
     assert code == 3
     assert "model parameters" in capsys.readouterr().err
+
+
+class _Members(list):
+    """An object's (key, value) members in file order, repeated keys kept."""
+
+
+def _dumps(value) -> str:
+    """JSON text of a value decoded with ``object_pairs_hook=_Members``, each
+    object's members in their decoded order."""
+    if isinstance(value, _Members):
+        return "{" + ", ".join(f"{json.dumps(key)}: {_dumps(item)}" for key, item in value) + "}"
+    return json.dumps(value)
+
+
+def _respelled(damage):
+    """The parameter text with ``damage`` applied to its decoded members."""
+    def respell(text):
+        members = json.loads(text, object_pairs_hook=_Members)
+        assert _dumps(members) == text
+        damage(members)
+        return _dumps(members)
+    return respell
+
+
+def _indented(text):
+    return json.dumps(json.loads(text), indent=2)
+
+
+def _move_last_member_first(members):
+    members.insert(0, members.pop())
+
+
+def _repeat_first_pair(members):
+    pairs = dict(members)["pair_tables"]
+    pairs.insert(0, pairs[0])
+
+
+def _swap_first_pois(members):
+    pois = dict(members)["poi_tables"]
+    pois[0], pois[1] = pois[1], pois[0]
+
+
+@pytest.mark.parametrize("respell", [_indented, _respelled(_move_last_member_first),
+                                     _respelled(_repeat_first_pair),
+                                     _respelled(_swap_first_pois)],
+                         ids=["indented", "member-moved", "repeated-pair-key",
+                              "unsorted-poi-key"])
+def test_cli_recommend_refuses_params_text_the_writer_does_not_write(workspace, trained_dir,
+                                                                     tmp_path, capsys, respell):
+    """The reader takes only the writer's text: the same JSON spelled any
+    other way exits 3, naming the offset and the text it expected."""
+    _, config = workspace
+    text = (trained_dir / "mati_params.json").read_text(encoding="utf-8")
+    bad_text = respell(text)
+    assert bad_text != text and json.loads(bad_text) == json.loads(text)
+    with pytest.raises(DataError, match="unreadable model parameters: expecting .* at character"):
+        cli.params_from_json(io.StringIO(bad_text))
+    bad = tmp_path / "bad.json"
+    bad.write_text(bad_text, encoding="utf-8")
+    code = main(["--config", str(config), "recommend",
+                 "--slabs", str(trained_dir / "slab_index.json"),
+                 "--params", str(bad), "--user", "a0_0", "--n", "3"])
+    assert code == 3
+    assert "unreadable model parameters: expecting" in capsys.readouterr().err
 
 
 def test_cli_recommend_negative_params_entry_exits_4_naming_the_pair(workspace, trained_dir,

@@ -14,12 +14,11 @@ from oracles import (DictParams, as_dicts, assert_matches_dense_em, e_step, join
 from matirec.config import load_config
 from matirec.errors import ConfigError, DataError
 from matirec.ingest import CheckIn, CheckInLog
-from matirec.mati import (ChainLayout, chain_factorization, chain_from_joint, joint_from_chain,
-                          layout_for, mati_mix, pair_keys, pair_of, params_from_json,
-                          params_to_json, poi_depth_means, run_em, shared_activity,
-                          validate_chain)
+from matirec.mati import (ChainLayout, chain_from_joint, joint_from_chain, layout_for, mati_mix,
+                          pair_keys, pair_of, params_from_json, params_to_json, poi_depth_means,
+                          run_em, shared_activity, validate_chain)
 from matirec.pipeline import build_slab_index
-from matirec.slabs import TemporalFactorSpec
+from matirec.slabs import SlabIndex, TemporalFactorSpec
 
 CELLS = "abcdefgh"
 
@@ -60,29 +59,36 @@ def _factor(name, rank, slots=4):
     return TemporalFactorSpec(name, slots, lambda ts: 0, containment_rank=rank)
 
 
+def _layout(*factors):
+    """``layout_for`` an index of (name, containment rank, slab count)
+    factors, one slot per slab."""
+    specs = [_factor(name, rank, slots=count) for name, rank, count in factors]
+    return layout_for(SlabIndex(specs, {f.name: [[s] for s in range(f.slot_count)]
+                                        for f in specs}))
+
+
 def test_chain_factorization_single_factor():
-    layout = chain_factorization([(_factor("hour", 1), 3)])
+    layout = _layout(("hour", 1, 3))
     assert layout.levels == ("hour",)
     assert layout.shape == (3,)
 
 
 def test_chain_factorization_two_factors_ordering():
-    layout = chain_factorization([(_factor("hour", 1), 4), (_factor("day", 2), 3)])
+    layout = _layout(("hour", 1, 4), ("day", 2, 3))
     assert layout.levels == ("day", "hour")  # coarsest first
     assert layout.shape == (3, 4)
 
 
 def test_chain_factorization_three_factors():
-    layout = chain_factorization([
-        (_factor("minute", 0), 2), (_factor("hour", 1), 3), (_factor("day", 2), 4)])
+    layout = _layout(("minute", 0, 2), ("hour", 1, 3), ("day", 2, 4))
     assert layout.levels == ("day", "hour", "minute")
     assert layout.shape == (4, 3, 2)
     assert layout.n_cells == 24
 
 
 def test_chain_factorization_duplicate_rank_errors():
-    with pytest.raises(ConfigError):
-        chain_factorization([(_factor("a", 1), 2), (_factor("b", 1), 2)])
+    with pytest.raises(ConfigError, match="duplicate containment ranks"):
+        _layout(("a", 1, 2), ("b", 1, 2))
 
 
 def test_chain_roundtrip_and_row_sums():
