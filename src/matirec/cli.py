@@ -206,15 +206,15 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 def _parse_grid(spec: str) -> list[float]:
     parts = spec.split(":")
     try:
-        if len(parts) != 3:
-            return [float(p) for p in spec.split(",")]
-        lo, hi, step = (float(p) for p in parts)
+        values = [float(p) for p in (parts if len(parts) == 3 else spec.split(","))]
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {spec!r}") from exc
-    if step <= 0 or hi < lo:
+    ranged = len(parts) == 3
+    if not all(map(math.isfinite, values)) or ranged and (values[2] <= 0 or values[1] < values[0]):
         raise ConfigError(f"bad grid spec {spec!r}")
-    out = []
-    v = lo
+    if not ranged:
+        return values
+    (v, hi, step), out = values, []
     while v <= hi + 1e-12:
         out.append(round(v, 12))
         v += step

@@ -62,26 +62,23 @@ cache of row texts serves every slice, so each distinct last-axis row is
 rendered once (on a day with none of a pair's check-ins, the pair's hour
 row is the global one, so most rows repeat); the pieces are joined once.
 
-``params_from_json`` reads only that text, from a stream ``READ_CHUNK``
-characters at a time: the members in ``PARAMS_MEMBERS`` order with the
-writer's separators, the layout before the chains, and each chain object
-one chain at a time (the ``JSONDecoder`` scanner, with the ``_FloatLiterals``
-cache), stacked ``STACK_BATCH`` chains at a time into each level's array.
-It never holds the whole text or the nested lists of all chains.  The file
-stays v1 until the benchmark's checks change: the benchmark reads
-``pair_tables`` and ``pr_nu`` and traces ``params_to_json`` and
-``params_from_json`` by name, so both keep their names, and v2 (the
-sufficient statistics ``EmChains`` holds, ROADMAP.md item 1) waits.
+``params_from_json`` reads only that text, ``READ_CHUNK`` characters at a
+time, the way it is written: each chain's text split at ``[`` against
+``_chain_template``, and each distinct row text decoded once while cached
+(``_ChainRows``).  v2 (the sufficient statistics ``EmChains`` holds,
+ROADMAP.md item 1) waits on the benchmark, which reads the v1
+``pair_tables`` and ``pr_nu`` and traces both functions by name.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from json.decoder import scanstring
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -485,33 +482,12 @@ def _render_rows(level: np.ndarray, texts: dict[bytes, str]) -> np.ndarray:
 
 def _chain_template(shape: tuple[int, ...]) -> list:
     """One chain's JSON as literal strings alternating with (level, row) slots;
-    rows are numbered in C order within their level."""
-    items: list = ["["]
-
-    def nest(k: int, dims: tuple[int, ...], row: int) -> None:
-        if not dims:
-            items.append((k, row))
-            return
-        items.append("[")
-        step = math.prod(dims[1:])
-        for i in range(dims[0]):
-            if i:
-                items.append(", ")
-            nest(k, dims[1:], row + i * step)
-        items.append("]")
-
-    for k in range(len(shape)):
-        if k:
-            items.append(", ")
-        nest(k, shape[:k], 0)
-    items.append("]")
-    merged: list = []
-    for item in items:
-        if isinstance(item, str) and merged and isinstance(merged[-1], str):
-            merged[-1] += item
-        else:
-            merged.append(item)
-    return merged
+    rows are numbered in C order within their level, as the empty rows of a
+    chain's ``json.dumps`` come."""
+    literals = json.dumps([np.zeros((*shape[:k], 0)).tolist()
+                           for k in range(len(shape))]).split("[]")
+    slots = [(k, row) for k in range(len(shape)) for row in range(math.prod(shape[:k]))]
+    return [item for pair in zip(literals, slots) for item in pair] + literals[-1:]
 
 
 def _chain_pieces(stack: ChainStack, shape: tuple[int, ...],
@@ -614,45 +590,25 @@ def params_to_json(params: MatiParams, fingerprint: str = "") -> str:
     return "".join(pieces)
 
 
-class _FloatLiterals(dict):
-    """``float`` of each numeric literal, converted once per distinct literal
-    (a parameter file repeats few literals many times).  Keys are the literal
-    text, so ``-0.0`` and ``0.0`` stay apart.  ``_ParamsText`` clears it
-    before it reads a chunk once it holds ``_LITERALS_HELD``, so it never
-    holds the literals of a whole file."""
-
-    def __missing__(self, literal: str) -> float:
-        value = self[literal] = float(literal)
-        return value
-
-
-# Characters read from the parameter file at a time.  A chunk is appended to
-# the unread rest, so two are held for a moment: planted-300's 17.4 MB file
-# peaked at 0.65x its size (text mode) with 1 << 20 and at 0.53x with 1 << 19,
-# which reads as fast.
-READ_CHUNK = 1 << 19
-STACK_BATCH = 64  # chains decoded to lists before they join the level arrays
-_LITERALS_HELD = 1 << 11  # float literals cached before the cache starts over
-# Unread characters below which the next chunk is read before a value: a
-# chain's text is a few KB, so few are cut, and a cut one costs a failed decode.
-_AHEAD = 1 << 16
+# Characters read from the parameter file at a time; a chunk is appended to
+# the unread rest, so two are held for a moment.  Planted-300's 17.4 MB file
+# peaks at 0.53x its size (text mode) with 1 << 18, at 0.58x with 1 << 19.
+READ_CHUNK = 1 << 18
+STACK_BATCH = 64  # chains whose row texts are decoded together
+_ROWS_HELD = 1 << 11  # decoded row texts a cache keeps before it starts over
 
 
 class _ParamsText:
     """The text ``params_to_json`` writes, read ``READ_CHUNK`` characters at a
-    time: ``expect`` reads the writer's text between values, and ``value``
-    decodes a value with the scanner, an object as the tuple of its (key,
-    value) members.  Anything unexpected raises ``DataError`` naming the
-    character offset and what was expected."""
+    time: ``expect`` reads the writer's text between values, ``value``
+    decodes a value (an object as the tuple of its members) and ``upto``
+    takes the raw text before a literal.  Anything unexpected raises
+    ``DataError`` naming the character offset and what was expected."""
 
     def __init__(self, stream: TextIO):
-        self._stream = stream
-        self._text = ""  # the unread rest of the chunks read so far
-        self._pos = 0
+        self._stream, self._decoder = stream, json.JSONDecoder(object_pairs_hook=tuple)
+        self._text, self._pos = "", 0  # the unread rest of the chunks read so far
         self._offset = 0  # characters before ``_text``
-        self._floats = _FloatLiterals()
-        self._decoder = json.JSONDecoder(parse_float=self._floats.__getitem__,
-                                         object_pairs_hook=tuple)
 
     def error(self, message: str, at: int | None = None) -> DataError:
         at = self._offset + self._pos if at is None else at
@@ -665,8 +621,6 @@ class _ParamsText:
         rest = self._text[self._pos:]
         self._offset += self._pos
         self._text, self._pos = "", 0  # let the old text go before the next chunk is read
-        if len(self._floats) > _LITERALS_HELD:
-            self._floats.clear()
         chunk = self._stream.read(max(READ_CHUNK, len(rest)))
         self._text = rest + chunk
         return bool(chunk)
@@ -686,16 +640,14 @@ class _ParamsText:
                 return literal
         raise self.error("expecting " + " or ".join(map(repr, literals)))
 
-    def value(self):
-        """Decode the next value.  The writer follows every value with more
-        text, and a cut number still decodes, so a value cut by (or ending)
-        the text read so far is decoded again once the next chunk is appended."""
-        final = False
-        if len(self._text) - self._pos < _AHEAD:
-            final = not self._more()
+    def value(self, decode: Callable | None = None):
+        """Decode the next value by ``decode(text, pos) -> (value, end)``, the
+        scanner by default; one cut by (or ending) the text read so far, which
+        may still decode, is decoded again once the next chunk is appended."""
+        decode, final = decode or self._decoder.raw_decode, False
         while True:
             try:
-                value, end = self._decoder.raw_decode(self._text, self._pos)
+                value, end = decode(self._text, self._pos)
             except json.JSONDecodeError as exc:
                 if final:
                     raise self.error(exc.msg, self._offset + exc.pos) from None
@@ -704,6 +656,14 @@ class _ParamsText:
                     self._pos = end
                     return value
             final = not self._more()
+
+    def upto(self, literal: str) -> str:
+        """The text before the next ``literal``, which is left unread."""
+        while (end := self._text.find(literal, self._pos)) < 0:
+            if not self._more():
+                raise self.error(f"expecting {literal!r}")
+        text, self._pos = self._text[self._pos:end], end
+        return text
 
     def members(self, names: Sequence[str]) -> Iterator[str]:
         """Each of ``names`` in turn, once its key is read: the object that
@@ -714,21 +674,19 @@ class _ParamsText:
             yield name
         self.expect("}")
 
-    def entries(self) -> Iterator[tuple[str, object]]:
-        """The (key, value) members of the object that starts here, in file
-        order, read as they are asked for; the keys strictly ascending."""
-        self.expect("{")
-        last, closed = None, self.take("}")
+    def chains(self, rows: _ChainRows) -> ChainStack:
+        """The object of chains that starts here, stacked by ``rows``: keys strictly
+        ascending, each chain's text ending at its first run of levels + 1 ``]``."""
+        close = "]" * (len(rows.shape) + 1)
+        closed = self.expect('{"', "{}") == "{}"
         while not closed:
-            at = self._offset + self._pos
-            key = self.value()
-            if not isinstance(key, str):
-                raise self.error("expecting a string key", at)
-            if last is not None and key <= last:
-                raise self.error(f"expecting a key that sorts after {last!r}", at)
-            self.expect(": ")
-            yield key, self.value()
-            last, closed = key, self.expect(", ", "}") == "}"
+            at = self._offset + self._pos - 1
+            key = self.value(scanstring)
+            if rows.keys and key <= rows.keys[-1]:
+                raise self.error(f"expecting a key that sorts after {rows.keys[-1]!r}", at)
+            rows.add(key, self.upto(close) + self.expect(close))
+            closed = self.expect(', "', "}") == "}"
+        return rows.stack()
 
     def finish(self) -> None:
         """Only blanks may follow the object."""
@@ -738,39 +696,80 @@ class _ParamsText:
             raise self.error("extra data")
 
 
-def _stack(entries: Iterable[tuple[str, object]], what: str,
-           shape: tuple[int, ...]) -> ChainStack:
-    """The chains of the (key, chain) ``entries`` as a validated ``ChainStack``.
-    As they arrive, ``STACK_BATCH`` chains at a time, each level of the batch
-    becomes one array, checked against the layout's ``shape``, and its bytes
-    join that level's growing ``array``."""
-    keys: list[str] = []
-    levels = [array("d") for _ in shape]
-    entries = iter(entries)
-    while batch := list(islice(entries, STACK_BATCH)):
-        keys += [key for key, _ in batch]
-        chains = [chain for _, chain in batch]
-        if not all(isinstance(chain, list) and len(chain) == len(shape) for chain in chains):
-            raise DataError(f"model parameters: a {what} chain is not a list of {len(shape)} "
-                            f"tables")
-        for k, level in enumerate(levels):
-            try:
-                tables = np.array([chain[k] for chain in chains])
-            except ValueError as exc:
-                raise DataError(f"model parameters: {what} level {k} tables are ragged") from exc
-            if tables.dtype.kind not in "fiu":
-                raise DataError(f"model parameters: {what} level {k} has a non-numeric entry")
-            if tables.shape[1:] != shape[:k + 1]:
-                raise DataError(f"model parameters: {what} level {k} tables have shape "
-                                f"{tables.shape[1:]}, the layout needs {shape[:k + 1]}")
-            level.frombytes(memoryview(tables.astype(float, copy=False)).cast("B"))
-    stack = ChainStack(tuple(keys), tuple(np.frombuffer(level, dtype=float).reshape(
-        len(keys), *shape[:k + 1]) for k, level in enumerate(levels)))
-    _validate_stack(stack, what)
-    return stack
+class _ChainRows:
+    """Chains of one layout, stacked one row text at a time.  ``add`` splits a
+    chain's text, from the ``": "`` after its key, at ``[``; each piece
+    without a row must be that of ``_chain_template`` with empty rows.  Each
+    ``STACK_BATCH`` chains, a level's rows are grouped by the piece that must
+    end them, and each distinct row text not in its group's cache (up to
+    ``_ROWS_HELD``, then it starts over) is checked and decoded to float64
+    bytes, one scanner call a group."""
 
+    def __init__(self, what: str, shape: tuple[int, ...]):
+        self.what, self.shape, self.keys = what, shape, []
+        self._pieces: list[str] = []  # those of the chains added since the last batch
+        skeleton = "".join([": ", *(item if isinstance(item, str) else "[]"
+                                    for item in _chain_template(shape))]).split("[")
+        self._other = [piece[:1] != "]" for piece in skeleton]  # the pieces without a row
+        self._others = list(itertools.compress(skeleton, self._other))
+        slots = iter([j for j, other in enumerate(self._other) if not other])  # level by level
+        # Per level, by the piece that ends a row: the mask of its rows' pieces, the rows, a cache.
+        self._groups: list[dict] = [{} for _ in shape]
+        for k, row in ((k, row) for k in range(len(shape)) for row in range(math.prod(shape[:k]))):
+            mask, rows, _ = self._groups[k].setdefault(skeleton[j := next(slots)],
+                                                       ([False] * len(skeleton), [], {}))
+            mask[j] = True
+            rows.append(row)
+        self._levels = [array("d") for _ in shape]
 
-_CHAIN_OBJECTS = {"pair_tables": "pair", "poi_tables": "POI"}
+    def add(self, key: str, chain: str) -> None:
+        pieces = chain.split("[")
+        if (len(pieces) != len(self._other)
+                or list(itertools.compress(pieces, self._other)) != self._others):
+            raise DataError(f"model parameters: the {self.what} chain of {key!r} is not nested "
+                            f"as the layout {list(self.shape)} needs")
+        self.keys.append(key)
+        self._pieces += pieces
+        if len(self.keys) % STACK_BATCH == 0:
+            self._decode()
+
+    def _decode(self) -> None:
+        pieces, self._pieces = self._pieces, []
+        n = len(pieces) // len(self._other)
+        for k, groups in enumerate(self._groups):
+            what, size = f"model parameters: {self.what} level {k}", self.shape[k]
+            block = np.empty((n, math.prod(self.shape[:k]), size))
+            for end, (mask, rows, cache) in groups.items():
+                texts = list(itertools.compress(pieces, mask * n))
+                if len(cache) > _ROWS_HELD:
+                    cache.clear()
+                if new := list(set(texts).difference(cache)):
+                    if any(not t.endswith(end) or "]" in t[:-len(end)] for t in new):
+                        raise DataError(f"{what} rows do not end as the layout {self.shape} needs")
+                    try:  # the numbers hold no bracket, so a string in them can only merge rows
+                        got = json.loads("[[" + "], [".join(t[:-len(end)] for t in new) + "]]")
+                    except json.JSONDecodeError:
+                        got = ()
+                    if len(got) != len(new) or not {float, int}.issuperset(
+                            map(type, itertools.chain.from_iterable(got))):
+                        raise DataError(f"{what} has a non-numeric entry")
+                    if (sizes := set(map(len, got))) != {size}:
+                        raise DataError(f"{what} tables are ragged" if len(sizes) > 1 else
+                                        f"{what} tables have shape {(*self.shape[:k], *sizes)}, "
+                                        f"the layout needs {self.shape[:k + 1]}")
+                    cache.update(zip(new, map(bytes, np.array(got, dtype=float))))
+                got = np.frombuffer(b"".join(map(cache.get, texts)))
+                block[:, rows] = got.reshape(n, len(rows), size)
+            self._levels[k].frombytes(block.tobytes())
+
+    def stack(self) -> ChainStack:
+        """The validated stack of the chains added."""
+        self._decode()
+        stack = ChainStack(tuple(self.keys), tuple(
+            np.frombuffer(level, dtype=float).reshape(len(self.keys), *self.shape[:k + 1])
+            for k, level in enumerate(self._levels)))
+        _validate_stack(stack, self.what)
+        return stack
 
 
 def params_from_json(stream: TextIO, expected_checksum: str | None = None) -> MatiParams:
@@ -778,24 +777,25 @@ def params_from_json(stream: TextIO, expected_checksum: str | None = None) -> Ma
 
     The text must be what ``params_to_json`` writes: the members of
     ``PARAMS_MEMBERS`` in that order, only the writer's ``", "`` and ``": "``
-    around the keys, chain keys strictly ascending in raw string order, and
-    only blanks after the object; values are decoded by the JSON scanner.
-    Anything else, or malformed content, raises ``DataError``.  Each chain
-    stack is validated once.  ``pr_nu`` must hold one finite, non-negative
-    score for each pair, in ``pair_tables`` order.
+    around the keys, chain keys strictly ascending in raw string order, each
+    chain as ``_chain_template`` nests it, and only blanks after the object.
+    Anything else raises ``DataError``.  Each chain stack is validated once;
+    ``pr_nu`` must hold one finite, non-negative score per pair, in order.
     """
     text = _ParamsText(stream)
     read = {}
     for name in text.members(PARAMS_MEMBERS):
-        if name == "layout":
+        if name == "global_table":  # held as text until the layout that follows it is read
+            read[name] = text.upto(', "layout": ')
+        elif name == "layout":
             levels, shape = [text.value() for _ in text.members(("levels", "shape"))]
             if not (isinstance(levels, list) and isinstance(shape, list) and shape
                     and len(levels) == len(shape) and all(isinstance(n, str) for n in levels)
                     and all(type(n) is int and n > 0 for n in shape)):
                 raise DataError(f"model parameters have an invalid layout {levels!r}, {shape!r}")
             layout = ChainLayout(tuple(levels), tuple(shape))
-        elif name in _CHAIN_OBJECTS:
-            read[name] = _stack(text.entries(), _CHAIN_OBJECTS[name], layout.shape)
+        elif what := {"pair_tables": "pair", "poi_tables": "POI"}.get(name):
+            read[name] = text.chains(_ChainRows(what, layout.shape))
         else:
             read[name] = text.value()
         if name == "format_version" and read[name] != PARAMS_FORMAT_VERSION:
@@ -814,9 +814,9 @@ def params_from_json(stream: TextIO, expected_checksum: str | None = None) -> Ma
     scores = np.array([score for _, score in pr_nu], dtype=float)
     if not (np.isfinite(scores) & (scores >= 0)).all():
         raise DataError("model parameters: pr_nu has a negative or non-finite entry")
-    global_table = read["global_table"]
-    if global_table is not None:
-        stack = _stack([("global", global_table)], "global", layout.shape)
-        global_table = [level[0] for level in stack.levels]
+    global_table, rows = None, _ChainRows("global", layout.shape)
+    if read["global_table"] != "null":
+        rows.add("global", ": " + read["global_table"])
+        global_table = [level[0] for level in rows.stack().levels]
     return MatiParams(layout=layout, pair_tables=pairs, pr_nu=scores, poi_tables=read["poi_tables"],
                       global_table=global_table, slab_checksum=checksum)

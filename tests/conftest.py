@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import settings
 
@@ -5,7 +7,9 @@ from hypothesis import settings
 from matirec.ingest import CheckIn, CheckInLog
 
 settings.register_profile("suite", max_examples=50, deadline=None)
-settings.load_profile("suite")
+# CI sets HYPOTHESIS_PROFILE=ci: four times the examples of a local run.
+settings.register_profile("ci", max_examples=200, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
 
 @pytest.fixture

@@ -321,9 +321,12 @@ def test_cli_tune_rejects_unknown_param(workspace):
 
 @pytest.mark.parametrize("flag,value", [("--objective", "f1@x"), ("--objective", "foo@5"),
                                         ("--objective", "f1@0"), ("--grid", "a:1:0.5"),
-                                        ("--grid", "0:1:x"), ("--grid", "0,x")],
+                                        ("--grid", "0:1:x"), ("--grid", "0,x"),
+                                        ("--grid", "nan"), ("--grid", "0:nan:0.5"),
+                                        ("--grid", "0:1:inf"), ("--grid", "0.5,inf")],
                          ids=["objective-n", "objective-metric", "objective-n-zero",
-                              "grid-range", "grid-step", "grid-list"])
+                              "grid-range", "grid-step", "grid-list", "grid-nan",
+                              "grid-nan-range", "grid-inf-step", "grid-inf-list"])
 def test_cli_tune_rejects_malformed_arguments_before_training(workspace, monkeypatch, flag,
                                                               value):
     _, config = workspace
@@ -363,11 +366,50 @@ def _damage_nan_pr_nu(params):
     params["pr_nu"][min(params["pr_nu"])] = math.nan
 
 
+def _move_a_bracket(chain):
+    """The last number of the first hour row opens the second one instead."""
+    hours = chain[1]
+    hours[0], hours[1] = hours[0][:-1], hours[0][-1:] + hours[1]
+
+
+def _split_a_row(chain):
+    hours = chain[1]
+    hours[2:3] = [hours[2][:12], hours[2][12:]]
+
+
+def _nest_a_row(chain):
+    chain[1][0] = [chain[1][0]]
+
+
+def _put_in_a_row(value):
+    def damage(chain):
+        chain[1][0][0] = value
+    return damage
+
+
+# The row-text reader cuts chain texts at brackets and decodes rows as text.
+_CHAIN_DAMAGE = {"bracket-moved": _move_a_bracket, "row-split": _split_a_row,
+                 "extra-level": _nest_a_row, "true": _put_in_a_row(True),
+                 "null": _put_in_a_row(None), "string": _put_in_a_row("0.5")}
+_CHAIN_TABLES = ("pair_tables", "poi_tables", "global_table")
+
+
+def _in_chain(table, damage):
+    def damage_params(params):
+        chains = params[table]
+        damage(chains if table == "global_table" else chains[min(chains)])
+    return damage_params
+
+
 @pytest.mark.parametrize("damage", [_damage_missing_pr_nu, _damage_truncated_poi_row,
                                     _damage_non_numeric_entry, _damage_layout_mismatch,
-                                    _damage_pr_nu_keys, _damage_nan_pr_nu],
+                                    _damage_pr_nu_keys, _damage_nan_pr_nu,
+                                    *(_in_chain(table, damage) for damage in _CHAIN_DAMAGE.values()
+                                      for table in _CHAIN_TABLES)],
                          ids=["missing-key", "ragged-table", "non-numeric", "wrong-shape",
-                              "pr-nu-keys", "nan-pr-nu"])
+                              "pr-nu-keys", "nan-pr-nu",
+                              *(f"{name}-{table.split('_')[0]}" for name in _CHAIN_DAMAGE
+                                for table in _CHAIN_TABLES)])
 def test_cli_recommend_malformed_params_exits_3(workspace, trained_dir, tmp_path, capsys,
                                                 damage):
     _, config = workspace

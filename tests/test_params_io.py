@@ -7,7 +7,8 @@ nested ``json.dumps(payload, sort_keys=True)`` of the dicts
 every table and score back bit for bit, also when it reads the stream a
 character or a few characters at a time.  Ids carry quotes, backslashes,
 control and non-ASCII characters, whose escaped JSON form sorts differently
-from the raw string; rows repeat, and some differ only by -0.0 against 0.0.
+from the raw string, and brackets, commas and colons; rows repeat, and some
+differ only by -0.0 against 0.0.
 """
 
 import io
@@ -30,8 +31,10 @@ from matirec.ingest import CheckIn, CheckInLog
 from matirec.mati import ChainLayout, joint_from_chain, params_from_json, params_to_json, run_em
 from matirec.pipeline import SlabArtifacts, train_models
 
-ID_CHARS = "aZ0 \"\\\x01\x1f\x7fé \U0001f600"
-ids = st.text(alphabet=ID_CHARS, max_size=3)
+# Besides escapes, ids hold the brackets, commas and colons the reader cuts
+# chain texts at; some hold or end in a chain's closing text, as "]]], ".
+ID_CHARS = "aZ0 \"\\\x01\x1f\x7fé \U0001f600[],:"
+ids = st.text(alphabet=ID_CHARS, max_size=3) | st.sampled_from(["]]]", "a]]], ", "]], [[", "]: "])
 
 
 def _row_pool(size: int, rng) -> np.ndarray:
@@ -168,6 +171,23 @@ def test_many_duplicate_rows_render_once_each():
     _assert_round_trip(params, _read(text))
 
 
+def test_one_row_text_at_two_levels_reads_back_at_each():
+    """With two levels of one size, one row text is at both levels, and in
+    the last row, which the chain's closing brackets follow."""
+    shape = (3, 3)
+    rows = np.array([[0.25, 0.5, 0.25], [1.0, 0.0, -0.0], [0.5, 0.0, 0.5]])
+    pairs = {(f"u{i}", "p"): [rows[i % 3], rows[[(i + j) % 3 for j in range(3)]]]
+             for i in range(5)}
+    params = DictParams(layout=ChainLayout(("week", "day"), shape),
+                        pr_nu={pair: 1.0 for pair in pairs}, pair_tables=pairs,
+                        poi_tables={"p": [rows[0], rows[[1, 2, 0]]]}, global_table=[rows[2], rows])
+    text = params_to_json(stacked(params))
+    assert text == reference_params_json(params)
+    assert '": [[0.25, 0.5, 0.25], [[0.25, 0.5, 0.25], ' in text
+    assert "[0.25, 0.5, 0.25]]]" in text
+    _assert_round_trip(params, _read(text))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 0.7],
                          ids=["nan", "inf", "negative", "row-sum"])
 def test_writer_refuses_invalid_chains(bad):
@@ -283,3 +303,31 @@ def test_reader_refuses_cut_text_and_data_after_the_object():
         with pytest.raises(DataError, match="extra data"):
             params_from_json(io.StringIO(text + extra))
     _read(text + " \n\t")
+
+
+@pytest.mark.parametrize("writer,respelled", [("], [", "]], ["), ("], [", "],["),
+                                               ("], [", "] , ["), (", [[", ", [ ["),
+                                               ('": [[', '":[[')],
+                         ids=["extra-bracket", "no-blank", "extra-blank", "blank-in-nesting",
+                              "no-blank-after-key"])
+def test_reader_refuses_chain_text_the_writer_does_not_write(writer, respelled):
+    """Around the rows of a chain only the writer's text may stand.  A row's
+    numbers end at its first ``]``, so an extra ``]``, which ``json.loads``
+    refuses too, must not be read past; respelled blanks, which it accepts,
+    are refused as well."""
+    text = _sample_text()
+    for table in ("global_table", "pair_tables", "poi_tables"):
+        at = text.index(writer, text.index(f'"{table}": ') + 1)
+        bad = text[:at] + respelled + text[at + len(writer):]
+        with pytest.raises(DataError, match="model parameters"):
+            params_from_json(io.StringIO(bad))
+
+
+def test_reader_refuses_text_after_the_global_chain():
+    """The global chain's text runs to the layout's key, not to its first
+    closing run, so what follows that run must be checked too."""
+    text = _sample_text()
+    for extra in ("[", " ", "[0.5]"):
+        bad = text.replace(']]], "layout": ', f']]]{extra}, "layout": ', 1)
+        with pytest.raises(DataError, match="model parameters: (the )?global .* as the layout"):
+            params_from_json(io.StringIO(bad))
