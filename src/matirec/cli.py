@@ -17,10 +17,10 @@ from pathlib import Path
 
 from . import evaluation as ev
 from . import ingest as ing
-from .config import RunConfig, file_checksum, fingerprint, load_config
+from .config import MODELS, RunConfig, file_checksum, fingerprint, load_config
 from .errors import ConfigError, DataError, MatirecError
 from .hybrid import decisions_csv
-from .mati import params_from_json, params_to_json
+from .mati import TextPieces, params_from_json, params_to_json
 from .pipeline import build_slab_index, train_models
 from .slabs import SlabIndex, coverage_csv, similarity_csv
 
@@ -36,6 +36,11 @@ def _load_log(cfg: RunConfig) -> ing.CheckInLog:
     return log
 
 
+def _read_index(path: str) -> SlabIndex:
+    with ing.open_input(path) as fh:
+        return SlabIndex.from_json(fh.read())
+
+
 def _fingerprint(cfg: RunConfig) -> str:
     sums = {}
     for name in ("checkins", "social"):
@@ -48,14 +53,24 @@ def _fingerprint(cfg: RunConfig) -> str:
 WRITE_SLICE = 1 << 20  # characters encoded per write
 
 
-def _write(out_dir: Path, name: str, text: str) -> Path:
-    """Write ``text`` as UTF-8, a slice at a time, so no bytes copy of the
-    whole text is held."""
+def _write(out_dir: Path, name: str, text: str | TextPieces) -> Path:
+    """Write ``text`` as UTF-8, a group of at least ``WRITE_SLICE``
+    characters at a time (or the rest), so no bytes copy of the whole text is
+    held.  A string is cut into slices of that size; the pieces of a
+    ``TextPieces`` are joined into groups, so its whole text is never held."""
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
+    pieces = ((text[begin:begin + WRITE_SLICE] for begin in range(0, len(text), WRITE_SLICE))
+              if isinstance(text, str) else text.pieces)
     with path.open("w", encoding="utf-8") as out:
-        for begin in range(0, len(text), WRITE_SLICE):
-            out.write(text[begin:begin + WRITE_SLICE])
+        group, size = [], 0
+        for piece in pieces:
+            group.append(piece)
+            size += len(piece)
+            if size >= WRITE_SLICE:
+                out.write("".join(group))
+                group, size = [], 0
+        out.write("".join(group))
     return path
 
 
@@ -113,14 +128,14 @@ def cmd_slabs(cfg: RunConfig, args) -> int:
 
 def cmd_train(cfg: RunConfig, args) -> int:
     log = _load_log(cfg)
-    index = SlabIndex.from_json(Path(args.slabs).read_text(encoding="utf-8"))
+    index = _read_index(args.slabs)
     from .pipeline import SlabArtifacts
     models = train_models(log, cfg, SlabArtifacts(index, {}))
     out = Path(args.out)
     fp = _fingerprint(cfg)
     params, em_report, geo = models.params, models.em_report, _geo_json(models, fp)
     # Only the parameters are rendered from here on: the log and the scorers
-    # go first, so the parameter text is not held beside them.
+    # go first, so the rendered pieces are not held beside them.
     del log, models
     _write(out, "mati_params.json", params_to_json(params, fingerprint=fp))
     report = {
@@ -146,13 +161,15 @@ def _geo_json(models, fp: str) -> str:
 def cmd_recommend(cfg: RunConfig, args) -> int:
     if args.n < 1:
         raise ConfigError("--n must be >= 1")
+    if args.model not in MODELS:
+        raise ConfigError(f"--model must be one of {MODELS}, got {args.model!r}")
     log = _load_log(cfg)
-    index = SlabIndex.from_json(Path(args.slabs).read_text(encoding="utf-8"))
+    index = _read_index(args.slabs)
     params = None
     if args.params:
         # A binary file and an incremental decoder hold each chunk once; a
         # text-mode file also keeps the chunk's bytes and its decoded text.
-        with open(args.params, "rb") as raw:
+        with ing.open_input(args.params, binary=True) as raw:
             params = params_from_json(codecs.getreader("utf-8")(raw),
                                       expected_checksum=index.checksum)
     from .pipeline import SlabArtifacts

@@ -123,12 +123,17 @@ class MatiConfig:
             raise ConfigError("mati.gamma must be >= 0")
 
 
+# Every recommender ``pipeline.train_models`` builds, by its ``name``, in the
+# order it builds them.
+MODELS = ("ubcf", "usg", "usgt", "ubcft", "mati", "hybrid")
+
+
 @dataclass
 class EvalConfig:
     x: float = 0.3
     test_fraction: float = 0.2
     ns: str = "5,10,20"
-    models: str = "ubcf,usg,usgt,ubcft,mati,hybrid"
+    models: str = ",".join(MODELS)
 
     def validate(self):
         if not 0 < self.x < 1:
@@ -136,15 +141,23 @@ class EvalConfig:
         if not 0 < self.test_fraction <= 1:
             raise ConfigError("eval.test_fraction must be in (0,1]")
         self.n_list()
+        self.model_list()
 
     def n_list(self) -> tuple[int, ...]:
         try:
-            return tuple(int(v) for v in self.ns.split(","))
+            ns = tuple(int(v) for v in self.ns.split(","))
         except ValueError as exc:
             raise ConfigError(f"eval.ns must be comma-separated integers, got {self.ns!r}") from exc
+        if min(ns) < 1:
+            raise ConfigError(f"eval.ns entries must be >= 1, got {self.ns!r}")
+        return ns
 
     def model_list(self) -> list[str]:
-        return [m.strip() for m in self.models.split(",") if m.strip()]
+        names = [m.strip() for m in self.models.split(",") if m.strip()]
+        if not names or len(set(names)) < len(names) or not set(names) <= set(MODELS):
+            raise ConfigError(f"eval.models must name distinct models of {MODELS}, "
+                              f"got {self.models!r}")
+        return names
 
 
 @dataclass

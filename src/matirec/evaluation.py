@@ -158,7 +158,7 @@ def evaluate(models: Sequence[Recommender], split: EvalSplit,
     are scored on its prefixes, so failure rates are monotone in n.  Those of
     ``usgt``/``ubcft`` are not the lists they serve at smaller n: these are not
     nested yet (strict xfails ``test_top_n_lists_are_nested[usgt|ubcft]``,
-    ROADMAP.md item 3).
+    ROADMAP.md item 5).
     """
     if not ns or any(n < 1 for n in ns):
         raise ConfigError(f"list sizes must be positive, got {ns}")

@@ -315,12 +315,21 @@ class ColumnFormat:
         return cls(tuple(part.strip() for part in spec.split(",")))
 
 
+def open_input(path: str | Path, binary: bool = False) -> IO:
+    """The input file ``path``, opened for reading as UTF-8 text (or as
+    bytes); one that cannot be opened is a ``DataError`` naming it."""
+    try:
+        return open(path, "rb") if binary else open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open input file {path}: {exc.strerror or exc}") from exc
+
+
 def _text(source: Source) -> str:
     """The whole source as text, with the line endings file iteration sees;
     split on ``\\n`` it gives the lines (blank lines, a trailing empty piece
     included, are skipped by the parsers)."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open_input(source) as fh:
             return fh.read()
     if isinstance(source, bytes):
         return source.decode("utf-8")

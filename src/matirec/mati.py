@@ -60,7 +60,9 @@ builds, checks, validates and renders the chains ``PARAMS_SLICE`` owners at
 a time, so only one slice's chains are held beside the text's pieces.  One
 cache of row texts serves every slice, so each distinct last-axis row is
 rendered once (on a day with none of a pair's check-ins, the pair's hour
-row is the global one, so most rows repeat); the pieces are joined once.
+row is the global one, so most rows repeat).  It returns the pieces as
+``TextPieces``, which ``cli._write`` joins and writes a group at a time, so
+the whole text is never held.
 
 ``params_from_json`` reads only that text, ``READ_CHUNK`` characters at a
 time, the way it is written: each chain's text split at ``[`` against
@@ -512,9 +514,8 @@ def _checked(stack: ChainStack, shape: tuple[int, ...], what: str) -> ChainStack
     return stack
 
 
-# Owners whose chains are built, checked and rendered at a time.  A larger
-# slice's arrays are placed between the row texts already rendered and raise
-# ``train``'s peak RSS: at 4,096 it was above rendering every chain at once.
+# Owners whose chains are built, checked and rendered at a time: one slice's
+# arrays are held beside the pieces rendered so far.
 PARAMS_SLICE = 512
 
 
@@ -542,15 +543,31 @@ def _object_pieces(source: EmChains | ChainStack, shape: tuple[int, ...], what: 
     return pieces
 
 
-def params_to_json(params: MatiParams, fingerprint: str = "") -> str:
-    """The parameter file: exactly ``json.dumps(payload, sort_keys=True)``.
+class TextPieces:
+    """A text held as the pieces it joins from, most of them shared row
+    texts, so that no copy of the whole text need exist: ``str()`` joins
+    them and ``encode`` gives the text's bytes."""
+
+    def __init__(self, pieces: list[str]):
+        self.pieces = pieces
+
+    def __str__(self) -> str:
+        return "".join(self.pieces)
+
+    def encode(self, encoding: str = "utf-8") -> bytes:
+        return str(self).encode(encoding)
+
+
+def params_to_json(params: MatiParams, fingerprint: str = "") -> TextPieces:
+    """The parameter file, as pieces that join to exactly
+    ``json.dumps(payload, sort_keys=True)``.
 
     Every chain is checked against the layout and validated before it is
-    rendered, so an invalid or non-finite chain, or a negative or
-    non-finite ``pr_nu``, raises ``InvariantError`` instead of being
-    written.  The pair and POI chains are built and rendered a slice at a
-    time (``_object_pieces``), sharing one cache of row texts, and the
-    pieces are joined once.
+    rendered, and all of them are rendered before this returns, so an
+    invalid or non-finite chain, or a negative or non-finite ``pr_nu``,
+    raises ``InvariantError`` before a byte is written.  The pair and POI
+    chains are built and rendered a slice at a time (``_object_pieces``),
+    sharing one cache of row texts; the pieces are not joined here.
     """
     shape = params.layout.shape
     pairs = params.pair_tables
@@ -587,7 +604,7 @@ def params_to_json(params: MatiParams, fingerprint: str = "") -> str:
         else:
             pieces.extend(tables[name])
     pieces.append("}")
-    return "".join(pieces)
+    return TextPieces(pieces)
 
 
 # Characters read from the parameter file at a time; a chunk is appended to

@@ -5,7 +5,7 @@ harness.  All recommenders share one candidate rule (every known POI the
 user has not visited in the training view, ties broken by POI id).  Top-N
 lists are nested, except that ``usgt``/``ubcft`` re-compose a ``k·n`` USG pool
 per n (strict xfails ``test_top_n_lists_are_nested[usgt|ubcft]``, ROADMAP.md
-item 3), so their n = 5 and 10 figures in ``evaluate``, taken from the top-20
+item 5), so their n = 5 and 10 figures in ``evaluate``, taken from the top-20
 list's prefix, are not of the lists ``recommend --n 5`` or ``--n 10`` serves.
 """
 
@@ -421,13 +421,8 @@ def train_models(log: CheckInLog, cfg: RunConfig,
         report = None
     usg = UsgRecommender(components)
     mati = MatiRecommender(components, params, user_profiles, poi_profiles, cfg.mati.phi_t)
-    recommenders = {
-        "ubcf": UbcfRecommender(components),
-        "usg": usg,
-        "usgt": UsgtRecommender(components, cfg),
-        "ubcft": UbcftRecommender(components, cfg),
-        "mati": mati,
-        "hybrid": HybridRecommender(usg, mati, cfg.hybrid),
-    }
+    recommenders = {model.name: model for model in (
+        UbcfRecommender(components), usg, UsgtRecommender(components, cfg),
+        UbcftRecommender(components, cfg), mati, HybridRecommender(usg, mati, cfg.hybrid))}
     return TrainedModels(components, artifacts, params, report,
                          user_profiles, poi_profiles, recommenders)

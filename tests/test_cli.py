@@ -19,6 +19,7 @@ from matirec.cli import main
 from matirec.config import fingerprint, load_config, serialize_config
 from matirec.errors import ConfigError, DataError
 from matirec.ingest import CheckInLog, serialize_log, serialize_social
+from matirec.mati import TextPieces
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +153,64 @@ def test_cli_on_error_applies_to_the_social_file(tmp_path, on_error, code):
     assert main(["--config", str(config), "ingest", "--out", str(out)]) == code
     if code == 0:
         assert (out / "social.tsv").read_text().splitlines()[1:] == ["u1\tu2"]
+
+
+@pytest.mark.parametrize("missing", ["params", "slabs", "checkins", "social"])
+def test_cli_missing_input_file_exits_3_naming_it(workspace, trained_dir, tmp_path, capsys,
+                                                   missing):
+    """An input file that is not there is a data error that names it, not a
+    traceback: ``--params``, ``--slabs``, ``data.checkins`` and ``data.social``."""
+    root, config = workspace
+    nope = tmp_path / f"nope-{missing}"
+    slabs, params = str(trained_dir / "slab_index.json"), str(trained_dir / "mati_params.json")
+    if missing in ("checkins", "social"):
+        moved = tmp_path / "run.cfg"
+        moved.write_text(config.read_text().replace(str(root / f"{missing}.tsv"), str(nope)),
+                         encoding="utf-8")
+        config = moved
+    argv = {"params": ["recommend", "--slabs", slabs, "--params", str(nope), "--user", "a0_0"],
+            "slabs": ["train", "--slabs", str(nope), "--out", str(tmp_path / "out")]
+            }.get(missing, ["train", "--slabs", slabs, "--out", str(tmp_path / "out")])
+    assert main(["--config", str(config), *argv]) == 3
+    assert str(nope) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value", [("ns", "0,5"), ("ns", "5,-1"), ("models", "usg,foo"),
+                                       ("models", ","), ("models", ""), ("models", "usg,mati,usg")],
+                         ids=["ns-zero", "ns-negative", "models-unknown", "models-comma",
+                              "models-empty", "models-repeated"])
+def test_cli_evaluate_refuses_bad_eval_config_before_parsing(workspace, tmp_path, monkeypatch,
+                                                             capsys, key, value):
+    """A list size below 1 and an unknown, repeated or empty model list are
+    config errors found before the log is read, not after every model is
+    trained (or, for an empty list, a report with no models)."""
+    _, config = workspace
+
+    def no_log(*_args, **_kwargs):
+        raise AssertionError("evaluate must check its config before it reads the log")
+
+    monkeypatch.setattr(cli, "_load_log", no_log)
+    monkeypatch.setenv(f"MATI_EVAL_{key.upper()}", value)
+    assert main(["--config", str(config), "evaluate", "--out", str(tmp_path / "out")]) == 2
+    assert f"eval.{key}" in capsys.readouterr().err
+
+
+def test_cli_recommend_refuses_unknown_model_before_reading(workspace, trained_dir, monkeypatch,
+                                                            capsys):
+    _, config = workspace
+
+    def no_log(*_args, **_kwargs):
+        raise AssertionError("recommend must check --model before it reads its inputs")
+
+    monkeypatch.setattr(cli, "_load_log", no_log)
+    monkeypatch.setattr(cli, "params_from_json", no_log)
+    code = main(["--config", str(config), "recommend",
+                 "--slabs", str(trained_dir / "slab_index.json"),
+                 "--params", str(trained_dir / "mati_params.json"),
+                 "--user", "a0_0", "--model", "foo"])
+    assert code == 2
+    assert "--model" in capsys.readouterr().err
 
 
 def test_cli_slabs_train_recommend(workspace, tmp_path):
@@ -507,14 +566,17 @@ def test_cli_recommend_negative_params_entry_exits_4_naming_the_pair(workspace, 
 
 @pytest.mark.parametrize("text", [
     "a" * (cli.WRITE_SLICE - 1) + "\u00e9\u4e2d\U0001f600" + "b\n" * 10,
+    TextPieces(["a" * (cli.WRITE_SLICE - 1), "\u00e9\u4e2d", "\U0001f600", "b\n" * 10]),
     "",
-], ids=["multi-byte-across-slices", "empty"])
+    TextPieces([]),
+], ids=["multi-byte-across-slices", "multi-byte-across-groups", "empty", "no-pieces"])
 def test_write_matches_write_text(tmp_path, text):
-    """Writing a slice at a time gives ``Path.write_text``'s bytes, also with
-    a multi-byte character on each side of a slice boundary."""
+    """Writing a slice, or a group of pieces, at a time gives
+    ``Path.write_text``'s bytes, also with a multi-byte character on each
+    side of a slice or group boundary."""
     written = cli._write(tmp_path / "sliced", "out.txt", text)
     whole = tmp_path / "whole.txt"
-    whole.write_text(text, encoding="utf-8")
+    whole.write_text(str(text), encoding="utf-8")
     assert written.read_bytes() == whole.read_bytes()
 
 

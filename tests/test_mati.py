@@ -435,7 +435,7 @@ def test_mati_score_phi_bounds():
 def test_params_json_roundtrip_and_checksum_guard():
     log, index, _, pairs = _small_recovery()
     params, _ = run_em(log, index, np.ones(len(pairs)))
-    text = params_to_json(params)
+    text = str(params_to_json(params))
     restored = params_from_json(io.StringIO(text), expected_checksum=index.checksum)
     assert restored.layout == params.layout
     pair = pairs[0]

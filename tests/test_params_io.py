@@ -134,7 +134,7 @@ def _read(text: str):
 
 @given(params=param_sets(), fingerprint=ids)
 def test_writer_matches_reference_bytes_and_round_trips(params, fingerprint):
-    text = params_to_json(stacked(params), fingerprint=fingerprint)
+    text = str(params_to_json(stacked(params), fingerprint=fingerprint))
     assert text == reference_params_json(params, fingerprint=fingerprint)
     _assert_round_trip(params, _read(text))
 
@@ -152,7 +152,7 @@ def test_keys_sort_by_raw_string_not_escaped_form():
                         pair_tables={(u, "p"): _unit_chain(shape) for u in names},
                         poi_tables={u: _unit_chain(shape) for u in names},
                         global_table=_unit_chain(shape))
-    text = params_to_json(stacked(params))
+    text = str(params_to_json(stacked(params)))
     assert text == reference_params_json(params)
     _assert_round_trip(params, _read(text))
 
@@ -165,7 +165,7 @@ def test_many_duplicate_rows_render_once_each():
              for i in range(200)}
     params = DictParams(layout=ChainLayout(("day", "hour"), shape),
                         pr_nu={pair: 1.0 for pair in pairs}, pair_tables=pairs)
-    text = params_to_json(stacked(params))
+    text = str(params_to_json(stacked(params)))
     assert text == reference_params_json(params)
     assert "[1.0, -0.0, -0.0, -0.0]" in text and "[1.0, 0.0, 0.0, 0.0]" in text
     _assert_round_trip(params, _read(text))
@@ -181,7 +181,7 @@ def test_one_row_text_at_two_levels_reads_back_at_each():
     params = DictParams(layout=ChainLayout(("week", "day"), shape),
                         pr_nu={pair: 1.0 for pair in pairs}, pair_tables=pairs,
                         poi_tables={"p": [rows[0], rows[[1, 2, 0]]]}, global_table=[rows[2], rows])
-    text = params_to_json(stacked(params))
+    text = str(params_to_json(stacked(params)))
     assert text == reference_params_json(params)
     assert '": [[0.25, 0.5, 0.25], [[0.25, 0.5, 0.25], ' in text
     assert "[0.25, 0.5, 0.25]]]" in text
@@ -250,7 +250,7 @@ def test_pair_keys_leave_em_in_raw_key_order():
     joints, _ = reference_em(log, index, pr_nu)
     for pair, want in joints.items():
         assert np.abs(joint_from_chain(ref.pair_tables[pair]) - want).max() <= 1e-12
-    text = params_to_json(params)
+    text = str(params_to_json(params))
     assert text == reference_params_json(ref)
     _assert_round_trip(ref, _read(text))
     models = train_models(log, load_config(), SlabArtifacts(index, {}),
@@ -273,7 +273,7 @@ def _sample_text() -> str:
                         pair_tables={pair: chain() for pair in pairs},
                         poi_tables={poi: chain() for poi in names}, global_table=chain(),
                         slab_checksum="c" * 8)
-    return params_to_json(stacked(params), fingerprint="f")
+    return str(params_to_json(stacked(params), fingerprint="f"))
 
 
 def test_reader_refuses_pr_nu_keys_off_the_pair_order():

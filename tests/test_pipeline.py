@@ -12,8 +12,8 @@ from corpus import (checkin_users, distinct_pois, planted_corpus, three_factor_i
                     three_factor_log)
 from oracles import as_dicts, reference_params_json
 
-from matirec import mati
-from matirec.config import load_config
+from matirec import cli, mati
+from matirec.config import MODELS, load_config
 from matirec.errors import ConfigError
 from matirec.evaluation import split_exclude
 from matirec.hybrid import HybridConfig
@@ -49,6 +49,13 @@ def test_every_model_recommends_full_lists(trained):
             assert len(items) == 5, (name, u)
             assert len(set(items)) == 5
             assert not set(items) & distinct_pois(log, u)
+
+
+def test_trained_models_are_the_config_models(trained):
+    """``eval.models`` and ``recommend --model`` are checked against
+    ``config.MODELS`` before training, so it must name what is trained."""
+    _, _, models = trained
+    assert tuple(models.recommenders) == MODELS
 
 
 def test_unknown_model_name(trained):
@@ -241,7 +248,7 @@ def test_trained_params_file_matches_reference_encoder(trained_params, slice_siz
     pairs = params.pair_tables
     monkeypatch.setattr(mati, "PARAMS_SLICE", slice_size or len(pairs) + 1)
     fingerprint = json.loads(want)["fingerprint"]
-    text = params_to_json(params, fingerprint=fingerprint)
+    text = str(params_to_json(params, fingerprint=fingerprint))
     assert text == want
     restored = params_from_json(io.StringIO(text))
     assert restored.pair_tables.keys == pairs.keys
@@ -250,6 +257,35 @@ def test_trained_params_file_matches_reference_encoder(trained_params, slice_siz
         mine, orig = getattr(restored, stack), getattr(params, stack)
         assert ([a.tobytes() for a in mine.levels]
                 == [b.tobytes() for b in orig.chains(0, len(orig))])
+
+
+def test_rendered_params_are_the_reference_text_and_the_written_bytes(trained_params,
+                                                                       tmp_path):
+    """``params_to_json`` returns pieces: joined, they are the reference
+    encoder's text, and their ``encode`` (which the benchmark's tracer
+    counts) is the bytes ``cli._write`` writes of them."""
+    params, want = trained_params
+    pieces = params_to_json(params, fingerprint=json.loads(want)["fingerprint"])
+    assert str(pieces) == want
+    path = cli._write(tmp_path, "mati_params.json", pieces)
+    assert path.read_bytes() == pieces.encode("utf-8") == want.encode("utf-8")
+
+
+def test_rendering_and_writing_the_params_file_peaks_below_its_size(planted_split, tmp_path):
+    """The rendered pieces share their row texts, and ``cli._write`` joins
+    them a group at a time, so the whole text is never held; joined before
+    it was written, the text took rendering and writing to about 1.24 times
+    the file's size.  The bound is the reader's."""
+    _, models = planted_split
+    tracemalloc.start()
+    try:
+        path = cli._write(tmp_path, "mati_params.json",
+                          params_to_json(models.params, fingerprint="planted-300"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 0.6 * size, f"peak {peak / size:.3f} of the file's size"
 
 
 def _text_mode(path):
@@ -272,7 +308,7 @@ def test_reading_the_params_file_peaks_below_its_size(planted_split, tmp_path, o
     chunk than a text-mode file."""
     _, models = planted_split
     path = tmp_path / "mati_params.json"
-    path.write_text(params_to_json(models.params, fingerprint="planted-300"), encoding="utf-8")
+    path.write_text(str(params_to_json(models.params, fingerprint="planted-300")), encoding="utf-8")
     tracemalloc.start()
     try:
         with opened(path) as stream:
