@@ -150,6 +150,8 @@ class EvalConfig:
             raise ConfigError(f"eval.ns must be comma-separated integers, got {self.ns!r}") from exc
         if min(ns) < 1:
             raise ConfigError(f"eval.ns entries must be >= 1, got {self.ns!r}")
+        if len(set(ns)) < len(ns):
+            raise ConfigError(f"eval.ns must list distinct sizes, got {self.ns!r}")
         return ns
 
     def model_list(self) -> list[str]:
@@ -210,7 +212,11 @@ def load_config(path: str | Path | None = None,
     env = os.environ if env is None else env
     parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
-        read = parser.read(str(path))
+        try:
+            read = parser.read(str(path))
+        except configparser.Error as exc:
+            raise ConfigError(f"config file {path} is malformed: "
+                              + " ".join(str(exc).split())) from exc
         if not read:
             raise ConfigError(f"config file not found: {path}")
 

@@ -33,20 +33,22 @@ toward the global popularity joint J_0 it starts from: after k iterations
 ``run_em`` computes iteration k directly for all pairs at once.  H stays
 sparse: the likelihood reads only the cells with evidence, and the final
 joints are the grid (gamma / (n + gamma))^k * J_0 with only those cells
-overwritten.  EM builds that (pairs × cells) grid once, to sum the POI
-backoff joints, and lets it go: the pair chains stay in closed form, as
-``EmChains`` (the pair keys, their pair rows, the sparse H, each pair's
-r^k = (gamma / (n + gamma))^k and J_0), which builds the chains of any
-slice of pairs with the same arithmetic, bit for bit.  The reported
+overwritten.  The pair chains stay in closed form, as ``EmChains`` (the
+pair keys, their pair rows, the sparse H, each pair's
+r^k = (gamma / (n + gamma))^k and J_0), which builds the joints of any set
+of pair rows; EM sums the POI backoff joints from them ``PARAMS_SLICE``
+pair rows at a time, and the writer factors the chains of a slice of
+pairs the same way, so no (pairs × cells) grid is ever held.  The reported
 log-likelihood is the per-event data log-likelihood under the current
 tables plus the constant sum of n_pair * log Pr_nu (0 under uniform
 weights), which moves only the relative stop rule; it is non-decreasing
 across iterations.
 
-``MatiParams`` holds the POI chains as a ``ChainStack``, one array per
-level with a row per owner in raw key string order (the file's order), and
-the pair chains as an ``EmChains`` from EM or a ``ChainStack`` read from a
-file; both give the chains of owners lo..hi through ``chains(lo, hi)``.
+``MatiParams`` holds the POI chains as a ``ChainStack`` (per level, the
+last-axis rows and an int32 row id per owner and conditioning tuple, owners
+in raw key string order, the file's order), and the pair chains as an
+``EmChains`` from EM or a ``ChainStack`` read from a file; both give the
+chains of owners lo..hi through ``chains(lo, hi)``.
 
 Scoring mixes the depth with the shared activity psi: the Jaccard overlap of
 the cells a user and a POI were active in, from integer rows of per-cell
@@ -67,7 +69,11 @@ the whole text is never held.
 ``params_from_json`` reads only that text, ``READ_CHUNK`` characters at a
 time, the way it is written: each chain's text split at ``[`` against
 ``_chain_template``, and each distinct row text decoded once while cached
-(``_ChainRows``).  v2 (the sufficient statistics ``EmChains`` holds,
+(``_ChainRows``).  The stacks it returns keep what it decoded: each
+level's distinct rows and, per owner and conditioning tuple, the int32 id
+of its row, so a pair's tables are gathered only when asked for, and each
+distinct row is validated once (an error still names the first owner that
+uses a bad row).  v2 (the sufficient statistics ``EmChains`` holds,
 ROADMAP.md item 1) waits on the benchmark, which reads the v1
 ``pair_tables`` and ``pr_nu`` and traces both functions by name.
 """
@@ -100,6 +106,10 @@ PARAMS_MEMBERS = ("fingerprint", "format_version", "global_table", "layout", "pa
 
 ROW_SUM_TOL = 1e-9
 MONOTONE_SLACK = 1e-9
+# Owners whose joints or chains are built at a time: EM sums the POI joints,
+# the writer builds, checks and renders the chains, and ``poi_depth_means``
+# averages the POI joints one slice of owners at a time.
+PARAMS_SLICE = 512
 
 
 @dataclass(frozen=True)
@@ -164,52 +174,68 @@ def joint_from_chain(tables: Sequence[np.ndarray]) -> np.ndarray:
     return joint
 
 
-def validate_chain(tables: Sequence[np.ndarray], owner: Callable[[int], object] | None = None):
+def validate_chain(tables: Sequence[np.ndarray],
+                   owner: Callable[[int, np.ndarray], object] | None = None):
     """Every entry is non-negative and every last-axis row sums to 1.
 
-    With ``owner``, each table is a stack whose leading axis runs over
-    owners, and an error names the first offending one, ``owner(i)``.  NaN
-    and infinite entries fail the row sums.
+    With ``owner``, an error at level k names ``owner(k, bad)``, where
+    ``bad`` flags the entries of the table's leading axis that hold an
+    offending row.  NaN and infinite entries fail the row sums.
     """
-    def where(bad: np.ndarray) -> str:
+    def where(k: int, bad: np.ndarray) -> str:
         if owner is None:
             return ""
-        return f" of {owner(int(np.argmax(bad.reshape(len(bad), -1).any(axis=1))))!r}"
+        return f" of {owner(k, bad.reshape(len(bad), -1).any(axis=1))!r}"
 
     for k, table in enumerate(tables):
         if (table < 0).any():
-            raise InvariantError(f"chain level {k}{where(table < 0)} has negative entries")
+            raise InvariantError(f"chain level {k}{where(k, table < 0)} has negative entries")
         errors = np.abs(table.sum(axis=-1) - 1)
         off = ~(errors <= ROW_SUM_TOL)
         if off.any():
-            raise InvariantError(f"chain level {k}{where(off)} rows do not sum to 1 (max err "
+            raise InvariantError(f"chain level {k}{where(k, off)} rows do not sum to 1 (max err "
                                  f"{float(errors.max()):.3e})")
 
 
 @dataclass(frozen=True)
 class ChainStack:
-    """The chains of several owners, stacked level by level.
+    """The chains of several owners, stacked level by level as rows and row ids.
 
-    ``levels[k][i]`` is owner i's level-k table and ``keys[i]`` its key in
-    the parameter file: ``user<TAB>poi`` for a pair, the POI id for a POI.
-    Owners are in raw key string order, as ``json.dumps(sort_keys=True)``
-    sorts them.
+    ``rows[k]`` holds level k's last-axis rows, and ``ids[k]`` (int32, one per
+    owner and conditioning tuple) picks each table row from them, so owner
+    i's level-k table is ``rows[k][ids[k][i]]``; the parameter reader keeps
+    each distinct row once.  ``keys[i]`` is owner i's key in the parameter
+    file: ``user<TAB>poi`` for a pair, the POI id for a POI.  Owners are in
+    raw key string order, as ``json.dumps(sort_keys=True)`` sorts them.
     """
 
     keys: tuple[str, ...]
-    levels: tuple[np.ndarray, ...]
+    rows: tuple[np.ndarray, ...]
+    ids: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, keys: Sequence[str], levels: Sequence[np.ndarray]) -> ChainStack:
+        """The stack of ``levels`` (owners first), each table row its own row."""
+        return cls(tuple(keys), tuple(level.reshape(-1, level.shape[-1]) for level in levels),
+                   tuple(np.arange(math.prod(level.shape[:-1]), dtype=np.int32)
+                         .reshape(level.shape[:-1]) for level in levels))
 
     def __post_init__(self):
-        if any(len(level) != len(self.keys) for level in self.levels):
-            raise InvariantError(f"chain stack: levels of {[len(level) for level in self.levels]} "
+        if any(len(ids) != len(self.keys) for ids in self.ids):
+            raise InvariantError(f"chain stack: levels of {[len(ids) for ids in self.ids]} "
                                  f"owners for {len(self.keys)} keys")
 
     def __len__(self) -> int:
         return len(self.keys)
 
+    @property
+    def levels(self) -> tuple[np.ndarray, ...]:
+        """Each level's tables, owners first, gathered from the rows."""
+        return tuple(rows[ids] for rows, ids in zip(self.rows, self.ids))
+
     def chains(self, lo: int, hi: int) -> list[np.ndarray]:
         """The levels of owners ``lo`` to ``hi`` (exclusive)."""
-        return [level[lo:hi] for level in self.levels]
+        return [rows[ids[lo:hi]] for rows, ids in zip(self.rows, self.ids)]
 
 
 @dataclass(frozen=True)
@@ -236,11 +262,9 @@ class EmChains:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def chains(self, lo: int, hi: int) -> list[np.ndarray]:
-        """The chains of owners ``lo`` to ``hi`` (exclusive), stacked, with
-        the arithmetic of ``run_em``: the grid ``r^k * J_0``, the evidence
-        cells overwritten, then ``_stacked_chains``."""
-        rows = self.rows[lo:hi]
+    def joints(self, rows: np.ndarray) -> np.ndarray:
+        """The joints of pair rows ``rows``, one flat row of cells each: the
+        grid ``r^k * J_0`` with the evidence cells overwritten."""
         first = self.indptr[rows]
         sizes = self.indptr[rows + 1] - first
         owner = np.repeat(np.arange(len(rows)), sizes)
@@ -251,7 +275,12 @@ class EmChains:
         target = counts / np.bincount(owner, weights=counts, minlength=len(rows))[owner]
         joints = np.multiply.outer(decay, start)
         joints[owner, cells] = target + decay[owner] * (start[cells] - target)
-        return _stacked_chains(joints.reshape(len(rows), *self.start.shape))
+        return joints
+
+    def chains(self, lo: int, hi: int) -> list[np.ndarray]:
+        """The chains of owners ``lo`` to ``hi`` (exclusive), stacked: their
+        ``joints`` factored by ``_stacked_chains``."""
+        return _stacked_chains(self.joints(self.rows[lo:hi]).reshape(-1, *self.start.shape))
 
 
 def pair_of(key: str) -> tuple[str, str]:
@@ -269,10 +298,14 @@ def pair_keys(log: CheckInLog) -> np.ndarray:
 
 
 def _validate_stack(stack: ChainStack, what: str) -> None:
-    """``validate_chain`` over a stack; an error names a pair as its (user, poi)."""
-    keys = stack.keys
-    validate_chain(stack.levels, (lambda i: pair_of(keys[i])) if what == "pair"
-                   else keys.__getitem__)
+    """``validate_chain`` over a stack's rows, each checked once; an error
+    names the first owner whose tables use an offending row, a pair as its
+    (user, poi)."""
+    def owner(k: int, bad: np.ndarray):
+        key = stack.keys[int(np.argmax(bad[stack.ids[k]].reshape(len(stack), -1).any(axis=1)))]
+        return pair_of(key) if what == "pair" else key
+
+    validate_chain(stack.rows, owner)
 
 
 def _sorted_keys(keys: Sequence[str]) -> bool:
@@ -285,8 +318,9 @@ class MatiParams:
 
     ``pair_tables`` is the source of the observed pairs' chains: an
     ``EmChains`` from ``run_em`` (closed form, built a slice at a time) or
-    a ``ChainStack`` read from a file; both have ``keys``, ``len`` and
-    ``chains(lo, hi)``, and nothing but the writer builds the chains.
+    a ``ChainStack`` read from a file (its distinct rows and row ids); both
+    have ``keys``, ``len`` and ``chains(lo, hi)``, and nothing but the
+    writer builds the chains.
     ``pr_nu`` holds the weights EM ran with, aligned with
     ``pair_tables.keys`` (all ones from ``pipeline.train_models``; scoring
     uses the live USG score).
@@ -323,13 +357,14 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: np.ndarray, max_iter: int =
     (see the module docstring) on the sparse histogram: its nonzero
     entries come from one ``np.unique`` of (pair row, cell) positions, in
     row-major order, and each pair's n and the start joint from two
-    ``bincount``s.  The final joints are built once, as one broadcast grid
-    with the evidence cells overwritten, only to sum the POI backoff joints;
-    the grid then goes, and the pair chains are returned in closed form, as
-    an ``EmChains`` that builds them a slice of pairs at a time (the writer
-    validates them as it renders).  The run stops when the relative
-    log-likelihood change drops below ``tol`` or after ``max_iter``
-    iterations; a decrease beyond the slack is an invariant breach.
+    ``bincount``s.  The pair chains are returned in closed form, as an
+    ``EmChains`` that builds them a slice of pairs at a time (the writer
+    validates them as it renders); the POI backoff joints are summed from
+    its joints ``PARAMS_SLICE`` pair rows at a time, in pair row order, so
+    each sum adds in the order one whole grid would.  The run stops when
+    the relative log-likelihood change drops below ``tol`` or after
+    ``max_iter`` iterations; a decrease beyond the slack is an invariant
+    breach.
     """
     columns = log.columns
     # Pair rows in int order, which is sorted (user, poi) order.
@@ -381,21 +416,6 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: np.ndarray, max_iter: int =
             converged = True
             break
 
-    # J_k = rate^k * J_0 wherever H is zero; only evidence cells differ.
-    decay = rate ** iterations
-    joints = np.multiply.outer(decay, start)
-    joints.reshape(-1)[flat] = target + decay[rows] * gap
-    # POI backoff chain: mean of the POI's observed pair joints.  The pair
-    # chains are not kept: ``EmChains`` builds them again a slice at a time.
-    pois, poi_of = np.unique(keys % len(columns.pois), return_inverse=True)
-    poi_sums = np.zeros((len(pois), n_cells))
-    np.add.at(poi_sums, poi_of, joints)
-    del joints
-    poi_sums /= np.bincount(poi_of)[:, None]
-    poi_chains = _stacked_chains(poi_sums.reshape(len(pois), *shape))
-    global_chain = chain_from_joint(start.reshape(shape))
-    for chain in (poi_chains, global_chain):
-        validate_chain(chain)
     # Pair int order differs from raw key order where an id holds a
     # character below the tab.
     order = np.arange(len(keys))
@@ -404,14 +424,26 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: np.ndarray, max_iter: int =
         names, weights = names[order], weights[order]
     pair_chains = EmChains(tuple(names.tolist()), order,
                            np.searchsorted(rows, np.arange(len(keys) + 1)), cells,
-                           hits, decay, start.reshape(shape))
+                           hits, rate ** iterations, start.reshape(shape))
+    # POI backoff chain: mean of the POI's observed pair joints, summed a
+    # slice of pair rows at a time, in pair row order.
+    pois, poi_of = np.unique(keys % len(columns.pois), return_inverse=True)
+    poi_sums = np.zeros((len(pois), n_cells))
+    for lo in range(0, len(keys), PARAMS_SLICE):
+        slice_rows = np.arange(lo, min(lo + PARAMS_SLICE, len(keys)))
+        np.add.at(poi_sums, poi_of[slice_rows], pair_chains.joints(slice_rows))
+    poi_sums /= np.bincount(poi_of)[:, None]
+    poi_chains = _stacked_chains(poi_sums.reshape(len(pois), *shape))
+    global_chain = chain_from_joint(start.reshape(shape))
+    for chain in (poi_chains, global_chain):
+        validate_chain(chain)
 
     params = MatiParams(
         layout=layout_for(index),
         pair_tables=pair_chains,
         pr_nu=weights,
-        poi_tables=ChainStack(tuple(np.array(columns.pois, dtype=object)[pois].tolist()),
-                              tuple(poi_chains)),
+        poi_tables=ChainStack.of(np.array(columns.pois, dtype=object)[pois].tolist(),
+                                 poi_chains),
         global_table=global_chain,
         slab_checksum=index.checksum)
     return params, EmReport(trace, iterations, converged)
@@ -440,10 +472,14 @@ def poi_depth_means(params: MatiParams, pois: Sequence[str]) -> np.ndarray:
     Candidates are POIs the user has not visited, so their depth is
     ``pr_nu * mean`` of exactly these chains.  Every valid chain's joint sums
     to 1, so the mean is 1 / n_cells and the trained tables never change a
-    ranking (the open depth fix in ROADMAP.md).
+    ranking (the open depth fix in ROADMAP.md).  The joints are built
+    ``PARAMS_SLICE`` POIs at a time; each mean reads only its own joint.
     """
     stack = params.poi_tables
-    means = joint_from_chain(stack.levels).reshape(len(stack), params.layout.n_cells).mean(axis=1)
+    means = np.empty(len(stack))
+    for lo in range(0, len(stack), PARAMS_SLICE):
+        joints = joint_from_chain(stack.chains(lo, lo + PARAMS_SLICE))
+        means[lo:lo + len(joints)] = joints.reshape(len(joints), -1).mean(axis=1)
     row = {key: i for i, key in enumerate(stack.keys)}
     rows = np.array([row.get(poi, len(stack)) for poi in pois], dtype=np.intp)
     if params.global_table is not None:
@@ -495,7 +531,8 @@ def _chain_template(shape: tuple[int, ...]) -> list:
 def _chain_pieces(stack: ChainStack, shape: tuple[int, ...],
                   texts: dict[bytes, str]) -> np.ndarray:
     """Object array with one row per owner; row i joins to owner i's chain."""
-    rows = [_render_rows(level, texts).reshape(len(stack), -1) for level in stack.levels]
+    rows = [_render_rows(level_rows, texts)[ids].reshape(len(stack), -1)
+            for level_rows, ids in zip(stack.rows, stack.ids)]
     template = _chain_template(shape)
     pieces = np.empty((len(stack), len(template)), dtype=object)
     for j, item in enumerate(template):
@@ -505,18 +542,13 @@ def _chain_pieces(stack: ChainStack, shape: tuple[int, ...],
 
 def _checked(stack: ChainStack, shape: tuple[int, ...], what: str) -> ChainStack:
     """``stack``, once its levels are checked against the layout and validated."""
-    got = [level.shape for level in stack.levels]
+    got = [(*ids.shape, rows.shape[-1]) for rows, ids in zip(stack.rows, stack.ids)]
     want = [(len(stack), *shape[:k + 1]) for k in range(len(shape))]
     if got != want:
         raise InvariantError(f"model parameters: {what} levels have shapes {got}, the layout "
                              f"needs {want}")
     _validate_stack(stack, what)
     return stack
-
-
-# Owners whose chains are built, checked and rendered at a time: one slice's
-# arrays are held beside the pieces rendered so far.
-PARAMS_SLICE = 512
 
 
 def _object_pieces(source: EmChains | ChainStack, shape: tuple[int, ...], what: str,
@@ -532,7 +564,7 @@ def _object_pieces(source: EmChains | ChainStack, shape: tuple[int, ...], what: 
     pieces = ["{"]
     for lo in range(0, len(keys), PARAMS_SLICE):
         hi = min(lo + PARAMS_SLICE, len(keys))
-        stack = _checked(ChainStack(keys[lo:hi], tuple(source.chains(lo, hi))), shape, what)
+        stack = _checked(ChainStack.of(keys[lo:hi], source.chains(lo, hi)), shape, what)
         block = _chain_pieces(stack, shape, texts)
         opening = block[0, 0]
         block[:, 0] = [f", {json.dumps(key)}: {opening}" for key in stack.keys]
@@ -578,7 +610,7 @@ def params_to_json(params: MatiParams, fingerprint: str = "") -> TextPieces:
         "global_table": ["null"],
     }
     if params.global_table is not None:
-        stack = ChainStack(("global",), tuple(t[None] for t in params.global_table))
+        stack = ChainStack.of(("global",), [t[None] for t in params.global_table])
         tables["global_table"] = _chain_pieces(_checked(stack, shape, "global"), shape,
                                                texts)[0].tolist()
     pr_nu = np.asarray(params.pr_nu, dtype=float)
@@ -719,8 +751,10 @@ class _ChainRows:
     without a row must be that of ``_chain_template`` with empty rows.  Each
     ``STACK_BATCH`` chains, a level's rows are grouped by the piece that must
     end them, and each distinct row text not in its group's cache (up to
-    ``_ROWS_HELD``, then it starts over) is checked and decoded to float64
-    bytes, one scanner call a group."""
+    ``_ROWS_HELD``, then it starts over) is checked, decoded, one scanner call
+    a group, and kept as a new row of the level; the cache maps a text to its
+    row's id, so a row is kept again only when its text comes back after
+    its cache started over."""
 
     def __init__(self, what: str, shape: tuple[int, ...]):
         self.what, self.shape, self.keys = what, shape, []
@@ -737,7 +771,8 @@ class _ChainRows:
                                                        ([False] * len(skeleton), [], {}))
             mask[j] = True
             rows.append(row)
-        self._levels = [array("d") for _ in shape]
+        self._rows = [array("d") for _ in shape]  # each level's decoded rows
+        self._ids: list[list[np.ndarray]] = [[] for _ in shape]  # per level, a block a batch
 
     def add(self, key: str, chain: str) -> None:
         pieces = chain.split("[")
@@ -755,12 +790,12 @@ class _ChainRows:
         n = len(pieces) // len(self._other)
         for k, groups in enumerate(self._groups):
             what, size = f"model parameters: {self.what} level {k}", self.shape[k]
-            block = np.empty((n, math.prod(self.shape[:k]), size))
+            block = np.empty((n, math.prod(self.shape[:k])), dtype=np.int32)
             for end, (mask, rows, cache) in groups.items():
                 texts = list(itertools.compress(pieces, mask * n))
                 if len(cache) > _ROWS_HELD:
                     cache.clear()
-                if new := list(set(texts).difference(cache)):
+                if new := [text for text in dict.fromkeys(texts) if text not in cache]:
                     if any(not t.endswith(end) or "]" in t[:-len(end)] for t in new):
                         raise DataError(f"{what} rows do not end as the layout {self.shape} needs")
                     try:  # the numbers hold no bracket, so a string in them can only merge rows
@@ -774,17 +809,23 @@ class _ChainRows:
                         raise DataError(f"{what} tables are ragged" if len(sizes) > 1 else
                                         f"{what} tables have shape {(*self.shape[:k], *sizes)}, "
                                         f"the layout needs {self.shape[:k + 1]}")
-                    cache.update(zip(new, map(bytes, np.array(got, dtype=float))))
-                got = np.frombuffer(b"".join(map(cache.get, texts)))
-                block[:, rows] = got.reshape(n, len(rows), size)
-            self._levels[k].frombytes(block.tobytes())
+                    first = len(self._rows[k]) // size
+                    self._rows[k].frombytes(np.array(got, dtype=float).tobytes())
+                    cache.update(zip(new, range(first, first + len(new))))
+                block[:, rows] = np.array([cache[text] for text in texts],
+                                          dtype=np.int32).reshape(n, len(rows))
+            self._ids[k].append(block)
 
     def stack(self) -> ChainStack:
-        """The validated stack of the chains added."""
+        """The validated stack of the chains added; each row is validated
+        once, however many tables use it."""
         self._decode()
-        stack = ChainStack(tuple(self.keys), tuple(
-            np.frombuffer(level, dtype=float).reshape(len(self.keys), *self.shape[:k + 1])
-            for k, level in enumerate(self._levels)))
+        stack = ChainStack(
+            tuple(self.keys),
+            tuple(np.frombuffer(rows, dtype=float).reshape(-1, size)
+                  for rows, size in zip(self._rows, self.shape)),
+            tuple(np.concatenate(blocks).reshape(len(self.keys), *self.shape[:k])
+                  for k, blocks in enumerate(self._ids)))
         _validate_stack(stack, self.what)
         return stack
 

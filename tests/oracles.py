@@ -479,7 +479,7 @@ class DictParams:
 
 def _chain_stack(chains: Mapping[str, list], shape: tuple[int, ...]) -> ChainStack:
     keys = sorted(chains)
-    return ChainStack(tuple(keys), tuple(
+    return ChainStack.of(keys, tuple(
         np.array([chains[key][k] for key in keys], dtype=float) if keys
         else np.zeros((0, *shape[:k + 1])) for k in range(len(shape))))
 

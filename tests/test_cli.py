@@ -112,6 +112,23 @@ def test_cli_bad_config_key_exits_2(tmp_path, capsys):
     assert "mati.phi" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["[eval]\nns = 5\nns = 10\n", "ns = 5\n[eval]\n",
+                                  "[eval\nns = 5\n", "[run]\nseed = 1\n[eval\nns = 5\n",
+                                  "[eval]\nx = 0.3\n[eval]\nx = 0.4\n"],
+                         ids=["repeated-key", "line-before-any-section", "broken-first-header",
+                              "broken-later-header", "repeated-section"])
+def test_cli_config_syntax_error_exits_2_naming_the_file(tmp_path, capsys, text):
+    """A config file ``configparser`` cannot read is a config error, not a
+    traceback: exit 2 with one ``error:`` line that names the file."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match="bad.cfg"):
+        load_config(bad, env={})
+    assert main(["--config", str(bad), "stats"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
+
+
 def test_cli_stats(workspace, capsys, tmp_path):
     _, config = workspace
     code = main(["--config", str(config), "stats", "--out", str(tmp_path)])
@@ -176,13 +193,14 @@ def test_cli_missing_input_file_exits_3_naming_it(workspace, trained_dir, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key,value", [("ns", "0,5"), ("ns", "5,-1"), ("models", "usg,foo"),
-                                       ("models", ","), ("models", ""), ("models", "usg,mati,usg")],
-                         ids=["ns-zero", "ns-negative", "models-unknown", "models-comma",
-                              "models-empty", "models-repeated"])
+@pytest.mark.parametrize("key,value", [("ns", "0,5"), ("ns", "5,-1"), ("ns", "5,10,5"),
+                                       ("models", "usg,foo"), ("models", ","), ("models", ""),
+                                       ("models", "usg,mati,usg")],
+                         ids=["ns-zero", "ns-negative", "ns-repeated", "models-unknown",
+                              "models-comma", "models-empty", "models-repeated"])
 def test_cli_evaluate_refuses_bad_eval_config_before_parsing(workspace, tmp_path, monkeypatch,
                                                              capsys, key, value):
-    """A list size below 1 and an unknown, repeated or empty model list are
+    """A list size below 1 or repeated and an unknown, repeated or empty model list are
     config errors found before the log is read, not after every model is
     trained (or, for an empty list, a report with no models)."""
     _, config = workspace

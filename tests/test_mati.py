@@ -11,6 +11,7 @@ from corpus import (GRID_TIMES, planted_corpus, recovery_instance, stamp, three_
 from oracles import (DictParams, as_dicts, assert_matches_dense_em, e_step, joint_prob, m_step,
                      oracle_joint, oracle_m_step, oracle_responsibilities, reference_em, stacked)
 
+from matirec import mati
 from matirec.config import load_config
 from matirec.errors import ConfigError, DataError
 from matirec.ingest import CheckIn, CheckInLog
@@ -370,6 +371,53 @@ def test_run_em_params_hold_less_than_half_a_grid(planted_300):
         tracemalloc.stop()
     del result
     assert held < 0.5 * grid_bytes, f"held {held / grid_bytes:.2f} grids"
+
+
+def _grid_bytes(log, index) -> int:
+    """Bytes of one (pairs × cells) float64 grid."""
+    return len(log.columns.pairs) * math.prod(index.grid_shape()) * 8
+
+
+def test_run_em_peak_memory_stays_below_a_grid(planted_300):
+    """EM sums the POI backoff joints ``PARAMS_SLICE`` pairs at a time, so no
+    (pairs × cells) grid is held: its traced peak stays below 0.8 of one.
+    Building the whole joints grid to sum them peaked at about 1.43 grids."""
+    log, index = planted_300
+    tracemalloc.start()
+    try:
+        run_em(log, index, np.ones(len(log.columns.pairs)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grid_bytes = _grid_bytes(log, index)
+    assert peak < 0.8 * grid_bytes, f"peak {peak / grid_bytes:.2f} grids"
+
+
+def test_read_params_hold_under_four_tenths_of_a_grid(planted_300):
+    """The parameters ``params_from_json`` returns keep each level's distinct
+    rows and an int32 row id per table row, so they hold under 0.4 of a
+    (pairs × cells) float64 grid; dense pair levels held about 1.24 grids."""
+    log, index = planted_300
+    params, _ = run_em(log, index, np.ones(len(log.columns.pairs)))
+    stream = io.StringIO(str(params_to_json(params)))
+    del params
+    tracemalloc.start()
+    try:
+        restored = params_from_json(stream)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del restored
+    grid_bytes = _grid_bytes(log, index)
+    assert held < 0.4 * grid_bytes, f"held {held / grid_bytes:.2f} grids"
+
+
+@pytest.mark.parametrize("slice_size", [1, 7])
+def test_run_em_sums_poi_joints_alike_at_any_slice_size(slice_size, monkeypatch):
+    """The POI backoff joints are summed a slice of pairs at a time, in pair
+    row order, so every slice size gives the dense reference's bits."""
+    monkeypatch.setattr(mati, "PARAMS_SLICE", slice_size)
+    assert_matches_dense_em(planted_corpus(n_users=30, seed=6), three_by_three_index())
 
 
 def test_run_em_unseen_pair_backoff():

@@ -188,6 +188,82 @@ def test_one_row_text_at_two_levels_reads_back_at_each():
     _assert_round_trip(params, _read(text))
 
 
+def _rows_apart_or_alike(alike: bool) -> DictParams:
+    """300 pairs and 40 POIs on a three-level layout whose table rows are all
+    distinct, or all copies of one chain's."""
+    shape = (2, 3, 4)
+    rng = np.random.default_rng(8)
+
+    def chain():
+        if alike:
+            return _unit_chain(shape)
+        return [rng.dirichlet(np.ones(size), size=shape[:k]) for k, size in enumerate(shape)]
+
+    pairs = [(f"u{i}", f"p{i % 40}") for i in range(300)]
+    return DictParams(layout=ChainLayout(("week", "day", "hour"), shape),
+                      pr_nu={pair: 1.0 for pair in pairs},
+                      pair_tables={pair: chain() for pair in pairs},
+                      poi_tables={f"p{i}": chain() for i in range(40)}, global_table=chain())
+
+
+@pytest.mark.parametrize("alike", [False, True], ids=["all-distinct", "all-repeated"])
+@pytest.mark.parametrize("rows_held", [None, 5], ids=["default-cache", "small-cache"])
+def test_distinct_and_repeated_rows_round_trip_byte_for_byte(alike, rows_held, monkeypatch):
+    """Read back and written again, a file gives its own bytes, whether every
+    table row is new or each repeats one chain's, and also when the row cache
+    starts over often.  The stacks keep a row per distinct row text: all of
+    them, or no more than one chain has."""
+    if rows_held is not None:
+        monkeypatch.setattr(mati, "_ROWS_HELD", rows_held)
+    params = _rows_apart_or_alike(alike)
+    text = str(params_to_json(stacked(params)))
+    assert text == reference_params_json(params)
+    restored = _read(text)
+    assert str(params_to_json(restored)) == text
+    _assert_round_trip(params, restored)
+    shape = params.layout.shape
+    for stack in (restored.pair_tables, restored.poi_tables):
+        for k, (rows, ids) in enumerate(zip(stack.rows, stack.ids)):
+            assert ids.dtype == np.int32 and ids.shape == (len(stack), *shape[:k])
+            if not alike:
+                assert len(rows) == ids.size
+            elif rows_held is None:
+                assert len(rows) <= math.prod(shape[:k])
+
+
+@pytest.mark.parametrize("kind", ["negative", "row-sum"])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_reader_names_the_first_owner_of_a_shared_bad_row(level, kind):
+    """One bad level row shared by several pairs and POIs, in different table
+    rows of their chains, is validated once; the error names the first pair
+    or POI in key order that uses it, at every level."""
+    shape = (2, 2, 3)
+    bad = np.full(shape[level], 1.0 / shape[level])
+    bad[0] = -0.25 if kind == "negative" else 0.7
+    bad[1] += 0.25 if kind == "negative" else 0.0
+
+    def chain(slot):
+        tables = _unit_chain(shape)
+        if slot is not None:
+            tables[level] = tables[level].copy()
+            tables[level][np.unravel_index(slot % math.prod(shape[:level]), shape[:level])] = bad
+        return tables
+
+    users = [f"u{i}" for i in range(8)]
+    slots = {"u2": -1, "u4": 0, "u6": -1}  # u2's and u6's last table row, u4's first
+    pairs = {(u, "p"): chain(slots.get(u)) for u in users}
+    pois = {f"q{i}": chain({3: 0, 5: -1}.get(i)) for i in range(6)}
+    message = "has negative entries" if kind == "negative" else "rows do not sum to 1"
+    for table, first in (("pair_tables", r"\('u2', 'p'\)"), ("poi_tables", "'q3'")):
+        params = DictParams(layout=ChainLayout(("week", "day", "hour"), shape),
+                            pr_nu={pair: 1.0 for pair in pairs},
+                            pair_tables=pairs if table == "pair_tables" else
+                            {pair: _unit_chain(shape) for pair in pairs},
+                            poi_tables=pois if table == "poi_tables" else {})
+        with pytest.raises(InvariantError, match=rf"chain level {level} of {first} {message}"):
+            params_from_json(io.StringIO(reference_params_json(params)))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 0.7],
                          ids=["nan", "inf", "negative", "row-sum"])
 def test_writer_refuses_invalid_chains(bad):
@@ -227,7 +303,7 @@ def test_chain_stack_refuses_levels_off_its_keys():
     """The writer reads a stack a slice of keys at a time, so a level with
     more owners than keys must fail where the stack is made."""
     with pytest.raises(InvariantError, match="levels of \\[3, 2\\] owners for 2 keys"):
-        mati.ChainStack(("a", "b"), (np.full((3, 2), 0.5), np.full((2, 2, 2), 0.5)))
+        mati.ChainStack.of(("a", "b"), (np.full((3, 2), 0.5), np.full((2, 2, 2), 0.5)))
 
 
 def test_pair_keys_leave_em_in_raw_key_order():

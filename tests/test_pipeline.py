@@ -212,7 +212,7 @@ def test_random_slab_tables_change_some_mati_list(planted_split):
     def random_chains(keys):
         joints = rng.random((len(keys), *shape))
         chains = [chain_from_joint(joint / joint.sum()) for joint in joints]
-        return ChainStack(keys, tuple(np.array(level) for level in zip(*chains)))
+        return ChainStack.of(keys, [np.array(level) for level in zip(*chains)])
 
     pairs, pois = models.params.pair_tables, models.params.poi_tables
     params = replace(models.params, pair_tables=random_chains(pairs.keys),
