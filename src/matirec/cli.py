@@ -8,7 +8,6 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 invariant breach.
 from __future__ import annotations
 
 import argparse
-import codecs
 import json
 import math
 import sys
@@ -54,15 +53,15 @@ WRITE_SLICE = 1 << 20  # characters encoded per write
 
 
 def _write(out_dir: Path, name: str, text: str | TextPieces) -> Path:
-    """Write ``text`` as UTF-8, a group of at least ``WRITE_SLICE``
-    characters at a time (or the rest), so no bytes copy of the whole text is
-    held.  A string is cut into slices of that size; the pieces of a
-    ``TextPieces`` are joined into groups, so its whole text is never held."""
+    """Write ``text`` as UTF-8 with ``\\n`` line ends on every platform, at
+    least ``WRITE_SLICE`` characters at a time (or the rest), so no bytes copy
+    of the whole text is held: a string is cut into slices of that size, and
+    the pieces of a ``TextPieces`` are joined into groups."""
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     pieces = ((text[begin:begin + WRITE_SLICE] for begin in range(0, len(text), WRITE_SLICE))
               if isinstance(text, str) else text.pieces)
-    with path.open("w", encoding="utf-8") as out:
+    with path.open("w", encoding="utf-8", newline="\n") as out:
         group, size = [], 0
         for piece in pieces:
             group.append(piece)
@@ -167,11 +166,10 @@ def cmd_recommend(cfg: RunConfig, args) -> int:
     index = _read_index(args.slabs)
     params = None
     if args.params:
-        # A binary file and an incremental decoder hold each chunk once; a
-        # text-mode file also keeps the chunk's bytes and its decoded text.
-        with ing.open_input(args.params, binary=True) as raw:
-            params = params_from_json(codecs.getreader("utf-8")(raw),
-                                      expected_checksum=index.checksum)
+        # The file is read a line at a time; with ``newline=""`` no line end
+        # is translated, so a ``\r`` reaches the reader, which refuses it.
+        with ing.open_input(args.params, newline="") as fh:
+            params = params_from_json(fh, expected_checksum=index.checksum)
     from .pipeline import SlabArtifacts
     models = train_models(log, cfg, SlabArtifacts(index, {}), params)
     model = models.get(args.model)

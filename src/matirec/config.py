@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -54,6 +55,10 @@ class FactorConfig:
             raise ConfigError("factors.names must list at least one factor")
         if not 0 <= self.hac_threshold <= 1:
             raise ConfigError(f"factors.hac_threshold must be in [0,1], got {self.hac_threshold}")
+        for name in ("hour", "day"):
+            if not -math.inf < (value := getattr(self, f"hac_threshold_{name}")) <= 1:
+                raise ConfigError(f"factors.hac_threshold_{name} must be finite and at most 1 "
+                                  f"(below 0: inherit factors.hac_threshold), got {value}")
 
     def factor_names(self) -> list[str]:
         return [n.strip() for n in self.names.split(",") if n.strip()]
@@ -104,6 +109,9 @@ class UsgConfig:
         UsgWeights(self.alpha, self.beta)
         if self.k_neighbors < 1:
             raise ConfigError("usg.k_neighbors must be >= 1")
+        for name in ("bin_km", "d_min_km"):
+            if not 0 < (value := getattr(self, name)) < math.inf:
+                raise ConfigError(f"usg.{name} must be positive and finite, got {value}")
 
     def weights(self) -> UsgWeights:
         return UsgWeights(self.alpha, self.beta)

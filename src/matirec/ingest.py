@@ -315,11 +315,11 @@ class ColumnFormat:
         return cls(tuple(part.strip() for part in spec.split(",")))
 
 
-def open_input(path: str | Path, binary: bool = False) -> IO:
-    """The input file ``path``, opened for reading as UTF-8 text (or as
-    bytes); one that cannot be opened is a ``DataError`` naming it."""
+def open_input(path: str | Path, newline: str | None = None) -> IO:
+    """The input file ``path``, opened to read UTF-8 text with ``open``'s
+    ``newline``; one that cannot be opened is a ``DataError`` naming it."""
     try:
-        return open(path, "rb") if binary else open(path, "r", encoding="utf-8")
+        return open(path, "r", encoding="utf-8", newline=newline)
     except OSError as exc:
         raise DataError(f"cannot open input file {path}: {exc.strerror or exc}") from exc
 

@@ -54,28 +54,22 @@ Scoring mixes the depth with the shared activity psi: the Jaccard overlap of
 the cells a user and a POI were active in, from integer rows of per-cell
 check-in counts (``shared_activity``).
 
-Parameter file (``mati_params.json``): one JSON object with the layout,
-``pr_nu`` and the pair, POI and global chains, each chain a list of its
-level tables as nested lists; pair keys are ``user<TAB>poi``.  Its bytes are
-exactly ``json.dumps(payload, sort_keys=True)``.  ``params_to_json``
+Parameter file (``mati_params.json``): one JSON object, one member a line
+(the layout before any chain), and one line for each entry of the pair,
+POI and ``pr_nu`` objects; pair keys are ``user<TAB>poi``, and a chain is
+the list of its level tables as nested lists.  JSON escapes every control
+character in a key, so a ``\\n`` can only end a line.  ``params_to_json``
 builds, checks, validates and renders the chains ``PARAMS_SLICE`` owners at
-a time, so only one slice's chains are held beside the text's pieces.  One
-cache of row texts serves every slice, so each distinct last-axis row is
-rendered once (on a day with none of a pair's check-ins, the pair's hour
-row is the global one, so most rows repeat).  It returns the pieces as
-``TextPieces``, which ``cli._write`` joins and writes a group at a time, so
-the whole text is never held.
-
-``params_from_json`` reads only that text, ``READ_CHUNK`` characters at a
-time, the way it is written: each chain's text split at ``[`` against
-``_chain_template``, and each distinct row text decoded once while cached
-(``_ChainRows``).  The stacks it returns keep what it decoded: each
-level's distinct rows and, per owner and conditioning tuple, the int32 id
-of its row, so a pair's tables are gathered only when asked for, and each
-distinct row is validated once (an error still names the first owner that
-uses a bad row).  v2 (the sufficient statistics ``EmChains`` holds,
-ROADMAP.md item 1) waits on the benchmark, which reads the v1
-``pair_tables`` and ``pr_nu`` and traces both functions by name.
+a time, each distinct last-axis row once (most rows repeat), and returns
+``TextPieces``, which ``cli._write`` joins a group at a time.
+``params_from_json`` reads that text a line at a time, cuts each chain's
+text at ``[`` and ``]`` against ``_chain_template``, and decodes each
+distinct row text once while cached (``_ChainRows``); its stacks keep each
+level's distinct rows and an int32 row id per owner and conditioning tuple,
+each row validated once (an error still names the first owner that uses a
+bad row).  v2 (the sufficient statistics ``EmChains`` holds, ROADMAP.md
+item 1) waits on the benchmark, which reads the v1 members and traces both
+functions by name.
 """
 from __future__ import annotations
 
@@ -98,11 +92,6 @@ from .slabs import SlabIndex
 logger = logging.getLogger(__name__)
 
 PARAMS_FORMAT_VERSION = 1
-# The parameter file's members in the order it holds them, sorted as
-# ``json.dumps(sort_keys=True)`` sorts them; the reader needs the layout
-# before ``pair_tables`` and ``poi_tables``.
-PARAMS_MEMBERS = ("fingerprint", "format_version", "global_table", "layout", "pair_tables",
-                  "poi_tables", "pr_nu", "slab_checksum")
 
 ROW_SUM_TOL = 1e-9
 MONOTONE_SLACK = 1e-9
@@ -122,10 +111,6 @@ class ChainLayout:
 
     levels: tuple[str, ...]
     shape: tuple[int, ...]
-
-    @property
-    def n_cells(self) -> int:
-        return int(np.prod(self.shape))
 
 
 def layout_for(index: SlabIndex) -> ChainLayout:
@@ -333,7 +318,7 @@ class MatiParams:
     pair_tables: EmChains | ChainStack
     pr_nu: np.ndarray
     poi_tables: ChainStack
-    global_table: list[np.ndarray] | None
+    global_table: list[np.ndarray]
     slab_checksum: str = ""
 
 
@@ -467,7 +452,7 @@ def shared_activity(user_cells: np.ndarray, cell_pois: np.ndarray,
 
 def poi_depth_means(params: MatiParams, pois: Sequence[str]) -> np.ndarray:
     """Per POI: the mean joint probability of its backoff chain over the slab
-    grid (the global chain for a POI without one).
+    grid (the global chain's for a POI without one).
 
     Candidates are POIs the user has not visited, so their depth is
     ``pr_nu * mean`` of exactly these chains.  Every valid chain's joint sums
@@ -482,11 +467,7 @@ def poi_depth_means(params: MatiParams, pois: Sequence[str]) -> np.ndarray:
         means[lo:lo + len(joints)] = joints.reshape(len(joints), -1).mean(axis=1)
     row = {key: i for i, key in enumerate(stack.keys)}
     rows = np.array([row.get(poi, len(stack)) for poi in pois], dtype=np.intp)
-    if params.global_table is not None:
-        means = np.append(means, joint_from_chain(params.global_table).mean())
-    elif (rows == len(stack)).any():
-        raise DataError("a POI has no backoff tables and there is no global fallback")
-    return means[rows]
+    return np.append(means, joint_from_chain(params.global_table).mean())[rows]
 
 
 def mati_mix(psi: np.ndarray, depth: np.ndarray, phi_t: float) -> np.ndarray:
@@ -553,7 +534,8 @@ def _checked(stack: ChainStack, shape: tuple[int, ...], what: str) -> ChainStack
 
 def _object_pieces(source: EmChains | ChainStack, shape: tuple[int, ...], what: str,
                    texts: dict[bytes, str]) -> list[str]:
-    """Pieces of the JSON object mapping each owner's key to its chain.
+    """Pieces of the JSON object mapping each owner's key to its chain, each
+    entry on a line of its own.
 
     The chains are built, checked, validated and rendered ``PARAMS_SLICE``
     owners at a time, so only one slice's chains are held at once.
@@ -567,11 +549,11 @@ def _object_pieces(source: EmChains | ChainStack, shape: tuple[int, ...], what: 
         stack = _checked(ChainStack.of(keys[lo:hi], source.chains(lo, hi)), shape, what)
         block = _chain_pieces(stack, shape, texts)
         opening = block[0, 0]
-        block[:, 0] = [f", {json.dumps(key)}: {opening}" for key in stack.keys]
+        block[:, 0] = [f",\n{json.dumps(key)}: {opening}" for key in stack.keys]
         pieces += block.ravel().tolist()
     if len(pieces) > 1:
-        pieces[1] = pieces[1][2:]
-    pieces.append("}")
+        pieces[1] = pieces[1][1:]
+    pieces.append("\n}")
     return pieces
 
 
@@ -591,8 +573,9 @@ class TextPieces:
 
 
 def params_to_json(params: MatiParams, fingerprint: str = "") -> TextPieces:
-    """The parameter file, as pieces that join to exactly
-    ``json.dumps(payload, sort_keys=True)``.
+    """The parameter file, as pieces that join to its text: one member a
+    line, in the order the reader needs, and one line an entry of the pair,
+    POI and ``pr_nu`` objects; ``json.loads`` of it is the payload.
 
     Every chain is checked against the layout and validated before it is
     rendered, and all of them are rendered before this returns, so an
@@ -603,16 +586,6 @@ def params_to_json(params: MatiParams, fingerprint: str = "") -> TextPieces:
     """
     shape = params.layout.shape
     pairs = params.pair_tables
-    texts: dict[bytes, str] = {}
-    tables = {
-        "pair_tables": _object_pieces(pairs, shape, "pair", texts),
-        "poi_tables": _object_pieces(params.poi_tables, shape, "POI", texts),
-        "global_table": ["null"],
-    }
-    if params.global_table is not None:
-        stack = ChainStack.of(("global",), [t[None] for t in params.global_table])
-        tables["global_table"] = _chain_pieces(_checked(stack, shape, "global"), shape,
-                                               texts)[0].tolist()
     pr_nu = np.asarray(params.pr_nu, dtype=float)
     if pr_nu.shape != (len(pairs),):
         raise InvariantError(f"model parameters: {pr_nu.size} pr_nu scores for {len(pairs)} "
@@ -621,260 +594,211 @@ def params_to_json(params: MatiParams, fingerprint: str = "") -> TextPieces:
     if bad.size:
         raise InvariantError(f"model parameters: pr_nu of {pair_of(pairs.keys[bad[0]])!r} is "
                              f"{pr_nu[bad[0]]}, not a finite non-negative score")
-    fields = {
-        "format_version": PARAMS_FORMAT_VERSION,
-        "fingerprint": fingerprint,
-        "slab_checksum": params.slab_checksum,
-        "layout": {"levels": list(params.layout.levels), "shape": list(shape)},
-        "pr_nu": dict(zip(pairs.keys, pr_nu.tolist())),
+    texts: dict[bytes, str] = {}
+    stack = _checked(ChainStack.of(("global",), [t[None] for t in params.global_table]), shape,
+                     "global")
+    members = {
+        "fingerprint": [json.dumps(fingerprint)],
+        "format_version": [json.dumps(PARAMS_FORMAT_VERSION)],
+        "layout": [json.dumps({"levels": list(params.layout.levels), "shape": list(shape)},
+                              sort_keys=True)],
+        "slab_checksum": [json.dumps(params.slab_checksum)],
+        "global_table": _chain_pieces(stack, shape, texts)[0].tolist(),
+        "pair_tables": _object_pieces(pairs, shape, "pair", texts),
+        "poi_tables": _object_pieces(params.poi_tables, shape, "POI", texts),
+        "pr_nu": ["{", ",".join(f"\n{json.dumps(key)}: {score!r}"
+                                for key, score in zip(pairs.keys, pr_nu.tolist())), "\n}"],
     }
     pieces = ["{"]
-    for name in PARAMS_MEMBERS:
-        pieces.append(("" if len(pieces) == 1 else ", ") + json.dumps(name) + ": ")
-        if name in fields:
-            pieces.append(json.dumps(fields[name], sort_keys=True))
-        else:
-            pieces.extend(tables[name])
-    pieces.append("}")
+    for name, member in members.items():
+        pieces += [("\n" if len(pieces) == 1 else ",\n") + json.dumps(name) + ": ", *member]
+    pieces.append("\n}\n")
     return TextPieces(pieces)
 
 
-# Characters read from the parameter file at a time; a chunk is appended to
-# the unread rest, so two are held for a moment.  Planted-300's 17.4 MB file
-# peaks at 0.53x its size (text mode) with 1 << 18, at 0.58x with 1 << 19.
-READ_CHUNK = 1 << 18
-STACK_BATCH = 64  # chains whose row texts are decoded together
-_ROWS_HELD = 1 << 11  # decoded row texts a cache keeps before it starts over
+STACK_BATCH = 64  # chains whose new row texts are decoded together
+_ROWS_HELD = 1 << 11  # decoded row texts a level's cache keeps before it starts over
 
 
-class _ParamsText:
-    """The text ``params_to_json`` writes, read ``READ_CHUNK`` characters at a
-    time: ``expect`` reads the writer's text between values, ``value``
-    decodes a value (an object as the tuple of its members) and ``upto``
-    takes the raw text before a literal.  Anything unexpected raises
-    ``DataError`` naming the character offset and what was expected."""
+class _Lines:
+    """The lines of the text ``params_to_json`` writes, read one at a time;
+    anything else raises ``DataError`` naming the line and what it expected."""
 
     def __init__(self, stream: TextIO):
-        self._stream, self._decoder = stream, json.JSONDecoder(object_pairs_hook=tuple)
-        self._text, self._pos = "", 0  # the unread rest of the chunks read so far
-        self._offset = 0  # characters before ``_text``
+        self._stream, self.number = stream, 0
 
-    def error(self, message: str, at: int | None = None) -> DataError:
-        at = self._offset + self._pos if at is None else at
-        return DataError(f"unreadable model parameters: {message} at character {at}")
+    def error(self, message: str) -> DataError:
+        return DataError(f"unreadable model parameters: {message} at line {self.number}")
 
-    def _more(self) -> bool:
-        """Append the next chunk to the unread rest; False at the stream's end.
-        A rest longer than a chunk is a value that runs on: as much again is
-        read, so a long value is decoded a few times, not once per chunk."""
-        rest = self._text[self._pos:]
-        self._offset += self._pos
-        self._text, self._pos = "", 0  # let the old text go before the next chunk is read
-        chunk = self._stream.read(max(READ_CHUNK, len(rest)))
-        self._text = rest + chunk
-        return bool(chunk)
+    def next(self, want: str | None = None) -> str:
+        """The next line, without the ``\\n`` that must end it; it holds no
+        ``\\r``, and is ``want`` if that is given."""
+        self.number += 1
+        line = self._stream.readline()
+        if not line.endswith("\n") or "\r" in line:
+            raise self.error("expecting a line ending in '\\n', with no '\\r'")
+        if want is not None and line[:-1] != want:
+            raise self.error(f"expecting {want!r}")
+        return line[:-1]
 
-    def take(self, literal: str) -> bool:
-        """Read ``literal`` if it comes next."""
-        while len(self._text) - self._pos < len(literal) and self._more():
-            pass
-        found = self._text.startswith(literal, self._pos)
-        self._pos += len(literal) if found else 0
-        return found
+    def member(self, name: str, decode: bool = True):
+        """The value of member ``name``, the next line: decoded, and spelled as
+        ``json.dumps(sort_keys=True)`` spells it, or else its text."""
+        head, line = json.dumps(name) + ": ", self.next()
+        if not (line.startswith(head) and line.endswith(",")):
+            raise self.error(f"expecting {head + '…,'!r}")
+        text = line[len(head):-1]
+        if not decode:
+            return text
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise self.error(exc.msg) from None
+        if json.dumps(value, sort_keys=True) != text:
+            raise self.error(f"expecting the value of {name!r} as the writer spells it")
+        return value
 
-    def expect(self, *literals: str) -> str:
-        """Read whichever of ``literals`` comes next."""
-        for literal in literals:
-            if self.take(literal):
-                return literal
-        raise self.error("expecting " + " or ".join(map(repr, literals)))
-
-    def value(self, decode: Callable | None = None):
-        """Decode the next value by ``decode(text, pos) -> (value, end)``, the
-        scanner by default; one cut by (or ending) the text read so far, which
-        may still decode, is decoded again once the next chunk is appended."""
-        decode, final = decode or self._decoder.raw_decode, False
-        while True:
+    def entries(self, name: str, close: str) -> Iterator[tuple[str, str]]:
+        """Key and value text of each entry of the object member ``name``: one
+        line an entry, each but the last ending in ``,``, then a line ``close``."""
+        self.next(json.dumps(name) + ": {")
+        line = self.next()
+        while line != close:
             try:
-                value, end = decode(self._text, self._pos)
+                key, end = scanstring(line, 1) if line[:1] == '"' else (None, 0)
             except json.JSONDecodeError as exc:
-                if final:
-                    raise self.error(exc.msg, self._offset + exc.pos) from None
-            else:
-                if final or end < len(self._text):
-                    self._pos = end
-                    return value
-            final = not self._more()
-
-    def upto(self, literal: str) -> str:
-        """The text before the next ``literal``, which is left unread."""
-        while (end := self._text.find(literal, self._pos)) < 0:
-            if not self._more():
-                raise self.error(f"expecting {literal!r}")
-        text, self._pos = self._text[self._pos:end], end
-        return text
-
-    def members(self, names: Sequence[str]) -> Iterator[str]:
-        """Each of ``names`` in turn, once its key is read: the object that
-        starts here holds exactly these members, in this order.  The caller
-        reads each value before it asks for the next name."""
-        for i, name in enumerate(names):
-            self.expect(("{" if i == 0 else ", ") + json.dumps(name) + ": ")
-            yield name
-        self.expect("}")
-
-    def chains(self, rows: _ChainRows) -> ChainStack:
-        """The object of chains that starts here, stacked by ``rows``: keys strictly
-        ascending, each chain's text ending at its first run of levels + 1 ``]``."""
-        close = "]" * (len(rows.shape) + 1)
-        closed = self.expect('{"', "{}") == "{}"
-        while not closed:
-            at = self._offset + self._pos - 1
-            key = self.value(scanstring)
-            if rows.keys and key <= rows.keys[-1]:
-                raise self.error(f"expecting a key that sorts after {rows.keys[-1]!r}", at)
-            rows.add(key, self.upto(close) + self.expect(close))
-            closed = self.expect(', "', "}") == "}"
-        return rows.stack()
-
-    def finish(self) -> None:
-        """Only blanks may follow the object."""
-        while any(map(self.take, " \t\n\r")):
-            pass
-        if self._pos < len(self._text):
-            raise self.error("extra data")
+                raise self.error(exc.msg) from None
+            if key is None or not line.startswith(": ", end):
+                raise self.error(f"expecting a key and ': ', or {close!r}")
+            more = line.endswith(",")
+            yield key, line[end + 2:len(line) - more]
+            line = self.next()
+            if (line == close) == more:
+                raise self.error("expecting an entry" if more else f"expecting {close!r}")
 
 
 class _ChainRows:
-    """Chains of one layout, stacked one row text at a time.  ``add`` splits a
-    chain's text, from the ``": "`` after its key, at ``[``; each piece
-    without a row must be that of ``_chain_template`` with empty rows.  Each
-    ``STACK_BATCH`` chains, a level's rows are grouped by the piece that must
-    end them, and each distinct row text not in its group's cache (up to
-    ``_ROWS_HELD``, then it starts over) is checked, decoded, one scanner call
-    a group, and kept as a new row of the level; the cache maps a text to its
-    row's id, so a row is kept again only when its text comes back after
-    its cache started over."""
+    """Chains of one layout, stacked a row text at a time.  A chain's text is
+    cut at ``[`` and ``]``, and the pieces without a row must be those of
+    ``_chain_template``.  Each ``STACK_BATCH`` chains, a level's distinct row
+    texts not in its cache (which maps a text to its row id, up to
+    ``_ROWS_HELD`` texts, then starts over) are checked and decoded in one
+    scanner call and kept as new rows of the level."""
 
-    def __init__(self, what: str, shape: tuple[int, ...]):
-        self.what, self.shape, self.keys = what, shape, []
-        self._pieces: list[str] = []  # those of the chains added since the last batch
-        skeleton = "".join([": ", *(item if isinstance(item, str) else "[]"
-                                    for item in _chain_template(shape))]).split("[")
-        self._other = [piece[:1] != "]" for piece in skeleton]  # the pieces without a row
+    def __init__(self, lines: _Lines, what: str, shape: tuple[int, ...]):
+        self.lines, self.what, self.shape, self.keys = lines, what, shape, []
+        skeleton = "".join(item if isinstance(item, str) else f"[#{item[0]}]"
+                           for item in _chain_template(shape)).replace("]", "[").split("[")
+        self._masks = [[piece == f"#{k}" for piece in skeleton] for k in range(len(shape))]
+        self._other = [piece[:1] != "#" for piece in skeleton]  # the pieces without a row
         self._others = list(itertools.compress(skeleton, self._other))
-        slots = iter([j for j, other in enumerate(self._other) if not other])  # level by level
-        # Per level, by the piece that ends a row: the mask of its rows' pieces, the rows, a cache.
-        self._groups: list[dict] = [{} for _ in shape]
-        for k, row in ((k, row) for k in range(len(shape)) for row in range(math.prod(shape[:k]))):
-            mask, rows, _ = self._groups[k].setdefault(skeleton[j := next(slots)],
-                                                       ([False] * len(skeleton), [], {}))
-            mask[j] = True
-            rows.append(row)
+        self._texts: list[list[str]] = [[] for _ in shape]  # each level's, since the last batch
+        self._caches: list[dict[str, int]] = [{} for _ in shape]
         self._rows = [array("d") for _ in shape]  # each level's decoded rows
-        self._ids: list[list[np.ndarray]] = [[] for _ in shape]  # per level, a block a batch
+        self._ids = [array("l") for _ in shape]  # each level's row id per owner and tuple
 
     def add(self, key: str, chain: str) -> None:
-        pieces = chain.split("[")
+        pieces = chain.replace("]", "[").split("[")
         if (len(pieces) != len(self._other)
                 or list(itertools.compress(pieces, self._other)) != self._others):
-            raise DataError(f"model parameters: the {self.what} chain of {key!r} is not nested "
-                            f"as the layout {list(self.shape)} needs")
+            raise self.lines.error(f"the {self.what} chain of {key!r} is not nested as the "
+                                   f"layout {list(self.shape)} needs")
         self.keys.append(key)
-        self._pieces += pieces
+        for texts, mask in zip(self._texts, self._masks):
+            texts += itertools.compress(pieces, mask)
         if len(self.keys) % STACK_BATCH == 0:
             self._decode()
 
     def _decode(self) -> None:
-        pieces, self._pieces = self._pieces, []
-        n = len(pieces) // len(self._other)
-        for k, groups in enumerate(self._groups):
-            what, size = f"model parameters: {self.what} level {k}", self.shape[k]
-            block = np.empty((n, math.prod(self.shape[:k])), dtype=np.int32)
-            for end, (mask, rows, cache) in groups.items():
-                texts = list(itertools.compress(pieces, mask * n))
-                if len(cache) > _ROWS_HELD:
-                    cache.clear()
-                if new := [text for text in dict.fromkeys(texts) if text not in cache]:
-                    if any(not t.endswith(end) or "]" in t[:-len(end)] for t in new):
-                        raise DataError(f"{what} rows do not end as the layout {self.shape} needs")
-                    try:  # the numbers hold no bracket, so a string in them can only merge rows
-                        got = json.loads("[[" + "], [".join(t[:-len(end)] for t in new) + "]]")
-                    except json.JSONDecodeError:
-                        got = ()
-                    if len(got) != len(new) or not {float, int}.issuperset(
-                            map(type, itertools.chain.from_iterable(got))):
-                        raise DataError(f"{what} has a non-numeric entry")
-                    if (sizes := set(map(len, got))) != {size}:
-                        raise DataError(f"{what} tables are ragged" if len(sizes) > 1 else
-                                        f"{what} tables have shape {(*self.shape[:k], *sizes)}, "
-                                        f"the layout needs {self.shape[:k + 1]}")
-                    first = len(self._rows[k]) // size
-                    self._rows[k].frombytes(np.array(got, dtype=float).tobytes())
-                    cache.update(zip(new, range(first, first + len(new))))
-                block[:, rows] = np.array([cache[text] for text in texts],
-                                          dtype=np.int32).reshape(n, len(rows))
-            self._ids[k].append(block)
+        for k, (texts, cache) in enumerate(zip(self._texts, self._caches)):
+            what = f"model parameters: {self.what} level {k}"
+            if len(cache) > _ROWS_HELD:
+                cache.clear()
+            if new := [text for text in dict.fromkeys(texts) if text not in cache]:
+                try:  # a row's text holds no bracket, so a string in it can only merge rows
+                    rows = json.loads("[[" + "], [".join(new) + "]]")
+                except json.JSONDecodeError:
+                    rows = ()
+                if len(rows) != len(new) or not {float, int}.issuperset(
+                        map(type, itertools.chain.from_iterable(rows))):
+                    raise DataError(f"{what} has a non-numeric entry")
+                if (sizes := set(map(len, rows))) != {self.shape[k]}:
+                    raise DataError(f"{what} tables are ragged" if len(sizes) > 1 else
+                                    f"{what} tables have shape {(*self.shape[:k], *sizes)}, "
+                                    f"the layout needs {self.shape[:k + 1]}")
+                first = len(self._rows[k]) // self.shape[k]
+                self._rows[k].extend(itertools.chain.from_iterable(rows))
+                cache.update(zip(new, range(first, first + len(new))))
+            self._ids[k].extend(map(cache.__getitem__, texts))
+            texts.clear()
+
+    def read(self, name: str, close: str) -> ChainStack:
+        """The stack of the object member ``name``'s chains, keys ascending."""
+        for key, text in self.lines.entries(name, close):
+            if self.keys and key <= self.keys[-1]:
+                raise self.lines.error(f"expecting a key that sorts after {self.keys[-1]!r}")
+            self.add(key, text)
+        return self.stack()
 
     def stack(self) -> ChainStack:
-        """The validated stack of the chains added; each row is validated
-        once, however many tables use it."""
+        """The stack of the chains added, each distinct row validated once."""
         self._decode()
-        stack = ChainStack(
-            tuple(self.keys),
-            tuple(np.frombuffer(rows, dtype=float).reshape(-1, size)
-                  for rows, size in zip(self._rows, self.shape)),
-            tuple(np.concatenate(blocks).reshape(len(self.keys), *self.shape[:k])
-                  for k, blocks in enumerate(self._ids)))
+        stack = ChainStack(tuple(self.keys),
+                           tuple(np.frombuffer(rows).reshape(-1, size)
+                                 for rows, size in zip(self._rows, self.shape)),
+                           tuple(np.array(ids, dtype=np.int32).reshape(-1, *self.shape[:k])
+                                 for k, ids in enumerate(self._ids)))
         _validate_stack(stack, self.what)
         return stack
 
 
 def params_from_json(stream: TextIO, expected_checksum: str | None = None) -> MatiParams:
-    """Read a parameter file from a text stream.
+    """Read a parameter file from a text stream, a line at a time.
 
-    The text must be what ``params_to_json`` writes: the members of
-    ``PARAMS_MEMBERS`` in that order, only the writer's ``", "`` and ``": "``
-    around the keys, chain keys strictly ascending in raw string order, each
-    chain as ``_chain_template`` nests it, and only blanks after the object.
-    Anything else raises ``DataError``.  Each chain stack is validated once;
+    The text must be what ``params_to_json`` writes: one member a line in
+    its order, each value spelled as it spells it, one line an entry of the
+    pair, POI and ``pr_nu`` objects, chain keys strictly ascending, chains
+    nested as ``_chain_template`` nests them, and nothing after the object;
+    anything else raises ``DataError``.  Each chain stack is validated once;
     ``pr_nu`` must hold one finite, non-negative score per pair, in order.
     """
-    text = _ParamsText(stream)
-    read = {}
-    for name in text.members(PARAMS_MEMBERS):
-        if name == "global_table":  # held as text until the layout that follows it is read
-            read[name] = text.upto(', "layout": ')
-        elif name == "layout":
-            levels, shape = [text.value() for _ in text.members(("levels", "shape"))]
-            if not (isinstance(levels, list) and isinstance(shape, list) and shape
-                    and len(levels) == len(shape) and all(isinstance(n, str) for n in levels)
-                    and all(type(n) is int and n > 0 for n in shape)):
-                raise DataError(f"model parameters have an invalid layout {levels!r}, {shape!r}")
-            layout = ChainLayout(tuple(levels), tuple(shape))
-        elif what := {"pair_tables": "pair", "poi_tables": "POI"}.get(name):
-            read[name] = text.chains(_ChainRows(what, layout.shape))
-        else:
-            read[name] = text.value()
-        if name == "format_version" and read[name] != PARAMS_FORMAT_VERSION:
-            raise DataError(f"unsupported parameter format {read[name]!r}")
-    text.finish()
-    checksum = read["slab_checksum"]
+    lines = _Lines(stream)
+    lines.next("{")
+    lines.member("fingerprint")
+    if (version := lines.member("format_version")) != PARAMS_FORMAT_VERSION:
+        raise DataError(f"unsupported parameter format {version!r}")
+    layout = lines.member("layout")
+    levels, shape = layout.values() if (isinstance(layout, dict)
+                                        and list(layout) == ["levels", "shape"]) else (None, None)
+    if not (isinstance(levels, list) and isinstance(shape, list) and shape
+            and len(levels) == len(shape) and all(isinstance(n, str) for n in levels)
+            and all(type(n) is int and n > 0 for n in shape)):
+        raise DataError(f"model parameters have an invalid layout {levels!r}, {shape!r}")
+    checksum = lines.member("slab_checksum")
     if not isinstance(checksum, str):
         raise DataError("model parameters have no valid 'slab_checksum' (str)")
     if expected_checksum is not None and checksum != expected_checksum:
         raise DataError("model parameters were trained against a different slab index; refusing")
-    pairs, pr_nu = read["pair_tables"], read["pr_nu"]
-    if not isinstance(pr_nu, tuple) or tuple(key for key, _ in pr_nu) != pairs.keys:
+    layout = ChainLayout(tuple(levels), tuple(shape))
+    rows = _ChainRows(lines, "global", layout.shape)
+    rows.add("global", lines.member("global_table", decode=False))
+    global_table = [level[0] for level in rows.stack().levels]
+    pairs = _ChainRows(lines, "pair", layout.shape).read("pair_tables", "},")
+    pois = _ChainRows(lines, "POI", layout.shape).read("poi_tables", "},")
+    entries = list(lines.entries("pr_nu", "}"))
+    lines.next("}")
+    if stream.read(1):
+        raise DataError(f"unreadable model parameters: extra data after line {lines.number}")
+    if tuple(key for key, _ in entries) != pairs.keys:
         raise DataError("model parameters: the pr_nu keys differ from the pair_tables keys")
-    if not all(type(score) in (int, float) for _, score in pr_nu):
+    try:
+        scores = json.loads("[" + ", ".join(text for _, text in entries) + "]")
+    except json.JSONDecodeError:
+        scores = ()
+    if len(scores) != len(entries) or not all(type(score) in (int, float) for score in scores):
         raise DataError("model parameters: pr_nu has a non-numeric entry")
-    scores = np.array([score for _, score in pr_nu], dtype=float)
+    scores = np.array(scores, dtype=float)
     if not (np.isfinite(scores) & (scores >= 0)).all():
         raise DataError("model parameters: pr_nu has a negative or non-finite entry")
-    global_table, rows = None, _ChainRows("global", layout.shape)
-    if read["global_table"] != "null":
-        rows.add("global", ": " + read["global_table"])
-        global_table = [level[0] for level in rows.stack().levels]
-    return MatiParams(layout=layout, pair_tables=pairs, pr_nu=scores, poi_tables=read["poi_tables"],
+    return MatiParams(layout=layout, pair_tables=pairs, pr_nu=scores, poi_tables=pois,
                       global_table=global_table, slab_checksum=checksum)

@@ -10,8 +10,10 @@ oracles check; ``reference_em`` iterates them to stand in for the
 closed-form ``run_em``, and ``dense_em`` is that closed form on a dense
 (pairs × cells) grid, which ``run_em`` must match bit for bit
 (``assert_matches_dense_em``).  ``reference_params_json`` writes the parameter
-file from a ``DictParams`` as one nested ``json.dumps``: the byte reference
-for the stacked writer.
+file from a ``DictParams`` through ``params_lines``, an encoder of the
+file's line layout: the byte reference for the stacked writer.
+``reference_params_content`` is the same payload as one nested
+``json.dumps``, whose ``json.loads`` the file's must equal.
 
 The slab references work on string ids such as ``"hour:21|day:1"`` (one
 uni-aspect slab id per factor, finest first), found by scanning slab
@@ -456,25 +458,26 @@ def undersampled_pairs(coverage_csv: str, m_min: int) -> list[tuple[str, int, in
 class DictParams:
     """Trained parameter set as plain dicts: ``pr_nu`` and ``pair_tables``
     keyed by (user, poi), ``poi_tables`` by POI, one chain (a list of level
-    tables) per entry, plus the global chain."""
+    tables) per entry, plus the global chain (uniform unless given)."""
 
     layout: ChainLayout
     pr_nu: dict[tuple[str, str], float]
     pair_tables: dict[tuple[str, str], list[np.ndarray]]
     poi_tables: dict[str, list[np.ndarray]] = field(default_factory=dict)
-    global_table: list[np.ndarray] | None = None
+    global_table: list[np.ndarray] | None = None  # None: the uniform chain of the layout
     slab_checksum: str = ""
+
+    def __post_init__(self):
+        if self.global_table is None:
+            shape = self.layout.shape
+            self.global_table = [np.full(shape[:k + 1], 1.0 / size)
+                                 for k, size in enumerate(shape)]
 
     def tables_for(self, user: str, poi: str) -> list[np.ndarray]:
         """The pair's chain, else its POI's backoff chain, else the global one."""
-        pair = (user, poi)
-        if pair in self.pair_tables:
-            return self.pair_tables[pair]
-        if poi in self.poi_tables:
-            return self.poi_tables[poi]
-        if self.global_table is None:
-            raise DataError(f"no tables for pair {pair} and no global fallback")
-        return self.global_table
+        if (user, poi) in self.pair_tables:
+            return self.pair_tables[(user, poi)]
+        return self.poi_tables.get(poi, self.global_table)
 
 
 def _chain_stack(chains: Mapping[str, list], shape: tuple[int, ...]) -> ChainStack:
@@ -730,10 +733,39 @@ def assert_matches_dense_em(log, index, **kw):
     return params
 
 
-def reference_params_json(params: DictParams, fingerprint: str = "") -> str:
-    """The parameter file as one ``json.dumps`` of the nested payload: every
-    table through ``tolist()``, object keys sorted by ``sort_keys``."""
-    payload = {
+# The parameter file's members, in file order, and those that are objects
+# of one entry a line.
+PARAMS_FILE_ORDER = ("fingerprint", "format_version", "layout", "slab_checksum", "global_table",
+                     "pair_tables", "poi_tables", "pr_nu")
+KEYED_MEMBERS = ("pair_tables", "poi_tables", "pr_nu")
+
+
+def params_lines(members) -> str:
+    """The parameter file's line layout of ``members``, (name, value) pairs
+    in the order given: ``{`` and ``}`` on lines of their own, one member a
+    line between them, each line but the last member's ending in ``,``.  A
+    keyed member's value (a mapping, or a sequence of (key, value) pairs,
+    repeated keys kept) spans lines: its ``{`` ends the member's line, each
+    entry takes a line, and its ``}`` a line of its own.  Values are
+    ``json.dumps(value, sort_keys=True)``; every line ends in ``\n``."""
+    blocks = []
+    for name, value in members:
+        head = f"{json.dumps(name)}: "
+        if name in KEYED_MEMBERS:
+            items = value.items() if isinstance(value, Mapping) else value
+            entries = [f"{json.dumps(key)}: {json.dumps(item)}" for key, item in items]
+            blocks.append([head + "{", *[entry + "," for entry in entries[:-1]],
+                           *entries[-1:], "}"])
+        else:
+            blocks.append([head + json.dumps(value, sort_keys=True)])
+    for block in blocks[:-1]:
+        block[-1] += ","
+    return "".join(line + "\n" for line in ["{", *itertools.chain(*blocks), "}"])
+
+
+def _reference_payload(params: DictParams, fingerprint: str) -> dict:
+    """The parameter file's payload, every table through ``tolist()``."""
+    return {
         "format_version": PARAMS_FORMAT_VERSION,
         "fingerprint": fingerprint,
         "slab_checksum": params.slab_checksum,
@@ -743,10 +775,22 @@ def reference_params_json(params: DictParams, fingerprint: str = "") -> str:
                         for (u, l), tables in sorted(params.pair_tables.items())},
         "poi_tables": {poi: [t.tolist() for t in tables]
                        for poi, tables in sorted(params.poi_tables.items())},
-        "global_table": ([t.tolist() for t in params.global_table]
-                         if params.global_table is not None else None),
+        "global_table": [t.tolist() for t in params.global_table],
     }
-    return json.dumps(payload, sort_keys=True)
+
+
+def reference_params_json(params: DictParams, fingerprint: str = "") -> str:
+    """The parameter file's bytes, as ``params_lines`` lays out the payload,
+    each keyed member's entries sorted by raw key string."""
+    payload = _reference_payload(params, fingerprint)
+    return params_lines((name, sorted(payload[name].items()) if name in KEYED_MEMBERS
+                         else payload[name]) for name in PARAMS_FILE_ORDER)
+
+
+def reference_params_content(params: DictParams, fingerprint: str = "") -> str:
+    """The parameter file's content as one ``json.dumps(payload,
+    sort_keys=True)``: ``json.loads`` of it must equal that of the file."""
+    return json.dumps(_reference_payload(params, fingerprint), sort_keys=True)
 
 def oracle_metrics(recommended: list[str], excluded: set[str], n: int):
     """Set-intersection counting, no shortcuts."""

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from corpus import distinct_pois, planted_corpus
-from oracles import canonical_rows
+from oracles import canonical_rows, params_lines
 
 from matirec import cli
 from matirec.cli import main
@@ -91,6 +91,38 @@ def test_config_out_of_bounds_value(tmp_path):
     bad.write_text("[eval]\nx = 1.4\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="eval.x"):
         load_config(bad, env={})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("usg.bin_km", "0"), ("usg.bin_km", "-0.5"), ("usg.bin_km", "nan"), ("usg.bin_km", "inf"),
+    ("usg.d_min_km", "0"), ("usg.d_min_km", "-0.1"), ("usg.d_min_km", "nan"),
+    ("usg.d_min_km", "inf"), ("factors.hac_threshold", "nan"),
+    ("factors.hac_threshold_hour", "1.5"), ("factors.hac_threshold_day", "1.5"),
+    ("factors.hac_threshold_hour", "nan"), ("factors.hac_threshold_day", "inf"),
+    ("factors.hac_threshold_day", "-inf")])
+def test_config_refuses_non_finite_or_out_of_range_values(workspace, tmp_path, monkeypatch,
+                                                          capsys, key, value):
+    """A distance bin or floor that is not a positive finite number, and a
+    similarity threshold or per-factor override that is not finite or is
+    above 1, are config errors (exit 2) before the log is read, not a
+    traceback from the geo fit or a threshold nothing can reach."""
+    _, config = workspace
+    variable = "MATI_" + key.replace(".", "_").upper()
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        load_config(config, env={variable: value})
+    monkeypatch.setenv(variable, value)
+    code = main(["--config", str(config), "train", "--slabs", str(tmp_path / "slabs.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["-1", "-0.5", "0.3"])
+def test_config_threshold_override_below_zero_inherits(value):
+    cfg = load_config(env={"MATI_FACTORS_HAC_THRESHOLD_DAY": value})
+    assert cfg.factors.threshold_for("day") == (0.6 if float(value) < 0 else 0.3)
+    assert cfg.factors.threshold_for("hour") == 0.6
 
 
 def test_fingerprint_changes_with_seed(workspace):
@@ -490,10 +522,12 @@ def _in_chain(table, damage):
 def test_cli_recommend_malformed_params_exits_3(workspace, trained_dir, tmp_path, capsys,
                                                 damage):
     _, config = workspace
-    params = json.loads((trained_dir / "mati_params.json").read_text())
+    text = (trained_dir / "mati_params.json").read_text(encoding="utf-8")
+    params = json.loads(text)
+    assert params_lines(params.items()) == text  # only the damage differs from the writer's text
     damage(params)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(params), encoding="utf-8")
+    bad.write_text(params_lines(params.items()), encoding="utf-8")
     code = main(["--config", str(config), "recommend",
                  "--slabs", str(trained_dir / "slab_index.json"),
                  "--params", str(bad), "--user", "a0_0", "--n", "3"])
@@ -501,25 +535,16 @@ def test_cli_recommend_malformed_params_exits_3(workspace, trained_dir, tmp_path
     assert "model parameters" in capsys.readouterr().err
 
 
-class _Members(list):
-    """An object's (key, value) members in file order, repeated keys kept."""
-
-
-def _dumps(value) -> str:
-    """JSON text of a value decoded with ``object_pairs_hook=_Members``, each
-    object's members in their decoded order."""
-    if isinstance(value, _Members):
-        return "{" + ", ".join(f"{json.dumps(key)}: {_dumps(item)}" for key, item in value) + "}"
-    return json.dumps(value)
-
-
 def _respelled(damage):
-    """The parameter text with ``damage`` applied to its decoded members."""
+    """The parameter text with ``damage`` applied to its decoded members:
+    each object's (key, value) members in file order, repeated keys kept,
+    laid out again by ``params_lines``."""
     def respell(text):
-        members = json.loads(text, object_pairs_hook=_Members)
-        assert _dumps(members) == text
+        members = [(name, dict(value) if name == "layout" else value)
+                   for name, value in json.loads(text, object_pairs_hook=list)]
+        assert params_lines(members) == text
         damage(members)
-        return _dumps(members)
+        return params_lines(members)
     return respell
 
 
@@ -549,12 +574,12 @@ def _swap_first_pois(members):
 def test_cli_recommend_refuses_params_text_the_writer_does_not_write(workspace, trained_dir,
                                                                      tmp_path, capsys, respell):
     """The reader takes only the writer's text: the same JSON spelled any
-    other way exits 3, naming the offset and the text it expected."""
+    other way exits 3, naming the line and the text it expected."""
     _, config = workspace
     text = (trained_dir / "mati_params.json").read_text(encoding="utf-8")
     bad_text = respell(text)
     assert bad_text != text and json.loads(bad_text) == json.loads(text)
-    with pytest.raises(DataError, match="unreadable model parameters: expecting .* at character"):
+    with pytest.raises(DataError, match="unreadable model parameters: expecting .* at line"):
         cli.params_from_json(io.StringIO(bad_text))
     bad = tmp_path / "bad.json"
     bad.write_text(bad_text, encoding="utf-8")
@@ -565,6 +590,43 @@ def test_cli_recommend_refuses_params_text_the_writer_does_not_write(workspace, 
     assert "unreadable model parameters: expecting" in capsys.readouterr().err
 
 
+def _crlf(text):
+    return text.replace("\n", "\r\n")
+
+
+def _blank_line_in_pairs(text):
+    return text.replace('"pair_tables": {\n', '"pair_tables": {\n\n', 1)
+
+
+def _split_first_poi_entry(text):
+    head, _, rest = text.partition('"poi_tables": {\n')
+    return head + '"poi_tables": {\n' + rest.replace('": [[', '":\n[[', 1)
+
+
+@pytest.mark.parametrize("damage", [_crlf, _blank_line_in_pairs, _split_first_poi_entry],
+                         ids=["crlf", "blank-line-in-pairs", "poi-entry-split"])
+def test_cli_recommend_refuses_params_lines_the_writer_does_not_write(workspace, trained_dir,
+                                                                      tmp_path, capsys, damage):
+    """``recommend`` reads the file a line at a time without translating line
+    ends: CRLF line ends, a blank line inside an object and an entry split
+    over two lines exit 3, naming the line, although ``json.loads`` reads
+    each as the same content."""
+    _, config = workspace
+    text = (trained_dir / "mati_params.json").read_text(encoding="utf-8")
+    bad_text = damage(text)
+    assert bad_text != text and json.loads(bad_text) == json.loads(text)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(bad_text.encode("utf-8"))
+    code = main(["--config", str(config), "recommend",
+                 "--slabs", str(trained_dir / "slab_index.json"),
+                 "--params", str(bad), "--user", "a0_0", "--n", "3"])
+    assert code == 3
+    err = capsys.readouterr().err
+    first = next(i for i, (x, y) in enumerate(zip(text, bad_text)) if x != y)
+    line = bad_text[:first].count("\n") + 1
+    assert "unreadable model parameters" in err and f"at line {line}\n" in err
+
+
 def test_cli_recommend_negative_params_entry_exits_4_naming_the_pair(workspace, trained_dir,
                                                                      tmp_path, capsys):
     _, config = workspace
@@ -573,7 +635,7 @@ def test_cli_recommend_negative_params_entry_exits_4_naming_the_pair(workspace, 
     row = params["pair_tables"][key][1][2]
     row[0], row[1] = -0.25, row[1] + row[0] + 0.25
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(params), encoding="utf-8")
+    bad.write_text(params_lines(params.items()), encoding="utf-8")
     code = main(["--config", str(config), "recommend",
                  "--slabs", str(trained_dir / "slab_index.json"),
                  "--params", str(bad), "--user", "a0_0", "--n", "3"])

@@ -84,7 +84,6 @@ def test_chain_factorization_three_factors():
     layout = _layout(("minute", 0, 2), ("hour", 1, 3), ("day", 2, 4))
     assert layout.levels == ("day", "hour", "minute")
     assert layout.shape == (4, 3, 2)
-    assert layout.n_cells == 24
 
 
 def test_chain_factorization_duplicate_rank_errors():

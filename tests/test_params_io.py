@@ -1,20 +1,20 @@
 """The stacked parameter-file writer and reader.
 
 Parameter sets are drawn as ``oracles.DictParams`` and stacked with
-``oracles.stacked``.  ``params_to_json`` must write exactly the bytes of one
-nested ``json.dumps(payload, sort_keys=True)`` of the dicts
-(``oracles.reference_params_json``), and ``params_from_json`` must give
-every table and score back bit for bit, also when it reads the stream a
-character or a few characters at a time.  Ids carry quotes, backslashes,
-control and non-ASCII characters, whose escaped JSON form sorts differently
-from the raw string, and brackets, commas and colons; rows repeat, and some
-differ only by -0.0 against 0.0.
+``oracles.stacked``.  ``params_to_json`` must write exactly the bytes of the
+independent line-layout encoder (``oracles.reference_params_json``), whose
+``json.loads`` equals that of one nested ``json.dumps(payload,
+sort_keys=True)`` of the dicts (``oracles.reference_params_content``), and
+``params_from_json`` must give every table and score back bit for bit.  Ids
+carry quotes, backslashes, line ends and other control and non-ASCII
+characters, whose escaped JSON form sorts differently from the raw string,
+and brackets, commas and colons; rows repeat, and some differ only by -0.0
+against 0.0.
 """
 
 import io
 import json
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +22,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from corpus import stamp, three_by_three_index
-from oracles import DictParams, as_dicts, reference_em, reference_params_json, stacked
+from oracles import (DictParams, as_dicts, reference_em, reference_params_content,
+                     reference_params_json, stacked)
 
 from matirec import mati
 from matirec.config import load_config
@@ -31,9 +32,10 @@ from matirec.ingest import CheckIn, CheckInLog
 from matirec.mati import ChainLayout, joint_from_chain, params_from_json, params_to_json, run_em
 from matirec.pipeline import SlabArtifacts, train_models
 
-# Besides escapes, ids hold the brackets, commas and colons the reader cuts
-# chain texts at; some hold or end in a chain's closing text, as "]]], ".
-ID_CHARS = "aZ0 \"\\\x01\x1f\x7fé \U0001f600[],:"
+# Besides escapes, among them the line ends the reader splits the file at,
+# ids hold the brackets, commas and colons it cuts chain texts at; some hold
+# or end in a chain's closing text, as "]]], ".
+ID_CHARS = "aZ0 \"\\\x01\x1f\x7f\n\r\u2028é \U0001f600[],:"
 ids = st.text(alphabet=ID_CHARS, max_size=3) | st.sampled_from(["]]]", "a]]], ", "]], [[", "]: "])
 
 
@@ -73,7 +75,7 @@ def param_sets(draw):
         pr_nu={pair: draw(st.floats(0, 1)) for pair in pairs},
         pair_tables={pair: chain() for pair in pairs},
         poi_tables={poi: chain() for poi in pois},
-        global_table=chain() if draw(st.booleans()) else None,
+        global_table=chain(),
         slab_checksum=draw(ids))
 
 
@@ -97,45 +99,20 @@ def _assert_round_trip(params, restored):
         assert mine.keys() == want.keys()
         for key in want:
             _same_chain(mine[key], want[key])
-    if params.global_table is None:
-        assert restored.global_table is None
-    else:
-        _same_chain(restored.global_table, params.global_table)
-
-
-# Stream chunk sizes the reader must agree across: one character, a few
-# (every number and escaped key is cut somewhere), and more than a small file.
-CHUNKS = (1, 7, 4096)
-
-
-def _same_params(mine, want):
-    assert mine.layout == want.layout and mine.slab_checksum == want.slab_checksum
-    assert mine.pr_nu.tobytes() == want.pr_nu.tobytes()
-    for stack in ("pair_tables", "poi_tables"):
-        a, b = getattr(mine, stack), getattr(want, stack)
-        assert a.keys == b.keys
-        assert [level.tobytes() for level in a.levels] == [level.tobytes() for level in b.levels]
-        assert [level.shape for level in a.levels] == [level.shape for level in b.levels]
-    if want.global_table is None:
-        assert mine.global_table is None
-    else:
-        _same_chain(mine.global_table, want.global_table)
+    _same_chain(restored.global_table, params.global_table)
 
 
 def _read(text: str):
-    """``params_from_json`` of ``text`` as a stream, which must give the same
-    stacks, bit for bit, when read at each of ``CHUNKS``."""
-    restored = params_from_json(io.StringIO(text))
-    for chunk in CHUNKS:
-        with mock.patch.object(mati, "READ_CHUNK", chunk):
-            _same_params(params_from_json(io.StringIO(text)), restored)
-    return restored
+    """``params_from_json`` of ``text``, read as ``recommend`` reads a file:
+    no line end translated."""
+    return params_from_json(io.StringIO(text, newline=""))
 
 
 @given(params=param_sets(), fingerprint=ids)
 def test_writer_matches_reference_bytes_and_round_trips(params, fingerprint):
     text = str(params_to_json(stacked(params), fingerprint=fingerprint))
     assert text == reference_params_json(params, fingerprint=fingerprint)
+    assert json.loads(text) == json.loads(reference_params_content(params, fingerprint))
     _assert_round_trip(params, _read(text))
 
 
@@ -356,29 +333,24 @@ def test_reader_refuses_pr_nu_keys_off_the_pair_order():
     """``pr_nu`` holds the pair keys in ``pair_tables`` order; a repeated or
     a swapped key, which ``json.loads`` reads as the same scores, is refused."""
     text = _sample_text()
-    head, _, rest = text.partition('"pr_nu": {')
-    body, _, tail = rest.partition("}")
-    entries = body.split(", ")
+    head, _, rest = text.partition('"pr_nu": {\n')
+    body, _, tail = rest.partition("\n}")
+    entries = body.split(",\n")
     for bad in ([entries[0], *entries], [entries[1], entries[0], *entries[2:]]):
-        bad_text = f'{head}"pr_nu": {{{", ".join(bad)}}}{tail}'
+        bad_text = head + '"pr_nu": {\n' + ",\n".join(bad) + "\n}" + tail
         assert bad_text != text and json.loads(bad_text) == json.loads(text)
         with pytest.raises(DataError, match="pr_nu keys differ"):
-            params_from_json(io.StringIO(bad_text))
+            _read(bad_text)
 
 
 def test_reader_refuses_cut_text_and_data_after_the_object():
     text = _sample_text()
     for end in range(len(text)):
         with pytest.raises(DataError, match="unreadable model parameters"):
-            params_from_json(io.StringIO(text[:end]))
-    with mock.patch.object(mati, "READ_CHUNK", 7):
-        for end in range(0, len(text), 11):
-            with pytest.raises(DataError, match="unreadable model parameters"):
-                params_from_json(io.StringIO(text[:end]))
-    for extra in (" {}", "x", "}", "\n[]", ", 1"):
-        with pytest.raises(DataError, match="extra data"):
-            params_from_json(io.StringIO(text + extra))
-    _read(text + " \n\t")
+            _read(text[:end])
+    for extra in (" {}", "x", "}", "\n[]", ", 1", " \n\t", "\n"):
+        with pytest.raises(DataError, match="extra data after line 43$"):
+            _read(text + extra)
 
 
 @pytest.mark.parametrize("writer,respelled", [("], [", "]], ["), ("], [", "],["),
@@ -396,14 +368,76 @@ def test_reader_refuses_chain_text_the_writer_does_not_write(writer, respelled):
         at = text.index(writer, text.index(f'"{table}": ') + 1)
         bad = text[:at] + respelled + text[at + len(writer):]
         with pytest.raises(DataError, match="model parameters"):
-            params_from_json(io.StringIO(bad))
+            _read(bad)
 
 
 def test_reader_refuses_text_after_the_global_chain():
-    """The global chain's text runs to the layout's key, not to its first
-    closing run, so what follows that run must be checked too."""
+    """The global chain's line holds only the chain: what follows its closing
+    run on the line is refused, naming the line."""
     text = _sample_text()
     for extra in ("[", " ", "[0.5]"):
-        bad = text.replace(']]], "layout": ', f']]]{extra}, "layout": ', 1)
-        with pytest.raises(DataError, match="model parameters: (the )?global .* as the layout"):
-            params_from_json(io.StringIO(bad))
+        bad = text.replace(']]],\n"pair_tables": ', f']]]{extra},\n"pair_tables": ', 1)
+        with pytest.raises(DataError, match="model parameters: (the )?global .* as the layout "
+                                            r".* at line 6$"):
+            _read(bad)
+
+
+def _crlf(text):
+    return text.replace("\n", "\r\n")
+
+
+def _blank_line_in(member):
+    def damage(text):
+        return text.replace(f'"{member}": {{\n', f'"{member}": {{\n\n', 1)
+    return damage
+
+
+def _entry_split_in(member):
+    def damage(text):
+        head, _, rest = text.partition(f'"{member}": {{\n')
+        return head + f'"{member}": {{\n' + rest.replace(": ", ":\n", 1)
+    return damage
+
+
+# Damage to the line framing, and the line the error names in ``_sample_text``.
+FRAMING = {"crlf": (_crlf, 1), "cr-only": (lambda text: text.replace("\n", "\r"), 1),
+           "blank-line-in-pairs": (_blank_line_in("pair_tables"), 8),
+           "blank-line-in-pois": (_blank_line_in("poi_tables"), 22),
+           "blank-line-in-pr-nu": (_blank_line_in("pr_nu"), 30),
+           "entry-split-in-pairs": (_entry_split_in("pair_tables"), 8),
+           "entry-split-in-pois": (_entry_split_in("poi_tables"), 22),
+           "entry-split-in-pr-nu": (_entry_split_in("pr_nu"), 30),
+           "member-split": (lambda text: text.replace('"layout": ', '"layout":\n', 1), 4),
+           "two-members-on-a-line": (lambda text: text.replace(',\n"format_version"',
+                                                               ', "format_version"', 1), 2)}
+
+
+@pytest.mark.parametrize("name", FRAMING)
+def test_reader_refuses_lines_the_writer_does_not_write(name):
+    """One member or entry a line, each line ending in ``\\n`` alone: CRLF
+    or CR line ends, a blank line inside an object, and an entry or member
+    split over two lines, or two members on one, raise ``DataError`` naming
+    the line, although ``json.loads`` reads each as the same content."""
+    damage, line = FRAMING[name]
+    text = _sample_text()
+    bad = damage(text)
+    assert bad != text and json.loads(bad) == json.loads(text)
+    with pytest.raises(DataError, match=rf"unreadable model parameters: .* at line {line}$"):
+        _read(bad)
+
+
+def test_ids_with_line_ends_round_trip_on_one_line_each():
+    """JSON escapes every control character in a key, and ``json.dumps``
+    escapes U+2028 and U+2029 as well, so ids holding them keep one entry a
+    line."""
+    shape = (2, 2)
+    names = ["a\nb", "c\rd", "e\r\nf", "g\u2028h", "i\u2029j", "\x85"]
+    params = DictParams(layout=ChainLayout(("day", "hour"), shape),
+                        pr_nu={(u, "p\n"): 0.5 for u in names},
+                        pair_tables={(u, "p\n"): _unit_chain(shape) for u in names},
+                        poi_tables={u: _unit_chain(shape) for u in names},
+                        slab_checksum="s\r\n")
+    text = str(params_to_json(stacked(params), fingerprint="f\n"))
+    assert text == reference_params_json(params, fingerprint="f\n")
+    assert len(text.splitlines()) == len(io.StringIO(text, newline="").readlines()) == 31
+    _assert_round_trip(params, _read(text))

@@ -1,5 +1,3 @@
-import codecs
-import contextlib
 import io
 import json
 import tracemalloc
@@ -288,30 +286,17 @@ def test_rendering_and_writing_the_params_file_peaks_below_its_size(planted_spli
     assert peak < 0.6 * size, f"peak {peak / size:.3f} of the file's size"
 
 
-def _text_mode(path):
-    return path.open(encoding="utf-8")
-
-
-@contextlib.contextmanager
-def _decoded_binary(path):
-    with path.open("rb") as raw:
-        yield codecs.getreader("utf-8")(raw)
-
-
-@pytest.mark.parametrize("opened", [_text_mode, _decoded_binary],
-                         ids=["text-mode", "decoded-binary"])
-def test_reading_the_params_file_peaks_below_its_size(planted_split, tmp_path, opened):
-    """Streamed, the read holds the stacks (about a third of the file), a
-    chunk or two and one batch of chains; the whole text plus ``json.loads``
-    of it peaked at about twice the file's size.  ``recommend`` reads a
-    binary file through an incremental decoder, which holds less of each
-    chunk than a text-mode file."""
+def test_reading_the_params_file_peaks_below_its_size(planted_split, tmp_path):
+    """Read a line at a time, as ``recommend`` opens it, the read holds the
+    stacks (about a third of the file), a line and one batch of chains'
+    row texts; the whole text plus ``json.loads`` of it peaked at about
+    twice the file's size."""
     _, models = planted_split
     path = tmp_path / "mati_params.json"
     path.write_text(str(params_to_json(models.params, fingerprint="planted-300")), encoding="utf-8")
     tracemalloc.start()
     try:
-        with opened(path) as stream:
+        with open(path, encoding="utf-8", newline="") as stream:
             params_from_json(stream)
         _, peak = tracemalloc.get_traced_memory()
     finally:
