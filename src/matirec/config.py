@@ -95,6 +95,11 @@ class MfConfig:
     def validate(self):
         if self.rank < 1:
             raise ConfigError("mf.rank must be >= 1")
+        if self.iters < 1:
+            raise ConfigError(f"mf.iters must be >= 1, got {self.iters}")
+        for name in ("reg", "tol"):
+            if not 0 <= (value := getattr(self, name)) < math.inf:
+                raise ConfigError(f"mf.{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -127,8 +132,11 @@ class MatiConfig:
     def validate(self):
         if not 0 <= self.phi_t <= 1:
             raise ConfigError("mati.phi_t must be in [0,1]")
-        if self.gamma < 0:
-            raise ConfigError("mati.gamma must be >= 0")
+        if self.em_max_iter < 0:
+            raise ConfigError(f"mati.em_max_iter must be >= 0, got {self.em_max_iter}")
+        for name in ("gamma", "em_tol"):
+            if not 0 <= (value := getattr(self, name)) < math.inf:
+                raise ConfigError(f"mati.{name} must be finite and >= 0, got {value}")
 
 
 # Every recommender ``pipeline.train_models`` builds, by its ``name``, in the

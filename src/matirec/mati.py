@@ -60,8 +60,10 @@ POI and ``pr_nu`` objects; pair keys are ``user<TAB>poi``, and a chain is
 the list of its level tables as nested lists.  JSON escapes every control
 character in a key, so a ``\\n`` can only end a line.  ``params_to_json``
 builds, checks, validates and renders the chains ``PARAMS_SLICE`` owners at
-a time, each distinct last-axis row once (most rows repeat), and returns
-``TextPieces``, which ``cli._write`` joins a group at a time.
+a time, each distinct last-axis row once (most rows repeat) and, within a
+slice's new rows, each distinct float once (``_float_texts``; ``pr_nu`` too);
+each key is rendered once.  It returns ``TextPieces``, which ``cli._write``
+joins a group at a time.
 ``params_from_json`` reads that text a line at a time, cuts each chain's
 text at ``[`` and ``]`` against ``_chain_template``, and decodes each
 distinct row text once while cached (``_ChainRows``); its stacks keep each
@@ -80,6 +82,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from json.decoder import scanstring
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -351,6 +354,8 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: np.ndarray, max_iter: int =
     ``max_iter`` iterations; a decrease beyond the slack is an invariant
     breach.
     """
+    if not 0 <= gamma < math.inf:
+        raise ConfigError(f"EM smoothing gamma must be finite and >= 0, got {gamma}")
     columns = log.columns
     # Pair rows in int order, which is sorted (user, poi) order.
     keys, pair_of_row = np.unique(columns.pair, return_inverse=True)
@@ -481,22 +486,29 @@ def mati_mix(psi: np.ndarray, depth: np.ndarray, phi_t: float) -> np.ndarray:
     return phi_t * max_normalize(psi) + (1 - phi_t) * max_normalize(depth)
 
 
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float, as ``json.dumps`` spells a finite one, in an
+    object array of ``values``' shape; each distinct bit pattern is rendered
+    once, so -0.0 and 0.0 stay distinct."""
+    distinct, where = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    return texts[where.reshape(values.shape)]
+
+
 def _render_rows(level: np.ndarray, texts: dict[bytes, str]) -> np.ndarray:
     """JSON text of each last-axis row, shaped like the level without that axis.
 
     Each distinct row is rendered once, as ``json.dumps`` would, and shared:
     ``texts`` maps a row's bytes to its text and is kept across calls, and
     rows are told apart by their bit pattern, so -0.0 and 0.0 stay distinct.
+    The new rows' floats are rendered together, each distinct value once.
     """
     rows = np.ascontiguousarray(level).reshape(-1, level.shape[-1])
-    bits = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-    keys = bits[first].tolist()
-    new = [j for j, key in enumerate(keys) if key not in texts]
-    for j, row in zip(new, rows[first[new]].tolist()):
-        texts[keys[j]] = "[" + ", ".join(map(repr, row)) + "]"
-    text = np.array([texts[key] for key in keys], dtype=object)
-    return text[inverse.ravel()].reshape(level.shape[:-1])
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    new = {key: j for j, key in enumerate(keys) if key not in texts}
+    for key, row in zip(new, _float_texts(rows[list(new.values())]).tolist()):
+        texts[key] = "[" + ", ".join(row) + "]"
+    return np.array([texts[key] for key in keys], dtype=object).reshape(level.shape[:-1])
 
 
 def _chain_template(shape: tuple[int, ...]) -> list:
@@ -532,10 +544,10 @@ def _checked(stack: ChainStack, shape: tuple[int, ...], what: str) -> ChainStack
     return stack
 
 
-def _object_pieces(source: EmChains | ChainStack, shape: tuple[int, ...], what: str,
-                   texts: dict[bytes, str]) -> list[str]:
-    """Pieces of the JSON object mapping each owner's key to its chain, each
-    entry on a line of its own.
+def _object_pieces(source: EmChains | ChainStack, quoted: list[str], shape: tuple[int, ...],
+                   what: str, texts: dict[bytes, str]) -> list[str]:
+    """Pieces of the JSON object mapping each owner's key (``quoted``: the
+    keys' JSON texts) to its chain, each entry on a line of its own.
 
     The chains are built, checked, validated and rendered ``PARAMS_SLICE``
     owners at a time, so only one slice's chains are held at once.
@@ -549,7 +561,7 @@ def _object_pieces(source: EmChains | ChainStack, shape: tuple[int, ...], what: 
         stack = _checked(ChainStack.of(keys[lo:hi], source.chains(lo, hi)), shape, what)
         block = _chain_pieces(stack, shape, texts)
         opening = block[0, 0]
-        block[:, 0] = [f",\n{json.dumps(key)}: {opening}" for key in stack.keys]
+        block[:, 0] = [f",\n{key}: {opening}" for key in quoted[lo:hi]]
         pieces += block.ravel().tolist()
     if len(pieces) > 1:
         pieces[1] = pieces[1][1:]
@@ -595,6 +607,8 @@ def params_to_json(params: MatiParams, fingerprint: str = "") -> TextPieces:
         raise InvariantError(f"model parameters: pr_nu of {pair_of(pairs.keys[bad[0]])!r} is "
                              f"{pr_nu[bad[0]]}, not a finite non-negative score")
     texts: dict[bytes, str] = {}
+    pair_json = list(map(encode_basestring_ascii, pairs.keys))  # each as json.dumps spells it
+    poi_json = list(map(encode_basestring_ascii, params.poi_tables.keys))
     stack = _checked(ChainStack.of(("global",), [t[None] for t in params.global_table]), shape,
                      "global")
     members = {
@@ -604,10 +618,10 @@ def params_to_json(params: MatiParams, fingerprint: str = "") -> TextPieces:
                               sort_keys=True)],
         "slab_checksum": [json.dumps(params.slab_checksum)],
         "global_table": _chain_pieces(stack, shape, texts)[0].tolist(),
-        "pair_tables": _object_pieces(pairs, shape, "pair", texts),
-        "poi_tables": _object_pieces(params.poi_tables, shape, "POI", texts),
-        "pr_nu": ["{", ",".join(f"\n{json.dumps(key)}: {score!r}"
-                                for key, score in zip(pairs.keys, pr_nu.tolist())), "\n}"],
+        "pair_tables": _object_pieces(pairs, pair_json, shape, "pair", texts),
+        "poi_tables": _object_pieces(params.poi_tables, poi_json, shape, "POI", texts),
+        "pr_nu": ["{", ",".join(f"\n{key}: {score}"
+                                for key, score in zip(pair_json, _float_texts(pr_nu))), "\n}"],
     }
     pieces = ["{"]
     for name, member in members.items():

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, InvariantError
 from .ingest import CheckInLog
 from .localtime import local_hour, local_weekday
 
@@ -261,6 +261,8 @@ def hac_complete_linkage(matrix: SlotSimilarityMatrix,
     if not matrix.is_complete():
         raise DataError("similarity matrix has unobserved cells; run completion first")
     sim = matrix.sim
+    if not np.isfinite(sim).all():
+        raise InvariantError(f"{matrix.factor.name} similarity matrix holds a non-finite value")
     n = sim.shape[0]
     clusters: list[tuple[int, ...]] = [(s,) for s in range(n)]
     while len(clusters) > 1:

@@ -99,13 +99,18 @@ def test_config_out_of_bounds_value(tmp_path):
     ("usg.d_min_km", "inf"), ("factors.hac_threshold", "nan"),
     ("factors.hac_threshold_hour", "1.5"), ("factors.hac_threshold_day", "1.5"),
     ("factors.hac_threshold_hour", "nan"), ("factors.hac_threshold_day", "inf"),
-    ("factors.hac_threshold_day", "-inf")])
+    ("factors.hac_threshold_day", "-inf"), ("mf.reg", "nan"), ("mf.reg", "inf"),
+    ("mf.reg", "-0.5"), ("mf.tol", "-1"), ("mf.tol", "nan"), ("mf.iters", "-1"),
+    ("mf.iters", "0"), ("mati.gamma", "nan"), ("mati.gamma", "inf"), ("mati.em_tol", "nan"),
+    ("mati.em_tol", "-1"), ("mati.em_max_iter", "-3")])
 def test_config_refuses_non_finite_or_out_of_range_values(workspace, tmp_path, monkeypatch,
                                                           capsys, key, value):
-    """A distance bin or floor that is not a positive finite number, and a
+    """A distance bin or floor that is not a positive finite number, a
     similarity threshold or per-factor override that is not finite or is
-    above 1, are config errors (exit 2) before the log is read, not a
-    traceback from the geo fit or a threshold nothing can reach."""
+    above 1, and a completion or EM setting that is not finite or is below
+    its floor, are config errors (exit 2) before the log is read, not a
+    traceback from the geo fit, a threshold nothing can reach, hour slots
+    merged through NaN similarities or a NaN log-likelihood trace."""
     _, config = workspace
     variable = "MATI_" + key.replace(".", "_").upper()
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):

@@ -262,6 +262,13 @@ def test_run_em_requires_positive_pr_nu():
         run_em(log, index, bad)
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -0.5])
+def test_run_em_refuses_a_non_finite_or_negative_gamma(gamma):
+    log, index, _, pairs = _small_recovery()
+    with pytest.raises(ConfigError, match="gamma"):
+        run_em(log, index, np.ones(len(pairs)), gamma=gamma)
+
+
 def test_run_em_closed_form_matches_reference():
     log, index, _, pairs = recovery_instance(n_users=20, n_pois=40, pois_per_user=3,
                                              visits_per_pair=5, seed=77)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corpus import stamp, three_by_three_index
+from corpus import planted_corpus, stamp, three_by_three_index
 from oracles import (DictParams, as_dicts, reference_em, reference_params_content,
                      reference_params_json, stacked)
 
@@ -31,6 +31,7 @@ from matirec.errors import DataError, InvariantError
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.mati import ChainLayout, joint_from_chain, params_from_json, params_to_json, run_em
 from matirec.pipeline import SlabArtifacts, train_models
+from matirec.slabs import SlabIndex, day_factor, hour_factor
 
 # Besides escapes, among them the line ends the reader splits the file at,
 # ids hold the brackets, commas and colons it cuts chain texts at; some hold
@@ -39,9 +40,16 @@ ID_CHARS = "aZ0 \"\\\x01\x1f\x7f\n\r\u2028é \U0001f600[],:"
 ids = st.text(alphabet=ID_CHARS, max_size=3) | st.sampled_from(["]]]", "a]]], ", "]], [[", "]: "])
 
 
+# Rows that sum to 1 with floats whose text is unusual: a subnormal, the
+# float just below 1, values with long ``repr``s, and -0.0 beside 0.0.
+EDGE_ROWS = [[1 - 2**-53], [5e-324, 1.0], [1 - 2**-53, 2**-53], [0.1, 0.9], [1 / 3, 2 / 3],
+             [0.0, -0.0, 1.0], [0.1, 0.2, 0.7], [1 / 3, 1 / 3, 1 / 3], [5e-324, 0.5, 0.5]]
+
+
 def _row_pool(size: int, rng) -> np.ndarray:
-    """Rows of one level: uniform, one-hot with 0.0 and with -0.0, random."""
-    rows = [np.full(size, 1.0 / size)]
+    """Rows of one level: uniform, one-hot with 0.0 and with -0.0, the edge
+    rows of its size, random."""
+    rows = [np.full(size, 1.0 / size)] + [np.array(row) for row in EDGE_ROWS if len(row) == size]
     for i in range(size):
         hot = np.zeros(size)
         hot[i] = 1.0
@@ -114,6 +122,19 @@ def test_writer_matches_reference_bytes_and_round_trips(params, fingerprint):
     assert text == reference_params_json(params, fingerprint=fingerprint)
     assert json.loads(text) == json.loads(reference_params_content(params, fingerprint))
     _assert_round_trip(params, _read(text))
+
+
+def test_writer_matches_reference_on_em_output_across_slices():
+    """EM output on the raw 7 × 24 grid, with more pairs than one writer
+    slice, so equal floats recur across slices, within rows and among the
+    ``pr_nu`` scores: the writer's bytes are the reference encoder's."""
+    log = planted_corpus(n_users=60)
+    index = SlabIndex([hour_factor(), day_factor()],
+                      {"hour": [(h,) for h in range(24)], "day": [(d,) for d in range(7)]})
+    n_pairs = len(mati.pair_keys(log))
+    params, _ = run_em(log, index, np.resize([1.0, 0.1, 1 / 3], n_pairs))
+    assert index.grid_shape() == (7, 24) and n_pairs > mati.PARAMS_SLICE
+    assert str(params_to_json(params)) == reference_params_json(as_dicts(params))
 
 
 def _unit_chain(shape):

@@ -10,7 +10,7 @@ import oracles as orc
 from corpus import stamp
 from oracles import oracle_rank1_completion, slot_pair_similarity, user_slot_vectors
 
-from matirec.errors import ConfigError, DataError
+from matirec.errors import ConfigError, DataError, InvariantError
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.localtime import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from matirec.slabs import (SimilaritySamples, SlabIndex, SlotSimilarityMatrix, TemporalFactorSpec,
@@ -202,6 +202,17 @@ def test_hac_threshold_above_everything_gives_singletons():
     slabs = hac_complete_linkage(_full_matrix(sim), threshold=0.95)
     assert all(len(s) == 1 for s in slabs)
     assert len(slabs) == 7
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_hac_refuses_a_non_finite_similarity(value):
+    """A NaN link would compare neither above nor below the threshold, so it
+    could merge slots; no non-finite similarity reaches the clustering."""
+    sim = np.full((4, 4), 0.2)
+    np.fill_diagonal(sim, 1.0)
+    sim[1, 2] = sim[2, 1] = value
+    with pytest.raises(InvariantError, match="non-finite"):
+        hac_complete_linkage(_full_matrix(sim), threshold=0.6)
 
 
 def test_hac_complete_linkage_guarantee_random():
