@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import UsgWeights
 from .errors import ConfigError, DataError
 from .ingest import CheckInLog, sorted_unique
 
@@ -304,19 +305,6 @@ def _shares(pair: np.ndarray, weights: np.ndarray, totals: np.ndarray) -> np.nda
     (0 where that total is 0)."""
     sums = np.bincount(pair, weights=weights, minlength=len(totals))
     return np.divide(sums, totals, out=np.zeros(len(totals)), where=totals != 0)
-
-
-@dataclass(frozen=True)
-class UsgWeights:
-    """Mixing weights: score = (1-alpha-beta)*cf + alpha*social + beta*geo."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not 0 <= self.alpha < 1 or not 0 <= self.beta < 1 or self.alpha + self.beta >= 1:
-            raise ConfigError(f"usg weights need alpha,beta in [0,1) with alpha+beta < 1, "
-                              f"got alpha={self.alpha} beta={self.beta}")
 
 
 def max_normalize(scores: np.ndarray) -> np.ndarray:

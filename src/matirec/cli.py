@@ -3,25 +3,39 @@
 Subcommands: ingest, stats, slabs, train, recommend, evaluate, tune.  Every
 artifact carries the run fingerprint (config hash + seed + input checksums).
 Exit codes: 0 ok, 2 config error, 3 data error, 4 invariant breach.
+
+A command loads only the layers it runs: this module imports ``config``,
+``errors`` and ``ingest``, and the commands import the model layers.  The
+four model calls that ``clibench/spans.py`` traces here by name are module
+functions that import their layer on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 import time
 from pathlib import Path
 
-from . import evaluation as ev
 from . import ingest as ing
 from .config import MODELS, RunConfig, file_checksum, fingerprint, load_config
 from .errors import ConfigError, DataError, MatirecError
-from .hybrid import decisions_csv
-from .mati import TextPieces, params_from_json, params_to_json
-from .pipeline import build_slab_index, train_models
-from .slabs import SlabIndex, coverage_csv, similarity_csv
+
+
+def _on_first_call(module: str, name: str):
+    """A stand-in for ``module.name`` that imports ``module`` when first called."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
+    return call
+
+
+build_slab_index = _on_first_call(".pipeline", "build_slab_index")
+train_models = _on_first_call(".pipeline", "train_models")
+params_to_json = _on_first_call(".mati", "params_to_json")
+params_from_json = _on_first_call(".mati", "params_from_json")
 
 
 def _load_log(cfg: RunConfig) -> ing.CheckInLog:
@@ -35,7 +49,8 @@ def _load_log(cfg: RunConfig) -> ing.CheckInLog:
     return log
 
 
-def _read_index(path: str) -> SlabIndex:
+def _read_index(path: str):
+    from .slabs import SlabIndex
     with ing.open_input(path) as fh:
         return SlabIndex.from_json(fh.read())
 
@@ -52,7 +67,7 @@ def _fingerprint(cfg: RunConfig) -> str:
 WRITE_SLICE = 1 << 20  # characters encoded per write
 
 
-def _write(out_dir: Path, name: str, text: str | TextPieces) -> Path:
+def _write(out_dir: Path, name: str, text) -> Path:
     """Write ``text`` as UTF-8 with ``\\n`` line ends on every platform, at
     least ``WRITE_SLICE`` characters at a time (or the rest), so no bytes copy
     of the whole text is held: a string is cut into slices of that size, and
@@ -110,6 +125,7 @@ def cmd_stats(cfg: RunConfig, args) -> int:
 
 
 def cmd_slabs(cfg: RunConfig, args) -> int:
+    from .slabs import coverage_csv, similarity_csv
     log = _load_log(cfg)
     artifacts = build_slab_index(log, cfg)
     out = Path(args.out)
@@ -196,6 +212,8 @@ def cmd_recommend(cfg: RunConfig, args) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
+    from . import evaluation as ev
+    from .hybrid import decisions_csv
     log = _load_log(cfg)
     split = ev.split_exclude(log, cfg.eval.x, cfg.seed, cfg.eval.test_fraction)
     models = train_models(split.train_log, cfg)
@@ -241,6 +259,7 @@ OBJECTIVES = ("precision", "recall", "f1", "failure_rate")  # as EvalReport.aggr
 
 
 def cmd_tune(cfg: RunConfig, args) -> int:
+    from . import evaluation as ev
     if args.param not in TUNABLE:
         raise ConfigError(f"--param must be one of {TUNABLE}, got {args.param!r}")
     grid = _parse_grid(args.grid)

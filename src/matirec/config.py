@@ -4,6 +4,9 @@ Every knob has a default; unknown sections or keys are rejected with the
 offending key path.  Environment variables ``MATI_<SECTION>_<KEY>`` override
 file values.  All randomness flows from ``run.seed``, split per stage with
 fixed tags.
+
+The bottom layer: it owns every section's dataclass (the model modules import
+theirs from here) and imports only the standard library and ``errors``.
 """
 
 from __future__ import annotations
@@ -16,10 +19,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
-from .baselines import UsgWeights
 from .errors import ConfigError
-from .hybrid import HybridConfig
-from .univariate import UnivariateConfig
 
 ENV_PREFIX = "MATI"
 
@@ -28,18 +28,27 @@ SEED_SAMPLING = 11
 SEED_MF = 12
 SEED_SPLIT = 13
 
+# Check-in TSV columns in the Brightkite dump's order; data.column_format permutes them.
+DEFAULT_COLUMNS = ("user", "time", "lat", "lon", "poi")
+
 
 @dataclass
 class DataConfig:
     checkins: str = ""
     social: str = ""
     utc_offset_hours: int = 0
-    column_format: str = "user,time,lat,lon,poi"
+    column_format: str = ",".join(DEFAULT_COLUMNS)
     on_error: str = "abort"
 
     def validate(self):
         if self.on_error not in ("abort", "skip"):
             raise ConfigError(f"data.on_error must be abort|skip, got {self.on_error!r}")
+        if not -12 <= self.utc_offset_hours <= 14:  # the range of real UTC offsets
+            raise ConfigError(f"data.utc_offset_hours must be in [-12,14], "
+                              f"got {self.utc_offset_hours}")
+        if sorted(map(str.strip, self.column_format.split(","))) != sorted(DEFAULT_COLUMNS):
+            raise ConfigError(f"data.column_format must permute {','.join(DEFAULT_COLUMNS)}, "
+                              f"got {self.column_format!r}")
 
 
 @dataclass
@@ -102,6 +111,19 @@ class MfConfig:
                 raise ConfigError(f"mf.{name} must be finite and >= 0, got {value}")
 
 
+@dataclass(frozen=True)
+class UsgWeights:
+    """Mixing weights: score = (1-alpha-beta)*cf + alpha*social + beta*geo."""
+
+    alpha: float
+    beta: float
+
+    def __post_init__(self):
+        if not 0 <= self.alpha < 1 or not 0 <= self.beta < 1 or self.alpha + self.beta >= 1:
+            raise ConfigError(f"usg weights need alpha,beta in [0,1) with alpha+beta < 1, "
+                              f"got alpha={self.alpha} beta={self.beta}")
+
+
 @dataclass
 class UsgConfig:
     alpha: float = 0.3
@@ -137,6 +159,50 @@ class MatiConfig:
         for name in ("gamma", "em_tol"):
             if not 0 <= (value := getattr(self, name)) < math.inf:
                 raise ConfigError(f"mati.{name} must be finite and >= 0, got {value}")
+
+
+@dataclass(frozen=True)
+class UnivariateConfig:
+    """Thresholds of the weekday/weekend framework.
+
+    t: effective-act threshold above which the temporal path applies
+       (1/7 matches a uniform day-of-week split).
+    lam: margin shift separating weekday from weekend lean.
+    theta: POI-act cut separating weekday / neutral / weekend candidates.
+    xi: share of the final list reserved for neutral POIs.
+    k: candidate-pool multiplier (the temporal path re-ranks the top k*n).
+    """
+
+    t: float = 1.0 / 7.0
+    lam: float = 0.5
+    theta: float = 0.0
+    xi: float = 0.1
+    k: int = 10
+
+    def __post_init__(self):
+        if not 0 < self.t < 1:
+            raise ConfigError(f"univariate.t must be in (0,1), got {self.t}")
+        if not 0 < self.lam < 1:
+            raise ConfigError(f"univariate.lam must be in (0,1), got {self.lam}")
+        if not math.isfinite(self.theta):
+            raise ConfigError(f"univariate.theta must be finite, got {self.theta}")
+        if not 0 <= self.xi < 1:
+            raise ConfigError(f"univariate.xi must be in [0,1), got {self.xi}")
+        if self.k < 1:
+            raise ConfigError(f"univariate.k must be >= 1, got {self.k}")
+
+
+@dataclass(frozen=True)
+class HybridConfig:
+    """Closed interval of mean shared activity in which the temporal path applies."""
+
+    psi_low: float = 0.4
+    psi_high: float = 0.9
+
+    def __post_init__(self):
+        if not 0 <= self.psi_low <= self.psi_high <= 1:
+            raise ConfigError(f"psi range must satisfy 0 <= low <= high <= 1, "
+                              f"got [{self.psi_low}, {self.psi_high}]")
 
 
 # Every recommender ``pipeline.train_models`` builds, by its ``name``, in the

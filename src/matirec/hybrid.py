@@ -14,7 +14,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .config import HybridConfig
+from .errors import DataError
 from .ingest import csv_text
 from .mati import shared_activity
 
@@ -22,19 +23,6 @@ Path = Literal["temporal", "non_temporal"]
 
 # Size of the non-temporal list a user's route is decided on.
 PROBE_N = 5
-
-
-@dataclass(frozen=True)
-class HybridConfig:
-    """Closed interval of mean shared activity in which the temporal path applies."""
-
-    psi_low: float = 0.4
-    psi_high: float = 0.9
-
-    def __post_init__(self):
-        if not 0 <= self.psi_low <= self.psi_high <= 1:
-            raise ConfigError(f"psi range must satisfy 0 <= low <= high <= 1, "
-                              f"got [{self.psi_low}, {self.psi_high}]")
 
 
 def avg_shared_activity(user_cells: np.ndarray, cell_candidates: np.ndarray,

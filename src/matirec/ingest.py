@@ -11,7 +11,10 @@ check-in in input order, with users and POIs interned to ints in sorted-id
 order.  The parser splits and converts whole columns at once and builds no
 per-check-in object; ``CheckInLog.checkins`` renders ``CheckIn`` records on
 demand for readers that want them.  The parsed ``CheckInLog`` is immutable
-after construction and safe for concurrent reads.
+after construction and safe for concurrent reads.  ``serialize_log`` writes
+the sorted cache, rendering each distinct coordinate once (``float_texts``,
+which the parameter writer shares).  Of this package it imports only
+``config`` and ``errors``, so the ``ingest`` command loads no model layer.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
+from .config import DEFAULT_COLUMNS
 from .errors import DataError, InvariantError
 
-DEFAULT_COLUMNS = ("user", "time", "lat", "lon", "poi")
 COLD_START_DISTINCT_POIS = 5
 # Timestamps are held as int64.
 TIMESTAMP_LIMIT = 1 << 63
@@ -68,6 +71,16 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     keep = np.ones(len(ordered), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
     return ordered[keep]
+
+
+def float_texts(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float, as ``json.dumps`` spells a finite one, in an
+    object array of ``values``' shape; each distinct bit pattern is rendered
+    once, so -0.0 and 0.0 stay distinct.  (``np.unique`` leaves ``numpy.ma``
+    unloaded when it returns the inverse, as here.)"""
+    distinct, where = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    return texts[where.reshape(values.shape)]
 
 
 def _intern(tokens: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -525,8 +538,8 @@ def serialize_log(log: CheckInLog) -> str:
     order = _canonical_order(c)
     users = np.array(c.users, dtype=object)[c.user[order]].tolist()
     pois = np.array(c.pois, dtype=object)[c.poi[order]].tolist()
-    rows = zip(users, map(str, c.timestamp[order].tolist()), map(repr, c.lat[order].tolist()),
-               map(repr, c.lon[order].tolist()), pois)
+    rows = zip(users, map(str, c.timestamp[order].tolist()), float_texts(c.lat[order]).tolist(),
+               float_texts(c.lon[order]).tolist(), pois)
     return "\n".join(map("\t".join, rows)) + "\n"
 
 

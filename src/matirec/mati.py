@@ -61,8 +61,8 @@ the list of its level tables as nested lists.  JSON escapes every control
 character in a key, so a ``\\n`` can only end a line.  ``params_to_json``
 builds, checks, validates and renders the chains ``PARAMS_SLICE`` owners at
 a time, each distinct last-axis row once (most rows repeat) and, within a
-slice's new rows, each distinct float once (``_float_texts``; ``pr_nu`` too);
-each key is rendered once.  It returns ``TextPieces``, which ``cli._write``
+slice's new rows, each distinct float once (``ingest.float_texts``; ``pr_nu``
+too); each key is rendered once.  It returns ``TextPieces``, which ``cli._write``
 joins a group at a time.
 ``params_from_json`` reads that text a line at a time, cuts each chain's
 text at ``[`` and ``]`` against ``_chain_template``, and decodes each
@@ -89,7 +89,7 @@ import numpy as np
 
 from .baselines import max_normalize
 from .errors import ConfigError, DataError, InvariantError
-from .ingest import CheckInLog
+from .ingest import CheckInLog, float_texts
 from .slabs import SlabIndex
 
 logger = logging.getLogger(__name__)
@@ -486,15 +486,6 @@ def mati_mix(psi: np.ndarray, depth: np.ndarray, phi_t: float) -> np.ndarray:
     return phi_t * max_normalize(psi) + (1 - phi_t) * max_normalize(depth)
 
 
-def _float_texts(values: np.ndarray) -> np.ndarray:
-    """``repr`` of each float, as ``json.dumps`` spells a finite one, in an
-    object array of ``values``' shape; each distinct bit pattern is rendered
-    once, so -0.0 and 0.0 stay distinct."""
-    distinct, where = np.unique(values.view(np.uint64), return_inverse=True)
-    texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
-    return texts[where.reshape(values.shape)]
-
-
 def _render_rows(level: np.ndarray, texts: dict[bytes, str]) -> np.ndarray:
     """JSON text of each last-axis row, shaped like the level without that axis.
 
@@ -506,7 +497,7 @@ def _render_rows(level: np.ndarray, texts: dict[bytes, str]) -> np.ndarray:
     rows = np.ascontiguousarray(level).reshape(-1, level.shape[-1])
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
     new = {key: j for j, key in enumerate(keys) if key not in texts}
-    for key, row in zip(new, _float_texts(rows[list(new.values())]).tolist()):
+    for key, row in zip(new, float_texts(rows[list(new.values())]).tolist()):
         texts[key] = "[" + ", ".join(row) + "]"
     return np.array([texts[key] for key in keys], dtype=object).reshape(level.shape[:-1])
 
@@ -621,7 +612,7 @@ def params_to_json(params: MatiParams, fingerprint: str = "") -> TextPieces:
         "pair_tables": _object_pieces(pairs, pair_json, shape, "pair", texts),
         "poi_tables": _object_pieces(params.poi_tables, poi_json, shape, "POI", texts),
         "pr_nu": ["{", ",".join(f"\n{key}: {score}"
-                                for key, score in zip(pair_json, _float_texts(pr_nu))), "\n}"],
+                                for key, score in zip(pair_json, float_texts(pr_nu))), "\n}"],
     }
     pieces = ["{"]
     for name, member in members.items():

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import baselines as bl
 from . import univariate as uv
-from .config import RunConfig, SEED_MF, SEED_SAMPLING
+from .config import SEED_MF, SEED_SAMPLING, HybridConfig, RunConfig, UsgWeights
 from .errors import ConfigError, DataError
-from .hybrid import PROBE_N, Decision, HybridConfig, avg_shared_activity, decide
+from .hybrid import PROBE_N, Decision, avg_shared_activity, decide
 from .ingest import CheckInLog
 from .mati import (EmReport, MatiParams, mati_mix, pair_keys, poi_depth_means, run_em,
                    shared_activity)
@@ -124,7 +124,7 @@ class UsgComponents:
             self._friend_cache[u] = bl.friend_weights(self.matrix, u)
         return self._friend_cache[u]
 
-    def set_weights(self, weights: bl.UsgWeights) -> None:
+    def set_weights(self, weights: UsgWeights) -> None:
         """Swap mixing weights (tuning); invalidates cached mixed scores."""
         self.weights = weights
         self._usg_cache.clear()

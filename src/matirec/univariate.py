@@ -17,38 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import UnivariateConfig
 from .errors import ConfigError, DataError
 from .ingest import CheckInLog
 from .localtime import is_weekend
-
-
-@dataclass(frozen=True)
-class UnivariateConfig:
-    """Thresholds of the weekday/weekend framework.
-
-    t: effective-act threshold above which the temporal path applies
-       (1/7 matches a uniform day-of-week split).
-    lam: margin shift separating weekday from weekend lean.
-    theta: POI-act cut separating weekday / neutral / weekend candidates.
-    xi: share of the final list reserved for neutral POIs.
-    k: candidate-pool multiplier (the temporal path re-ranks the top k*n).
-    """
-
-    t: float = 1.0 / 7.0
-    lam: float = 0.5
-    theta: float = 0.0
-    xi: float = 0.1
-    k: int = 10
-
-    def __post_init__(self):
-        if not 0 < self.t < 1:
-            raise ConfigError(f"t must be in (0,1), got {self.t}")
-        if not 0 < self.lam < 1:
-            raise ConfigError(f"lam must be in (0,1), got {self.lam}")
-        if not 0 <= self.xi < 1:
-            raise ConfigError(f"xi must be in [0,1), got {self.xi}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)

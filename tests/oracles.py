@@ -52,9 +52,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from matirec.baselines import EARTH_RADIUS_KM, GeoModel, UsgWeights
+from matirec.baselines import EARTH_RADIUS_KM, GeoModel
+from matirec.config import DEFAULT_COLUMNS, UsgWeights
 from matirec.errors import DataError
-from matirec.ingest import DEFAULT_COLUMNS, CheckIn, ColumnFormat, _canonical_order, parse_timestamp
+from matirec.ingest import CheckIn, ColumnFormat, _canonical_order, parse_timestamp
 from matirec.localtime import is_weekend
 from matirec.mati import (PARAMS_FORMAT_VERSION, ChainLayout, ChainStack, MatiParams,
                           chain_from_joint, joint_from_chain, layout_for, pair_of, run_em)

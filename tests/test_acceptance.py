@@ -18,15 +18,14 @@ from oracles import (DictParams, as_dicts, e_step, joint_prob, m_step, oracle_jo
                      oracle_m_step, oracle_metrics, oracle_rank1_completion,
                      oracle_responsibilities, poi_act)
 
-from matirec.config import load_config
+from matirec.config import HybridConfig, UnivariateConfig, load_config
 from matirec.evaluation import evaluate, metrics_at_n, split_exclude, tune_sweep
-from matirec.hybrid import HybridConfig
 from matirec.ingest import CheckIn, CheckInLog, dataset_stats, parse_checkins, parse_social
 from matirec.mati import ChainLayout, chain_from_joint, run_em
 from matirec.pipeline import MatiRecommender, train_models
 from matirec.slabs import (SlabIndex, SlotSimilarityMatrix, TemporalFactorSpec, complete_matrix,
                            day_factor, hac_complete_linkage, hour_factor)
-from matirec.univariate import UnivariateConfig, effective_user_act, m_avg_recommend
+from matirec.univariate import effective_user_act, m_avg_recommend
 
 
 @contextmanager

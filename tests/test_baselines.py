@@ -7,9 +7,9 @@ import pytest
 from oracles import (friend_map, friend_weights, geo_log_score, geo_scores, social_from_weights,
                      social_score, top_neighbors, ubcf_from_neighbors, ubcf_score)
 
-from matirec.baselines import (GeoModel, UserPoiMatrix, UsgWeights, fit_geo_model, geo_log_scores,
+from matirec.baselines import (GeoModel, UserPoiMatrix, fit_geo_model, geo_log_scores,
                                haversine_km, max_normalize, rank_top_n, usg_score)
-from matirec.config import load_config
+from matirec.config import UsgWeights, load_config
 from matirec.errors import ConfigError, DataError
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.pipeline import UsgComponents

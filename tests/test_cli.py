@@ -102,7 +102,10 @@ def test_config_out_of_bounds_value(tmp_path):
     ("factors.hac_threshold_day", "-inf"), ("mf.reg", "nan"), ("mf.reg", "inf"),
     ("mf.reg", "-0.5"), ("mf.tol", "-1"), ("mf.tol", "nan"), ("mf.iters", "-1"),
     ("mf.iters", "0"), ("mati.gamma", "nan"), ("mati.gamma", "inf"), ("mati.em_tol", "nan"),
-    ("mati.em_tol", "-1"), ("mati.em_max_iter", "-3")])
+    ("mati.em_tol", "-1"), ("mati.em_max_iter", "-3"), ("univariate.theta", "nan"),
+    ("univariate.theta", "inf"), ("data.utc_offset_hours", "15"),
+    ("data.utc_offset_hours", "-13"), ("data.column_format", "user,time,lat,lon"),
+    ("data.column_format", "user,time,lat,lon,poi,poi")])
 def test_config_refuses_non_finite_or_out_of_range_values(workspace, tmp_path, monkeypatch,
                                                           capsys, key, value):
     """A distance bin or floor that is not a positive finite number, a
@@ -110,7 +113,10 @@ def test_config_refuses_non_finite_or_out_of_range_values(workspace, tmp_path, m
     above 1, and a completion or EM setting that is not finite or is below
     its floor, are config errors (exit 2) before the log is read, not a
     traceback from the geo fit, a threshold nothing can reach, hour slots
-    merged through NaN similarities or a NaN log-likelihood trace."""
+    merged through NaN similarities or a NaN log-likelihood trace.  So are a
+    NaN POI-act cut (every POI would land in the neutral bucket), a UTC
+    offset no place has, and a column format that does not permute the five
+    columns (not a data error, exit 3, from the parser)."""
     _, config = workspace
     variable = "MATI_" + key.replace(".", "_").upper()
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -121,6 +127,21 @@ def test_config_refuses_non_finite_or_out_of_range_values(workspace, tmp_path, m
     assert code == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("hours", ["3000000000000000", "100000000000", "-30"])
+def test_cli_slabs_refuses_utc_offset_beyond_real_offsets(workspace, tmp_path, monkeypatch,
+                                                          capsys, hours):
+    """An offset outside [-12, 14] hours exits 2 naming the key, not 1 with an
+    ``OverflowError`` traceback, nor 0 with every slot shifted by days."""
+    _, config = workspace
+    monkeypatch.setenv("MATI_DATA_UTC_OFFSET_HOURS", hours)
+    assert main(["--config", str(config), "slabs", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "data.utc_offset_hours" in err and "Traceback" not in err
+    for edge in (-12, 14):
+        cfg = load_config(env={"MATI_DATA_UTC_OFFSET_HOURS": str(edge)})
+        assert cfg.data.utc_offset_hours == edge
 
 
 @pytest.mark.parametrize("value", ["-1", "-0.5", "0.3"])
@@ -665,6 +686,37 @@ def test_write_matches_write_text(tmp_path, text):
     assert written.read_bytes() == whole.read_bytes()
 
 
+def _run_python(script: str) -> str:
+    """Stdout of ``script`` run by a fresh interpreter that imports this
+    checkout's ``matirec``; a failing script fails the test."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_cli_ingest_loads_no_model_layer(tmp_path, monkeypatch):
+    """``ingest`` loads only the package root, ``cli``, ``config``, ``errors``
+    and ``ingest`` of the package, and not ``numpy.ma``; ``config`` alone
+    loads no numpy at all."""
+    checkins = tmp_path / "checkins.tsv"
+    checkins.write_text("u1\t100\t1.5\t0.1\tp1\nu2\t200\t-0.0\t0.1\tp2\n", encoding="utf-8")
+    script = ("import sys\n"
+              "from matirec.cli import main\n"
+              f"assert main(['ingest', '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'matirec'))\n"
+              "print('numpy.ma' in sys.modules)\n")
+    monkeypatch.setenv("MATI_DATA_CHECKINS", str(checkins))
+    lines = _run_python(script).splitlines()
+    assert lines[-2:] == [repr(["matirec", "matirec.cli", "matirec.config", "matirec.errors",
+                                "matirec.ingest"]), "False"]
+    assert (tmp_path / "out" / "checkins.tsv").read_text(encoding="utf-8").splitlines()[1:] == [
+        "u1\t100\t1.5\t0.1\tp1", "u2\t200\t-0.0\t0.1\tp2"]
+    script = "import sys\nimport matirec.config\nprint('numpy' in sys.modules)\n"
+    assert _run_python(script).splitlines() == ["False"]
+
+
 def test_cli_commands_leave_numpy_ma_unloaded(workspace, tmp_path):
     """The five commands a user runs in turn, in one process, never import
     ``numpy.ma`` (a plain ``np.unique`` or ``np.isin`` would)."""
@@ -683,11 +735,7 @@ def test_cli_commands_leave_numpy_ma_unloaded(workspace, tmp_path):
               f"for argv in {commands!r}:\n"
               f"    assert main(['--config', {str(config)!r}, *argv]) == 0, argv\n"
               "print('numpy.ma loaded:', 'numpy.ma' in sys.modules)\n")
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "numpy.ma loaded: False"
+    assert _run_python(script).splitlines()[-1] == "numpy.ma loaded: False"
 
 
 def _csv_rows(path: Path) -> list[dict]:

@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 import oracles as orc
 from corpus import checkin_users, distinct_pois, longtail_corpus, planted_corpus
 
+from matirec.config import DEFAULT_COLUMNS, UnivariateConfig
 from matirec.errors import DataError
 from matirec.evaluation import split_exclude
-from matirec.ingest import (DEFAULT_COLUMNS, CheckIn, CheckInLog, ColumnFormat, parse_checkins,
+from matirec.ingest import (CheckIn, CheckInLog, ColumnFormat, float_texts, parse_checkins,
                             serialize_log)
 from matirec.sampling import SamplingState, collect_until, sample_round, stratify_users
 from matirec.slabs import aggregate_similarity, day_factor, hour_factor
-from matirec.univariate import UnivariateConfig, act_observations, effective_user_act, poi_acts
+from matirec.univariate import act_observations, effective_user_act, poi_acts
 
 # --- Parsing ----------------------------------------------------------------
 
@@ -109,16 +110,29 @@ _tied_checkin = st.builds(
     user_id=st.sampled_from(["u1", "u2", "é"]),
     poi_id=st.sampled_from(["p1", "p2", "東"]),
     timestamp=st.integers(min_value=1, max_value=3),
-    lat=st.sampled_from([0.0, -0.0, 1.5, -90.0, 0.1 + 0.2]),
-    lon=st.sampled_from([0.0, -0.0, 180.0, 1e-300]),
+    lat=st.one_of(st.sampled_from([0.0, -0.0, 1.5, -90.0, 0.1, 1 / 3, 0.1 + 0.2, 5e-324]),
+                  st.floats(-90.0, 90.0)),
+    lon=st.one_of(st.sampled_from([0.0, -0.0, 180.0, 1e-300, -5e-324, 0.1, -1 / 3]),
+                  st.floats(-180.0, 180.0)),
 )
 
 
 @given(st.lists(_tied_checkin, max_size=40))
 def test_serialize_log_matches_record_reference(checkins):
-    """Same bytes as sorting records, ties (and -0.0 against 0.0) included."""
+    """Same bytes as sorting records and writing each one's ``repr``s: ties,
+    repeated coordinates, -0.0 beside 0.0, subnormals and long reprs
+    included."""
     log = CheckInLog.from_checkins(checkins)
     assert serialize_log(log) == orc.reference_serialize(log)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+       st.integers(0, 12), st.integers(1, 3), st.randoms())
+def test_float_texts_is_repr_of_each_float(pool, n, width, rnd):
+    """Each entry's text is its float's ``repr``, whatever the shape and
+    however often a value (or its sign-flipped zero) repeats."""
+    values = np.array([rnd.choice([*pool, 0.0, -0.0]) for _ in range(n * width)]).reshape(n, width)
+    assert float_texts(values).tolist() == [[repr(v) for v in row] for row in values.tolist()]
 
 
 # --- The log itself ---------------------------------------------------------

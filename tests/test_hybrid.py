@@ -4,10 +4,9 @@ import pytest
 import oracles as orc
 from corpus import checkin_users, planted_corpus
 
-from matirec.config import load_config
+from matirec.config import HybridConfig, load_config
 from matirec.errors import ConfigError, DataError
-from matirec.hybrid import (PROBE_N, Decision, HybridConfig, avg_shared_activity, decide,
-                            decisions_csv)
+from matirec.hybrid import PROBE_N, Decision, avg_shared_activity, decide, decisions_csv
 from matirec.ingest import CheckInLog
 from matirec.pipeline import train_models
 

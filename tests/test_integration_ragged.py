@@ -12,9 +12,8 @@ import pytest
 
 from corpus import stamp
 
-from matirec.config import load_config
+from matirec.config import HybridConfig, load_config
 from matirec.evaluation import evaluate, split_exclude
-from matirec.hybrid import HybridConfig
 from matirec.ingest import CheckIn, CheckInLog, parse_checkins, serialize_log
 from matirec.pipeline import train_models
 

@@ -11,10 +11,9 @@ from corpus import (checkin_users, distinct_pois, planted_corpus, three_factor_i
 from oracles import as_dicts, reference_params_json
 
 from matirec import cli, mati
-from matirec.config import MODELS, load_config
+from matirec.config import MODELS, HybridConfig, load_config
 from matirec.errors import ConfigError
 from matirec.evaluation import split_exclude
-from matirec.hybrid import HybridConfig
 from matirec.ingest import CheckInLog
 from matirec.mati import (ChainStack, chain_from_joint, joint_from_chain, pair_keys, pair_of,
                           params_from_json, params_to_json, run_em)

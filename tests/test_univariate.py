@@ -7,13 +7,12 @@ from oracles import (absolute_poi_act, absolute_user_act, poi_act, reference_m_a
                      user_poi_probs)
 
 from matirec.baselines import rank_top_n
-from matirec.config import load_config
+from matirec.config import UnivariateConfig, load_config
 from matirec.errors import ConfigError, DataError
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.localtime import is_weekend
 from matirec.pipeline import UsgComponents, UsgRecommender, UsgtRecommender
-from matirec.univariate import (UnivariateConfig, act_histogram, effective_user_act,
-                                m_avg_recommend, poi_acts)
+from matirec.univariate import act_histogram, effective_user_act, m_avg_recommend, poi_acts
 
 SAT_NOON = stamp(0, 5, 12)
 MON_NOON = stamp(0, 0, 12)
