@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from . import ingest as ing
-from .config import MODELS, RunConfig, file_checksum, fingerprint, load_config
+from .config import MODELS, RunConfig, check_seed, file_checksum, fingerprint, load_config
 from .errors import ConfigError, DataError, MatirecError
 
 
@@ -347,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = check_seed(args.seed)
         return COMMANDS[args.command](cfg, args)
     except MatirecError as exc:
         print(f"error: {exc}", file=sys.stderr)

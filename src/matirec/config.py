@@ -92,6 +92,8 @@ class SamplingConfig:
             raise ConfigError("sampling.m_min must be >= 1")
         if not 0 < self.n_percent <= 100:
             raise ConfigError("sampling.n_percent must be in (0,100]")
+        if self.max_rounds < 1:
+            raise ConfigError("sampling.max_rounds must be >= 1")
 
 
 @dataclass
@@ -288,6 +290,13 @@ def _coerce(raw: str, target_type: type, path: str):
         raise ConfigError(f"invalid value for {path}: {raw!r}") from exc
 
 
+def check_seed(seed: int) -> int:
+    """``seed``, refused below 0: numpy seeds only non-negative integers."""
+    if seed < 0:
+        raise ConfigError(f"run.seed must be >= 0, got {seed}")
+    return seed
+
+
 def load_config(path: str | Path | None = None,
                 env: Mapping[str, str] | None = None) -> RunConfig:
     """Build a RunConfig from defaults, an optional file, and env overrides."""
@@ -322,7 +331,7 @@ def load_config(path: str | Path | None = None,
             for option, raw in entries.items():
                 if option != "seed":
                     raise ConfigError(f"unknown config key run.{option}")
-                cfg.seed = _coerce(raw, int, "run.seed")
+                cfg.seed = check_seed(_coerce(raw, int, "run.seed"))
             continue
         target = getattr(cfg, section)
         known = {f.name: f.type for f in fields(target)}

@@ -1,18 +1,10 @@
 """Latent multi-aspect temporal model (MATI): joint probability, EM, scoring.
 
-For every observed (user, POI) pair the model keeps a chain of conditional
-slab tables, finest granularity conditioned on all coarser ones:
+Slabs are addressed as integer grid cells (``SlabIndex.cells``).  A pair's
+evidence is its row of per-cell check-in counts, and every table the model
+holds is a joint over the cells, Pr(z | u, l), as one flat row of cells.
 
-    Pr(z_1 | z_2..z_t, u, l) * ... * Pr(z_{t-1} | z_t, u, l) * Pr(z_t | u, l)
-
-Table arrays are indexed coarsest-first, so the table for chain level k has
-the conditioning axes first and the level's own slab axis last; every table
-sums to 1 over that last axis for each conditioning tuple.
-
-Slabs are addressed as integer grid cells (``SlabIndex.cells``); a pair's
-evidence is its row of per-cell check-in counts.
-
-The joint visit probability is Pr(u) * Pr_nu(l|u) * chain, with Pr(u) = 1
+The joint visit probability is Pr(u) * Pr_nu(l|u) * Pr(z|u,l), with Pr(u) = 1
 (users are treated equally).  Pr_nu is a constant factor of each pair's
 joint, so the EM update below never reads it; training passes uniform
 weights, and the model's Pr_nu factor is the live USG score, applied at
@@ -31,47 +23,37 @@ toward the global popularity joint J_0 it starts from: after k iterations
     J_k = H/n + (gamma / (n + gamma))^k * (J_0 - H/n).
 
 ``run_em`` computes iteration k directly for all pairs at once.  H stays
-sparse: the likelihood reads only the cells with evidence, and the final
-joints are the grid (gamma / (n + gamma))^k * J_0 with only those cells
-overwritten.  The pair chains stay in closed form, as ``EmChains`` (the
-pair keys, their pair rows, the sparse H, each pair's
-r^k = (gamma / (n + gamma))^k and J_0), which builds the joints of any set
-of pair rows; EM sums the POI backoff joints from them ``PARAMS_SLICE``
-pair rows at a time, and the writer factors the chains of a slice of
-pairs the same way, so no (pairs × cells) grid is ever held.  The reported
-log-likelihood is the per-event data log-likelihood under the current
-tables plus the constant sum of n_pair * log Pr_nu (0 under uniform
-weights), which moves only the relative stop rule; it is non-decreasing
-across iterations.
+sparse: the final joints are the grid (gamma / (n + gamma))^k * J_0 with
+only the cells with evidence overwritten.  The pair joints stay in closed
+form, as ``EmChains``; EM sums the POI backoff joints from them
+``PARAMS_SLICE`` pair rows at a time, so no (pairs × cells) grid is ever
+held.  The reported log-likelihood is the per-event data log-likelihood
+under the current tables plus the constant sum of n_pair * log Pr_nu (0
+under uniform weights), which moves only the relative stop rule; it is
+non-decreasing across iterations.
 
-``MatiParams`` holds the POI chains as a ``ChainStack`` (per level, the
-last-axis rows and an int32 row id per owner and conditioning tuple, owners
-in raw key string order, the file's order), and the pair chains as an
-``EmChains`` from EM or a ``ChainStack`` read from a file; both give the
-chains of owners lo..hi through ``chains(lo, hi)``.
+Scoring reads a ``MatiTables``: the POI backoff joints (a ``JointStack``)
+and J_0.  It mixes the depth with the shared activity psi, the Jaccard
+overlap of the cells a user and a POI were active in (``shared_activity``).
 
-Scoring mixes the depth with the shared activity psi: the Jaccard overlap of
-the cells a user and a POI were active in, from integer rows of per-cell
-check-in counts (``shared_activity``).
+Chains exist only in the parameter file (``mati_params.json``), where each
+joint is the chain of conditional slab tables, finest granularity
+conditioned on all coarser ones,
 
-Parameter file (``mati_params.json``): one JSON object, one member a line
-(the layout before any chain), and one line for each entry of the pair,
-POI and ``pr_nu`` objects; pair keys are ``user<TAB>poi``, and a chain is
-the list of its level tables as nested lists.  JSON escapes every control
-character in a key, so a ``\\n`` can only end a line.  ``params_to_json``
-builds, checks, validates and renders the chains ``PARAMS_SLICE`` owners at
-a time, each distinct last-axis row once (most rows repeat) and, within a
-slice's new rows, each distinct float once (``ingest.float_texts``; ``pr_nu``
-too); each key is rendered once.  It returns ``TextPieces``, which ``cli._write``
-joins a group at a time.
-``params_from_json`` reads that text a line at a time, cuts each chain's
-text at ``[`` and ``]`` against ``_chain_template``, and decodes each
-distinct row text once while cached (``_ChainRows``); its stacks keep each
-level's distinct rows and an int32 row id per owner and conditioning tuple,
-each row validated once (an error still names the first owner that uses a
-bad row).  v2 (the sufficient statistics ``EmChains`` holds, ROADMAP.md
-item 1) waits on the benchmark, which reads the v1 members and traces both
-functions by name.
+    Pr(z_1 | z_2..z_t, u, l) * ... * Pr(z_{t-1} | z_t, u, l) * Pr(z_t | u, l),
+
+each table indexed coarsest-first and summing to 1 over its last axis, the
+level's own.  The file is one JSON object, one member a line, and one line
+an entry of the pair, POI and ``pr_nu`` objects; pair keys are
+``user<TAB>poi``, and JSON escapes every control character in a key, so a
+``\\n`` can only end a line.  ``params_to_json`` checks, factors and renders
+the joints ``PARAMS_SLICE`` owners at a time, each distinct row and float
+once, into ``TextPieces``.  ``params_from_json`` reads the text a line at a
+time, decodes and validates each distinct row text once while cached
+(``_ChainRows``), multiplies the POI and global chains into joints, and
+keeps only the pairs' keys.  v2 (the statistics ``EmChains`` holds,
+ROADMAP.md item 1) waits on the benchmark, which reads the v1 members and
+traces both functions by name.
 """
 from __future__ import annotations
 
@@ -79,7 +61,6 @@ import itertools
 import json
 import logging
 import math
-from array import array
 from dataclasses import dataclass
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii
@@ -98,9 +79,9 @@ PARAMS_FORMAT_VERSION = 1
 
 ROW_SUM_TOL = 1e-9
 MONOTONE_SLACK = 1e-9
-# Owners whose joints or chains are built at a time: EM sums the POI joints,
-# the writer builds, checks and renders the chains, and ``poi_depth_means``
-# averages the POI joints one slice of owners at a time.
+# Owners whose joints are built or factored at a time: EM sums the POI
+# joints, and the writer checks, factors and renders the chains, one slice
+# of owners at a time.
 PARAMS_SLICE = 512
 
 
@@ -120,11 +101,6 @@ def layout_for(index: SlabIndex) -> ChainLayout:
     """The chain layout of ``index``'s grid: coarsest factor first, so the
     finest factor ends the chain."""
     return ChainLayout(tuple(f.name for f in reversed(index.factors)), index.grid_shape())
-
-
-def chain_from_joint(joint: np.ndarray) -> list[np.ndarray]:
-    """Factor a joint slab table into the conditional chain."""
-    return [table[0] for table in _stacked_chains(np.array(joint, dtype=float)[None])]
 
 
 def _stacked_chains(joints: np.ndarray) -> list[np.ndarray]:
@@ -150,7 +126,7 @@ def _stacked_chains(joints: np.ndarray) -> list[np.ndarray]:
         fallbacks += int(np.count_nonzero(empty))
         tables.append(table)
     if fallbacks:
-        logger.debug("chain_from_joint: %d zero-mass conditioning tuples set uniform", fallbacks)
+        logger.debug("chains: %d zero-mass conditioning tuples set uniform", fallbacks)
     return tables
 
 
@@ -186,56 +162,36 @@ def validate_chain(tables: Sequence[np.ndarray],
 
 
 @dataclass(frozen=True)
-class ChainStack:
-    """The chains of several owners, stacked level by level as rows and row ids.
-
-    ``rows[k]`` holds level k's last-axis rows, and ``ids[k]`` (int32, one per
-    owner and conditioning tuple) picks each table row from them, so owner
-    i's level-k table is ``rows[k][ids[k][i]]``; the parameter reader keeps
-    each distinct row once.  ``keys[i]`` is owner i's key in the parameter
-    file: ``user<TAB>poi`` for a pair, the POI id for a POI.  Owners are in
-    raw key string order, as ``json.dumps(sort_keys=True)`` sorts them.
-    """
+class JointStack:
+    """The joints of several owners: ``keys[i]`` is owner i's key in the
+    parameter file (``user<TAB>poi`` for a pair, the POI id for a POI), in
+    raw key string order, and ``joints[i]`` its joint, one flat row of cells."""
 
     keys: tuple[str, ...]
-    rows: tuple[np.ndarray, ...]
-    ids: tuple[np.ndarray, ...]
-
-    @classmethod
-    def of(cls, keys: Sequence[str], levels: Sequence[np.ndarray]) -> ChainStack:
-        """The stack of ``levels`` (owners first), each table row its own row."""
-        return cls(tuple(keys), tuple(level.reshape(-1, level.shape[-1]) for level in levels),
-                   tuple(np.arange(math.prod(level.shape[:-1]), dtype=np.int32)
-                         .reshape(level.shape[:-1]) for level in levels))
+    joints: np.ndarray
 
     def __post_init__(self):
-        if any(len(ids) != len(self.keys) for ids in self.ids):
-            raise InvariantError(f"chain stack: levels of {[len(ids) for ids in self.ids]} "
-                                 f"owners for {len(self.keys)} keys")
+        if len(self.joints) != len(self.keys):
+            raise InvariantError(f"{len(self.joints)} joints for {len(self.keys)} keys")
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    @property
-    def levels(self) -> tuple[np.ndarray, ...]:
-        """Each level's tables, owners first, gathered from the rows."""
-        return tuple(rows[ids] for rows, ids in zip(self.rows, self.ids))
-
-    def chains(self, lo: int, hi: int) -> list[np.ndarray]:
-        """The levels of owners ``lo`` to ``hi`` (exclusive)."""
-        return [rows[ids[lo:hi]] for rows, ids in zip(self.rows, self.ids)]
+    def owner_joints(self, lo: int, hi: int) -> np.ndarray:
+        """The joints of owners ``lo`` to ``hi`` (exclusive)."""
+        return self.joints[lo:hi]
 
 
 @dataclass(frozen=True)
 class EmChains:
-    """EM's pair chains in closed form, built a slice of owners at a time.
+    """EM's pair joints in closed form, built a slice of owners at a time.
 
     ``keys[i]`` is owner i's ``user<TAB>poi`` key, in raw key string order,
     and ``rows[i]`` its pair int row, the row of ``decay`` and of the sparse
     evidence.  Pair row r's check-ins fall in ``cells[indptr[r]:indptr[r + 1]]``,
     ``counts`` of them in each; ``decay[r]`` is its r^k, and ``start`` the
     global joint J_0, shaped like the slab grid.  These are the sufficient
-    statistics of the pair chains: a pair's joint is ``decay * start`` with
+    statistics of the pair joints: a pair's joint is ``decay * start`` with
     its evidence cells set to ``E + r^k (J_0 - E)``, ``E = H/n``.
     """
 
@@ -265,10 +221,9 @@ class EmChains:
         joints[owner, cells] = target + decay[owner] * (start[cells] - target)
         return joints
 
-    def chains(self, lo: int, hi: int) -> list[np.ndarray]:
-        """The chains of owners ``lo`` to ``hi`` (exclusive), stacked: their
-        ``joints`` factored by ``_stacked_chains``."""
-        return _stacked_chains(self.joints(self.rows[lo:hi]).reshape(-1, *self.start.shape))
+    def owner_joints(self, lo: int, hi: int) -> np.ndarray:
+        """The joints of owners ``lo`` to ``hi`` (exclusive)."""
+        return self.joints(self.rows[lo:hi])
 
 
 def pair_of(key: str) -> tuple[str, str]:
@@ -285,15 +240,9 @@ def pair_keys(log: CheckInLog) -> np.ndarray:
             + np.array(columns.pois, dtype=object)[pair_pois])
 
 
-def _validate_stack(stack: ChainStack, what: str) -> None:
-    """``validate_chain`` over a stack's rows, each checked once; an error
-    names the first owner whose tables use an offending row, a pair as its
-    (user, poi)."""
-    def owner(k: int, bad: np.ndarray):
-        key = stack.keys[int(np.argmax(bad[stack.ids[k]].reshape(len(stack), -1).any(axis=1)))]
-        return pair_of(key) if what == "pair" else key
-
-    validate_chain(stack.rows, owner)
+def _owner(what: str, key: str):
+    """An owner as an error names it: a pair as its (user, poi)."""
+    return pair_of(key) if what == "pair" else key
 
 
 def _sorted_keys(keys: Sequence[str]) -> bool:
@@ -301,28 +250,26 @@ def _sorted_keys(keys: Sequence[str]) -> bool:
 
 
 @dataclass
-class MatiParams:
-    """Trained parameter set: EM's per-pair weights plus slab chains.
-
-    ``pair_tables`` is the source of the observed pairs' chains: an
-    ``EmChains`` from ``run_em`` (closed form, built a slice at a time) or
-    a ``ChainStack`` read from a file (its distinct rows and row ids); both
-    have ``keys``, ``len`` and ``chains(lo, hi)``, and nothing but the
-    writer builds the chains.
-    ``pr_nu`` holds the weights EM ran with, aligned with
-    ``pair_tables.keys`` (all ones from ``pipeline.train_models``; scoring
-    uses the live USG score).
-    Candidate pairs unseen in training back off to the POI-marginal chains
-    of ``poi_tables`` (mean of the POI's observed pair joints) and finally
-    to the single global popularity chain ``global_table``.
-    """
+class MatiTables:
+    """What scoring reads of a trained model (``params_from_json`` returns
+    one): the POI backoff joints, each the mean of the POI's observed pair
+    joints, and the global popularity joint J_0 as one flat row."""
 
     layout: ChainLayout
-    pair_tables: EmChains | ChainStack
+    slab_checksum: str
+    pair_keys: tuple[str, ...]
+    poi_tables: JointStack
+    global_table: np.ndarray
+
+
+@dataclass
+class MatiParams(MatiTables):
+    """``run_em``'s result: the tables plus what only the writer reads, the
+    pair joints (keyed by ``pair_keys``) and ``pr_nu``, the weights EM ran
+    with (all ones from ``pipeline.train_models``)."""
+
+    pair_tables: EmChains | JointStack
     pr_nu: np.ndarray
-    poi_tables: ChainStack
-    global_table: list[np.ndarray]
-    slab_checksum: str = ""
 
 
 @dataclass
@@ -345,11 +292,10 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: np.ndarray, max_iter: int =
     (see the module docstring) on the sparse histogram: its nonzero
     entries come from one ``np.unique`` of (pair row, cell) positions, in
     row-major order, and each pair's n and the start joint from two
-    ``bincount``s.  The pair chains are returned in closed form, as an
-    ``EmChains`` that builds them a slice of pairs at a time (the writer
-    validates them as it renders); the POI backoff joints are summed from
-    its joints ``PARAMS_SLICE`` pair rows at a time, in pair row order, so
-    each sum adds in the order one whole grid would.  The run stops when
+    ``bincount``s.  The pair joints are returned in closed form, as an
+    ``EmChains``; the POI backoff joints are summed from it
+    ``PARAMS_SLICE`` pair rows at a time, in pair row order, so each sum
+    adds in the order one whole grid would.  The run stops when
     the relative log-likelihood change drops below ``tol`` or after
     ``max_iter`` iterations; a decrease beyond the slack is an invariant
     breach.
@@ -412,30 +358,21 @@ def run_em(log: CheckInLog, index: SlabIndex, pr_nu: np.ndarray, max_iter: int =
     if not _sorted_keys(names.tolist()):
         order = np.argsort(names, kind="stable")
         names, weights = names[order], weights[order]
-    pair_chains = EmChains(tuple(names.tolist()), order,
+    pair_joints = EmChains(tuple(names.tolist()), order,
                            np.searchsorted(rows, np.arange(len(keys) + 1)), cells,
                            hits, rate ** iterations, start.reshape(shape))
-    # POI backoff chain: mean of the POI's observed pair joints, summed a
+    # POI backoff joint: mean of the POI's observed pair joints, summed a
     # slice of pair rows at a time, in pair row order.
     pois, poi_of = np.unique(keys % len(columns.pois), return_inverse=True)
     poi_sums = np.zeros((len(pois), n_cells))
     for lo in range(0, len(keys), PARAMS_SLICE):
         slice_rows = np.arange(lo, min(lo + PARAMS_SLICE, len(keys)))
-        np.add.at(poi_sums, poi_of[slice_rows], pair_chains.joints(slice_rows))
+        np.add.at(poi_sums, poi_of[slice_rows], pair_joints.joints(slice_rows))
     poi_sums /= np.bincount(poi_of)[:, None]
-    poi_chains = _stacked_chains(poi_sums.reshape(len(pois), *shape))
-    global_chain = chain_from_joint(start.reshape(shape))
-    for chain in (poi_chains, global_chain):
-        validate_chain(chain)
-
     params = MatiParams(
-        layout=layout_for(index),
-        pair_tables=pair_chains,
-        pr_nu=weights,
-        poi_tables=ChainStack.of(np.array(columns.pois, dtype=object)[pois].tolist(),
-                                 poi_chains),
-        global_table=global_chain,
-        slab_checksum=index.checksum)
+        layout=layout_for(index), slab_checksum=index.checksum, pair_keys=pair_joints.keys,
+        poi_tables=JointStack(tuple(np.array(columns.pois, dtype=object)[pois].tolist()), poi_sums),
+        global_table=start, pair_tables=pair_joints, pr_nu=weights)
     return params, EmReport(trace, iterations, converged)
 
 
@@ -455,24 +392,18 @@ def shared_activity(user_cells: np.ndarray, cell_pois: np.ndarray,
     return psi
 
 
-def poi_depth_means(params: MatiParams, pois: Sequence[str]) -> np.ndarray:
-    """Per POI: the mean joint probability of its backoff chain over the slab
-    grid (the global chain's for a POI without one).
+def poi_depth_means(params: MatiTables, pois: Sequence[str]) -> np.ndarray:
+    """Per POI: the mean of its backoff joint over the slab grid (the global
+    joint's for a POI without one).
 
-    Candidates are POIs the user has not visited, so their depth is
-    ``pr_nu * mean`` of exactly these chains.  Every valid chain's joint sums
-    to 1, so the mean is 1 / n_cells and the trained tables never change a
-    ranking (the open depth fix in ROADMAP.md).  The joints are built
-    ``PARAMS_SLICE`` POIs at a time; each mean reads only its own joint.
+    A candidate's depth is ``pr_nu * mean``.  Every joint sums to 1, so the
+    mean is 1 / n_cells and the trained tables never change a ranking (the
+    open depth fix in ROADMAP.md).
     """
     stack = params.poi_tables
-    means = np.empty(len(stack))
-    for lo in range(0, len(stack), PARAMS_SLICE):
-        joints = joint_from_chain(stack.chains(lo, lo + PARAMS_SLICE))
-        means[lo:lo + len(joints)] = joints.reshape(len(joints), -1).mean(axis=1)
     row = {key: i for i, key in enumerate(stack.keys)}
     rows = np.array([row.get(poi, len(stack)) for poi in pois], dtype=np.intp)
-    return np.append(means, joint_from_chain(params.global_table).mean())[rows]
+    return np.append(stack.joints.mean(axis=1), params.global_table.mean())[rows]
 
 
 def mati_mix(psi: np.ndarray, depth: np.ndarray, phi_t: float) -> np.ndarray:
@@ -512,36 +443,43 @@ def _chain_template(shape: tuple[int, ...]) -> list:
     return [item for pair in zip(literals, slots) for item in pair] + literals[-1:]
 
 
-def _chain_pieces(stack: ChainStack, shape: tuple[int, ...],
-                  texts: dict[bytes, str]) -> np.ndarray:
-    """Object array with one row per owner; row i joins to owner i's chain."""
-    rows = [_render_rows(level_rows, texts)[ids].reshape(len(stack), -1)
-            for level_rows, ids in zip(stack.rows, stack.ids)]
-    template = _chain_template(shape)
-    pieces = np.empty((len(stack), len(template)), dtype=object)
+def _chain_pieces(levels: Sequence[np.ndarray], texts: dict[bytes, str]) -> np.ndarray:
+    """Object array with one row per owner of ``levels`` (each level's
+    tables, owners first); row i joins to owner i's chain."""
+    rows = [_render_rows(level, texts).reshape(len(level), -1) for level in levels]
+    template = _chain_template(levels[-1].shape[1:])
+    pieces = np.empty((len(levels[0]), len(template)), dtype=object)
     for j, item in enumerate(template):
         pieces[:, j] = item if isinstance(item, str) else rows[item[0]][:, item[1]]
     return pieces
 
 
-def _checked(stack: ChainStack, shape: tuple[int, ...], what: str) -> ChainStack:
-    """``stack``, once its levels are checked against the layout and validated."""
-    got = [(*ids.shape, rows.shape[-1]) for rows, ids in zip(stack.rows, stack.ids)]
-    want = [(len(stack), *shape[:k + 1]) for k in range(len(shape))]
-    if got != want:
-        raise InvariantError(f"model parameters: {what} levels have shapes {got}, the layout "
-                             f"needs {want}")
-    _validate_stack(stack, what)
-    return stack
+def _chains(joints: np.ndarray, keys: Sequence[str], shape: tuple[int, ...],
+            what: str) -> list[np.ndarray]:
+    """The chains of owners ``keys``, factored from a copy of their
+    ``joints`` once each is checked: a row of the layout's cells whose
+    entries are non-negative and sum to 1 (a NaN or infinite entry fails
+    the sum).  The error names the first owner whose joint is not."""
+    want = (len(keys), math.prod(shape))
+    if joints.shape != want:
+        raise InvariantError(f"model parameters: {what} joints have shape {joints.shape}, the "
+                             f"layout needs {want}")
+    errors = np.abs(joints.sum(axis=1) - 1)
+    bad = ~(errors <= ROW_SUM_TOL) | (joints < 0).any(axis=1)
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise InvariantError(f"model parameters: the {what} joint of {_owner(what, keys[first])!r}"
+                             f" is not a distribution (sum {float(joints[first].sum())})")
+    return _stacked_chains(np.array(joints, dtype=float).reshape(-1, *shape))
 
 
-def _object_pieces(source: EmChains | ChainStack, quoted: list[str], shape: tuple[int, ...],
+def _object_pieces(source: EmChains | JointStack, quoted: list[str], shape: tuple[int, ...],
                    what: str, texts: dict[bytes, str]) -> list[str]:
     """Pieces of the JSON object mapping each owner's key (``quoted``: the
     keys' JSON texts) to its chain, each entry on a line of its own.
 
-    The chains are built, checked, validated and rendered ``PARAMS_SLICE``
-    owners at a time, so only one slice's chains are held at once.
+    The joints are checked, factored and rendered ``PARAMS_SLICE`` owners at
+    a time, so only one slice's chains are held at once.
     """
     keys = source.keys
     if not _sorted_keys(keys):
@@ -549,8 +487,8 @@ def _object_pieces(source: EmChains | ChainStack, quoted: list[str], shape: tupl
     pieces = ["{"]
     for lo in range(0, len(keys), PARAMS_SLICE):
         hi = min(lo + PARAMS_SLICE, len(keys))
-        stack = _checked(ChainStack.of(keys[lo:hi], source.chains(lo, hi)), shape, what)
-        block = _chain_pieces(stack, shape, texts)
+        block = _chain_pieces(_chains(source.owner_joints(lo, hi), keys[lo:hi], shape, what),
+                              texts)
         opening = block[0, 0]
         block[:, 0] = [f",\n{key}: {opening}" for key in quoted[lo:hi]]
         pieces += block.ravel().tolist()
@@ -580,11 +518,11 @@ def params_to_json(params: MatiParams, fingerprint: str = "") -> TextPieces:
     line, in the order the reader needs, and one line an entry of the pair,
     POI and ``pr_nu`` objects; ``json.loads`` of it is the payload.
 
-    Every chain is checked against the layout and validated before it is
-    rendered, and all of them are rendered before this returns, so an
-    invalid or non-finite chain, or a negative or non-finite ``pr_nu``,
-    raises ``InvariantError`` before a byte is written.  The pair and POI
-    chains are built and rendered a slice at a time (``_object_pieces``),
+    Every joint is checked before its chain is factored and rendered, and
+    all of them are rendered before this returns, so a joint off the layout
+    or not a distribution, or a negative or non-finite ``pr_nu``, raises
+    ``InvariantError`` before a byte is written.  The pair and POI joints
+    are factored and rendered a slice at a time (``_object_pieces``),
     sharing one cache of row texts; the pieces are not joined here.
     """
     shape = params.layout.shape
@@ -600,15 +538,14 @@ def params_to_json(params: MatiParams, fingerprint: str = "") -> TextPieces:
     texts: dict[bytes, str] = {}
     pair_json = list(map(encode_basestring_ascii, pairs.keys))  # each as json.dumps spells it
     poi_json = list(map(encode_basestring_ascii, params.poi_tables.keys))
-    stack = _checked(ChainStack.of(("global",), [t[None] for t in params.global_table]), shape,
-                     "global")
     members = {
         "fingerprint": [json.dumps(fingerprint)],
         "format_version": [json.dumps(PARAMS_FORMAT_VERSION)],
         "layout": [json.dumps({"levels": list(params.layout.levels), "shape": list(shape)},
                               sort_keys=True)],
         "slab_checksum": [json.dumps(params.slab_checksum)],
-        "global_table": _chain_pieces(stack, shape, texts)[0].tolist(),
+        "global_table": _chain_pieces(_chains(params.global_table[None], ("global",), shape,
+                                              "global"), texts)[0].tolist(),
         "pair_tables": _object_pieces(pairs, pair_json, shape, "pair", texts),
         "poi_tables": _object_pieces(params.poi_tables, poi_json, shape, "POI", texts),
         "pr_nu": ["{", ",".join(f"\n{key}: {score}"
@@ -683,14 +620,16 @@ class _Lines:
 
 
 class _ChainRows:
-    """Chains of one layout, stacked a row text at a time.  A chain's text is
+    """Chains of one layout, read a row text at a time.  A chain's text is
     cut at ``[`` and ``]``, and the pieces without a row must be those of
     ``_chain_template``.  Each ``STACK_BATCH`` chains, a level's distinct row
-    texts not in its cache (which maps a text to its row id, up to
+    texts not in its cache (which maps a text to its row in ``_rows``, up to
     ``_ROWS_HELD`` texts, then starts over) are checked and decoded in one
-    scanner call and kept as new rows of the level."""
+    scanner call and validated, each once: an error names the first owner
+    that uses a bad row.  With ``joints``, the batch's chains are then
+    multiplied into joints; without, no row is kept."""
 
-    def __init__(self, lines: _Lines, what: str, shape: tuple[int, ...]):
+    def __init__(self, lines: _Lines, what: str, shape: tuple[int, ...], joints: bool = True):
         self.lines, self.what, self.shape, self.keys = lines, what, shape, []
         skeleton = "".join(item if isinstance(item, str) else f"[#{item[0]}]"
                            for item in _chain_template(shape)).replace("]", "[").split("[")
@@ -699,8 +638,9 @@ class _ChainRows:
         self._others = list(itertools.compress(skeleton, self._other))
         self._texts: list[list[str]] = [[] for _ in shape]  # each level's, since the last batch
         self._caches: list[dict[str, int]] = [{} for _ in shape]
-        self._rows = [array("d") for _ in shape]  # each level's decoded rows
-        self._ids = [array("l") for _ in shape]  # each level's row id per owner and tuple
+        self._rows = [np.empty((0, size)) for size in shape]  # each level's, with ``joints``
+        self._joints: list[np.ndarray] | None = [] if joints else None
+        self._decoded = 0  # chains whose rows are decoded
 
     def add(self, key: str, chain: str) -> None:
         pieces = chain.replace("]", "[").split("[")
@@ -714,58 +654,77 @@ class _ChainRows:
         if len(self.keys) % STACK_BATCH == 0:
             self._decode()
 
-    def _decode(self) -> None:
-        for k, (texts, cache) in enumerate(zip(self._texts, self._caches)):
-            what = f"model parameters: {self.what} level {k}"
-            if len(cache) > _ROWS_HELD:
-                cache.clear()
-            if new := [text for text in dict.fromkeys(texts) if text not in cache]:
-                try:  # a row's text holds no bracket, so a string in it can only merge rows
-                    rows = json.loads("[[" + "], [".join(new) + "]]")
-                except json.JSONDecodeError:
-                    rows = ()
-                if len(rows) != len(new) or not {float, int}.issuperset(
-                        map(type, itertools.chain.from_iterable(rows))):
-                    raise DataError(f"{what} has a non-numeric entry")
-                if (sizes := set(map(len, rows))) != {self.shape[k]}:
-                    raise DataError(f"{what} tables are ragged" if len(sizes) > 1 else
-                                    f"{what} tables have shape {(*self.shape[:k], *sizes)}, "
-                                    f"the layout needs {self.shape[:k + 1]}")
-                first = len(self._rows[k]) // self.shape[k]
-                self._rows[k].extend(itertools.chain.from_iterable(rows))
-                cache.update(zip(new, range(first, first + len(new))))
-            self._ids[k].extend(map(cache.__getitem__, texts))
-            texts.clear()
+    def _new_rows(self, k: int) -> tuple[list[str], np.ndarray]:
+        """Level k's batch texts not in its cache, and their rows."""
+        what = f"model parameters: {self.what} level {k}"
+        if len(self._caches[k]) > _ROWS_HELD:
+            self._caches[k].clear()
+            self._rows[k] = self._rows[k][:0]
+        new = [text for text in dict.fromkeys(self._texts[k]) if text not in self._caches[k]]
+        if not new:
+            return new, self._rows[k][:0]
+        try:  # a row's text holds no bracket, so a string in it can only merge rows
+            rows = json.loads("[[" + "], [".join(new) + "]]")
+        except json.JSONDecodeError:
+            rows = ()
+        if len(rows) != len(new) or not {float, int}.issuperset(
+                map(type, itertools.chain.from_iterable(rows))):
+            raise DataError(f"{what} has a non-numeric entry")
+        if (sizes := set(map(len, rows))) != {self.shape[k]}:
+            raise DataError(f"{what} tables are ragged" if len(sizes) > 1 else
+                            f"{what} tables have shape {(*self.shape[:k], *sizes)}, "
+                            f"the layout needs {self.shape[:k + 1]}")
+        return new, np.array(rows, dtype=float)
 
-    def read(self, name: str, close: str) -> ChainStack:
-        """The stack of the object member ``name``'s chains, keys ascending."""
+    def _decode(self) -> None:
+        batch = self.keys[self._decoded:]
+        self._decoded = len(self.keys)
+        if not batch:
+            return
+        new = [self._new_rows(k) for k in range(len(self.shape))]
+
+        def owner(k: int, bad: np.ndarray):
+            wrong = set(itertools.compress(new[k][0], bad))
+            first = next(i for i, text in enumerate(self._texts[k]) if text in wrong)
+            return _owner(self.what, batch[first // math.prod(self.shape[:k])])
+
+        validate_chain([rows for _, rows in new], owner)
+        levels = []
+        for k, (texts, cache, (fresh, rows)) in enumerate(zip(self._texts, self._caches, new)):
+            cache.update(zip(fresh, itertools.count(len(self._rows[k]))))
+            if self._joints is not None:
+                self._rows[k] = np.concatenate([self._rows[k], rows])
+                ids = np.fromiter(map(cache.__getitem__, texts), np.intp, len(texts))
+                levels.append(self._rows[k][ids].reshape(len(batch), *self.shape[:k + 1]))
+            texts.clear()
+        if levels:
+            self._joints.append(joint_from_chain(levels).reshape(len(batch), -1))
+
+    def read(self, name: str, close: str) -> tuple[str, ...]:
+        """The keys of the object member ``name``'s chains, ascending."""
         for key, text in self.lines.entries(name, close):
             if self.keys and key <= self.keys[-1]:
                 raise self.lines.error(f"expecting a key that sorts after {self.keys[-1]!r}")
             self.add(key, text)
-        return self.stack()
-
-    def stack(self) -> ChainStack:
-        """The stack of the chains added, each distinct row validated once."""
         self._decode()
-        stack = ChainStack(tuple(self.keys),
-                           tuple(np.frombuffer(rows).reshape(-1, size)
-                                 for rows, size in zip(self._rows, self.shape)),
-                           tuple(np.array(ids, dtype=np.int32).reshape(-1, *self.shape[:k])
-                                 for k, ids in enumerate(self._ids)))
-        _validate_stack(stack, self.what)
-        return stack
+        return tuple(self.keys)
+
+    def joints(self) -> np.ndarray:
+        """The joints of the chains added, one flat row of cells each."""
+        self._decode()
+        return np.concatenate([np.empty((0, math.prod(self.shape))), *self._joints])
 
 
-def params_from_json(stream: TextIO, expected_checksum: str | None = None) -> MatiParams:
+def params_from_json(stream: TextIO, expected_checksum: str | None = None) -> MatiTables:
     """Read a parameter file from a text stream, a line at a time.
 
     The text must be what ``params_to_json`` writes: one member a line in
     its order, each value spelled as it spells it, one line an entry of the
     pair, POI and ``pr_nu`` objects, chain keys strictly ascending, chains
     nested as ``_chain_template`` nests them, and nothing after the object;
-    anything else raises ``DataError``.  Each chain stack is validated once;
-    ``pr_nu`` must hold one finite, non-negative score per pair, in order.
+    anything else raises ``DataError``.  Each distinct row is validated
+    once, and ``pr_nu`` must hold one finite, non-negative score per pair,
+    in order.  Only the pair keys and the POI and global joints are kept.
     """
     lines = _Lines(stream)
     lines.next("{")
@@ -785,16 +744,17 @@ def params_from_json(stream: TextIO, expected_checksum: str | None = None) -> Ma
     if expected_checksum is not None and checksum != expected_checksum:
         raise DataError("model parameters were trained against a different slab index; refusing")
     layout = ChainLayout(tuple(levels), tuple(shape))
-    rows = _ChainRows(lines, "global", layout.shape)
-    rows.add("global", lines.member("global_table", decode=False))
-    global_table = [level[0] for level in rows.stack().levels]
-    pairs = _ChainRows(lines, "pair", layout.shape).read("pair_tables", "},")
-    pois = _ChainRows(lines, "POI", layout.shape).read("poi_tables", "},")
+    chains = _ChainRows(lines, "global", layout.shape)
+    chains.add("global", lines.member("global_table", decode=False))
+    global_table = chains.joints()[0]
+    pairs = _ChainRows(lines, "pair", layout.shape, joints=False).read("pair_tables", "},")
+    chains = _ChainRows(lines, "POI", layout.shape)
+    pois = JointStack(chains.read("poi_tables", "},"), chains.joints())
     entries = list(lines.entries("pr_nu", "}"))
     lines.next("}")
     if stream.read(1):
         raise DataError(f"unreadable model parameters: extra data after line {lines.number}")
-    if tuple(key for key, _ in entries) != pairs.keys:
+    if tuple(key for key, _ in entries) != pairs:
         raise DataError("model parameters: the pr_nu keys differ from the pair_tables keys")
     try:
         scores = json.loads("[" + ", ".join(text for _, text in entries) + "]")
@@ -805,5 +765,5 @@ def params_from_json(stream: TextIO, expected_checksum: str | None = None) -> Ma
     scores = np.array(scores, dtype=float)
     if not (np.isfinite(scores) & (scores >= 0)).all():
         raise DataError("model parameters: pr_nu has a negative or non-finite entry")
-    return MatiParams(layout=layout, pair_tables=pairs, pr_nu=scores, poi_tables=pois,
-                      global_table=global_table, slab_checksum=checksum)
+    return MatiTables(layout=layout, slab_checksum=checksum, pair_keys=pairs, poi_tables=pois,
+                      global_table=global_table)

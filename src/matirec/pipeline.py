@@ -22,7 +22,7 @@ from .config import SEED_MF, SEED_SAMPLING, HybridConfig, RunConfig, UsgWeights
 from .errors import ConfigError, DataError
 from .hybrid import PROBE_N, Decision, avg_shared_activity, decide
 from .ingest import CheckInLog
-from .mati import (EmReport, MatiParams, mati_mix, pair_keys, poi_depth_means, run_em,
+from .mati import (EmReport, MatiTables, mati_mix, pair_keys, poi_depth_means, run_em,
                    shared_activity)
 from .sampling import collect_until
 from .slabs import (SlabIndex, SlotSimilarityMatrix, aggregate_similarity, all_slab_profiles,
@@ -292,7 +292,7 @@ class MatiRecommender(_RankedRecommender):
 
     name = "mati"
 
-    def __init__(self, components: UsgComponents, params: MatiParams,
+    def __init__(self, components: UsgComponents, params: MatiTables,
                  user_profiles: np.ndarray, poi_profiles: np.ndarray, phi_t: float):
         super().__init__(components)
         self.user_active = user_profiles > 0
@@ -376,7 +376,7 @@ class HybridRecommender:
 class TrainedModels:
     components: UsgComponents
     slab_artifacts: SlabArtifacts
-    params: MatiParams
+    params: MatiTables
     em_report: EmReport | None
     user_profiles: np.ndarray
     poi_profiles: np.ndarray
@@ -400,7 +400,7 @@ def training_pr_nu(log: CheckInLog) -> np.ndarray:
 
 def train_models(log: CheckInLog, cfg: RunConfig,
                  slab_artifacts: SlabArtifacts | None = None,
-                 params: MatiParams | None = None) -> TrainedModels:
+                 params: MatiTables | None = None) -> TrainedModels:
     """Train every recommender family on the given (training-view) log.
 
     Given ``params`` trained on this log, EM is skipped and ``em_report`` is
@@ -414,7 +414,7 @@ def train_models(log: CheckInLog, cfg: RunConfig,
                                 max_iter=cfg.mati.em_max_iter, tol=cfg.mati.em_tol,
                                 gamma=cfg.mati.gamma)
     else:
-        differ = set(pair_keys(log).tolist()).symmetric_difference(params.pair_tables.keys)
+        differ = set(pair_keys(log).tolist()).symmetric_difference(params.pair_keys)
         if differ:
             raise DataError(f"model parameters were trained on a different check-in log "
                             f"({len(differ)} (user, poi) pairs differ)")

@@ -7,6 +7,8 @@ preferences (fine-grained taste groups, universal popular POIs that pollute
 plain CF, in-group social edges, and geographically clustered pools).
 ``recovery_instance`` builds a corpus whose check-ins are drawn from a known
 slab-table set so estimation quality can be measured directly.
+``timesplit_corpus`` is one where time splits the POIs inside each taste
+group, so that only a model that reads time can tell them apart.
 """
 
 from __future__ import annotations
@@ -87,6 +89,42 @@ def planted_corpus(n_users: int = 500, seed: int = 2024) -> CheckInLog:
                           int(rngu.integers(0, 24))),
                     25.0 + pi * 0.01, 22.0))
     return CheckInLog.from_checkins(checkins, edges)
+
+
+def timesplit_corpus(seed: int) -> CheckInLog:
+    """600 users in 30 taste groups of 20, where time is the signal.
+
+    Group g is centred at (30 + (g % 10) * 0.5, -100 + (g // 10) * 0.5) and
+    has a pool of 20 POIs within about 2 km of its centre: ten of class 0
+    (Mon-Fri, 08-10 h) and ten of class 1 (Fri-Sun, 20-22 h).  User i of a
+    group is in class i % 2, picks 4 pool POIs of that class uniformly, and
+    checks in twice at each, at class times spread over 20 weeks.  With
+    probability 0.3 a user adds one check-in at a same-class POI of a random
+    group; without it, the geo fit rewards distance.  No friends.
+    """
+    rng = np.random.default_rng(seed)
+    days, hours = ((0, 1, 2, 3, 4), (4, 5, 6)), ((8, 9), (20, 21))
+    pools = []
+    for g in range(30):
+        centre = np.array([30 + (g % 10) * 0.5, -100 + (g // 10) * 0.5])
+        offsets = rng.uniform(-0.012, 0.012, size=(20, 2))
+        pools.append([(f"g{g:02d}p{j:02d}", *(centre + offsets[j])) for j in range(20)])
+
+    def visit(user: str, poi: tuple, cls: int) -> CheckIn:
+        ts = stamp(int(rng.integers(0, 20)), int(rng.choice(days[cls])),
+                   int(rng.choice(hours[cls])), int(rng.integers(0, 60)))
+        return CheckIn(user, poi[0], ts, poi[1], poi[2])
+
+    checkins = []
+    for g, pool in enumerate(pools):
+        for i in range(20):
+            user, cls = f"g{g:02d}u{i:02d}", i % 2
+            for j in rng.choice(10, size=4, replace=False):
+                checkins += [visit(user, pool[10 * cls + j], cls) for _ in range(2)]
+            if rng.random() < 0.3:
+                stray = pools[int(rng.integers(0, 30))]
+                checkins.append(visit(user, stray[10 * cls + int(rng.integers(0, 10))], cls))
+    return CheckInLog.from_checkins(checkins)
 
 
 def longtail_corpus(n_users: int = 200, seed: int = 1) -> CheckInLog:

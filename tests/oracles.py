@@ -4,14 +4,18 @@ Everything here is written with explicit loops and plain float arithmetic,
 independent of the log-space / vectorized implementations under test.
 ``DictParams`` is the trained parameter set as plain dicts of chains, one
 entry per (user, POI) pair or POI; ``stacked`` and ``as_dicts`` convert it
-to and from the library's stacked ``MatiParams``.  ``e_step``, ``m_step``
-and ``joint_prob`` are the per-pair EM steps over it, which the other
+to and from the library's ``MatiParams``, which holds joints: ``stacked``
+multiplies the chains, and ``as_dicts`` factors the joints with
+``copying_chains`` (as ``chain_from_joint`` does one joint).  ``e_step``,
+``m_step`` and ``joint_prob`` are the per-pair EM steps over it, which the other
 oracles check; ``reference_em`` iterates them to stand in for the
 closed-form ``run_em``, and ``dense_em`` is that closed form on a dense
-(pairs × cells) grid, which ``run_em`` must match bit for bit
+(pairs × cells) grid, whose joints ``run_em`` must match bit for bit
 (``assert_matches_dense_em``).  ``reference_params_json`` writes the parameter
 file from a ``DictParams`` through ``params_lines``, an encoder of the
-file's line layout: the byte reference for the stacked writer.
+file's line layout: the byte reference for the writer, and the text the
+reader tests feed it; ``chain_product`` multiplies a chain one cell at a
+time, as the reader's joints must.
 ``reference_params_content`` is the same payload as one nested
 ``json.dumps``, whose ``json.loads`` the file's must equal.
 
@@ -57,8 +61,8 @@ from matirec.config import DEFAULT_COLUMNS, UsgWeights
 from matirec.errors import DataError
 from matirec.ingest import CheckIn, ColumnFormat, _canonical_order, parse_timestamp
 from matirec.localtime import is_weekend
-from matirec.mati import (PARAMS_FORMAT_VERSION, ChainLayout, ChainStack, MatiParams,
-                          chain_from_joint, joint_from_chain, layout_for, pair_of, run_em)
+from matirec.mati import (PARAMS_FORMAT_VERSION, ChainLayout, JointStack, MatiParams,
+                          joint_from_chain, layout_for, pair_of, run_em)
 
 
 # --- Slabs as string ids, one timestamp at a time ---------------------------
@@ -481,38 +485,59 @@ class DictParams:
         return self.poi_tables.get(poi, self.global_table)
 
 
-def _chain_stack(chains: Mapping[str, list], shape: tuple[int, ...]) -> ChainStack:
+def _joint_stack(chains: Mapping[str, list], shape: tuple[int, ...]) -> JointStack:
     keys = sorted(chains)
-    return ChainStack.of(keys, tuple(
-        np.array([chains[key][k] for key in keys], dtype=float) if keys
-        else np.zeros((0, *shape[:k + 1])) for k in range(len(shape))))
+    joints = [joint_from_chain(chains[key]).ravel() for key in keys]
+    return JointStack(tuple(keys), np.array(joints) if keys else np.zeros((0, math.prod(shape))))
 
 
 def stacked(ref: DictParams) -> MatiParams:
-    """The library's ``MatiParams`` holding the same chains, stacked as given
-    (unvalidated) in raw key order."""
+    """The library's ``MatiParams`` holding the joints of the same chains
+    (their products, unvalidated), in raw key order."""
     shape = ref.layout.shape
-    pairs = _chain_stack({f"{u}\t{l}": tables for (u, l), tables in ref.pair_tables.items()},
+    pairs = _joint_stack({f"{u}\t{l}": tables for (u, l), tables in ref.pair_tables.items()},
                          shape)
-    return MatiParams(layout=ref.layout, pair_tables=pairs,
-                      pr_nu=np.array([ref.pr_nu[pair_of(key)] for key in pairs.keys], dtype=float),
-                      poi_tables=_chain_stack(ref.poi_tables, shape),
-                      global_table=ref.global_table, slab_checksum=ref.slab_checksum)
+    return MatiParams(layout=ref.layout, slab_checksum=ref.slab_checksum, pair_keys=pairs.keys,
+                      poi_tables=_joint_stack(ref.poi_tables, shape),
+                      global_table=joint_from_chain(ref.global_table).ravel(), pair_tables=pairs,
+                      pr_nu=np.array([ref.pr_nu[pair_of(key)] for key in pairs.keys], dtype=float))
 
 
 def as_dicts(params: MatiParams) -> DictParams:
-    """The chains of a ``MatiParams`` as dicts of per-owner level views."""
-    def chains(stack) -> dict:
-        levels = stack.chains(0, len(stack))
-        return {key: [level[i] for level in levels] for i, key in enumerate(stack.keys)}
+    """The chains of a ``MatiParams``'s joints, factored by ``copying_chains``,
+    as dicts of per-owner level views."""
+    shape = params.layout.shape
+
+    def chains(source) -> dict:
+        levels = copying_chains(source.owner_joints(0, len(source)).reshape(-1, *shape))
+        return {key: [level[i] for level in levels] for i, key in enumerate(source.keys)}
 
     pairs = params.pair_tables
     return DictParams(
         layout=params.layout,
         pr_nu={pair_of(key): v for key, v in zip(pairs.keys, params.pr_nu.tolist())},
         pair_tables={pair_of(key): chain for key, chain in chains(pairs).items()},
-        poi_tables=chains(params.poi_tables), global_table=params.global_table,
+        poi_tables=chains(params.poi_tables),
+        global_table=chain_from_joint(params.global_table.reshape(shape)),
         slab_checksum=params.slab_checksum)
+
+
+def chain_from_joint(joint: np.ndarray) -> list[np.ndarray]:
+    """Factor one joint slab table into its conditional chain."""
+    return [level[0] for level in copying_chains(np.asarray(joint, dtype=float)[None])]
+
+
+def chain_product(tables: Sequence[np.ndarray]) -> np.ndarray:
+    """The joint of a chain as one flat row, each cell's product of its
+    level entries taken coarsest first."""
+    shape = tables[-1].shape
+    joint = np.empty(shape)
+    for cell in np.ndindex(*shape):
+        value = float(tables[0][cell[:1]])
+        for k in range(1, len(shape)):
+            value *= float(tables[k][cell[:k + 1]])
+        joint[cell] = value
+    return joint.ravel()
 
 
 def log_joint_from_chain(tables: Sequence[np.ndarray]) -> np.ndarray:
@@ -661,7 +686,7 @@ def copying_chains(joints: np.ndarray) -> list[np.ndarray]:
     t = joints.ndim - 1
     tables = []
     for k in range(1, t + 1):
-        marg = joints.sum(axis=tuple(range(k + 1, t + 1)))
+        marg = joints.sum(axis=tuple(range(k + 1, t + 1))) if k < t else joints
         denom = marg.sum(axis=k, keepdims=True)
         with np.errstate(invalid="ignore", divide="ignore"):
             tables.append(np.where(denom > 0, marg / np.where(denom > 0, denom, 1.0),
@@ -671,12 +696,12 @@ def copying_chains(joints: np.ndarray) -> list[np.ndarray]:
 
 def dense_em(log, index, pr_nu, max_iter: int = 200, tol: float = 1e-6, gamma: float = 1.0):
     """The closed-form EM on a dense (pairs × cells) histogram grid: the byte
-    reference for ``run_em``'s sparse evidence and in-place factoring.
+    reference for ``run_em``'s sparse evidence and sliced POI sums.
 
     J_k = H/n + rate^k (J_0 - H/n) over the whole grid, with ``run_em``'s
-    stop rule; pair chains by ``copying_chains``, POI chains from the mean of
-    each POI's pair joints.  Returns (pair keys in raw key order, pair
-    chains, POI ids, POI chains, global chain, trace).
+    stop rule; POI joints are the mean of each POI's pair joints.  Returns
+    (pair keys in raw key order, pair joints, POI ids, POI joints, global
+    joint, trace), each joint one flat row of cells.
     """
     columns = log.columns
     keys, pair_of_row = np.unique(columns.pair, return_inverse=True)
@@ -705,32 +730,28 @@ def dense_em(log, index, pr_nu, max_iter: int = 200, tol: float = 1e-6, gamma: f
             break
     iterations = len(trace) - 1
 
-    joints = (empirical + rate ** iterations * (start - empirical)).reshape(len(keys), *shape)
-    pair_chains = copying_chains(joints)
+    joints = empirical + rate ** iterations * (start - empirical)
     pois, poi_of = np.unique(keys % len(columns.pois), return_inverse=True)
-    poi_sums = np.zeros((len(pois), *shape))
+    poi_sums = np.zeros((len(pois), n_cells))
     np.add.at(poi_sums, poi_of, joints)
-    poi_chains = copying_chains(poi_sums / np.bincount(poi_of).reshape(-1, *[1] * len(shape)))
-    global_chain = [level[0] for level in copying_chains(start.reshape(1, *shape))]
     names = [f"{columns.users[u]}\t{columns.pois[p]}"
              for u, p in zip(*np.divmod(keys, len(columns.pois)))]
     order = sorted(range(len(names)), key=names.__getitem__)
-    return ([names[i] for i in order], [level[order] for level in pair_chains],
-            [columns.pois[p] for p in pois], poi_chains, global_chain, trace)
+    return ([names[i] for i in order], joints[order], [columns.pois[p] for p in pois],
+            poi_sums / np.bincount(poi_of)[:, None], start, trace)
 
 
 def assert_matches_dense_em(log, index, **kw):
-    """``run_em`` gives the dense closed form's chains and trace bit for bit."""
+    """``run_em`` gives the dense closed form's joints and trace bit for bit."""
     params, report = run_em(log, index, np.ones(len(log.columns.pairs)), **kw)
-    pair_keys_, pair_chains, pois, poi_chains, global_chain, trace = dense_em(
+    pair_keys_, pair_joints, pois, poi_joints, global_joint, trace = dense_em(
         log, index, np.ones(len(log.columns.pairs)), **kw)
     assert report.log_likelihood == trace
-    assert list(params.pair_tables.keys) == pair_keys_
+    assert list(params.pair_keys) == list(params.pair_tables.keys) == pair_keys_
     assert list(params.poi_tables.keys) == pois
-    for got, want in ((params.pair_tables.chains(0, len(pair_keys_)), pair_chains),
-                      (params.poi_tables.levels, poi_chains),
-                      (params.global_table, global_chain)):
-        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    for got, want in ((params.pair_tables.owner_joints(0, len(pair_keys_)), pair_joints),
+                      (params.poi_tables.joints, poi_joints), (params.global_table, global_joint)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
     return params
 
 

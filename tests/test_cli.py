@@ -105,7 +105,8 @@ def test_config_out_of_bounds_value(tmp_path):
     ("mati.em_tol", "-1"), ("mati.em_max_iter", "-3"), ("univariate.theta", "nan"),
     ("univariate.theta", "inf"), ("data.utc_offset_hours", "15"),
     ("data.utc_offset_hours", "-13"), ("data.column_format", "user,time,lat,lon"),
-    ("data.column_format", "user,time,lat,lon,poi,poi")])
+    ("data.column_format", "user,time,lat,lon,poi,poi"), ("sampling.max_rounds", "0"),
+    ("sampling.max_rounds", "-4")])
 def test_config_refuses_non_finite_or_out_of_range_values(workspace, tmp_path, monkeypatch,
                                                           capsys, key, value):
     """A distance bin or floor that is not a positive finite number, a
@@ -115,8 +116,10 @@ def test_config_refuses_non_finite_or_out_of_range_values(workspace, tmp_path, m
     traceback from the geo fit, a threshold nothing can reach, hour slots
     merged through NaN similarities or a NaN log-likelihood trace.  So are a
     NaN POI-act cut (every POI would land in the neutral bucket), a UTC
-    offset no place has, and a column format that does not permute the five
-    columns (not a data error, exit 3, from the parser)."""
+    offset no place has, a column format that does not permute the five
+    columns (not a data error, exit 3, from the parser), and a sampling
+    round cap below 1 (no user would be drawn, and every slot would keep a
+    slab of its own)."""
     _, config = workspace
     variable = "MATI_" + key.replace(".", "_").upper()
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -142,6 +145,28 @@ def test_cli_slabs_refuses_utc_offset_beyond_real_offsets(workspace, tmp_path, m
     for edge in (-12, 14):
         cfg = load_config(env={"MATI_DATA_UTC_OFFSET_HOURS": str(edge)})
         assert cfg.data.utc_offset_hours == edge
+
+
+@pytest.mark.parametrize("form", ["flag", "file", "environment"])
+def test_cli_refuses_a_negative_seed(workspace, tmp_path, monkeypatch, capsys, form):
+    """A negative ``run.seed``, from ``--seed``, the config file or
+    ``MATI_RUN_SEED``, exits 2 naming the key, not 1 with numpy's
+    ``ValueError`` traceback from the first seeded stage; 0 is a seed."""
+    _, config = workspace
+    command = ["slabs", "--out", str(tmp_path / "out")]
+    if form == "flag":
+        command = ["--seed", "-1", *command]
+    elif form == "file":
+        config = tmp_path / "negative.cfg"
+        text = workspace[1].read_text(encoding="utf-8")
+        config.write_text(text.replace("seed = 42", "seed = -1"), encoding="utf-8")
+    else:
+        monkeypatch.setenv("MATI_RUN_SEED", "-2")
+        command = ["evaluate", "--out", str(tmp_path / "out")]
+    assert main(["--config", str(config), *command]) == 2
+    err = capsys.readouterr().err
+    assert "run.seed" in err and "Traceback" not in err
+    assert load_config(env={"MATI_RUN_SEED": "0"}).seed == 0
 
 
 @pytest.mark.parametrize("value", ["-1", "-0.5", "0.3"])

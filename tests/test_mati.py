@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -8,16 +9,17 @@ import pytest
 
 from corpus import (GRID_TIMES, planted_corpus, recovery_instance, stamp, three_by_three_index,
                     total_variation)
-from oracles import (DictParams, as_dicts, assert_matches_dense_em, e_step, joint_prob, m_step,
-                     oracle_joint, oracle_m_step, oracle_responsibilities, reference_em, stacked)
+from oracles import (DictParams, as_dicts, assert_matches_dense_em, chain_from_joint, e_step,
+                     joint_prob, m_step, oracle_joint, oracle_m_step, oracle_responsibilities,
+                     reference_em, stacked)
 
 from matirec import mati
 from matirec.config import load_config
 from matirec.errors import ConfigError, DataError
 from matirec.ingest import CheckIn, CheckInLog
-from matirec.mati import (ChainLayout, chain_from_joint, joint_from_chain, layout_for, mati_mix,
-                          pair_keys, pair_of, params_from_json, params_to_json, poi_depth_means,
-                          run_em, shared_activity, validate_chain)
+from matirec.mati import (ChainLayout, joint_from_chain, layout_for, mati_mix, pair_keys, pair_of,
+                          params_from_json, params_to_json, poi_depth_means, run_em,
+                          shared_activity, validate_chain)
 from matirec.pipeline import build_slab_index
 from matirec.slabs import SlabIndex, TemporalFactorSpec
 
@@ -286,7 +288,7 @@ def test_run_em_closed_form_matches_reference():
 def test_run_em_weights_move_only_the_stop_rule():
     """Pr_nu is a constant factor of each pair's joint, so with the stop rule
     off (tol=0, k = max_iter) uniform and random positive weights give the
-    same chains bit for bit, and their traces differ by sum n_pair log w_pair
+    same joints bit for bit, and their traces differ by sum n_pair log w_pair
     at every k."""
     log, index, _, _ = recovery_instance(n_users=20, n_pois=40, pois_per_user=3,
                                          visits_per_pair=5, seed=77)
@@ -299,10 +301,8 @@ def test_run_em_weights_move_only_the_stop_rule():
     for a, b in ((uniform.pair_tables, weighted.pair_tables),
                  (uniform.poi_tables, weighted.poi_tables)):
         assert a.keys == b.keys
-        assert ([x.tobytes() for x in a.chains(0, len(a))]
-                == [y.tobytes() for y in b.chains(0, len(b))])
-    assert ([x.tobytes() for x in uniform.global_table]
-            == [y.tobytes() for y in weighted.global_table])
+        assert a.owner_joints(0, len(a)).tobytes() == b.owner_joints(0, len(b)).tobytes()
+    assert uniform.global_table.tobytes() == weighted.global_table.tobytes()
     visits = Counter((c.user_id, c.poi_id) for c in log.checkins)
     shift = math.fsum(visits[p] * math.log(w) for p, w in zip(pairs, weights))
     assert abs(shift) > 1
@@ -326,17 +326,19 @@ def test_run_em_matches_dense_reference_on_planted(planted_300):
 
 def test_run_em_matches_dense_reference_with_an_empty_coarse_slab():
     """No check-in falls in day slab 2, so every pair, POI and the global
-    chain has a zero-mass day row, which factors to the uniform 1/3."""
+    joint has a zero-mass day row, which the writer factors to the uniform
+    1/3."""
     rng = np.random.default_rng(4)
     checkins = [CheckIn(f"u{u}", f"l{p}", stamp(0, *GRID_TIMES[(di, hi)]), 0.0, 0.0)
                 for u in range(5) for p in rng.choice(6, size=2, replace=False)
                 for di, hi in rng.integers(0, [2, 3], size=(int(rng.integers(1, 8)), 2))]
     log = CheckInLog.from_checkins(checkins)
     params = assert_matches_dense_em(log, three_by_three_index())
-    for hour in (params.pair_tables.chains(0, len(params.pair_tables))[1],
-                 params.poi_tables.levels[1],
-                 params.global_table[1][None]):
-        assert (hour[:, 2] == 1 / 3).all()
+    written = json.loads(str(params_to_json(params)))
+    chains = [*written["pair_tables"].values(), *written["poi_tables"].values(),
+              written["global_table"]]
+    assert len(chains) == len(params.pair_keys) + len(params.poi_tables) + 1
+    assert all(hour[2] == [1 / 3] * 3 for _, hour in chains)
 
 
 def test_chain_from_joint_leaves_its_argument():
@@ -363,9 +365,9 @@ def test_run_em_peak_memory_stays_near_one_grid(planted_300):
 
 
 def test_run_em_params_hold_less_than_half_a_grid(planted_300):
-    """The pair chains stay in closed form (the evidence, r^k and J_0), so the
+    """The pair joints stay in closed form (the evidence, r^k and J_0), so the
     parameters EM returns hold under half a (pairs × cells) float64 grid;
-    stacked pair chains alone would hold more than one."""
+    stacked pair joints alone would hold one."""
     log, index = planted_300
     weights = np.ones(len(log.columns.pairs))
     grid_bytes = len(weights) * math.prod(index.grid_shape()) * 8
@@ -400,9 +402,9 @@ def test_run_em_peak_memory_stays_below_a_grid(planted_300):
 
 
 def test_read_params_hold_under_four_tenths_of_a_grid(planted_300):
-    """The parameters ``params_from_json`` returns keep each level's distinct
-    rows and an int32 row id per table row, so they hold under 0.4 of a
-    (pairs × cells) float64 grid; dense pair levels held about 1.24 grids."""
+    """The tables ``params_from_json`` returns keep the pair keys, the POI
+    joints and the global joint, so they hold under 0.4 of a (pairs × cells)
+    float64 grid; dense pair levels held about 1.24 grids."""
     log, index = planted_300
     params, _ = run_em(log, index, np.ones(len(log.columns.pairs)))
     stream = io.StringIO(str(params_to_json(params)))
@@ -492,9 +494,10 @@ def test_params_json_roundtrip_and_checksum_guard():
     text = str(params_to_json(params))
     restored = params_from_json(io.StringIO(text), expected_checksum=index.checksum)
     assert restored.layout == params.layout
-    pair = pairs[0]
-    for mine, orig in zip(as_dicts(restored).pair_tables[pair], as_dicts(params).pair_tables[pair]):
-        assert np.allclose(mine, orig)
+    assert restored.pair_keys == params.pair_keys
+    assert restored.poi_tables.keys == params.poi_tables.keys
+    assert np.allclose(restored.poi_tables.joints, params.poi_tables.joints, rtol=0, atol=1e-15)
+    assert np.allclose(restored.global_table, params.global_table, rtol=0, atol=1e-15)
     with pytest.raises(DataError, match="different slab index"):
         params_from_json(io.StringIO(text), expected_checksum="deadbeef")
 

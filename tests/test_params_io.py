@@ -1,15 +1,19 @@
-"""The stacked parameter-file writer and reader.
+"""The parameter-file writer and reader.
 
-Parameter sets are drawn as ``oracles.DictParams`` and stacked with
-``oracles.stacked``.  ``params_to_json`` must write exactly the bytes of the
-independent line-layout encoder (``oracles.reference_params_json``), whose
-``json.loads`` equals that of one nested ``json.dumps(payload,
-sort_keys=True)`` of the dicts (``oracles.reference_params_content``), and
-``params_from_json`` must give every table and score back bit for bit.  Ids
-carry quotes, backslashes, line ends and other control and non-ASCII
+The writer takes joints: parameter sets are drawn as ``oracles.DictParams``
+and multiplied into a ``MatiParams`` of joints by ``oracles.stacked``.
+``params_to_json`` must write exactly the bytes of the independent
+line-layout encoder (``oracles.reference_params_json``) of those joints'
+chains, factored by ``oracles.as_dicts``; its ``json.loads`` equals that of
+one nested ``json.dumps(payload, sort_keys=True)`` of the dicts
+(``oracles.reference_params_content``).  The reader is fed the reference
+encoder's text of drawn chains, whose rows include the edge rows (-0.0
+beside 0.0, a subnormal, ``1 - 2**-53``): the POI and global joints it
+returns must be the products of the written chains bit for bit
+(``oracles.chain_product``), and its pair keys the keys written.  Ids carry
+quotes, backslashes, line ends and other control and non-ASCII
 characters, whose escaped JSON form sorts differently from the raw string,
-and brackets, commas and colons; rows repeat, and some differ only by -0.0
-against 0.0.
+and brackets, commas and colons; rows repeat.
 """
 
 import io
@@ -22,14 +26,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from corpus import planted_corpus, stamp, three_by_three_index
-from oracles import (DictParams, as_dicts, reference_em, reference_params_content,
+from oracles import (DictParams, as_dicts, chain_product, reference_em, reference_params_content,
                      reference_params_json, stacked)
 
 from matirec import mati
 from matirec.config import load_config
 from matirec.errors import DataError, InvariantError
 from matirec.ingest import CheckIn, CheckInLog
-from matirec.mati import ChainLayout, joint_from_chain, params_from_json, params_to_json, run_em
+from matirec.mati import (ChainLayout, JointStack, MatiParams, joint_from_chain,
+                          params_from_json, params_to_json, run_em)
 from matirec.pipeline import SlabArtifacts, train_models
 from matirec.slabs import SlabIndex, day_factor, hour_factor
 
@@ -46,10 +51,11 @@ EDGE_ROWS = [[1 - 2**-53], [5e-324, 1.0], [1 - 2**-53, 2**-53], [0.1, 0.9], [1 /
              [0.0, -0.0, 1.0], [0.1, 0.2, 0.7], [1 / 3, 1 / 3, 1 / 3], [5e-324, 0.5, 0.5]]
 
 
-def _row_pool(size: int, rng) -> np.ndarray:
-    """Rows of one level: uniform, one-hot with 0.0 and with -0.0, the edge
-    rows of its size, random."""
-    rows = [np.full(size, 1.0 / size)] + [np.array(row) for row in EDGE_ROWS if len(row) == size]
+def _row_pool(size: int, rng, edges: bool) -> np.ndarray:
+    """Rows of one level: uniform, one-hot with 0.0 and with -0.0, with
+    ``edges`` the edge rows of its size, random."""
+    rows = [np.full(size, 1.0 / size)]
+    rows += [np.array(row) for row in EDGE_ROWS if edges and len(row) == size]
     for i in range(size):
         hot = np.zeros(size)
         hot[i] = 1.0
@@ -61,10 +67,10 @@ def _row_pool(size: int, rng) -> np.ndarray:
 
 
 @st.composite
-def param_sets(draw):
+def param_sets(draw, edges: bool):
     shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pools = [_row_pool(size, rng) for size in shape]
+    pools = [_row_pool(size, rng, edges) for size in shape]
 
     def chain():
         levels = []
@@ -87,41 +93,49 @@ def param_sets(draw):
         slab_checksum=draw(ids))
 
 
-def _same_chain(mine, want):
-    assert len(mine) == len(want)
-    for a, b in zip(mine, want):
-        assert a.dtype == np.float64 and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
-
-
-def _assert_round_trip(params, restored):
-    """``restored``, a ``MatiParams``, holds exactly the chains and scores of
-    ``params``, a ``DictParams``."""
-    restored = as_dicts(restored)
-    assert restored.layout == params.layout
-    assert restored.slab_checksum == params.slab_checksum
-    assert {k: np.float64(v).tobytes() for k, v in restored.pr_nu.items()} == \
-        {k: np.float64(v).tobytes() for k, v in params.pr_nu.items()}
-    for mine, want in ((restored.pair_tables, params.pair_tables),
-                       (restored.poi_tables, params.poi_tables)):
-        assert mine.keys() == want.keys()
-        for key in want:
-            _same_chain(mine[key], want[key])
-    _same_chain(restored.global_table, params.global_table)
-
-
 def _read(text: str):
     """``params_from_json`` of ``text``, read as ``recommend`` reads a file:
     no line end translated."""
     return params_from_json(io.StringIO(text, newline=""))
 
 
-@given(params=param_sets(), fingerprint=ids)
+def _assert_read_back(params: DictParams, tables):
+    """``tables``, the reader's ``MatiTables`` of the text written of
+    ``params``, holds its layout, checksum and pair keys, and the product of
+    each POI chain and of the global chain, bit for bit."""
+    assert tables.layout == params.layout
+    assert tables.slab_checksum == params.slab_checksum
+    assert tables.pair_keys == tuple(sorted(f"{u}\t{l}" for u, l in params.pair_tables))
+    pois = tables.poi_tables
+    assert pois.keys == tuple(sorted(params.poi_tables))
+    n_cells = math.prod(params.layout.shape)
+    want = np.array([chain_product(params.poi_tables[key]) for key in pois.keys])
+    want = want.reshape(-1, n_cells)
+    assert pois.joints.dtype == np.float64 and pois.joints.shape == want.shape
+    assert pois.joints.tobytes() == want.tobytes()
+    assert tables.global_table.tobytes() == chain_product(params.global_table).tobytes()
+
+
+def _assert_writes_reference(params: MatiParams, fingerprint: str = "") -> str:
+    """``params_to_json`` of ``params`` writes the reference encoder's bytes
+    of its joints' chains, which read back to their products; returns the text."""
+    want = as_dicts(params)
+    text = str(params_to_json(params, fingerprint=fingerprint))
+    assert text == reference_params_json(want, fingerprint=fingerprint)
+    _assert_read_back(want, _read(text))
+    return text
+
+
+@given(params=param_sets(edges=False), fingerprint=ids)
 def test_writer_matches_reference_bytes_and_round_trips(params, fingerprint):
-    text = str(params_to_json(stacked(params), fingerprint=fingerprint))
-    assert text == reference_params_json(params, fingerprint=fingerprint)
-    assert json.loads(text) == json.loads(reference_params_content(params, fingerprint))
-    _assert_round_trip(params, _read(text))
+    joints = stacked(params)
+    text = _assert_writes_reference(joints, fingerprint)
+    assert json.loads(text) == json.loads(reference_params_content(as_dicts(joints), fingerprint))
+
+
+@given(params=param_sets(edges=True))
+def test_reader_gives_the_written_chains_products_bit_for_bit(params):
+    _assert_read_back(params, _read(reference_params_json(params)))
 
 
 def test_writer_matches_reference_on_em_output_across_slices():
@@ -134,7 +148,7 @@ def test_writer_matches_reference_on_em_output_across_slices():
     n_pairs = len(mati.pair_keys(log))
     params, _ = run_em(log, index, np.resize([1.0, 0.1, 1 / 3], n_pairs))
     assert index.grid_shape() == (7, 24) and n_pairs > mati.PARAMS_SLICE
-    assert str(params_to_json(params)) == reference_params_json(as_dicts(params))
+    _assert_writes_reference(params)
 
 
 def _unit_chain(shape):
@@ -150,9 +164,7 @@ def test_keys_sort_by_raw_string_not_escaped_form():
                         pair_tables={(u, "p"): _unit_chain(shape) for u in names},
                         poi_tables={u: _unit_chain(shape) for u in names},
                         global_table=_unit_chain(shape))
-    text = str(params_to_json(stacked(params)))
-    assert text == reference_params_json(params)
-    _assert_round_trip(params, _read(text))
+    assert _assert_writes_reference(stacked(params)) == reference_params_json(params)
 
 
 def test_many_duplicate_rows_render_once_each():
@@ -163,10 +175,8 @@ def test_many_duplicate_rows_render_once_each():
              for i in range(200)}
     params = DictParams(layout=ChainLayout(("day", "hour"), shape),
                         pr_nu={pair: 1.0 for pair in pairs}, pair_tables=pairs)
-    text = str(params_to_json(stacked(params)))
-    assert text == reference_params_json(params)
+    text = _assert_writes_reference(stacked(params))
     assert "[1.0, -0.0, -0.0, -0.0]" in text and "[1.0, 0.0, 0.0, 0.0]" in text
-    _assert_round_trip(params, _read(text))
 
 
 def test_one_row_text_at_two_levels_reads_back_at_each():
@@ -179,11 +189,10 @@ def test_one_row_text_at_two_levels_reads_back_at_each():
     params = DictParams(layout=ChainLayout(("week", "day"), shape),
                         pr_nu={pair: 1.0 for pair in pairs}, pair_tables=pairs,
                         poi_tables={"p": [rows[0], rows[[1, 2, 0]]]}, global_table=[rows[2], rows])
-    text = str(params_to_json(stacked(params)))
-    assert text == reference_params_json(params)
+    text = reference_params_json(params)
     assert '": [[0.25, 0.5, 0.25], [[0.25, 0.5, 0.25], ' in text
     assert "[0.25, 0.5, 0.25]]]" in text
-    _assert_round_trip(params, _read(text))
+    _assert_read_back(params, _read(text))
 
 
 def _rows_apart_or_alike(alike: bool) -> DictParams:
@@ -207,26 +216,13 @@ def _rows_apart_or_alike(alike: bool) -> DictParams:
 @pytest.mark.parametrize("alike", [False, True], ids=["all-distinct", "all-repeated"])
 @pytest.mark.parametrize("rows_held", [None, 5], ids=["default-cache", "small-cache"])
 def test_distinct_and_repeated_rows_round_trip_byte_for_byte(alike, rows_held, monkeypatch):
-    """Read back and written again, a file gives its own bytes, whether every
-    table row is new or each repeats one chain's, and also when the row cache
-    starts over often.  The stacks keep a row per distinct row text: all of
-    them, or no more than one chain has."""
+    """Read back, a file gives the products of its chains bit for bit,
+    whether every table row is new or each repeats one chain's, and also
+    when the row cache starts over often."""
     if rows_held is not None:
         monkeypatch.setattr(mati, "_ROWS_HELD", rows_held)
     params = _rows_apart_or_alike(alike)
-    text = str(params_to_json(stacked(params)))
-    assert text == reference_params_json(params)
-    restored = _read(text)
-    assert str(params_to_json(restored)) == text
-    _assert_round_trip(params, restored)
-    shape = params.layout.shape
-    for stack in (restored.pair_tables, restored.poi_tables):
-        for k, (rows, ids) in enumerate(zip(stack.rows, stack.ids)):
-            assert ids.dtype == np.int32 and ids.shape == (len(stack), *shape[:k])
-            if not alike:
-                assert len(rows) == ids.size
-            elif rows_held is None:
-                assert len(rows) <= math.prod(shape[:k])
+    _assert_read_back(params, _read(reference_params_json(params)))
 
 
 @pytest.mark.parametrize("kind", ["negative", "row-sum"])
@@ -262,18 +258,27 @@ def test_reader_names_the_first_owner_of_a_shared_bad_row(level, kind):
             params_from_json(io.StringIO(reference_params_json(params)))
 
 
+def _pair_joints(shape, joints) -> MatiParams:
+    """Parameters holding the pair joints ``joints``, keyed ``u0<TAB>p``,
+    ``u1<TAB>p``, ..., and no POI joint."""
+    keys = tuple(f"u{i}\tp" for i in range(len(joints)))
+    return MatiParams(layout=ChainLayout(("day", "hour"), shape), slab_checksum="",
+                      pair_keys=keys, poi_tables=JointStack((), np.zeros((0, math.prod(shape)))),
+                      global_table=np.full(math.prod(shape), 1 / math.prod(shape)),
+                      pair_tables=JointStack(keys, np.array(joints)), pr_nu=np.ones(len(keys)))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 0.7],
                          ids=["nan", "inf", "negative", "row-sum"])
 def test_writer_refuses_invalid_chains(bad):
-    shape = (2, 3)
-    chain = _unit_chain(shape)
-    chain[1] = chain[1].copy()
-    chain[1][1, 0] = bad
-    params = DictParams(layout=ChainLayout(("day", "hour"), shape),
-                        pr_nu={("u", "p"): 1.0, ("v", "p"): 1.0},
-                        pair_tables={("u", "p"): _unit_chain(shape), ("v", "p"): chain})
-    with pytest.raises(InvariantError, match=r"chain level 1 of \('v', 'p'\)") as err:
-        params_to_json(stacked(params))
+    """A joint with a NaN or infinite entry, a negative entry, or a sum off
+    1 is refused, naming its owner; factored, a NaN would have turned into a
+    uniform row that passes every row check."""
+    joint = np.full(6, 1 / 6)
+    joint[4] = bad
+    with pytest.raises(InvariantError, match=r"the pair joint of \('u1', 'p'\) is not a "
+                                             r"distribution") as err:
+        params_to_json(_pair_joints((2, 3), [np.full(6, 1 / 6), joint]))
     assert err.value.exit_code == 4
 
 
@@ -297,11 +302,11 @@ def test_writer_refuses_tables_off_the_layout():
         params_to_json(stacked(params))
 
 
-def test_chain_stack_refuses_levels_off_its_keys():
-    """The writer reads a stack a slice of keys at a time, so a level with
-    more owners than keys must fail where the stack is made."""
-    with pytest.raises(InvariantError, match="levels of \\[3, 2\\] owners for 2 keys"):
-        mati.ChainStack.of(("a", "b"), (np.full((3, 2), 0.5), np.full((2, 2, 2), 0.5)))
+def test_joint_stack_refuses_joints_off_its_keys():
+    """The writer reads a stack a slice of keys at a time, so a stack with
+    more joints than keys must fail where it is made, not drop the rest."""
+    with pytest.raises(InvariantError, match="3 joints for 2 keys"):
+        JointStack(("a", "b"), np.full((3, 2), 0.5))
 
 
 def test_pair_keys_leave_em_in_raw_key_order():
@@ -317,16 +322,14 @@ def test_pair_keys_leave_em_in_raw_key_order():
     pr_nu = {pair: 0.1 * (i + 1) for i, pair in enumerate(pairs)}
     params, _ = run_em(log, index, np.array([pr_nu[pair] for pair in pairs]))
     keys = [f"{u}\t{l}" for u, l in pairs]
-    assert keys != sorted(keys) and list(params.pair_tables.keys) == sorted(keys)
+    assert keys != sorted(keys) and list(params.pair_keys) == sorted(keys)
 
     ref = as_dicts(params)
     assert ref.pr_nu == pr_nu
     joints, _ = reference_em(log, index, pr_nu)
     for pair, want in joints.items():
         assert np.abs(joint_from_chain(ref.pair_tables[pair]) - want).max() <= 1e-12
-    text = str(params_to_json(params))
-    assert text == reference_params_json(ref)
-    _assert_round_trip(ref, _read(text))
+    text = _assert_writes_reference(params)
     models = train_models(log, load_config(), SlabArtifacts(index, {}),
                           params_from_json(io.StringIO(text)))
     assert models.em_report is None
@@ -458,7 +461,6 @@ def test_ids_with_line_ends_round_trip_on_one_line_each():
                         pair_tables={(u, "p\n"): _unit_chain(shape) for u in names},
                         poi_tables={u: _unit_chain(shape) for u in names},
                         slab_checksum="s\r\n")
-    text = str(params_to_json(stacked(params), fingerprint="f\n"))
+    text = _assert_writes_reference(stacked(params), fingerprint="f\n")
     assert text == reference_params_json(params, fingerprint="f\n")
     assert len(text.splitlines()) == len(io.StringIO(text, newline="").readlines()) == 31
-    _assert_round_trip(params, _read(text))

@@ -8,15 +8,15 @@ import pytest
 
 from corpus import (checkin_users, distinct_pois, planted_corpus, three_factor_index,
                     three_factor_log)
-from oracles import as_dicts, reference_params_json
+from oracles import as_dicts, chain_product, reference_params_json
 
 from matirec import cli, mati
 from matirec.config import MODELS, HybridConfig, load_config
 from matirec.errors import ConfigError
 from matirec.evaluation import split_exclude
 from matirec.ingest import CheckInLog
-from matirec.mati import (ChainStack, chain_from_joint, joint_from_chain, pair_keys, pair_of,
-                          params_from_json, params_to_json, run_em)
+from matirec.mati import (JointStack, pair_keys, pair_of, params_from_json, params_to_json,
+                          run_em)
 from matirec.pipeline import (MatiRecommender, UsgComponents, build_slab_index, train_models,
                               training_pr_nu)
 from matirec.univariate import act_observations, effective_user_act
@@ -191,11 +191,13 @@ def test_top_n_lists_are_nested(planted_split, name):
 
 
 def test_depth_means_equal_per_poi_joint_means(planted_split):
+    """Each POI's depth mean is the mean of EM's joint for it, with no chain
+    between them."""
     _, models = planted_split
-    mati = models.get("mati")
-    chains = as_dicts(models.params).poi_tables
-    want = [float(joint_from_chain(chains[p]).mean()) for p in models.components.matrix.pois]
-    assert mati.depth_means.tolist() == want
+    pois = models.params.poi_tables
+    joints = dict(zip(pois.keys, pois.joints))
+    want = [float(joints[p].mean()) for p in models.components.matrix.pois]
+    assert models.get("mati").depth_means.tolist() == want
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -204,17 +206,11 @@ def test_depth_means_equal_per_poi_joint_means(planted_split):
 def test_random_slab_tables_change_some_mati_list(planted_split):
     split, models = planted_split
     rng = np.random.default_rng(5)
-    shape = models.params.layout.shape
-
-    def random_chains(keys):
-        joints = rng.random((len(keys), *shape))
-        chains = [chain_from_joint(joint / joint.sum()) for joint in joints]
-        return ChainStack.of(keys, [np.array(level) for level in zip(*chains)])
-
-    pairs, pois = models.params.pair_tables, models.params.poi_tables
-    params = replace(models.params, pair_tables=random_chains(pairs.keys),
-                     poi_tables=random_chains(pois.keys),
-                     global_table=[level[0] for level in random_chains(("global",)).levels])
+    n_cells = models.params.poi_tables.joints.shape[1]
+    keys = models.params.poi_tables.keys
+    params = replace(models.params,
+                     poi_tables=JointStack(keys, rng.dirichlet(np.ones(n_cells), size=len(keys))),
+                     global_table=rng.dirichlet(np.ones(n_cells)))
     trained = models.get("mati")
     randomized = MatiRecommender(models.components, params, models.user_profiles,
                                  models.poi_profiles, trained.phi_t)
@@ -239,8 +235,9 @@ def trained_params(request):
 @pytest.mark.parametrize("slice_size", [1, 7, None], ids=["1", "7", "more-than-pairs"])
 def test_trained_params_file_matches_reference_encoder(trained_params, slice_size,
                                                        monkeypatch):
-    """The writer builds EM's pair chains a slice at a time; at any slice
-    size it writes the reference bytes, which read back to the same chains."""
+    """The writer factors EM's joints a slice at a time; at any slice size it
+    writes the reference bytes, which read back to the pair keys and to the
+    products of the POI and global chains written."""
     params, want = trained_params
     pairs = params.pair_tables
     monkeypatch.setattr(mati, "PARAMS_SLICE", slice_size or len(pairs) + 1)
@@ -248,12 +245,12 @@ def test_trained_params_file_matches_reference_encoder(trained_params, slice_siz
     text = str(params_to_json(params, fingerprint=fingerprint))
     assert text == want
     restored = params_from_json(io.StringIO(text))
-    assert restored.pair_tables.keys == pairs.keys
-    assert restored.pr_nu.tobytes() == params.pr_nu.tobytes()
-    for stack in ("pair_tables", "poi_tables"):
-        mine, orig = getattr(restored, stack), getattr(params, stack)
-        assert ([a.tobytes() for a in mine.levels]
-                == [b.tobytes() for b in orig.chains(0, len(orig))])
+    assert restored.pair_keys == params.pair_keys == pairs.keys
+    chains = as_dicts(params)
+    assert restored.poi_tables.keys == params.poi_tables.keys
+    assert restored.poi_tables.joints.tobytes() == np.array(
+        [chain_product(chains.poi_tables[key]) for key in params.poi_tables.keys]).tobytes()
+    assert restored.global_table.tobytes() == chain_product(chains.global_table).tobytes()
 
 
 def test_rendered_params_are_the_reference_text_and_the_written_bytes(trained_params,
@@ -287,8 +284,8 @@ def test_rendering_and_writing_the_params_file_peaks_below_its_size(planted_spli
 
 def test_reading_the_params_file_peaks_below_its_size(planted_split, tmp_path):
     """Read a line at a time, as ``recommend`` opens it, the read holds the
-    stacks (about a third of the file), a line and one batch of chains'
-    row texts; the whole text plus ``json.loads`` of it peaked at about
+    POI joints, the pair keys, a line and one batch of chains' row texts and
+    cached rows; the whole text plus ``json.loads`` of it peaked at about
     twice the file's size."""
     _, models = planted_split
     path = tmp_path / "mati_params.json"

@@ -24,7 +24,7 @@ from corpus import distinct_pois, longtail_corpus, planted_corpus, stamp, three_
 from matirec import baselines as bl
 from matirec.config import load_config
 from matirec.ingest import CheckIn, CheckInLog
-from matirec.mati import chain_from_joint, layout_for
+from matirec.mati import layout_for
 from matirec.pipeline import MatiRecommender, UbcfRecommender, UsgComponents, UsgRecommender
 from matirec.slabs import all_slab_profiles
 
@@ -79,7 +79,7 @@ def _social_rates(matrix, u):
 
 def _random_chain(rng, shape):
     joint = rng.random(shape)
-    return chain_from_joint(joint / joint.sum())
+    return orc.chain_from_joint(joint / joint.sum())
 
 
 @given(log=small_logs(), alpha=st.sampled_from([0.0, 0.3]), beta=st.sampled_from([0.0, 0.4]),
