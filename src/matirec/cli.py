@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import ingest as ing
@@ -194,10 +195,8 @@ def cmd_recommend(cfg: RunConfig, args) -> int:
         if not len(log.rows(user)):
             raise DataError(f"unknown user {user!r}")
         items = model.recommend(user, args.n)
-        scores = {}
-        if items and hasattr(model, "score"):
-            pool = models.components.candidates_for(user)
-            scores = model.score(user, pool)
+        scores = (dict(zip(models.components.candidates_for(user), model.score(user).tolist()))
+                  if items and hasattr(model, "score") else {})
         path = model.routes[user].path if args.model == "hybrid" and items else args.model
         for rank, poi in enumerate(items, start=1):
             rendered = repr(scores[poi]) if poi in scores else ""
@@ -268,6 +267,11 @@ def cmd_tune(cfg: RunConfig, args) -> int:
         raise ConfigError(f"--objective must be metric@n, a metric of {OBJECTIVES} and n >= 1, "
                           f"got {args.objective!r}")
     objective = (metric, int(n or 5))
+    section = {"phi_t": "mati", "xi": "univariate"}.get(args.param, "usg")
+    tuned = {value: replace(getattr(cfg, section), **{args.param: value}) for value in grid}
+    for part in tuned.values():  # a value off its range exits 2 before the log is read
+        if hasattr(part, "validate"):  # as load_config checks a section
+            part.validate()
     log = _load_log(cfg)
     # Tuning population: active and semi-active users only, sampled at 20%.
     split = ev.split_exclude(log, cfg.eval.x, cfg.seed, cfg.eval.test_fraction,
@@ -275,18 +279,14 @@ def cmd_tune(cfg: RunConfig, args) -> int:
     models = train_models(split.train_log, cfg)
 
     def build(value: float):
-        from dataclasses import replace
         from .pipeline import MatiRecommender, UsgRecommender, UsgtRecommender
-        if args.param == "phi_t":
+        if section == "mati":
             return MatiRecommender(models.components, models.params,
-                                   models.user_profiles, models.poi_profiles, value)
-        if args.param in ("alpha", "beta"):
-            tuned = replace(cfg.usg, **{args.param: value})
-            tuned.validate()
-            models.components.set_weights(tuned.weights())
+                                   models.user_profiles, models.poi_profiles, tuned[value].phi_t)
+        if section == "usg":
+            models.components.set_weights(tuned[value].weights())
             return UsgRecommender(models.components)
-        tuned_cfg = replace(cfg, univariate=replace(cfg.univariate, xi=value))
-        return UsgtRecommender(models.components, tuned_cfg)
+        return UsgtRecommender(models.components, replace(cfg, univariate=tuned[value]))
 
     result = ev.tune_sweep(args.param, grid, build, split, objective)
     out = Path(args.out)

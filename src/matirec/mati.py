@@ -392,18 +392,17 @@ def shared_activity(user_cells: np.ndarray, cell_pois: np.ndarray,
     return psi
 
 
-def poi_depth_means(params: MatiTables, pois: Sequence[str]) -> np.ndarray:
-    """Per POI: the mean of its backoff joint over the slab grid (the global
-    joint's for a POI without one).
+def poi_depth_means(params: MatiTables) -> np.ndarray:
+    """Per POI int: the mean of its backoff joint over the slab grid.
 
-    A candidate's depth is ``pr_nu * mean``.  Every joint sums to 1, so the
+    The rows are in POI-int order: EM builds one for each POI of the log, in
+    int order, and a file's POI keys ascend as the log's sorted ids do, the
+    pair sets having been matched by ``pipeline.train_models``.  A
+    candidate's depth is ``pr_nu * mean``.  Every joint sums to 1, so the
     mean is 1 / n_cells and the trained tables never change a ranking (the
     open depth fix in ROADMAP.md).
     """
-    stack = params.poi_tables
-    row = {key: i for i, key in enumerate(stack.keys)}
-    rows = np.array([row.get(poi, len(stack)) for poi in pois], dtype=np.intp)
-    return np.append(stack.joints.mean(axis=1), params.global_table.mean())[rows]
+    return params.poi_tables.joints.mean(axis=1)
 
 
 def mati_mix(psi: np.ndarray, depth: np.ndarray, phi_t: float) -> np.ndarray:
@@ -623,11 +622,12 @@ class _ChainRows:
     """Chains of one layout, read a row text at a time.  A chain's text is
     cut at ``[`` and ``]``, and the pieces without a row must be those of
     ``_chain_template``.  Each ``STACK_BATCH`` chains, a level's distinct row
-    texts not in its cache (which maps a text to its row in ``_rows``, up to
+    texts not in its cache (which maps a text to its row number, up to
     ``_ROWS_HELD`` texts, then starts over) are checked and decoded in one
     scanner call and validated, each once: an error names the first owner
-    that uses a bad row.  With ``joints``, the batch's chains are then
-    multiplied into joints; without, no row is kept."""
+    that uses a bad row.  With ``joints``, each level's decoded rows and each
+    batch's row numbers are kept, and ``joints`` multiplies the chains into
+    joints once, at the end; without, no row is kept."""
 
     def __init__(self, lines: _Lines, what: str, shape: tuple[int, ...], joints: bool = True):
         self.lines, self.what, self.shape, self.keys = lines, what, shape, []
@@ -638,8 +638,9 @@ class _ChainRows:
         self._others = list(itertools.compress(skeleton, self._other))
         self._texts: list[list[str]] = [[] for _ in shape]  # each level's, since the last batch
         self._caches: list[dict[str, int]] = [{} for _ in shape]
-        self._rows = [np.empty((0, size)) for size in shape]  # each level's, with ``joints``
-        self._joints: list[np.ndarray] | None = [] if joints else None
+        self._numbers = [itertools.count() for _ in shape]  # each level's next row numbers
+        self._rows: list[list[np.ndarray]] = [[] for _ in shape]  # each level's, with ``joints``
+        self._ids: list | None = [] if joints else None  # each batch's first chain and row ids
         self._decoded = 0  # chains whose rows are decoded
 
     def add(self, key: str, chain: str) -> None:
@@ -659,10 +660,9 @@ class _ChainRows:
         what = f"model parameters: {self.what} level {k}"
         if len(self._caches[k]) > _ROWS_HELD:
             self._caches[k].clear()
-            self._rows[k] = self._rows[k][:0]
         new = [text for text in dict.fromkeys(self._texts[k]) if text not in self._caches[k]]
         if not new:
-            return new, self._rows[k][:0]
+            return new, np.empty((0, self.shape[k]))
         try:  # a row's text holds no bracket, so a string in it can only merge rows
             rows = json.loads("[[" + "], [".join(new) + "]]")
         except json.JSONDecodeError:
@@ -689,16 +689,15 @@ class _ChainRows:
             return _owner(self.what, batch[first // math.prod(self.shape[:k])])
 
         validate_chain([rows for _, rows in new], owner)
-        levels = []
+        ids = []
         for k, (texts, cache, (fresh, rows)) in enumerate(zip(self._texts, self._caches, new)):
-            cache.update(zip(fresh, itertools.count(len(self._rows[k]))))
-            if self._joints is not None:
-                self._rows[k] = np.concatenate([self._rows[k], rows])
-                ids = np.fromiter(map(cache.__getitem__, texts), np.intp, len(texts))
-                levels.append(self._rows[k][ids].reshape(len(batch), *self.shape[:k + 1]))
+            cache.update(zip(fresh, self._numbers[k]))
+            if self._ids is not None:
+                self._rows[k].append(rows)
+                ids.append(np.fromiter(map(cache.__getitem__, texts), np.intp, len(texts)))
             texts.clear()
-        if levels:
-            self._joints.append(joint_from_chain(levels).reshape(len(batch), -1))
+        if ids:
+            self._ids.append((self._decoded - len(batch), ids))
 
     def read(self, name: str, close: str) -> tuple[str, ...]:
         """The keys of the object member ``name``'s chains, ascending."""
@@ -710,9 +709,16 @@ class _ChainRows:
         return tuple(self.keys)
 
     def joints(self) -> np.ndarray:
-        """The joints of the chains added, one flat row of cells each."""
+        """The joints of the chains added, one flat row of cells each, built
+        a batch at a time into one array."""
         self._decode()
-        return np.concatenate([np.empty((0, math.prod(self.shape))), *self._joints])
+        rows = [np.concatenate([np.empty((0, size)), *self._rows[k]])
+                for k, size in enumerate(self.shape)]
+        joints = np.empty((len(self.keys), math.prod(self.shape)))
+        for lo, ids in self._ids:
+            levels = [rows[k][i].reshape(-1, *self.shape[:k + 1]) for k, i in enumerate(ids)]
+            joints[lo:lo + len(ids[0])] = joint_from_chain(levels).reshape(len(ids[0]), -1)
+        return joints
 
 
 def params_from_json(stream: TextIO, expected_checksum: str | None = None) -> MatiTables:

@@ -2,8 +2,10 @@
 
 This is the glue between the library modules and the CLI / evaluation
 harness.  All recommenders share one candidate rule (every known POI the
-user has not visited in the training view, ties broken by POI id).  Top-N
-lists are nested, except that ``usgt``/``ubcft`` re-compose a ``k·n`` USG pool
+user has not visited in the training view, as POI ints in ascending order,
+ties broken by POI id).  Every scorer returns one float vector over that
+pool; POI ids appear only in the lists ``recommend`` returns.  Top-N lists
+are nested, except that ``usgt``/``ubcft`` re-compose a ``k·n`` USG pool
 per n (strict xfails ``test_top_n_lists_are_nested[usgt|ubcft]``, ROADMAP.md
 item 5), so their n = 5 and 10 figures in ``evaluate``, taken from the top-20
 list's prefix, are not of the lists ``recommend --n 5`` or ``--n 10`` serves.
@@ -20,7 +22,7 @@ from . import baselines as bl
 from . import univariate as uv
 from .config import SEED_MF, SEED_SAMPLING, HybridConfig, RunConfig, UsgWeights
 from .errors import ConfigError, DataError
-from .hybrid import PROBE_N, Decision, avg_shared_activity, decide
+from .hybrid import PROBE_N, Decision, decide
 from .ingest import CheckInLog
 from .mati import (EmReport, MatiTables, mati_mix, pair_keys, poi_depth_means, run_em,
                    shared_activity)
@@ -77,10 +79,9 @@ def build_slab_index(log: CheckInLog, cfg: RunConfig) -> SlabArtifacts:
 class UsgComponents:
     """Shared per-user scoring state for the CF + social + geo mixture.
 
-    Scores are numpy vectors over an array of POI ints (``targets``), which
-    defaults to the user's candidate pool: every POI they have not visited,
-    in id order.  Each component is max-normalized over the targets before
-    mixing.
+    Scores are numpy vectors over the user's candidate pool: every POI int
+    they have not visited, ascending (= id order).  Each component is
+    max-normalized over the pool before mixing.
     """
 
     def __init__(self, log: CheckInLog, cfg: RunConfig):
@@ -129,18 +130,16 @@ class UsgComponents:
         self.weights = weights
         self._usg_cache.clear()
 
-    def ubcf_scores(self, user: str, targets: np.ndarray | None = None) -> np.ndarray:
+    def ubcf_scores(self, user: str) -> np.ndarray:
         """Weighted-neighbor visit rate over the top-k cosine-similar users."""
-        t = self.candidates(user) if targets is None else targets
-        return self.matrix.visit_rate(*self.neighbors(self.user_int(user)))[t]
+        return self.matrix.visit_rate(*self.neighbors(self.user_int(user)))[self.candidates(user)]
 
-    def usg_scores(self, user: str, targets: np.ndarray | None = None) -> np.ndarray:
-        # Candidate-pool scores are the hot path during evaluation (every
-        # model reads them), so cache those per user.
-        if targets is None and user in self._usg_cache:
+    def usg_scores(self, user: str) -> np.ndarray:
+        # Cached per user: every model reads them during evaluation.
+        if user in self._usg_cache:
             return self._usg_cache[user]
         u = self.user_int(user)
-        t = self.candidates(user) if targets is None else targets
+        t = self.candidates(user)
         cf = self.matrix.visit_rate(*self.neighbors(u))[t]
         friends, inter, union = self.friends(u)
         social = self.matrix.visit_rate(friends, inter / union)[t]
@@ -148,8 +147,7 @@ class UsgComponents:
         geo = np.exp(logs - logs.max()) if len(t) else logs
         scores = bl.usg_score(bl.max_normalize(cf), bl.max_normalize(social),
                               bl.max_normalize(geo), self.weights)
-        if targets is None:
-            self._usg_cache[user] = scores
+        self._usg_cache[user] = scores
         return scores
 
     def leave_one_out_c_star(self, user: str) -> np.ndarray:
@@ -189,42 +187,37 @@ class UsgComponents:
 
 
 class _RankedRecommender:
-    """Shared recommend() and score() on top of a per-user score vector."""
+    """Shared top() and recommend() on top of a per-user score vector."""
 
     name = "base"
 
     def __init__(self, components: UsgComponents):
         self.components = components
 
-    def scores(self, user: str, targets: np.ndarray | None = None) -> np.ndarray:
-        """Score vector over ``targets`` (POI ints; default the candidate pool)."""
+    def score(self, user: str) -> np.ndarray:
+        """Score vector over the user's candidate pool."""
         raise NotImplementedError
 
-    def score(self, user: str, candidates: list[str]) -> dict[str, float]:
-        index = self.components.matrix.poi_index
-        targets = np.fromiter((index[p] for p in candidates), np.intp, len(candidates))
-        return dict(zip(candidates, self.scores(user, targets).tolist()))
+    def top(self, user: str, n: int) -> np.ndarray:
+        """The user's top-n POI ints, best first."""
+        return self.components.candidates(user)[bl.rank_top_n(self.score(user), n)[0]]
 
     def recommend(self, user_id: str, n: int) -> list[str]:
-        candidates = self.components.candidates(user_id)
-        if not len(candidates):
-            return []
-        top, _ = bl.rank_top_n(self.scores(user_id), n)
-        return self.components.matrix.ids(candidates[top])
+        return self.components.matrix.ids(self.top(user_id, n))
 
 
 class UbcfRecommender(_RankedRecommender):
     name = "ubcf"
 
-    def scores(self, user, targets=None):
-        return self.components.ubcf_scores(user, targets)
+    def score(self, user):
+        return self.components.ubcf_scores(user)
 
 
 class UsgRecommender(_RankedRecommender):
     name = "usg"
 
-    def scores(self, user, targets=None):
-        return self.components.usg_scores(user, targets)
+    def score(self, user):
+        return self.components.usg_scores(user)
 
 
 class _UnivariateRecommender:
@@ -260,9 +253,7 @@ class _UnivariateRecommender:
         candidates = self.components.candidates(user_id)
         if not len(candidates):
             return []
-        scores = self.components.usg_scores(user_id)
-        top, _ = bl.rank_top_n(scores, min(self.cfg.k * n, len(candidates)))
-        pool = candidates[top]
+        pool = candidates[bl.rank_top_n(self.components.usg_scores(user_id), self.cfg.k * n)[0]]
         profile = self._profile(user_id)
         if profile is not None and profile.act >= self.cfg.t:
             pool = pool[uv.m_avg_recommend(self.poi_act[pool], profile, self.cfg, n)]
@@ -299,22 +290,19 @@ class MatiRecommender(_RankedRecommender):
         self.cell_pois = np.ascontiguousarray(poi_profiles.T > 0)
         self.poi_cell_counts = np.count_nonzero(poi_profiles, axis=1)
         self.phi_t = phi_t
-        self.depth_means = poi_depth_means(params, components.matrix.pois)
+        self.depth_means = poi_depth_means(params)
 
-    def user_cells(self, user: str) -> np.ndarray:
-        """The user's active cells; none for a user absent from the log."""
+    def psi(self, user: str) -> np.ndarray:
+        """Shared activity of the user with every POI int (a user absent from
+        the log has no active cell)."""
         u = self.components.user_int(user)
-        return self.user_active[u] if u is not None else np.zeros(self.user_active.shape[1], bool)
+        cells = self.user_active[u] if u is not None else np.zeros(self.user_active.shape[1], bool)
+        return shared_activity(cells, self.cell_pois, self.poi_cell_counts)
 
-    def psi(self, user: str, targets: np.ndarray) -> np.ndarray:
-        """Shared activity of the user with each target POI int."""
-        return shared_activity(self.user_cells(user), self.cell_pois,
-                               self.poi_cell_counts)[targets]
-
-    def scores(self, user, targets=None):
-        t = self.components.candidates(user) if targets is None else targets
-        pr_nu = self.components.usg_scores(user, targets)
-        return mati_mix(self.psi(user, t), pr_nu * self.depth_means[t], self.phi_t)
+    def score(self, user):
+        t = self.components.candidates(user)
+        pr_nu = self.components.usg_scores(user)
+        return mati_mix(self.psi(user)[t], pr_nu * self.depth_means[t], self.phi_t)
 
     # Each model class owns its recommend(), so each can be wrapped on its own.
     recommend = _RankedRecommender.recommend
@@ -342,14 +330,13 @@ class HybridRecommender:
 
     def _route(self, user_id: str) -> Decision | None:
         if user_id not in self.routes:
-            probe = self.usg.recommend(user_id, PROBE_N)
+            probe = self.usg.top(user_id, PROBE_N)
             decision = None
-            if probe:
-                index = self.mati.components.matrix.poi_index
-                rows = [index[p] for p in probe]
-                mean_psi = avg_shared_activity(self.mati.user_cells(user_id),
-                                               self.mati.cell_pois[:, rows],
-                                               self.mati.poi_cell_counts[rows])
+            if len(probe):
+                total = 0.0
+                for psi in self.mati.psi(user_id)[probe].tolist():  # left to right
+                    total += psi
+                mean_psi = total / len(probe)
                 decision = Decision(user_id, mean_psi, decide(mean_psi, self.cfg))
             self.routes[user_id] = decision
         return self.routes[user_id]
@@ -364,12 +351,12 @@ class HybridRecommender:
             return self.mati.recommend(user_id, n)
         return self.usg.recommend(user_id, n)
 
-    def score(self, user_id: str, candidates: list[str]) -> dict[str, float]:
-        """Scores from whichever path the user is routed to."""
+    def score(self, user_id: str) -> np.ndarray:
+        """The pool vector of whichever path the user is routed to."""
         decision = self._route(user_id)
         if decision is not None and decision.path == "temporal":
-            return self.mati.score(user_id, candidates)
-        return self.usg.score(user_id, candidates)
+            return self.mati.score(user_id)
+        return self.usg.score(user_id)
 
 
 @dataclass
@@ -415,9 +402,9 @@ def train_models(log: CheckInLog, cfg: RunConfig,
                                 gamma=cfg.mati.gamma)
     else:
         differ = set(pair_keys(log).tolist()).symmetric_difference(params.pair_keys)
-        if differ:
+        if differ or params.poi_tables.keys != components.matrix.pois:  # depth rows: POI ints
             raise DataError(f"model parameters were trained on a different check-in log "
-                            f"({len(differ)} (user, poi) pairs differ)")
+                            f"({len(differ)} (user, poi) pairs differ, or the POI keys do)")
         report = None
     usg = UsgRecommender(components)
     mati = MatiRecommender(components, params, user_profiles, poi_profiles, cfg.mati.phi_t)

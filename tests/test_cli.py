@@ -390,6 +390,30 @@ def test_cli_recommend_with_params_skips_em(workspace, trained_dir, tmp_path, mo
     assert all(row.split(",")[4] in ("temporal", "non_temporal") for row in rows)
 
 
+@pytest.mark.parametrize("model", ["ubcf", "usg", "mati", "hybrid"])
+def test_cli_recommend_scores_are_the_models_pool_vector(workspace, trained_dir, tmp_path,
+                                                          model):
+    """Each score in ``recommendations.csv`` is ``repr`` of the model's pool
+    vector at that POI's position in the user's candidate pool."""
+    _, config = workspace
+    slabs, params = trained_dir / "slab_index.json", trained_dir / "mati_params.json"
+    users = ["a0_0", "b0_0", "b2_7"]
+    assert main(["--config", str(config), "recommend", "--slabs", str(slabs),
+                 "--params", str(params), *sum((["--user", u] for u in users), []),
+                 "--n", "5", "--model", model, "--out", str(tmp_path)]) == 0
+    rows = list(csv.reader(io.StringIO((tmp_path / "recommendations.csv").read_text())))[2:]
+    assert len(rows) == 5 * len(users)
+    from matirec.pipeline import SlabArtifacts
+    cfg = load_config(config, env={})
+    with open(params, encoding="utf-8", newline="") as stream:
+        restored = cli.params_from_json(stream)
+    models = cli.train_models(cli._load_log(cfg), cfg,
+                              SlabArtifacts(cli._read_index(str(slabs)), {}), restored)
+    for user, _, poi, score, _ in rows:
+        pool = models.components.candidates_for(user)
+        assert score == repr(models.get(model).score(user).tolist()[pool.index(poi)])
+
+
 def test_cli_recommend_params_from_other_log_exits_3(workspace, trained_dir, tmp_path, capsys):
     root, config = workspace
     lines = (root / "checkins.tsv").read_text().splitlines(keepends=True)
@@ -474,6 +498,21 @@ def test_cli_tune_phi_grid(workspace, tmp_path):
     assert len(curve) == 5  # fingerprint + header + 3 grid points
 
 
+@pytest.mark.parametrize("param,grid", [("phi_t", "0:2:0.5"), ("alpha", "0.5,0.8"),
+                                        ("beta", "0.3,0.7"), ("xi", "-0.5")])
+def test_cli_tune_checks_grid_values_before_reading_the_log(tmp_path, capsys, param, grid):
+    """A grid value off its parameter's range exits 2 naming the parameter,
+    before the log is read: the config's check-in file does not exist, which
+    would exit 3."""
+    config = tmp_path / "run.cfg"
+    config.write_text(f"[data]\ncheckins = {tmp_path / 'missing.tsv'}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "tune", "--param", param, "--grid", grid,
+                 "--out", str(out)]) == 2
+    assert param in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_tune_rejects_unknown_param(workspace):
     _, config = workspace
     assert main(["--config", str(config), "tune", "--param", "zeta", "--grid", "0:1:0.5"]) == 2
@@ -501,6 +540,16 @@ def test_cli_tune_rejects_malformed_arguments_before_training(workspace, monkeyp
 
 def _damage_missing_pr_nu(params):
     del params["pr_nu"]
+
+
+def _damage_extra_poi(params):
+    """A POI the log does not hold, after the last one: every row still reads."""
+    pois = params["poi_tables"]
+    pois[max(pois) + "~"] = pois[max(pois)]
+
+
+def _damage_missing_poi(params):
+    del params["poi_tables"][max(params["poi_tables"])]
 
 
 def _damage_truncated_poi_row(params):
@@ -563,11 +612,12 @@ def _in_chain(table, damage):
 
 @pytest.mark.parametrize("damage", [_damage_missing_pr_nu, _damage_truncated_poi_row,
                                     _damage_non_numeric_entry, _damage_layout_mismatch,
-                                    _damage_pr_nu_keys, _damage_nan_pr_nu,
+                                    _damage_pr_nu_keys, _damage_nan_pr_nu, _damage_extra_poi,
+                                    _damage_missing_poi,
                                     *(_in_chain(table, damage) for damage in _CHAIN_DAMAGE.values()
                                       for table in _CHAIN_TABLES)],
                          ids=["missing-key", "ragged-table", "non-numeric", "wrong-shape",
-                              "pr-nu-keys", "nan-pr-nu",
+                              "pr-nu-keys", "nan-pr-nu", "extra-poi", "missing-poi",
                               *(f"{name}-{table.split('_')[0]}" for name in _CHAIN_DAMAGE
                                 for table in _CHAIN_TABLES)])
 def test_cli_recommend_malformed_params_exits_3(workspace, trained_dir, tmp_path, capsys,

@@ -5,9 +5,10 @@ import oracles as orc
 from corpus import checkin_users, planted_corpus
 
 from matirec.config import HybridConfig, load_config
-from matirec.errors import ConfigError, DataError
-from matirec.hybrid import PROBE_N, Decision, avg_shared_activity, decide, decisions_csv
-from matirec.ingest import CheckInLog
+from matirec.errors import ConfigError
+from matirec.hybrid import PROBE_N, Decision, decide, decisions_csv
+from matirec.ingest import CheckIn, CheckInLog
+from matirec.mati import shared_activity
 from matirec.pipeline import train_models
 
 CELLS = "abcdefgh"
@@ -19,8 +20,14 @@ def _cells(*active_sets):
 
 
 def _avg(user_cells, candidate_cells):
-    rows = candidate_cells.reshape(-1, len(CELLS))
-    return avg_shared_activity(user_cells, rows.T, np.count_nonzero(rows, axis=-1))
+    """Mean shared activity of the user with each row of ``candidate_cells``
+    (one row of per-cell counts or active flags per candidate), summed left
+    to right in row order, as the hybrid's route takes it."""
+    rows = candidate_cells.reshape(-1, len(user_cells))
+    total = 0.0
+    for psi in shared_activity(user_cells, rows.T, np.count_nonzero(rows, axis=-1)).tolist():
+        total += psi
+    return total / len(rows)
 
 
 def test_avg_all_shared():
@@ -37,11 +44,6 @@ def test_avg_mean_of_values():
                   {"h"},                  # 0, still counted
                   {"a", "b", "c"})        # 3/5
     assert _avg(up, pois) == (0.2 + 0.0 + 0.6) / 3
-
-
-def test_avg_empty_candidates_errors():
-    with pytest.raises(DataError):
-        _avg(_cells({"a"})[0], _cells())
 
 
 def test_decide_closed_interval():
@@ -167,7 +169,7 @@ def test_planted_psi_matches_string_set_oracle(planted_300):
     for user in users:
         mine = set(user_slabs.get(user, ()))
         want = [orc.jaccard(mine, set(poi_slabs[p])) for p in comp.candidates_for(user)]
-        assert mati.psi(user, comp.candidates(user)).tolist() == want
+        assert mati.psi(user)[comp.candidates(user)].tolist() == want
         hybrid.recommend(user, 1)
     assert list(hybrid.routes) == list(users)
     for user, decision in hybrid.routes.items():
@@ -177,4 +179,25 @@ def test_planted_psi_matches_string_set_oracle(planted_300):
         for p in probe:
             total += orc.jaccard(mine, set(poi_slabs[p]))
         assert decision.mean_psi == total / len(probe)
+        assert decision.path == decide(decision.mean_psi, hybrid.cfg)
+        u = comp.user_int(user)
+        cells = models.user_profiles[u] if u is not None else np.zeros(len(models.poi_profiles[0]))
+        assert decision.mean_psi == _avg(cells, models.poi_profiles[usg.top(user, PROBE_N)])
     assert hybrid.routes["nobody"].mean_psi == 0.0
+
+
+def test_user_with_no_candidate_gets_empty_lists_and_no_route(tiny_log):
+    """A user who visited every POI has an empty pool: every model serves an
+    empty list, the hybrid records no decision, and each scorer's pool
+    vector is empty."""
+    full = CheckInLog.from_checkins(
+        tuple(tiny_log.checkins) + tuple(CheckIn("all", p, 1270503000, 37.77, -122.41)
+                                         for p in ("p1", "p2", "p3", "p4")),
+        tiny_log.social_edges)
+    models = train_models(full, load_config())
+    for name in ("ubcf", "usg", "usgt", "ubcft", "mati", "hybrid"):
+        assert models.get(name).recommend("all", 5) == []
+    for name in ("ubcf", "usg", "mati", "hybrid"):
+        assert models.get(name).score("all").tolist() == []
+    assert models.get("hybrid").routes == {"all": None}
+    assert models.get("hybrid").decisions == []

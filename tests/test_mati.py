@@ -442,7 +442,8 @@ def test_run_em_unseen_pair_backoff():
 def mati_scores(candidates, params, user_profile, poi_profiles, pr_nu, phi_t):
     """The library's MATI mixture over ``candidates``, as a dict."""
     psi = _shared(user_profile, np.stack([poi_profiles[l] for l in candidates]))
-    depth = np.array([pr_nu[l] for l in candidates]) * poi_depth_means(params, candidates)
+    means = dict(zip(params.poi_tables.keys, poi_depth_means(params).tolist()))
+    depth = np.array([pr_nu[l] * means[l] for l in candidates])
     return dict(zip(candidates, mati_mix(psi, depth, phi_t).tolist()))
 
 

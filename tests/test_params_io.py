@@ -19,6 +19,7 @@ and brackets, commas and colons; rows repeat.
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,29 @@ def test_distinct_and_repeated_rows_round_trip_byte_for_byte(alike, rows_held, m
         monkeypatch.setattr(mati, "_ROWS_HELD", rows_held)
     params = _rows_apart_or_alike(alike)
     _assert_read_back(params, _read(reference_params_json(params)))
+
+
+def test_reading_pois_that_share_one_chain_holds_their_joints_once():
+    """3,000 POIs share one chain: the reader keeps each level's few distinct
+    rows and each batch's row numbers, and builds the POI joints once, so
+    the read peaks below 1.5 times their size (joining per-batch joints
+    held them twice).  They read back bit for bit."""
+    shape = (7, 24)
+    rng = np.random.default_rng(4)
+    chain = [rng.dirichlet(np.ones(size), size=shape[:k]) for k, size in enumerate(shape)]
+    params = DictParams(layout=ChainLayout(("day", "hour"), shape), pr_nu={("u", "p0000"): 1.0},
+                        pair_tables={("u", "p0000"): chain},
+                        poi_tables={f"p{i:04d}": chain for i in range(3000)})
+    stream = io.StringIO(reference_params_json(params), newline="")
+    tracemalloc.start()
+    try:
+        tables = params_from_json(stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = tables.poi_tables.joints.nbytes
+    assert peak < 1.5 * size, f"peak {peak / size:.2f} of the POI joints' size"
+    _assert_read_back(params, tables)
 
 
 @pytest.mark.parametrize("kind", ["negative", "row-sum"])

@@ -168,7 +168,8 @@ def test_hybrid_route_independent_of_list_size(planted_split):
     assert hybrid.recommend("a14_7", 5) == hybrid.recommend("a14_7", 20)[:5]
     for u in split.test_users:
         hybrid.recommend(u, 20)
-        hybrid.score(u, models.components.candidates_for(u))
+        routed_to = models.get("mati" if hybrid.routes[u].path == "temporal" else "usg")
+        assert hybrid.score(u).tolist() == routed_to.score(u).tolist()
     routed = [d.user_id for d in hybrid.decisions]
     assert sorted(routed) == split.test_users
 
@@ -192,12 +193,16 @@ def test_top_n_lists_are_nested(planted_split, name):
 
 def test_depth_means_equal_per_poi_joint_means(planted_split):
     """Each POI's depth mean is the mean of EM's joint for it, with no chain
-    between them."""
+    between them.  The POI joints' rows are the log's POI ints, as EM builds
+    them and as the parameter file reads back."""
     _, models = planted_split
     pois = models.params.poi_tables
+    assert pois.keys == models.components.matrix.pois
     joints = dict(zip(pois.keys, pois.joints))
     want = [float(joints[p].mean()) for p in models.components.matrix.pois]
     assert models.get("mati").depth_means.tolist() == want
+    restored = params_from_json(io.StringIO(str(params_to_json(models.params))))
+    assert restored.poi_tables.keys == models.components.matrix.pois
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -4,8 +4,9 @@ Random small logs always hold a friendless user, a social-only user (friends
 but no history), two POIs on the same coordinate, and plenty of tied scores;
 up to 12 neighbors and 13 friends make sums long enough for numpy's pairwise
 summation to round differently from a left-to-right sum.
-CF, social, the USG mix without geo, leave-one-out c*, psi, depth and the
-rankings must match the oracles exactly; geo to 1e-12 relative.  c* is also
+CF, social, the USG mix without geo, leave-one-out c*, psi, depth, every
+model's pool vector, the hybrid's route and the rankings must match the
+oracles exactly; geo to 1e-12 relative.  c* is also
 checked at corpus scale, at the default k = 50.  The batched geo-fit pass
 (``distance_bins``) must match the pairwise loop exactly, with blocks small
 enough that their boundaries fall inside the log.
@@ -22,10 +23,12 @@ import oracles as orc
 from corpus import distinct_pois, longtail_corpus, planted_corpus, stamp, three_by_three_index
 
 from matirec import baselines as bl
-from matirec.config import load_config
+from matirec.config import HybridConfig, load_config
+from matirec.hybrid import PROBE_N, decide
 from matirec.ingest import CheckIn, CheckInLog
 from matirec.mati import layout_for
-from matirec.pipeline import MatiRecommender, UbcfRecommender, UsgComponents, UsgRecommender
+from matirec.pipeline import (HybridRecommender, MatiRecommender, UbcfRecommender, UsgComponents,
+                              UsgRecommender)
 from matirec.slabs import all_slab_profiles
 
 COORDS = [(10.0, 20.0), (10.01, 20.0), (10.0, 20.02), (10.3, 19.9)]
@@ -102,9 +105,11 @@ def test_core_matches_scalar_oracles(log, alpha, beta, k, seed):
     rng = np.random.default_rng(seed)
     shape = index.grid_shape()
     params = orc.DictParams(layout=layout_for(index), pr_nu={}, pair_tables={},
-                            poi_tables={p: _random_chain(rng, shape) for p in matrix.pois[::2]},
+                            poi_tables={p: _random_chain(rng, shape) for p in matrix.pois},
                             global_table=_random_chain(rng, shape))
     mati = MatiRecommender(comp, orc.stacked(params), user_profiles, poi_profiles, phi_t=0.6)
+    ubcf, usg_model = UbcfRecommender(comp), UsgRecommender(comp)
+    hybrid = HybridRecommender(usg_model, mati, HybridConfig(0.3, 0.7))
 
     for user in matrix.users + ("nobody",):
         cands = comp.candidates_for(user)
@@ -112,6 +117,7 @@ def test_core_matches_scalar_oracles(log, alpha, beta, k, seed):
         u = comp.user_int(user)
         cf = [orc.ubcf_score(user, p, matrix, k) for p in cands]
         assert comp.ubcf_scores(user).tolist() == cf
+        assert ubcf.score(user).tolist() == cf
         social = [orc.social_score(user, p, matrix, friends) for p in cands]
         assert _social_rates(matrix, u)[comp.candidates(user)].tolist() == social
 
@@ -125,6 +131,7 @@ def test_core_matches_scalar_oracles(log, alpha, beta, k, seed):
         usg = orc.usg_mix(*orc.usg_components(matrix, friends, coords, comp.geo, user, cands, k),
                           weights)
         got = comp.usg_scores(user)
+        assert usg_model.score(user) is got
         if beta == 0:
             assert got.tolist() == [usg[p] for p in cands]
         else:
@@ -135,7 +142,7 @@ def test_core_matches_scalar_oracles(log, alpha, beta, k, seed):
         assert dict(zip(matrix.ids(matrix.history(u)), got_c_star)) == c_star
 
         mine = set(user_slabs.get(user, ()))
-        psi = mati.psi(user, comp.candidates(user))
+        psi = mati.psi(user)[comp.candidates(user)]
         depth = got * mati.depth_means[comp.candidates(user)]
         want = [orc.mati_components(user, p, params, mine, poi_slabs[p], s)
                 for p, s in zip(cands, got.tolist())]
@@ -143,13 +150,29 @@ def test_core_matches_scalar_oracles(log, alpha, beta, k, seed):
         assert depth.tolist() == [w[1] for w in want]
         mati_scores = orc.mati_scores(user, cands, params, mine, poi_slabs,
                                       dict(zip(cands, got.tolist())), 0.6)
-        assert mati.scores(user).tolist() == [mati_scores[p] for p in cands]
+        assert mati.score(user).tolist() == [mati_scores[p] for p in cands]
+
+        # The hybrid's pool vector is its routed model's; the route's mean psi
+        # is the Jaccard oracle summed left to right over the USG probe.
+        routed = hybrid.score(user).tolist()
+        decision = hybrid.routes[user]
+        if cands:
+            probe = usg_model.recommend(user, PROBE_N)
+            total = 0.0
+            for p in probe:
+                total += orc.jaccard(mine, poi_slabs[p])
+            assert (decision.mean_psi, decision.path) == \
+                (total / len(probe), decide(total / len(probe), hybrid.cfg))
+            temporal = decision.path == "temporal"
+            assert routed == ([mati_scores[p] for p in cands] if temporal else got.tolist())
+        else:
+            assert routed == [] and decision is None
 
         for n in (1, 2, 5):
-            assert UbcfRecommender(comp).recommend(user, n) == orc.rank(dict(zip(cands, cf)), n)
+            assert ubcf.recommend(user, n) == orc.rank(dict(zip(cands, cf)), n)
             assert mati.recommend(user, n) == orc.rank(mati_scores, n)
             if beta == 0:
-                assert UsgRecommender(comp).recommend(user, n) == orc.rank(usg, n)
+                assert usg_model.recommend(user, n) == orc.rank(usg, n)
 
 
 @given(log=training_logs(), block=st.integers(1, 40))
